@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 
 class InconsistentSystem(Exception):
@@ -202,11 +202,6 @@ class CycloValue:
 
     def conj(self) -> "CycloValue":
         return CycloValue(self.order, {(-j) % self.order: c for j, c in self.coeffs.items()})
-
-    def galois(self, a: int) -> "CycloValue":
-        if gcd(a, self.order) != 1:
-            raise ValueError("twist exponent must be coprime to the order")
-        return CycloValue(self.order, {(a * j) % self.order: c for j, c in self.coeffs.items()})
 
     def reduced(self) -> tuple[Fraction, ...]:
         """Coordinates in the power basis 1, zeta, ..., zeta^(phi(n)-1)."""

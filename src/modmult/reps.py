@@ -11,7 +11,7 @@ from math import gcd, lcm
 
 from .cosets import Signature, area_constant_c, subgroup_signature
 from .dimensions import WeightOneUnsupported, dims, quasi_period
-from .exact import CycloValue, solve_linear_exact
+from .exact import CycloValue, InconsistentSystem, solve_linear_exact
 from .sl2 import (DEFAULT_LEVEL_CAP, FiniteSubgroup, QuotientGroup,
                   SubgroupSpec, cyclic_subgroups_up_to_conjugacy, mat_mul,
                   quotient, realize)
@@ -85,29 +85,6 @@ class CharacterTable:
                 if not (v == deg or v == -deg):
                     raise SchemaError(
                         f"value of {name} at the -I coset is not a +-1 scalar")
-
-    def parity_sign(self, index: int) -> int | None:
-        """+1/-1 from the Schur scalar at the -I coset; None when absent."""
-        G = self.group
-        if G.iota is None:
-            return None
-        if G.iota_trivial:
-            return 1
-        v = self.values[index][G.class_of[G.iota]]
-        return 1 if v == self.degrees[index] else -1
-
-    def character_order(self, index: int) -> int:
-        """Order of a degree-1 character in the dual group."""
-        if self.degrees[index] != 1:
-            raise ValueError("character order is defined for degree-1 characters")
-        e = self.group.exponent
-        o = 1
-        for v in self.values[index]:
-            w = v.lift(lcm(v.order, e))
-            exps = [j for j, c in w.coeffs.items() if c]
-            for j in exps:
-                o = lcm(o, w.order // gcd(j, w.order))
-        return o
 
 
 def abelian_character_table(G: QuotientGroup) -> CharacterTable:
@@ -290,58 +267,39 @@ class RationalCharacter:
 
 
 def rational_characters(table: CharacterTable) -> tuple[RationalCharacter, ...]:
-    """Partition the table into Galois orbits and sum each orbit exactly."""
+    """Partition the table into Galois orbits and sum each orbit exactly.
+
+    The twist of chi by zeta -> zeta^a (a a unit mod exp G) is g -> chi(g^a),
+    so each row's twists are found through the class power maps, with rows
+    keyed by the power-basis coordinates of their values in Q(zeta_m).
+    """
     G = table.group
     e = G.exponent
-    n = len(table.names)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    # common cyclotomic order for twisting (file values may use any order,
+    # common cyclotomic order of the keys (file values may use any order,
     # but character values always lie in Q(zeta_e))
-    m = e
-    for row in table.values:
-        for v in row:
-            m = lcm(m, v.order)
-    rows = [tuple(v.lift(m) for v in row) for row in table.values]
-    for a in range(2, m + 1):
-        if gcd(a, m) != 1:
-            continue
-        for i, row in enumerate(rows):
-            twisted = [v.galois(a) for v in row]
-            match = None
-            for j, other in enumerate(rows):
-                if table.degrees[j] != table.degrees[i]:
-                    continue
-                if all(tv == ov for tv, ov in zip(twisted, other)):
-                    match = j
-                    break
-            if match is None:
-                raise NotRationalAfterSum(
-                    f"Galois twist of {table.names[i]} is not in the table")
-            ri, rj = find(i), find(match)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
+    m = lcm(e, *(v.order for row in table.values for v in row))
+    keys = [tuple(v.lift(m).reduced() for v in row) for row in table.values]
+    index = {key: i for i, key in enumerate(keys)}
+    power_maps = [[G.class_of[G.power(cls[0], a)] for cls in G.classes]
+                  for a in range(1, e + 1) if gcd(a, e) == 1]
 
-    orbits: dict[int, list[int]] = {}
-    for i in range(n):
-        orbits.setdefault(find(i), []).append(i)
     out = []
-    for _, members in sorted(orbits.items()):
-        acc = [CycloValue.from_rational(0)] * len(G.classes)
-        for i in members:
-            acc = [a + v for a, v in zip(acc, rows[i])]
+    seen: set[int] = set()
+    for i, key in enumerate(keys):
+        if i in seen:
+            continue
+        twists = [index.get(tuple(key[c] for c in pmap)) for pmap in power_maps]
+        if None in twists:
+            raise NotRationalAfterSum(
+                f"Galois twist of {table.names[i]} is not in the table")
+        members = sorted(set(twists))
+        seen.update(members)
         vals = []
-        for v in acc:
-            q = v.rational_part()
-            if q is None:
+        for coords in zip(*(keys[j] for j in members)):
+            total = [sum(cs) for cs in zip(*coords)]
+            if any(total[1:]):
                 raise NotRationalAfterSum("orbit sum is not rational")
-            vals.append(q)
+            vals.append(total[0])
         out.append(RationalCharacter(
             names=tuple(table.names[i] for i in members),
             indices=tuple(members),
@@ -373,15 +331,26 @@ def permutation_character(G: QuotientGroup, C: frozenset) -> tuple[int, ...]:
 def artin_decompose(target_values, G: QuotientGroup, cyclics=None,
                     column_order=None) -> tuple[Fraction, ...]:
     """Exact coefficients expressing a rational class function as a
-    combination of permutation characters of cyclic subgroups."""
+    combination of permutation characters of cyclic subgroups.
+
+    A rational class function is fixed by its values at one generator of
+    each cyclic subgroup (Serre, Linear Representations, 13.1), and at
+    those classes the marks matrix is upper triangular with a positive
+    diagonal, so the system is square and nonsingular.  The solution is
+    then checked at every class; a function that is not constant on the
+    Galois class orbits raises InconsistentSystem.
+    """
     if cyclics is None:
         cyclics = cyclic_subgroups_up_to_conjugacy(G)
-    ncls = len(G.classes)
     perms = [permutation_character(G, sub) for _, sub in cyclics]
-    A = [[Fraction(perms[j][cl]) for j in range(len(cyclics))]
-         for cl in range(ncls)]
-    b = [Fraction(v) for v in target_values]
-    x = solve_linear_exact(A, b, column_order=column_order)
+    rows = [G.class_of[gen] for gen, _ in cyclics]
+    A = [[perm[cl] for perm in perms] for cl in rows]
+    x = solve_linear_exact(A, [target_values[cl] for cl in rows],
+                           column_order=column_order)
+    for cl, want in enumerate(target_values):
+        if sum(q * perm[cl] for q, perm in zip(x, perms)) != want:
+            raise InconsistentSystem(
+                f"no Artin decomposition: mismatch at class {cl}")
     return tuple(x)
 
 
@@ -433,7 +402,6 @@ class QuotientPair:
     sig_gamma1: Signature
     c: Fraction
     _sig_cache: dict = field(default_factory=dict, repr=False)
-    _artin_cache: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, gamma_spec: SubgroupSpec, gamma1_spec: SubgroupSpec,
@@ -468,16 +436,6 @@ class QuotientPair:
             self._sig_cache[C] = sig
         return sig
 
-    def artin(self, rat: RationalCharacter, column_order=None):
-        key = (rat.indices,
-               None if column_order is None else tuple(column_order))
-        coeffs = self._artin_cache.get(key)
-        if coeffs is None:
-            coeffs = artin_decompose(rat.values, self.G, self.cyclics,
-                                     column_order=column_order)
-            self._artin_cache[key] = coeffs
-        return coeffs
-
     def rational_by_name(self, name: str) -> RationalCharacter:
         for rat in self.rationals:
             if name in rat.names or name == rat.label:
@@ -503,7 +461,8 @@ def multiplicity_series(pair: QuotientPair, rat: RationalCharacter, kind: str,
     ks = sorted(set(weights))
     if 1 in ks:
         raise WeightOneUnsupported("weight 1 is not supported")
-    coeffs = pair.artin(rat, column_order=column_order)
+    coeffs = artin_decompose(rat.values, pair.G, pair.cyclics,
+                             column_order=column_order)
     sigs = [pair.subgroup_sig(sub) for _, sub in pair.cyclics]
     entries = {}
     for k in ks:

@@ -172,18 +172,19 @@ def realize(spec: SubgroupSpec, at_level: int | None = None,
         elems = [x for x in ambient.elements
                  if x[0] % n == 1 % n and x[3] % n == 1 % n
                  and x[1] % n == 0 and x[2] % n == 0]
-    else:  # custom: generated closure
-        gens = [reduce_mat(g, m) for g in spec.generators]
-        closure = {identity_mat(m)}
+    else:  # custom: preimage of the generated closure mod the spec level
+        gens = [reduce_mat(g, n) for g in spec.generators]
+        closure = {identity_mat(n)}
         frontier = list(closure)
         while frontier:
             x = frontier.pop()
             for g in gens:
-                y = mat_mul(x, g, m)
+                y = mat_mul(x, g, n)
                 if y not in closure:
                     closure.add(y)
                     frontier.append(y)
-        elems = sorted(closure)
+        elems = [x for x in ambient.elements
+                 if tuple(v % n for v in x) in closure]
     return FiniteSubgroup(m, tuple(sorted(elems)))
 
 

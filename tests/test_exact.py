@@ -105,13 +105,17 @@ class TestCycloValue:
     @given(cyclo_values(max_order=60))
     def test_galois_invariant_values_are_rational(self, u):
         n = u.order
+
+        def twist(w, a):  # zeta_n -> zeta_n^a
+            return CycloValue(n, {a * j: c for j, c in w.coeffs.items()})
+
         twists = [a for a in range(1, n + 1) if gcd(a, n) == 1]
         v = CycloValue(n)
         for a in twists:
-            v = v + u.galois(a)
+            v = v + twist(u, a)
         # v is fixed by every admissible twist...
         for a in twists:
-            assert v.galois(a) == v
+            assert twist(v, a) == v
         # ...and any such value has a rational part
         assert v.rational_part() is not None
 

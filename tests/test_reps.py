@@ -1,12 +1,14 @@
 import json
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
-from modmult.exact import CycloValue
-from modmult.reps import (CharacterTableRequired, ClassMismatch,
-                          IndivisibleOrbitTotal, NotAbelian,
-                          OrthogonalityFailure, QuotientPair, SchemaError,
+from modmult.exact import CycloValue, InconsistentSystem
+from modmult.reps import (CharacterTable, CharacterTableRequired,
+                          ClassMismatch, IndivisibleOrbitTotal, NotAbelian,
+                          NotRationalAfterSum, OrthogonalityFailure,
+                          QuotientPair, SchemaError,
                           abelian_character_table, artin_decompose,
                           builtin_s3_table, character_table_for,
                           load_character_table, multiplicity_series,
@@ -41,21 +43,26 @@ def s3pair():
 
 
 def char_order(table, i):
-    return table.character_order(i)
+    """Order of a degree-1 character: the least n with chi^n = 1."""
+    row = table.values[i]
+    power, n = row, 1
+    while not all(v == 1 for v in power):
+        power = [v * w for v, w in zip(power, row)]
+        n += 1
+    return n
 
 
 class TestAbelianTable:
     def test_units_mod_5(self, diamond5):
         table = diamond5.table
+        G = table.group
         assert len(table.names) == 4
         orders = sorted(char_order(table, i) for i in range(4))
         assert orders == [1, 2, 4, 4]
         for i in range(4):
-            sign = table.parity_sign(i)
-            if char_order(table, i) in (1, 2):
-                assert sign == 1
-            else:
-                assert sign == -1
+            # the Schur scalar at the -I coset: +1 exactly for real characters
+            at_minus_I = table.values[i][G.class_of[G.iota]]
+            assert at_minus_I == (1 if char_order(table, i) in (1, 2) else -1)
 
     def test_units_mod_8(self, diamond8):
         table = diamond8.table
@@ -166,6 +173,105 @@ class TestRationalCharacters:
         assert all(r.orbit_size == 1 for r in diamond8.rationals)
 
 
+# (gamma, gamma1): the four standard pairs, a cyclic G of order 12 and an
+# elementary abelian G of order 8
+TABLE_PAIRS = [
+    (SubgroupSpec("gamma0", 5), SubgroupSpec("gamma1", 5)),
+    (SubgroupSpec("gamma0", 7), SubgroupSpec("gamma1", 7)),
+    (SubgroupSpec("gamma0", 8), SubgroupSpec("gamma1", 8)),
+    (SubgroupSpec("full", 1), SubgroupSpec("gamma", 2)),
+    (SubgroupSpec("gamma0", 13), SubgroupSpec("gamma1", 13)),
+    (SubgroupSpec("gamma", 12), SubgroupSpec("gamma", 24)),
+]
+
+
+@pytest.fixture(scope="module", params=TABLE_PAIRS,
+                ids=lambda p: f"{p[0].label()}/{p[1].label()}")
+def table_of_pair(request):
+    gamma, gamma1 = request.param
+    level = lcm(gamma.level, gamma1.level)
+    G = quotient(realize(gamma, at_level=level), realize(gamma1, at_level=level))
+    return character_table_for(G)
+
+
+def reference_rational_characters(table):
+    """Galois orbits found by twisting the values themselves, summed as
+    CycloValues: (member names, orbit-sum values) per orbit."""
+    G = table.group
+    m = lcm(G.exponent, *(v.order for row in table.values for v in row))
+    rows = [[v.lift(m) for v in row] for row in table.values]
+
+    def twist(v, a):  # zeta_m -> zeta_m^a
+        return CycloValue(m, {a * j: c for j, c in v.coeffs.items()})
+
+    out, seen = [], set()
+    for i, row in enumerate(rows):
+        if i in seen:
+            continue
+        members = sorted({j for a in range(1, m + 1) if gcd(a, m) == 1
+                          for j, other in enumerate(rows)
+                          if all(twist(v, a) == w for v, w in zip(row, other))})
+        seen.update(members)
+        sums = [sum((rows[j][c] for j in members), CycloValue(m))
+                for c in range(len(G.classes))]
+        out.append((tuple(table.names[j] for j in members),
+                    tuple(v.rational_part() for v in sums)))
+    return out
+
+
+class TestGaloisOrbitsFromPowerMaps:
+    def test_matches_value_twisting(self, table_of_pair):
+        got = [(r.names, r.values) for r in rational_characters(table_of_pair)]
+        assert got == reference_rational_characters(table_of_pair)
+
+    def test_user_file_in_larger_cyclotomic_field(self):
+        # values written in Q(zeta_{2e}) give the same orbits and sums
+        G = quotient(realize(SubgroupSpec("gamma0", 13)),
+                     realize(SubgroupSpec("gamma1", 13)))
+        table = character_table_for(G)
+        doc = table_to_doc(table)
+        for ch, row in zip(doc["characters"], table.values):
+            ch["values"] = [
+                {"order": 2 * G.exponent,
+                 "coeffs": {str(j): f"{c}" for j, c in
+                            v.lift(2 * G.exponent).coeffs.items()}}
+                for v in row]
+        wide = load_character_table(doc, G)
+        assert {v.order for row in wide.values for v in row} == {24}
+        got = [(r.names, r.values) for r in rational_characters(wide)]
+        assert got == reference_rational_characters(wide)
+        assert got == [(r.names, r.values) for r in rational_characters(table)]
+
+    def test_broken_tables_raise(self, diamond5):
+        # unvalidated rows of G = C4: a row without its Galois twist, and a
+        # row fixed by the power maps whose values lie outside Q(zeta_4)
+        G = diamond5.G
+        table = diamond5.table
+        odd = next(i for i, row in enumerate(table.values)
+                   if row[G.class_of[G.iota]] == -1)
+        partial = CharacterTable(G, ("triv", "chi"), (1, 1),
+                                 (table.values[0], table.values[odd]), "test")
+        with pytest.raises(NotRationalAfterSum, match="twist"):
+            rational_characters(partial)
+        z8 = CycloValue.root_of_unity(8)
+        fixed = tuple(CycloValue.from_rational(1)
+                      if G.element_order(cls[0]) < 4 else z8
+                      for cls in G.classes)
+        outside = CharacterTable(G, ("f",), (1,), (fixed,), "test")
+        with pytest.raises(NotRationalAfterSum, match="orbit sum"):
+            rational_characters(outside)
+
+    def test_square_marks_matrix_is_triangular(self, table_of_pair):
+        G = table_of_pair.group
+        cyclics = cyclic_subgroups_up_to_conjugacy(G)
+        perms = [permutation_character(G, sub) for _, sub in cyclics]
+        rows = [G.class_of[gen] for gen, _ in cyclics]
+        assert len(rows) == len(rational_characters(table_of_pair))
+        for i, cl in enumerate(rows):
+            assert perms[i][cl] > 0
+            assert all(perms[j][cl] == 0 for j in range(i))
+
+
 class TestPermutationCharacter:
     def test_c4(self, diamond5):
         G = diamond5.G
@@ -221,6 +327,16 @@ class TestArtin:
                 total = sum(q * perms[j][ci] for j, q in enumerate(coeffs))
                 assert total == rat.values[ci]
 
+    def test_not_constant_on_galois_class_orbits(self, diamond5):
+        # the two classes of order 4 are Galois conjugate: a class function
+        # that tells them apart is not a rational character
+        G = diamond5.G
+        order4 = [ci for ci, cls in enumerate(G.classes)
+                  if G.element_order(cls[0]) == 4]
+        values = [Fraction(ci == order4[0]) for ci in range(len(G.classes))]
+        with pytest.raises(InconsistentSystem):
+            artin_decompose(values, G, diamond5.cyclics)
+
     def test_conjugate_subgroups_same_data(self, s3pair):
         # conjugates of a listed cyclic subgroup induce the same character
         # and cut out the same fixed-group signature
@@ -236,14 +352,13 @@ class TestArtin:
 
 class TestParity:
     def test_units_mod_5(self, diamond5):
+        # the real characters (orders 1 and 2) are Galois singletons and
+        # even; the two characters of order 4 form one odd orbit
         G = diamond5.G
+        assert sorted(r.orbit_size for r in diamond5.rationals) == [1, 1, 2]
         for rat in diamond5.rationals:
-            table = diamond5.table
-            i = rat.indices[0]
-            if char_order(table, i) in (1, 2):
-                assert parity_of(rat, G) == "even"
-            else:
-                assert parity_of(rat, G) == "odd"
+            assert parity_of(rat, G) == ("even" if rat.orbit_size == 1
+                                         else "odd")
 
     def test_s3_all_even(self, s3pair):
         assert all(parity_of(r, s3pair.G) == "even" for r in s3pair.rationals)

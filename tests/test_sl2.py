@@ -2,6 +2,7 @@ from math import gcd
 
 import pytest
 
+from modmult.cosets import subgroup_signature
 from modmult.sl2 import (LevelTooLarge, NotASubgroup, NotNormal, SubgroupSpec,
                          cyclic_subgroups_up_to_conjugacy, enumerate_sl2,
                          galois_class_orbits, mat_inv, mat_mul, quotient,
@@ -82,6 +83,20 @@ class TestRealize:
         # <T> mod 4 is cyclic of order 4
         K = realize(SubgroupSpec("custom", 4, ((1, 1, 0, 1),)))
         assert K.order == 4
+
+    def test_custom_preimage_above_own_level(self):
+        # the preimage of <T> mod 2 and of {I} mod 2 in SL2(Z/4)
+        T2 = SubgroupSpec("custom", 2, ((1, 1, 0, 1),))
+        assert realize(T2, at_level=4).order == 16
+        assert realize(SubgroupSpec("custom", 2), at_level=4).elements == \
+            realize(SubgroupSpec("gamma", 2), at_level=4).elements
+
+    @pytest.mark.parametrize("m", [2, 4, 6, 8])
+    def test_custom_signature_independent_of_level(self, m):
+        for spec in (SubgroupSpec("custom", 2, ((1, 1, 0, 1),)),
+                     SubgroupSpec("custom", 2)):
+            assert subgroup_signature(realize(spec, at_level=m)) == \
+                subgroup_signature(realize(spec))
 
     def test_realize_at_common_level(self):
         K = realize(SubgroupSpec("full", 1), at_level=2)
