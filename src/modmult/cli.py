@@ -4,13 +4,31 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 
-from .cosets import subgroup_signature
-from .dimensions import dims
-from .reps import QuotientPair, multiplicity_series
-from .sl2 import DEFAULT_LEVEL_CAP, SubgroupSpec, realize
-from .verify import VerificationConfig, run_verify, signature_record
+from .cosets import NonIntegralGenus, NonPositiveArea, subgroup_signature
+from .dimensions import OddOrderViolation, WeightOneUnsupported, dims
+from .exact import InconsistentSystem
+from .reps import (CharacterTableRequired, ClassMismatch,
+                   IndivisibleOrbitTotal, NotAbelian, NotRationalAfterSum,
+                   OrthogonalityFailure, QuotientPair, SchemaError,
+                   multiplicity_series)
+from .sl2 import (DEFAULT_LEVEL_CAP, LevelTooLarge, NotAGroup, NotASubgroup,
+                  NotNormal, SubgroupSpec, realize)
+from .verify import (IdentityViolation, VerificationConfig, WindowTooSmall,
+                     run_verify, signature_record)
+
+# modmult's typed errors: main reports each in one line with exit status 2
+ERRORS = (LevelTooLarge, NotAGroup, NotASubgroup, NotNormal,
+          NonIntegralGenus, NonPositiveArea, OddOrderViolation,
+          WeightOneUnsupported, InconsistentSystem, CharacterTableRequired,
+          ClassMismatch, IndivisibleOrbitTotal, NotAbelian,
+          NotRationalAfterSum, OrthogonalityFailure, SchemaError,
+          IdentityViolation, WindowTooSmall)
+
+# a '/' that starts the second spec of a pair; custom paths may contain '/'
+_SECOND_SPEC = re.compile(r"/(?=SL2Z$|gamma0:|gamma1:|gamma:|custom:)")
 
 
 def parse_group_spec(text: str) -> SubgroupSpec:
@@ -31,9 +49,16 @@ def parse_group_spec(text: str) -> SubgroupSpec:
             raise argparse.ArgumentTypeError(f"bad level in {text!r}") from None
         return SubgroupSpec(kind, n)
     if kind == "custom":
-        with open(arg) as fh:
-            lines = [ln.split() for ln in fh if ln.strip()
-                     and not ln.lstrip().startswith("#")]
+        try:
+            with open(arg) as fh:
+                lines = [ln.split() for ln in fh if ln.strip()
+                         and not ln.lstrip().startswith("#")]
+        except OSError as exc:
+            raise argparse.ArgumentTypeError(
+                f"cannot read custom group file {arg!r}: {exc.strerror}") from None
+        if not lines:
+            raise argparse.ArgumentTypeError(
+                f"custom group file {arg!r} has no level line")
         level = int(lines[0][0])
         gens = tuple(tuple(int(x) for x in row) for row in lines[1:])
         if any(len(g) != 4 for g in gens):
@@ -52,10 +77,24 @@ def parse_weights(text: str) -> range:
 
 
 def parse_pair(text: str) -> tuple[SubgroupSpec, SubgroupSpec]:
-    left, sep, right = text.partition("/")
-    if not sep:
+    cut = _SECOND_SPEC.search(text) or re.search("/", text)
+    if cut is None:
         raise argparse.ArgumentTypeError("pair must be <spec>/<spec>")
-    return parse_group_spec(left), parse_group_spec(right)
+    return (parse_group_spec(text[:cut.start()]),
+            parse_group_spec(text[cut.end():]))
+
+
+def parse_table_file(path: str) -> dict:
+    """Read a character-table JSON file; the loader validates its content."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(
+            f"cannot read character table {path!r}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"character table {path!r} is not JSON: {exc}") from None
 
 
 def _dump_json(obj) -> str:
@@ -139,6 +178,12 @@ def cmd_verify(args) -> int:
     return 0 if report["pass"] else 1
 
 
+SPLIT_HELP = ("divide orbit totals across orbit members; only meaningful "
+              "when Galois conjugates have equal multiplicity, otherwise "
+              "IndivisibleOrbitTotal (e.g. gamma0:3/gamma:3 at k=7, where "
+              "an orbit of 2 characters has total 5)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="modmult",
@@ -171,10 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--weights", type=parse_weights, required=True,
                     metavar="a..b")
     sp.add_argument("--kind", choices=("M", "S"), default="M")
-    sp.add_argument("--table", default=None,
+    sp.add_argument("--table", type=parse_table_file, default=None,
                     help="character table JSON for nonabelian quotients")
-    sp.add_argument("--split", action="store_true",
-                    help="divide orbit totals across orbit members")
+    sp.add_argument("--split", action="store_true", help=SPLIT_HELP)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     common(sp)
     sp.set_defaults(func=cmd_mult)
@@ -184,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="SPEC/SPEC")
     sp.add_argument("--kmax", type=int, default=100)
     sp.add_argument("--offset-bound", type=int, default=24)
-    sp.add_argument("--table", default=None)
-    sp.add_argument("--split", action="store_true")
+    sp.add_argument("--table", type=parse_table_file, default=None)
+    sp.add_argument("--split", action="store_true", help=SPLIT_HELP)
     sp.add_argument("--format", choices=("json",), default="json")
     common(sp)
     sp.set_defaults(func=cmd_verify)
@@ -194,7 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ERRORS as exc:
+        print(f"modmult: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -121,6 +121,20 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return poly_divmod_exact(num, den)
 
 
+def reduce_cyclotomic(n: int, coeffs: list) -> tuple:
+    """Coordinates in the power basis 1, zeta_n, ..., zeta_n^(phi(n)-1) of
+    sum_j coeffs[j] * zeta_n^j over the n entries of coeffs, which may be
+    ints or Fractions; coeffs is overwritten."""
+    phi = cyclotomic_poly(n)
+    deg = len(phi) - 1
+    for i in range(n - 1, deg - 1, -1):
+        f = coeffs[i]
+        if f:
+            for t in range(deg):
+                coeffs[i - deg + t] -= f * phi[t]
+    return tuple(coeffs[:deg])
+
+
 # ---------------------------------------------------------------------------
 # Cyclotomic values: exact elements of Q(zeta_n).
 
@@ -205,18 +219,10 @@ class CycloValue:
 
     def reduced(self) -> tuple[Fraction, ...]:
         """Coordinates in the power basis 1, zeta, ..., zeta^(phi(n)-1)."""
-        phi = cyclotomic_poly(self.order)
-        deg = len(phi) - 1
-        rem = [Fraction(0)] * max(self.order, deg)
+        rem = [Fraction(0)] * self.order
         for j, c in self.coeffs.items():
             rem[j] += c
-        for i in range(len(rem) - 1, deg - 1, -1):
-            f = rem[i]
-            if f:
-                rem[i] = Fraction(0)
-                for t in range(deg):
-                    rem[i - deg + t] -= f * phi[t]
-        return tuple(rem[:deg])
+        return reduce_cyclotomic(self.order, rem)
 
     def rational_part(self) -> Fraction | None:
         """The value as a Fraction if it is rational, else None."""
@@ -243,6 +249,26 @@ class CycloValue:
             return "CycloValue(0)"
         terms = " + ".join(f"{c}*z{self.order}^{j}" for j, c in sorted(self.coeffs.items()))
         return f"CycloValue({terms})"
+
+
+def integer_rows(rows):
+    """Rows of CycloValues as integer vectors in Z[x]/(x^m - 1).
+
+    Returns (m, int_rows, dens): m is the lcm of the value orders, and the
+    value in row r, column c is sum a * zeta_m^j / dens[r] over the
+    (j, a) pairs of int_rows[r][c], with dens[r] the least common
+    denominator of the row's coefficients.
+    """
+    m = lcm(*(v.order for row in rows for v in row))
+    int_rows, dens = [], []
+    for row in rows:
+        den = lcm(*(c.denominator for v in row for c in v.coeffs.values()))
+        int_rows.append(tuple(
+            tuple((j * (m // v.order), c.numerator * (den // c.denominator))
+                  for j, c in v.coeffs.items())
+            for v in row))
+        dens.append(den)
+    return m, int_rows, dens
 
 
 # ---------------------------------------------------------------------------

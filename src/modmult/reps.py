@@ -11,7 +11,8 @@ from math import gcd, lcm
 
 from .cosets import Signature, area_constant_c, subgroup_signature
 from .dimensions import WeightOneUnsupported, dims, quasi_period
-from .exact import CycloValue, InconsistentSystem, solve_linear_exact
+from .exact import (CycloValue, InconsistentSystem, integer_rows,
+                    reduce_cyclotomic, solve_linear_exact)
 from .sl2 import (DEFAULT_LEVEL_CAP, FiniteSubgroup, QuotientGroup,
                   SubgroupSpec, cyclic_subgroups_up_to_conjugacy, mat_mul,
                   quotient, realize)
@@ -66,17 +67,21 @@ class CharacterTable:
             at_id = row[G.class_of[G.identity]].rational_part()
             if at_id != deg:
                 raise SchemaError("degree must equal the value at the identity")
+        # Gram matrix in Z[x]/(x^m - 1): each row is scaled by its
+        # denominator, and conj(zeta^b) = zeta^(m - b)
+        m, rows, dens = integer_rows(self.values)
         sizes = [len(cls) for cls in G.classes]
-        for i, row_i in enumerate(self.values):
-            for j, row_j in enumerate(self.values):
-                if j < i:
-                    continue
-                acc = CycloValue.from_rational(0)
-                for size, vi, vj in zip(sizes, row_i, row_j):
-                    acc = acc + size * (vi * vj.conj())
-                ip = acc.rational_part()
-                want = Fraction(G.order if i == j else 0)
-                if ip != want:
+        for i, row_i in enumerate(rows):
+            for j in range(i, len(rows)):
+                acc = [0] * m
+                for size, vi, vj in zip(sizes, row_i, rows[j]):
+                    for a, x in vi:
+                        for b, y in vj:
+                            acc[(a - b) % m] += size * x * y
+                coords = reduce_cyclotomic(m, acc)
+                ip = (None if any(coords[1:])
+                      else Fraction(coords[0], dens[i] * dens[j]))
+                if ip != (G.order if i == j else 0):
                     raise OrthogonalityFailure(
                         f"<{self.names[i]},{self.names[j]}> = {ip}/{G.order}")
         if G.iota is not None:
@@ -275,10 +280,19 @@ def rational_characters(table: CharacterTable) -> tuple[RationalCharacter, ...]:
     """
     G = table.group
     e = G.exponent
-    # common cyclotomic order of the keys (file values may use any order,
-    # but character values always lie in Q(zeta_e))
-    m = lcm(e, *(v.order for row in table.values for v in row))
-    keys = [tuple(v.lift(m).reduced() for v in row) for row in table.values]
+    # keys are integer coordinates in Q(zeta_m), scaled by one denominator
+    m, rows, dens = integer_rows(table.values)
+    den = lcm(*dens)
+    keys = []
+    for row, row_den in zip(rows, dens):
+        scale = den // row_den
+        key = []
+        for value in row:
+            vec = [0] * m
+            for j, a in value:
+                vec[j] = a * scale
+            key.append(reduce_cyclotomic(m, vec))
+        keys.append(tuple(key))
     index = {key: i for i, key in enumerate(keys)}
     power_maps = [[G.class_of[G.power(cls[0], a)] for cls in G.classes]
                   for a in range(1, e + 1) if gcd(a, e) == 1]
@@ -299,7 +313,7 @@ def rational_characters(table: CharacterTable) -> tuple[RationalCharacter, ...]:
             total = [sum(cs) for cs in zip(*coords)]
             if any(total[1:]):
                 raise NotRationalAfterSum("orbit sum is not rational")
-            vals.append(total[0])
+            vals.append(Fraction(total[0], den))
         out.append(RationalCharacter(
             names=tuple(table.names[i] for i in members),
             indices=tuple(members),

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -153,6 +154,202 @@ class TestLoadTable:
         assert table.degrees == diamond5.table.degrees
 
 
+# (gamma, gamma1): the four standard pairs, a cyclic G of order 12 and an
+# elementary abelian G of order 8
+TABLE_PAIRS = [
+    (SubgroupSpec("gamma0", 5), SubgroupSpec("gamma1", 5)),
+    (SubgroupSpec("gamma0", 7), SubgroupSpec("gamma1", 7)),
+    (SubgroupSpec("gamma0", 8), SubgroupSpec("gamma1", 8)),
+    (SubgroupSpec("full", 1), SubgroupSpec("gamma", 2)),
+    (SubgroupSpec("gamma0", 13), SubgroupSpec("gamma1", 13)),
+    (SubgroupSpec("gamma", 12), SubgroupSpec("gamma", 24)),
+]
+
+
+def table_of(gamma, gamma1):
+    level = lcm(gamma.level, gamma1.level)
+    return character_table_for(quotient(realize(gamma, at_level=level),
+                                        realize(gamma1, at_level=level)))
+
+
+def reference_validate(table):
+    """CharacterTable.validate written with CycloValue arithmetic: the same
+    checks in the same order, raising the same types and messages."""
+    G = table.group
+    if any(len(row) != len(G.classes) for row in table.values):
+        raise SchemaError("character value rows must match the class count")
+    if sum(d * d for d in table.degrees) != G.order:
+        raise SchemaError("sum of squared degrees must equal |G|")
+    for deg, row in zip(table.degrees, table.values):
+        if row[G.class_of[G.identity]].rational_part() != deg:
+            raise SchemaError("degree must equal the value at the identity")
+    sizes = [len(cls) for cls in G.classes]
+    for i, row_i in enumerate(table.values):
+        for j in range(i, len(table.values)):
+            acc = CycloValue.from_rational(0)
+            for size, vi, vj in zip(sizes, row_i, table.values[j]):
+                acc = acc + size * (vi * vj.conj())
+            ip = acc.rational_part()
+            if ip != Fraction(G.order if i == j else 0):
+                raise OrthogonalityFailure(
+                    f"<{table.names[i]},{table.names[j]}> = {ip}/{G.order}")
+    if G.iota is not None:
+        for name, deg, row in zip(table.names, table.degrees, table.values):
+            v = row[G.class_of[G.iota]]
+            if not (v == deg or v == -deg):
+                raise SchemaError(
+                    f"value of {name} at the -I coset is not a +-1 scalar")
+
+
+def outcome(check, table):
+    """None if the check accepts the table, else (exception type, message)."""
+    try:
+        check(table)
+    except (SchemaError, OrthogonalityFailure) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def mutate(table, rng):
+    """One or two random edits of a table's rows, columns or degrees."""
+    G = table.group
+    degrees = list(table.degrees)
+    rows = [list(row) for row in table.values]
+    n = len(rows)
+    for _ in range(rng.randint(1, 2)):
+        ncls = min(map(len, rows))
+        r, c = rng.randrange(n), rng.randrange(ncls)
+        kind = rng.randrange(9)
+        if kind == 0:      # times a root of unity
+            o = rng.choice((2, 3, 4, 8, 12, 2 * G.exponent))
+            rows[r][c] = rows[r][c] * CycloValue.root_of_unity(o, rng.randrange(o))
+        elif kind == 1:    # times a rational
+            rows[r][c] = rows[r][c] * rng.choice(
+                (Fraction(1, 2), Fraction(-1), Fraction(2), Fraction(3, 2), 0))
+        elif kind == 2:    # row plus or minus another row
+            s = rng.choice((1, -1))
+            other = rows[rng.randrange(n)]
+            rows[r] = [v + s * w for v, w in zip(rows[r], other)]
+        elif kind == 3:    # swap two classes in every row
+            d = rng.randrange(ncls)
+            for row in rows:
+                row[c], row[d] = row[d], row[c]
+        elif kind == 4:    # another degree
+            degrees[r] += rng.choice((1, -1))
+        elif kind == 5:    # a value too few or too many
+            if rng.random() < 0.5:
+                rows[r].pop()
+            else:
+                rows[r].append(CycloValue.from_rational(1))
+        elif kind == 6:    # a duplicated row
+            rows[r] = list(rows[rng.randrange(n)])
+        elif kind == 7:    # the complex conjugate row
+            rows[r] = [v.conj() for v in rows[r]]
+        else:              # the same value, rewritten with fractions in a
+            v = rows[r][c]  # field where -1 = zeta^(o/2)
+            o = 2 * lcm(v.order, G.exponent)
+            b = rng.randrange(o)
+            zero = CycloValue(o, {b: Fraction(1, 3), b + o // 2: Fraction(1, 3)})
+            rows[r][c] = v.lift(o) + zero
+    return CharacterTable(G, table.names, tuple(degrees),
+                          tuple(tuple(row) for row in rows), "test")
+
+
+@pytest.fixture(scope="module")
+def table13():
+    return table_of(SubgroupSpec("gamma0", 13), SubgroupSpec("gamma1", 13))
+
+
+def edited(table, rows=None, degrees=None):
+    return CharacterTable(table.group, table.names,
+                          table.degrees if degrees is None else tuple(degrees),
+                          table.values if rows is None else tuple(rows), "test")
+
+
+class TestValidate:
+    """Every rejection of CharacterTable.validate on the cyclic table of
+    Gamma0(13)/Gamma1(13) (exponent 12), with its type and message."""
+
+    def test_row_of_wrong_length(self, table13):
+        rows = list(table13.values)
+        rows[3] = rows[3][:-1]
+        with pytest.raises(SchemaError,
+                           match="^character value rows must match the class count$"):
+            edited(table13, rows=rows).validate()
+
+    def test_sum_of_squared_degrees(self, table13):
+        degrees = (2,) + table13.degrees[1:]
+        with pytest.raises(SchemaError,
+                           match=r"^sum of squared degrees must equal \|G\|$"):
+            edited(table13, degrees=degrees).validate()
+
+    def test_degree_differs_from_value_at_identity(self, table13):
+        rows = list(table13.values)
+        rows[1] = tuple(v + w for v, w in zip(rows[1], rows[2]))
+        with pytest.raises(SchemaError,
+                           match="^degree must equal the value at the identity$"):
+            edited(table13, rows=rows).validate()
+
+    def test_irrational_inner_product(self, table13):
+        G = table13.group
+        c = next(ci for ci, cls in enumerate(G.classes)
+                 if G.element_order(cls[0]) == 3)
+        rows = [list(row) for row in table13.values]
+        rows[1][c] = rows[1][c] * CycloValue.root_of_unity(12)
+        with pytest.raises(OrthogonalityFailure) as err:
+            edited(table13, rows=rows).validate()
+        assert str(err.value) == f"<triv,{table13.names[1]}> = None/12"
+
+    def test_user_file_fractions_in_q_zeta_24(self, table13):
+        # chi1 written in Q(zeta_24) with thirds that cancel (zeta^12 = -1)
+        # loads; halving its value -1 at one class does not
+        G = table13.group
+        doc = table_to_doc(table13)
+        c = next(ci for ci, v in enumerate(table13.values[1]) if v == -1)
+        vals = []
+        for v in table13.values[1]:
+            (a, _), = v.lift(24).coeffs.items()
+            b = (a + 1) % 24
+            vals.append({"order": 24, "coeffs": {str(a): "1", str(b): "1/3",
+                                                 str(b + 12): "1/3"}})
+        doc["characters"][1]["values"] = vals
+        assert load_character_table(doc, G).names == table13.names
+        (a, _), = table13.values[1][c].lift(24).coeffs.items()
+        vals[c] = {"order": 24, "coeffs": {str(a): "1/2"}}
+        with pytest.raises(OrthogonalityFailure) as err:
+            load_character_table(doc, G)
+        assert str(err.value) == f"<triv,{table13.names[1]}> = 1/2/12"
+
+    def test_value_at_minus_identity_not_scalar(self, table13):
+        # swapping the -I class with a class of order 3 keeps orthogonality
+        G = table13.group
+        iota = G.class_of[G.iota]
+        c = next(ci for ci, cls in enumerate(G.classes)
+                 if G.element_order(cls[0]) == 3)
+        rows = [list(row) for row in table13.values]
+        for row in rows:
+            row[iota], row[c] = row[c], row[iota]
+        name = next(n for n, row in zip(table13.names, rows)
+                    if row[iota] != 1 and row[iota] != -1)
+        with pytest.raises(SchemaError) as err:
+            edited(table13, rows=rows).validate()
+        assert str(err.value) == f"value of {name} at the -I coset is not a +-1 scalar"
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("pair", TABLE_PAIRS[:4],
+                             ids=lambda p: f"{p[0].label()}/{p[1].label()}")
+    def test_matches_reference_on_mutations(self, pair, seed):
+        table = table_of(*pair)
+        rng = random.Random(f"{seed}/{pair[0].label()}/{pair[1].label()}")
+        seen = set()
+        for _ in range(40):
+            broken = mutate(table, rng)
+            got = outcome(CharacterTable.validate, broken)
+            assert got == outcome(reference_validate, broken)
+            seen.add(None if got is None else got[0])
+        assert OrthogonalityFailure in seen and SchemaError in seen
+
+
 class TestRationalCharacters:
     def test_units_mod_5_orbits(self, diamond5):
         rats = diamond5.rationals
@@ -173,25 +370,10 @@ class TestRationalCharacters:
         assert all(r.orbit_size == 1 for r in diamond8.rationals)
 
 
-# (gamma, gamma1): the four standard pairs, a cyclic G of order 12 and an
-# elementary abelian G of order 8
-TABLE_PAIRS = [
-    (SubgroupSpec("gamma0", 5), SubgroupSpec("gamma1", 5)),
-    (SubgroupSpec("gamma0", 7), SubgroupSpec("gamma1", 7)),
-    (SubgroupSpec("gamma0", 8), SubgroupSpec("gamma1", 8)),
-    (SubgroupSpec("full", 1), SubgroupSpec("gamma", 2)),
-    (SubgroupSpec("gamma0", 13), SubgroupSpec("gamma1", 13)),
-    (SubgroupSpec("gamma", 12), SubgroupSpec("gamma", 24)),
-]
-
-
 @pytest.fixture(scope="module", params=TABLE_PAIRS,
                 ids=lambda p: f"{p[0].label()}/{p[1].label()}")
 def table_of_pair(request):
-    gamma, gamma1 = request.param
-    level = lcm(gamma.level, gamma1.level)
-    G = quotient(realize(gamma, at_level=level), realize(gamma1, at_level=level))
-    return character_table_for(G)
+    return table_of(*request.param)
 
 
 def reference_rational_characters(table):
@@ -224,18 +406,21 @@ class TestGaloisOrbitsFromPowerMaps:
         got = [(r.names, r.values) for r in rational_characters(table_of_pair)]
         assert got == reference_rational_characters(table_of_pair)
 
-    def test_user_file_in_larger_cyclotomic_field(self):
-        # values written in Q(zeta_{2e}) give the same orbits and sums
-        G = quotient(realize(SubgroupSpec("gamma0", 13)),
-                     realize(SubgroupSpec("gamma1", 13)))
-        table = character_table_for(G)
+    def test_user_file_in_larger_cyclotomic_field(self, table13):
+        # values written in Q(zeta_{2e}) give the same orbits and sums, also
+        # when every other row adds (zeta^b + zeta^(b+12))/3 = 0 to each value
+        table = table13
+        G = table.group
         doc = table_to_doc(table)
-        for ch, row in zip(doc["characters"], table.values):
-            ch["values"] = [
-                {"order": 2 * G.exponent,
-                 "coeffs": {str(j): f"{c}" for j, c in
-                            v.lift(2 * G.exponent).coeffs.items()}}
-                for v in row]
+        for r, (ch, row) in enumerate(zip(doc["characters"], table.values)):
+            ch["values"] = []
+            for v in row:
+                (a, c), = v.lift(24).coeffs.items()
+                coeffs = {str(a): f"{c}"}
+                if r % 2:
+                    b = (a + 1) % 24
+                    coeffs.update({str(b): "1/3", str(b + 12): "1/3"})
+                ch["values"].append({"order": 24, "coeffs": coeffs})
         wide = load_character_table(doc, G)
         assert {v.order for row in wide.values for v in row} == {24}
         got = [(r.names, r.values) for r in rational_characters(wide)]

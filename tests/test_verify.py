@@ -203,11 +203,60 @@ class TestRunVerify:
                                SubgroupSpec("gamma1", 5), offset_bound=3)
 
 
+def s3_table_doc(broken=None):
+    """The SL2Z/Gamma(2) character table (triv, sign, std) as a --table
+    document, or broken: a wrong degree, class size or duplicated row."""
+    pair = QuotientPair.build(SubgroupSpec("full", 1), SubgroupSpec("gamma", 2))
+    G, table = pair.G, pair.table
+    doc = {"classes": [{"rep": list(G.elements[cls[0]]), "size": len(cls)}
+                       for cls in G.classes],
+           "characters": [
+               {"name": name, "degree": deg,
+                "values": [{"order": v.order,
+                            "coeffs": {str(j): str(c)
+                                       for j, c in v.coeffs.items()}}
+                           for v in row]}
+               for name, deg, row in zip(table.names, table.degrees,
+                                         table.values)]}
+    chars = doc["characters"]
+    if broken == "degree":
+        chars[2]["degree"] = 3
+    elif broken == "size":
+        doc["classes"][1]["size"] += 1
+    elif broken == "duplicate":
+        chars[1]["values"] = chars[0]["values"]
+    return doc
+
+
+# argv -> the typed error main reports; a --table argument names a broken
+# s3_table_doc
+CLI_ERRORS = [
+    (["verify", "--pair", "gamma0:37/gamma1:37"], "LevelTooLarge"),
+    (["verify", "--pair", "SL2Z/gamma:3"], "CharacterTableRequired"),
+    (["verify", "--pair", "gamma0:5/gamma1:5", "--kmax", "10"],
+     "WindowTooSmall"),
+    (["verify", "--pair", "gamma1:5/gamma0:5"], "NotASubgroup"),
+    (["verify", "--pair", "SL2Z/gamma0:2"], "NotNormal"),
+    (["mult", "--pair", "gamma0:3/gamma:3", "--weights", "7..7", "--split"],
+     "IndivisibleOrbitTotal"),
+    (["verify", "--pair", "SL2Z/gamma:2", "--table", "degree"], "SchemaError"),
+    (["verify", "--pair", "SL2Z/gamma:2", "--table", "size"], "ClassMismatch"),
+    (["verify", "--pair", "SL2Z/gamma:2", "--table", "duplicate"],
+     "OrthogonalityFailure"),
+]
+
+
+def run_cli(argv, capsys):
+    """main's exit status, stdout and stderr."""
+    from modmult.cli import main
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 class TestCli:
     def run(self, argv, capsys):
-        from modmult.cli import main
-        code = main(argv)
-        return code, capsys.readouterr().out
+        return run_cli(argv, capsys)[:2]
 
     def test_signature_text(self, capsys):
         code, out = self.run(["signature", "--group", "gamma1:4"], capsys)
@@ -262,3 +311,91 @@ class TestCli:
         from modmult.cli import main
         with pytest.raises(SystemExit):
             main(["signature", "--group", "gamma9:5"])
+
+    @pytest.mark.parametrize("argv,error", CLI_ERRORS,
+                             ids=[e for _, e in CLI_ERRORS])
+    def test_typed_error_is_one_line_with_status_2(self, argv, error,
+                                                   capsys, tmp_path):
+        argv = list(argv)
+        if "--table" in argv:
+            i = argv.index("--table") + 1
+            path = tmp_path / f"{argv[i]}.json"
+            path.write_text(json.dumps(s3_table_doc(argv[i])))
+            argv[i] = str(path)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"modmult: {error}: ")
+        assert err.count("\n") == 1
+
+    def test_not_a_group(self, capsys, tmp_path):
+        path = tmp_path / "singular.txt"
+        path.write_text("2\n1 1 1 1\n")
+        code, _, err = run_cli(["signature", "--group", f"custom:{path}"],
+                                capsys)
+        assert (code, err) == (2, "modmult: NotAGroup: matrix (1, 1, 1, 1) "
+                                  "has determinant != 1 mod 2\n")
+
+    def test_failed_verify_keeps_status_1(self, capsys):
+        # no offset within bound 0 for std (it needs 8): a FAIL report
+        code, out, err = run_cli(["verify", "--pair", "SL2Z/gamma:2",
+                                   "--kmax", "60", "--offset-bound", "0"],
+                                  capsys)
+        assert code == 1
+        assert json.loads(out)["pass"] is False
+        assert err == ""
+
+    def test_table_file_accepted(self, capsys, tmp_path):
+        path = tmp_path / "s3.json"
+        path.write_text(json.dumps(s3_table_doc()))
+        code, out, _ = run_cli(["verify", "--pair", "SL2Z/gamma:2",
+                                 "--kmax", "60", "--table", str(path)], capsys)
+        assert code == 0 and json.loads(out)["pass"] is True
+
+    @pytest.mark.parametrize("content", [None, "{", ""],
+                             ids=["missing", "truncated", "empty"])
+    def test_unreadable_table_file(self, content, capsys, tmp_path):
+        from modmult.cli import main
+        path = tmp_path / "table.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--pair", "SL2Z/gamma:2", "--table", str(path)])
+        assert exc.value.code == 2
+        assert str(path) in capsys.readouterr().err
+
+
+class TestParseSpecs:
+    def test_pair_with_absolute_custom_paths(self, tmp_path):
+        from modmult.cli import parse_pair
+        path = tmp_path / "dir.d" / "principal2.txt"
+        path.parent.mkdir()
+        path.write_text("2\n")
+        custom = SubgroupSpec("custom", 2, ())
+        assert parse_pair(f"custom:{path}/gamma:4") == (
+            custom, SubgroupSpec("gamma", 4))
+        assert parse_pair(f"SL2Z/custom:{path}") == (
+            SubgroupSpec("full", 1), custom)
+        assert parse_pair(f"custom:{path}/custom:{path}") == (custom, custom)
+
+    def test_pair_without_second_spec(self):
+        import argparse
+        from modmult.cli import parse_pair
+        with pytest.raises(argparse.ArgumentTypeError, match="bad group spec"):
+            parse_pair("gamma0:5/foo")
+        with pytest.raises(argparse.ArgumentTypeError, match="<spec>/<spec>"):
+            parse_pair("gamma0:5")
+
+    @pytest.mark.parametrize("content", [None, "", "# only a comment\n"],
+                             ids=["missing", "empty", "comment-only"])
+    def test_bad_custom_file(self, content, capsys, tmp_path):
+        from modmult.cli import main
+        path = tmp_path / "group.txt"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            main(["signature", "--group", f"custom:{path}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"custom group file {str(path)!r}" in err
+        assert "Traceback" not in err
