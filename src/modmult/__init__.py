@@ -15,6 +15,6 @@ from .reps import (CharacterTable, MultiplicitySeries, QuotientPair,
                    rational_characters)
 from .sl2 import (FiniteSubgroup, QuotientGroup, SubgroupSpec,
                   cyclic_subgroups_up_to_conjugacy, enumerate_sl2,
-                  galois_class_orbits, quotient, realize)
+                  quotient, realize)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -16,8 +16,9 @@ from .reps import (CharacterTableRequired, ClassMismatch,
                    multiplicity_series)
 from .sl2 import (DEFAULT_LEVEL_CAP, LevelTooLarge, NotAGroup, NotASubgroup,
                   NotNormal, SubgroupSpec, realize)
-from .verify import (IdentityViolation, VerificationConfig, WindowTooSmall,
-                     run_verify, signature_record)
+from .verify import (IdentityViolation, InvalidOffsetBound,
+                     VerificationConfig, WindowTooSmall, run_verify,
+                     signature_record)
 
 # modmult's typed errors: main reports each in one line with exit status 2
 ERRORS = (LevelTooLarge, NotAGroup, NotASubgroup, NotNormal,
@@ -25,7 +26,7 @@ ERRORS = (LevelTooLarge, NotAGroup, NotASubgroup, NotNormal,
           WeightOneUnsupported, InconsistentSystem, CharacterTableRequired,
           ClassMismatch, IndivisibleOrbitTotal, NotAbelian,
           NotRationalAfterSum, OrthogonalityFailure, SchemaError,
-          IdentityViolation, WindowTooSmall)
+          IdentityViolation, InvalidOffsetBound, WindowTooSmall)
 
 # a '/' that starts the second spec of a pair; custom paths may contain '/'
 _SECOND_SPEC = re.compile(r"/(?=SL2Z$|gamma0:|gamma1:|gamma:|custom:)")
@@ -70,10 +71,13 @@ def parse_group_spec(text: str) -> SubgroupSpec:
 
 def parse_weights(text: str) -> range:
     lo, sep, hi = text.partition("..")
-    if not sep:
-        k = int(text)
-        return range(k, k + 1)
-    return range(int(lo), int(hi) + 1)
+    weights = range(int(lo), int(hi if sep else lo) + 1)
+    if not weights:
+        raise argparse.ArgumentTypeError(f"weight range {text!r} is empty")
+    if 1 in weights:
+        raise argparse.ArgumentTypeError(
+            f"weight range {text!r} contains k = 1, which is not supported")
+    return weights
 
 
 def parse_pair(text: str) -> tuple[SubgroupSpec, SubgroupSpec]:
@@ -124,8 +128,7 @@ def cmd_signature(args) -> int:
 def cmd_dims(args) -> int:
     K = realize(args.group, level_cap=args.level_cap)
     sig = subgroup_signature(K)
-    rows = [(k, dims(sig, k).kind(args.kind))
-            for k in args.weights if k != 1]
+    rows = [(k, dims(sig, k).kind(args.kind)) for k in args.weights]
     if args.format == "json":
         print(_dump_json({"group": args.group.label(), "kind": args.kind,
                           "dims": {str(k): d for k, d in rows}}))
@@ -140,17 +143,16 @@ def cmd_mult(args) -> int:
     g, g1 = args.pair
     pair = QuotientPair.build(g, g1, table_source=args.table,
                               level_cap=args.level_cap)
-    ks = [k for k in args.weights if k != 1]
     out = []
     for rat in pair.rationals:
-        series = multiplicity_series(pair, rat, args.kind, ks,
+        series = multiplicity_series(pair, rat, args.kind, args.weights,
                                      split=args.split)
         if args.split and series.per_member is not None:
             for name in rat.names:
-                for k in ks:
+                for k in args.weights:
                     out.append((name, k, series.per_member[k]))
         else:
-            for k in ks:
+            for k in args.weights:
                 out.append((series.rep_label, k, series.entries[k]))
     if args.format == "json":
         doc = {}

@@ -6,10 +6,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
-from .sl2 import (FiniteSubgroup, Mat, S_MAT, T_MAT, identity_mat, mat_mul,
-                  minus_identity, reduce_mat, sl2_group_order)
+from .sl2 import (FiniteSubgroup, Mat, S_MAT, T_MAT, identity_mat, mat_inv,
+                  mat_mul, minus_identity, reduce_mat, sl2_group_order)
 
 
 class NonIntegralGenus(Exception):
@@ -23,14 +22,14 @@ class NonPositiveArea(ValueError):
 
 @dataclass(frozen=True)
 class PermutationAction:
-    """Right-multiplication action of S and T on cosets of K in SL2(Z/N)."""
+    """Right-multiplication action of S and T on projective cosets of K in
+    SL2(Z/N)."""
 
     size: int                      # number of projective cosets
     sigma_S: tuple[int, ...]
     sigma_T: tuple[int, ...]
     sigma_ST: tuple[int, ...]
-    sl_sigma_T: tuple[int, ...] | None   # only when -I not in K
-    sl_to_proj: tuple[int, ...] | None
+    reps: tuple[Mat, ...]          # a representative of each coset
     minus_I: bool
     sl_size: int
 
@@ -85,65 +84,49 @@ class Signature:
             raise ValueError("irregular cusps require -I absent")
 
 
-def _coset_table(subgroup: frozenset, n: int):
-    """Right cosets H\\G explored by right multiplication by S and T.
+def _coset_table(subgroup: frozenset, n: int, gens: tuple[Mat, ...]):
+    """Right cosets H\\G explored by right multiplication by gens, which must
+    generate SL2(Z/N) and be reduced mod n.
 
-    Returns (reps, elt_to_coset); works because S, T generate SL2(Z/N).
+    Returns the coset representatives and, for each generator, its
+    permutation of the cosets.
     """
-    ident = identity_mat(n)
-    elt_to_coset: dict[Mat, int] = {}
-    reps = [ident]
-    for h in subgroup:
-        elt_to_coset[mat_mul(h, ident, n)] = 0
+    size = sl2_group_order(n) // len(subgroup)
+    elt_to_coset = dict.fromkeys(subgroup, 0)
+    reps = [identity_mat(n)]
+    perms = [[0] * size for _ in gens]
     queue = [0]
     while queue:
         i = queue.pop()
-        for g in (S_MAT, T_MAT):
-            img = mat_mul(reps[i], reduce_mat(g, n), n)
-            if img not in elt_to_coset:
-                idx = len(reps)
+        for g, perm in zip(gens, perms):
+            img = mat_mul(reps[i], g, n)
+            j = elt_to_coset.get(img)
+            if j is None:
+                j = len(reps)
                 reps.append(img)
                 for h in subgroup:
-                    elt_to_coset[mat_mul(h, img, n)] = idx
-                queue.append(idx)
-    return reps, elt_to_coset
-
-
-def _perm(reps, elt_to_coset, g: Mat, n: int) -> tuple[int, ...]:
-    return tuple(elt_to_coset[mat_mul(r, g, n)] for r in reps)
+                    elt_to_coset[mat_mul(h, img, n)] = j
+                queue.append(j)
+            perm[i] = j
+    return tuple(reps), [tuple(perm) for perm in perms]
 
 
 def coset_action(K: FiniteSubgroup) -> PermutationAction:
-    """Permutations of S, T and ST on projective cosets of K, plus the
-    SL-level T-permutation when -I is not in K."""
+    """Permutations of S, T and ST on projective cosets of K."""
     n = K.level
     minus_i = K.contains_minus_I
-    s = reduce_mat(S_MAT, n)
-    t = reduce_mat(T_MAT, n)
-    st = mat_mul(s, t, n)
-
     if minus_i:
         kp = K.element_set
     else:
         mi = minus_identity(n)
         kp = K.element_set | frozenset(mat_mul(mi, x, n) for x in K.elements)
 
-    proj_reps, proj_lut = _coset_table(kp, n)
-    sigma_S = _perm(proj_reps, proj_lut, s, n)
-    sigma_T = _perm(proj_reps, proj_lut, t, n)
-    sigma_ST = _perm(proj_reps, proj_lut, st, n)
-
-    sl_sigma_T = sl_to_proj = None
-    sl_size = sl2_group_order(n) // K.order
-    if not minus_i:
-        sl_reps, sl_lut = _coset_table(K.element_set, n)
-        sl_sigma_T = _perm(sl_reps, sl_lut, t, n)
-        sl_to_proj = tuple(proj_lut[r] for r in sl_reps)
-
+    gens = (reduce_mat(S_MAT, n), reduce_mat(T_MAT, n))
+    reps, (sigma_S, sigma_T) = _coset_table(kp, n, gens)
     return PermutationAction(
-        size=len(proj_reps), sigma_S=sigma_S, sigma_T=sigma_T,
-        sigma_ST=sigma_ST, sl_sigma_T=sl_sigma_T, sl_to_proj=sl_to_proj,
-        minus_I=minus_i, sl_size=sl_size,
+        size=len(reps), sigma_S=sigma_S, sigma_T=sigma_T,
+        sigma_ST=tuple(sigma_T[j] for j in sigma_S), reps=reps,
+        minus_I=minus_i, sl_size=sl2_group_order(n) // K.order,
     )
 
 
@@ -169,17 +152,14 @@ def signature_from_action(act: PermutationAction, K: FiniteSubgroup) -> Signatur
     nu3 = sum(1 for i, j in enumerate(act.sigma_ST) if i == j)
     t_cycles = _cycles(act.sigma_T)
 
+    # the cusp r(oo) of width w is regular iff r T^w r^-1 is in K, not -K
+    n = K.level
     cusps = []
     for cyc in sorted(t_cycles, key=lambda c: (len(c), c)):
         width = len(cyc)
-        regular = True
-        if not act.minus_I:
-            # regular iff the SL-level preimage splits into two width-cycles
-            start = act.sl_to_proj.index(cyc[0])
-            x = start
-            for _ in range(width):
-                x = act.sl_sigma_T[x]
-            regular = (x == start)
+        r = act.reps[cyc[0]]
+        regular = act.minus_I or mat_mul(
+            mat_mul(r, (1, width, 0, 1), n), mat_inv(r, n), n) in K.element_set
         cusps.append(CuspDatum(width=width, regular=regular))
 
     mu = act.size

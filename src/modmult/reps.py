@@ -434,6 +434,8 @@ class QuotientPair:
             gamma=gamma, gamma1=gamma1, G=G, table=table, rationals=rats,
             cyclics=cyclics, sig_gamma=sig_gamma, sig_gamma1=sig_gamma1,
             c=area_constant_c(sig_gamma),
+            _sig_cache={frozenset({G.identity}): sig_gamma1,
+                        frozenset(range(G.order)): sig_gamma},
         )
 
     def preimage_subgroup(self, C: frozenset) -> FiniteSubgroup:

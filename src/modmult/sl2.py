@@ -1,6 +1,6 @@
 """Finite matrix groups mod N: enumeration of SL2(Z/N), realization of the
 classical congruence families, and quotient groups Gamma/Gamma1 with their
-conjugacy classes, cyclic subgroups and Galois power-maps.
+conjugacy classes, cyclic subgroups and power maps.
 """
 from __future__ import annotations
 
@@ -378,27 +378,3 @@ def cyclic_subgroups_up_to_conjugacy(G: QuotientGroup):
     out.sort(key=lambda pair: (len(pair[1]), tuple(sorted(pair[1]))))
     return out
 
-
-def galois_class_orbits(G: QuotientGroup) -> tuple[tuple[int, ...], ...]:
-    """Partition of conjugacy-class indices under g -> g^a, gcd(a, exp G) = 1."""
-    e = G.exponent
-    parent = list(range(len(G.classes)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a in range(1, e + 1):
-        if gcd(a, e) != 1:
-            continue
-        for ci, cls in enumerate(G.classes):
-            cj = G.class_of[G.power(cls[0], a)]
-            ri, rj = find(ci), find(cj)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    cells: dict[int, list[int]] = {}
-    for ci in range(len(G.classes)):
-        cells.setdefault(find(ci), []).append(ci)
-    return tuple(tuple(sorted(v)) for _, v in sorted(cells.items()))

@@ -18,6 +18,10 @@ class WindowTooSmall(ValueError):
     pass
 
 
+class InvalidOffsetBound(ValueError):
+    """The lower-bound monitor's offset bound is odd or negative."""
+
+
 class IdentityViolation(Exception):
     """The exact decomposition identity sum(deg * mult) = dim failed."""
 
@@ -36,7 +40,8 @@ class VerificationConfig:
 
     def __post_init__(self):
         if self.offset_bound < 0 or self.offset_bound % 2:
-            raise ValueError("offset bound must be even and >= 0")
+            raise InvalidOffsetBound(
+                f"offset bound must be even and >= 0, got {self.offset_bound}")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ from modmult.cosets import (CuspDatum, NonPositiveArea, Signature,
                             area_constant_c, coset_action,
                             signature_from_action, subgroup_signature)
 from modmult.dimensions import dims, quasi_period
-from modmult.sl2 import SubgroupSpec, enumerate_sl2, realize
+from modmult.reps import QuotientPair
+from modmult.sl2 import (T_MAT, SubgroupSpec, enumerate_sl2, mat_mul,
+                         minus_identity, realize, reduce_mat)
 
 
 def group(kind, n):
@@ -34,8 +36,7 @@ class TestCosetAction:
         assert act.size == 6
         cycles = cycle_lengths(act.sigma_T)
         assert sorted(cycles) == [1, 1, 4]
-        assert act.sl_sigma_T is not None
-        assert len(act.sl_sigma_T) == 12
+        assert act.sl_size == 12
 
     @pytest.mark.parametrize("kind,n", [("gamma0", 11), ("gamma1", 5),
                                         ("gamma", 3), ("gamma0", 24)])
@@ -143,3 +144,79 @@ class TestFamilyInvariants:
         for k in range(4, 4 + 2 * P, 2):
             diff = dims(sig, k + P).dim_M - dims(sig, k).dim_M
             assert Fraction(diff, P) == c
+
+
+def reference_cusps(K):
+    """Sorted (width, regular) of every cusp of K by the SL-level rule.
+
+    The cosets K g of K in SL2(Z/N) carry the right action of T and of -I.
+    A cusp is an orbit of <T, -I>; its width is the orbit's size, halved
+    when -I is not in K, and it is regular iff its T-cycle has that width.
+    """
+    n = K.level
+    coset_of, reps = {}, []
+    for g in enumerate_sl2(n).elements:
+        if g not in coset_of:
+            for h in K.elements:
+                coset_of[mat_mul(h, g, n)] = len(reps)
+            reps.append(g)
+    t, mi = reduce_mat(T_MAT, n), minus_identity(n)
+    sl_T = [coset_of[mat_mul(r, t, n)] for r in reps]
+    neg = [coset_of[mat_mul(r, mi, n)] for r in reps]
+    seen, out = set(), []
+    for i in range(len(reps)):
+        if i in seen:
+            continue
+        orbit, frontier = {i}, [i]
+        while frontier:
+            x = frontier.pop()
+            for y in (sl_T[x], neg[x]):
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        seen |= orbit
+        cycle, x = 1, sl_T[i]
+        while x != i:
+            cycle, x = cycle + 1, sl_T[x]
+        width = len(orbit) if K.contains_minus_I else len(orbit) // 2
+        out.append((width, cycle == width))
+    return sorted(out)
+
+
+def family_groups():
+    """Label and group of Gamma0(N), Gamma1(N) and Gamma(N) for N <= 16."""
+    return [(f"{kind}:{n}", group(kind, n))
+            for kind in ("gamma0", "gamma1", "gamma") for n in range(1, 17)]
+
+
+def preimage_groups():
+    """Label and group of every Gamma_C of three pairs Gamma/Gamma1."""
+    out = []
+    for k0, n0, k1, n1 in [("gamma0", 8, "gamma1", 8),
+                           ("gamma0", 12, "gamma1", 12),
+                           ("gamma1", 4, "gamma", 4)]:
+        pair = QuotientPair.build(SubgroupSpec(k0, n0), SubgroupSpec(k1, n1))
+        for gen, sub in pair.cyclics:
+            out.append((f"{k0}:{n0}/{k1}:{n1}/C{gen}",
+                        pair.preimage_subgroup(sub)))
+    return out
+
+
+GROUPS = family_groups() + preimage_groups()
+
+
+class TestRegularityMatchesSlLevelRule:
+    """Cusp regularity by r T^w r^-1 in K agrees with the SL-level rule."""
+
+    @pytest.mark.parametrize("label,K", GROUPS,
+                             ids=[label for label, _ in GROUPS])
+    def test_cusps(self, label, K):
+        sig = subgroup_signature(K)
+        assert sorted((c.width, c.regular) for c in sig.cusps) == \
+            reference_cusps(K)
+
+    def test_irregular_cusps_are_covered(self):
+        irregular = [label for label, K in GROUPS
+                     if any(not regular for _, regular in reference_cusps(K))]
+        assert irregular == ["gamma1:4", "gamma0:8/gamma1:8/C1",
+                             "gamma0:12/gamma1:12/C1", "gamma1:4/gamma:4/C1"]

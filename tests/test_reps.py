@@ -5,6 +5,7 @@ from math import gcd, lcm
 
 import pytest
 
+from modmult.cosets import subgroup_signature
 from modmult.exact import CycloValue, InconsistentSystem
 from modmult.reps import (CharacterTable, CharacterTableRequired,
                           ClassMismatch, IndivisibleOrbitTotal, NotAbelian,
@@ -626,6 +627,26 @@ class TestMultiplicities:
         from modmult.dimensions import WeightOneUnsupported
         with pytest.raises(WeightOneUnsupported):
             multiplicity_series(diamond5, diamond5.rationals[0], "M", [1, 2])
+
+
+class TestSignatureCache:
+    def test_each_signature_computed_once(self, monkeypatch):
+        import modmult.reps as reps
+        calls = []
+
+        def counted(K):
+            calls.append(K)
+            return subgroup_signature(K)
+
+        monkeypatch.setattr(reps, "subgroup_signature", counted)
+        pair = QuotientPair.build(SubgroupSpec("gamma0", 5),
+                                  SubgroupSpec("gamma1", 5))
+        pair.period()
+        # Gamma, Gamma1 and the Gamma_C of the C2 in G = C4
+        assert len(calls) == 3
+        for _, sub in pair.cyclics:
+            assert pair.subgroup_sig(sub) == \
+                subgroup_signature(pair.preimage_subgroup(sub))
 
 
 def sym_power_multiplicities(m):

@@ -5,8 +5,7 @@ import pytest
 from modmult.cosets import subgroup_signature
 from modmult.sl2 import (LevelTooLarge, NotASubgroup, NotNormal, SubgroupSpec,
                          cyclic_subgroups_up_to_conjugacy, enumerate_sl2,
-                         galois_class_orbits, mat_inv, mat_mul, quotient,
-                         realize, sl2_group_order)
+                         mat_inv, mat_mul, quotient, realize, sl2_group_order)
 
 
 def sl2_bruteforce(n):
@@ -199,19 +198,3 @@ class TestCyclicSubgroups:
         subs = cyclic_subgroups_up_to_conjugacy(diamond(8))
         assert sorted(len(s) for _, s in subs) == [1, 2, 2, 2]
 
-
-class TestGaloisOrbits:
-    def test_c4(self):
-        G = diamond(5)
-        orbits = galois_class_orbits(G)
-        sizes = sorted(len(cell) for cell in orbits)
-        assert sizes == [1, 1, 2]
-        merged = max(orbits, key=len)
-        assert all(G.element_order(G.classes[ci][0]) == 4 for ci in merged)
-
-    def test_s3_all_fixed(self):
-        G = quotient(enumerate_sl2(2), realize(SubgroupSpec("gamma", 2)))
-        assert all(len(cell) == 1 for cell in galois_class_orbits(G))
-
-    def test_c2xc2_singletons(self):
-        assert all(len(cell) == 1 for cell in galois_class_orbits(diamond(8)))

@@ -243,6 +243,8 @@ CLI_ERRORS = [
     (["verify", "--pair", "SL2Z/gamma:2", "--table", "size"], "ClassMismatch"),
     (["verify", "--pair", "SL2Z/gamma:2", "--table", "duplicate"],
      "OrthogonalityFailure"),
+    (["verify", "--pair", "gamma0:5/gamma1:5", "--offset-bound", "3"],
+     "InvalidOffsetBound"),
 ]
 
 
@@ -311,6 +313,20 @@ class TestCli:
         from modmult.cli import main
         with pytest.raises(SystemExit):
             main(["signature", "--group", "gamma9:5"])
+
+    @pytest.mark.parametrize("weights", ["1..1", "0..4", "5..2"])
+    @pytest.mark.parametrize("argv", [["dims", "--group", "gamma0:5"],
+                                      ["mult", "--pair", "gamma0:5/gamma1:5"]],
+                             ids=["dims", "mult"])
+    def test_weight_one_and_empty_ranges_rejected(self, argv, weights,
+                                                  capsys):
+        from modmult.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--weights", weights])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"weight range {weights!r}" in captured.err
 
     @pytest.mark.parametrize("argv,error", CLI_ERRORS,
                              ids=[e for _, e in CLI_ERRORS])
