@@ -9,7 +9,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .cosets import Signature, area_constant_c, subgroup_signature
+from .cosets import (PermutationAction, Signature, area_constant_c,
+                     normal_coset_action, preimage_signature,
+                     signature_from_action, subgroup_signature)
 from .dimensions import WeightOneUnsupported, dims, quasi_period
 from .exact import (CycloValue, InconsistentSystem, integer_rows,
                     reduce_cyclotomic, solve_linear_exact)
@@ -415,6 +417,10 @@ class QuotientPair:
     sig_gamma: Signature
     sig_gamma1: Signature
     c: Fraction
+    # Gamma1's coset action and the coset of each element of G: every
+    # Gamma_C signature is read from them
+    _cosets: PermutationAction = field(repr=False)
+    _starts: tuple[int, ...] = field(repr=False)
     _sig_cache: dict = field(default_factory=dict, repr=False)
 
     @classmethod
@@ -428,12 +434,13 @@ class QuotientPair:
         rats = rational_characters(table)
         cyclics = cyclic_subgroups_up_to_conjugacy(G)
         sig_gamma = subgroup_signature(gamma)
-        sig_gamma1 = subgroup_signature(gamma1)
+        cosets, starts = normal_coset_action(gamma1, G.elements)
+        sig_gamma1 = signature_from_action(cosets, gamma1)
         return cls(
             gamma_spec=gamma_spec, gamma1_spec=gamma1_spec, level=level,
             gamma=gamma, gamma1=gamma1, G=G, table=table, rationals=rats,
             cyclics=cyclics, sig_gamma=sig_gamma, sig_gamma1=sig_gamma1,
-            c=area_constant_c(sig_gamma),
+            c=area_constant_c(sig_gamma), _cosets=cosets, _starts=starts,
             _sig_cache={frozenset({G.identity}): sig_gamma1,
                         frozenset(range(G.order)): sig_gamma},
         )
@@ -448,7 +455,9 @@ class QuotientPair:
     def subgroup_sig(self, C: frozenset) -> Signature:
         sig = self._sig_cache.get(C)
         if sig is None:
-            sig = subgroup_signature(self.preimage_subgroup(C))
+            sig = preimage_signature(self._cosets,
+                                     [self._starts[c] for c in C],
+                                     self.preimage_subgroup(C))
             self._sig_cache[C] = sig
         return sig
 

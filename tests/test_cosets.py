@@ -1,14 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from modmult.cosets import (CuspDatum, NonPositiveArea, Signature,
-                            area_constant_c, coset_action,
+from modmult.cosets import (CuspDatum, NonPositiveArea, PermutationAction,
+                            Signature, area_constant_c, coset_action,
+                            normal_coset_action, preimage_signature,
                             signature_from_action, subgroup_signature)
 from modmult.dimensions import dims, quasi_period
 from modmult.reps import QuotientPair
-from modmult.sl2 import (T_MAT, SubgroupSpec, enumerate_sl2, mat_mul,
-                         minus_identity, realize, reduce_mat)
+from modmult.sl2 import (T_MAT, SubgroupSpec, enumerate_sl2, mat_inv,
+                         mat_mul, minus_identity, realize, reduce_mat)
 
 
 def group(kind, n):
@@ -220,3 +222,100 @@ class TestRegularityMatchesSlLevelRule:
                      if any(not regular for _, regular in reference_cusps(K))]
         assert irregular == ["gamma1:4", "gamma0:8/gamma1:8/C1",
                              "gamma0:12/gamma1:12/C1", "gamma1:4/gamma:4/C1"]
+
+
+def relabelled(act, seed):
+    """The same action with its cosets numbered in a random order."""
+    order = list(range(act.size))
+    random.Random(seed).shuffle(order)  # new number -> old number
+    new = {old: i for i, old in enumerate(order)}
+
+    def perm(p):
+        return tuple(new[p[old]] for old in order)
+
+    sigma_S, sigma_T = perm(act.sigma_S), perm(act.sigma_T)
+    return PermutationAction(
+        size=act.size, sigma_S=sigma_S, sigma_T=sigma_T,
+        sigma_ST=tuple(sigma_T[j] for j in sigma_S),
+        reps=tuple(act.reps[old] for old in order),
+        minus_I=act.minus_I, sl_size=act.sl_size)
+
+
+def lowest_coset_order(act, K):
+    """Cusps with the T-cycles ordered by width, then by lowest coset."""
+    n, seen, cycles = K.level, set(), []
+    for i in range(act.size):
+        if i not in seen:
+            cycles.append(cycle_of(act.sigma_T, i))
+            seen.update(cycles[-1])
+    out = []
+    for cyc in sorted(cycles, key=lambda c: (len(c), c)):
+        r = act.reps[cyc[0]]
+        conj = mat_mul(mat_mul(r, (1, len(cyc), 0, 1), n), mat_inv(r, n), n)
+        out.append(CuspDatum(len(cyc), act.minus_I or conj in K.element_set))
+    return tuple(out)
+
+
+def cycle_of(perm, i):
+    out, x = [i], perm[i]
+    while x != i:
+        out.append(x)
+        x = perm[x]
+    return out
+
+
+class TestCuspOrder:
+    """Cusps are listed by width, regular first."""
+
+    @pytest.mark.parametrize("label,K", GROUPS,
+                             ids=[label for label, _ in GROUPS])
+    def test_independent_of_coset_numbering(self, label, K):
+        act = coset_action(K)
+        sig = signature_from_action(act, K)
+        assert [(c.width, not c.regular) for c in sig.cusps] == \
+            sorted((c.width, not c.regular) for c in sig.cusps)
+        for seed in range(3):
+            assert signature_from_action(relabelled(act, seed), K) == sig
+
+    @pytest.mark.parametrize("kind", ["gamma0", "gamma1", "gamma"])
+    def test_families_keep_lowest_coset_order(self, kind):
+        # for the congruence families, regular first agrees with the order
+        # of the T-cycles by their lowest coset, so their reports do not move
+        for n in range(1, 31):
+            K = group(kind, n)
+            act = coset_action(K)
+            assert signature_from_action(act, K).cusps == \
+                lowest_coset_order(act, K), f"{kind}:{n}"
+
+
+PAIRS = ([("gamma0", n, "gamma1", n) for n in (8, 12, 20, 24, 28)]
+         + [("gamma1", 4, "gamma", 4), ("gamma", 12, "gamma", 24),
+            ("full", 1, "gamma", 2)])
+
+
+class TestPreimageSignature:
+    """Every Gamma_C read from the orbits of C on Gamma1's cosets equals its
+    signature from a coset table of its own."""
+
+    @pytest.mark.parametrize("k0,n0,k1,n1", PAIRS,
+                             ids=[f"{a}:{b}/{c}:{d}" for a, b, c, d in PAIRS])
+    def test_matches_own_coset_table(self, k0, n0, k1, n1):
+        pair = QuotientPair.build(SubgroupSpec(k0, n0), SubgroupSpec(k1, n1))
+        G = pair.G
+        subgroups = {frozenset(G.mul[G.mul[g][x]][G.inv[g]] for x in sub)
+                     for _, sub in pair.cyclics for g in range(G.order)}
+        for C in subgroups:
+            assert pair.subgroup_sig(C) == \
+                subgroup_signature(pair.preimage_subgroup(C)), sorted(C)
+        # Gamma and Gamma1 themselves, from the same table of Gamma1
+        act, starts = normal_coset_action(pair.gamma1, G.elements)
+        assert preimage_signature(act, starts, pair.gamma) == pair.sig_gamma
+        assert preimage_signature(act, [starts[G.identity]], pair.gamma1) == \
+            pair.sig_gamma1 == subgroup_signature(pair.gamma1)
+
+    def test_irregular_cusps_are_covered(self):
+        pair = QuotientPair.build(SubgroupSpec("gamma0", 12),
+                                  SubgroupSpec("gamma1", 12))
+        sigs = [pair.subgroup_sig(sub) for _, sub in pair.cyclics]
+        assert any(sig.eps_irr for sig in sigs)
+        assert any(not sig.minus_I and not sig.eps_irr for sig in sigs)

@@ -631,22 +631,28 @@ class TestMultiplicities:
 
 class TestSignatureCache:
     def test_each_signature_computed_once(self, monkeypatch):
-        import modmult.reps as reps
-        calls = []
+        import modmult.cosets as cosets
+        tables = []
+        original = cosets._coset_table
 
-        def counted(K):
-            calls.append(K)
-            return subgroup_signature(K)
+        def counted(*args, **kwargs):
+            tables.append(args[0])
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(reps, "subgroup_signature", counted)
-        pair = QuotientPair.build(SubgroupSpec("gamma0", 5),
-                                  SubgroupSpec("gamma1", 5))
-        pair.period()
-        # Gamma, Gamma1 and the Gamma_C of the C2 in G = C4
-        assert len(calls) == 3
-        for _, sub in pair.cyclics:
-            assert pair.subgroup_sig(sub) == \
-                subgroup_signature(pair.preimage_subgroup(sub))
+        # G = C4 with classes 1, C2, C4; G = (Z/2)^3 with eight
+        for specs in [(SubgroupSpec("gamma0", 5), SubgroupSpec("gamma1", 5)),
+                      (SubgroupSpec("gamma", 12), SubgroupSpec("gamma", 24))]:
+            monkeypatch.setattr(cosets, "_coset_table", counted)
+            tables.clear()
+            pair = QuotientPair.build(*specs)
+            pair.period()
+            # one coset table for Gamma and one for Gamma1, whatever the
+            # number of cyclic classes: each Gamma_C is read from Gamma1's
+            assert len(tables) == 2
+            monkeypatch.undo()
+            for _, sub in pair.cyclics:
+                assert pair.subgroup_sig(sub) == \
+                    subgroup_signature(pair.preimage_subgroup(sub))
 
 
 def sym_power_multiplicities(m):
