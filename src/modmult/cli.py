@@ -44,29 +44,42 @@ def parse_group_spec(text: str) -> SubgroupSpec:
         raise argparse.ArgumentTypeError(f"bad group spec {text!r}")
     kind, _, arg = text.partition(":")
     if kind in ("gamma0", "gamma1", "gamma"):
-        try:
-            n = int(arg)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad level in {text!r}") from None
-        return SubgroupSpec(kind, n)
+        where = f"group spec {text!r}"
+        return _subgroup_spec(where, kind, _integer(where, "level", arg))
     if kind == "custom":
+        where = f"custom group file {arg!r}"
         try:
             with open(arg) as fh:
                 lines = [ln.split() for ln in fh if ln.strip()
                          and not ln.lstrip().startswith("#")]
         except OSError as exc:
             raise argparse.ArgumentTypeError(
-                f"cannot read custom group file {arg!r}: {exc.strerror}") from None
+                f"cannot read {where}: {exc.strerror}") from None
         if not lines:
-            raise argparse.ArgumentTypeError(
-                f"custom group file {arg!r} has no level line")
-        level = int(lines[0][0])
-        gens = tuple(tuple(int(x) for x in row) for row in lines[1:])
+            raise argparse.ArgumentTypeError(f"{where} has no level line")
+        level = _integer(where, "level", lines[0][0])
+        gens = tuple(tuple(_integer(where, "generator entry", x) for x in row)
+                     for row in lines[1:])
         if any(len(g) != 4 for g in gens):
             raise argparse.ArgumentTypeError(
-                "custom generators need four integers per line")
-        return SubgroupSpec("custom", level, gens)
+                f"{where}: generators need four integers per line")
+        return _subgroup_spec(where, "custom", level, gens)
     raise argparse.ArgumentTypeError(f"unknown group kind {kind!r}")
+
+
+def _integer(where: str, what: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{where}: {what} {text!r} is not an integer") from None
+
+
+def _subgroup_spec(where: str, kind: str, level: int, gens=()) -> SubgroupSpec:
+    try:
+        return SubgroupSpec(kind, level, gens)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{where}: {exc}") from None
 
 
 def parse_weights(text: str) -> range:

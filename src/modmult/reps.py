@@ -422,6 +422,7 @@ class QuotientPair:
     _cosets: PermutationAction = field(repr=False)
     _starts: tuple[int, ...] = field(repr=False)
     _sig_cache: dict = field(default_factory=dict, repr=False)
+    _artin_cache: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, gamma_spec: SubgroupSpec, gamma1_spec: SubgroupSpec,
@@ -461,6 +462,18 @@ class QuotientPair:
             self._sig_cache[C] = sig
         return sig
 
+    def artin_coefficients(self, rat: RationalCharacter,
+                           column_order=None) -> tuple[Fraction, ...]:
+        """rat's Artin coefficients over the cyclic classes, solved once
+        per character and column order."""
+        key = (rat.values, None if column_order is None else tuple(column_order))
+        coeffs = self._artin_cache.get(key)
+        if coeffs is None:
+            coeffs = artin_decompose(rat.values, self.G, self.cyclics,
+                                     column_order=column_order)
+            self._artin_cache[key] = coeffs
+        return coeffs
+
     def rational_by_name(self, name: str) -> RationalCharacter:
         for rat in self.rationals:
             if name in rat.names or name == rat.label:
@@ -486,8 +499,7 @@ def multiplicity_series(pair: QuotientPair, rat: RationalCharacter, kind: str,
     ks = sorted(set(weights))
     if 1 in ks:
         raise WeightOneUnsupported("weight 1 is not supported")
-    coeffs = artin_decompose(rat.values, pair.G, pair.cyclics,
-                             column_order=column_order)
+    coeffs = pair.artin_coefficients(rat, column_order)
     sigs = [pair.subgroup_sig(sub) for _, sub in pair.cyclics]
     entries = {}
     for k in ks:

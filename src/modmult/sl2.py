@@ -98,32 +98,51 @@ class FiniteSubgroup:
         return len(self.elements)
 
 
-@lru_cache(maxsize=None)
-def _sl2_elements(n: int) -> tuple[Mat, ...]:
-    if n == 1:
+def _congruence_elements(m: int, n: int, a0: int | None, b0: int | None,
+                         c0: int | None) -> tuple[Mat, ...]:
+    """The elements of SL2(Z/M) whose a, b, c entries are congruent mod N
+    (N | M) to a0, b0, c0 (None: any residue), in increasing order.
+
+    a, b and c run over their allowed residues and d over the solutions of
+    ad = 1 + bc mod M.  The conditions of Gamma1(N) and Gamma(N) on d follow
+    from the determinant: c = 0 and a = 1 mod N force d = 1 mod N.
+    """
+    if m == 1:
         return ((0, 0, 0, 0),)
+
+    def allowed(r):
+        return range(m) if r is None else range(r % n, m, n)
+
     out = []
-    for a in range(n):
-        g = gcd(a, n)
-        for b in range(n):
-            for c in range(n):
-                m = (1 + b * c) % n
-                if m % g:
+    for a in allowed(a0):
+        g = gcd(a, m)
+        step = m // g
+        inv = pow(a // g, -1, step) if step > 1 else 0
+        for b in allowed(b0):
+            for c in allowed(c0):
+                t = (1 + b * c) % m
+                if t % g:
                     continue
-                step = n // g
-                d0 = (m // g) * pow(a // g, -1, step) % step if step > 1 else 0
-                for t in range(g):
-                    out.append((a, b, c, d0 + t * step))
-    out.sort()
+                d0 = (t // g) * inv % step
+                out.extend((a, b, c, d0 + j * step) for j in range(g))
     return tuple(out)
 
 
-def enumerate_sl2(n: int, level_cap: int = DEFAULT_LEVEL_CAP) -> FiniteSubgroup:
-    """All of SL2(Z/N)."""
+@lru_cache(maxsize=None)
+def _sl2_elements(n: int) -> tuple[Mat, ...]:
+    return _congruence_elements(n, 1, None, None, None)
+
+
+def _check_level(n: int, level_cap: int) -> None:
     if n < 1:
         raise ValueError("level must be positive")
     if n > level_cap:
         raise LevelTooLarge(f"level {n} exceeds cap {level_cap}")
+
+
+def enumerate_sl2(n: int, level_cap: int = DEFAULT_LEVEL_CAP) -> FiniteSubgroup:
+    """All of SL2(Z/N)."""
+    _check_level(n, level_cap)
     return FiniteSubgroup(n, _sl2_elements(n))
 
 
@@ -153,39 +172,41 @@ class SubgroupSpec:
         return f"{self.kind}:{self.level}"
 
 
+# the residues of (a, b, c) mod N that define each congruence family
+CONGRUENCE_RESIDUES = {
+    "gamma0": (None, None, 0),
+    "gamma1": (1, None, 0),
+    "gamma": (1, 0, 0),
+}
+
+
 def realize(spec: SubgroupSpec, at_level: int | None = None,
             level_cap: int = DEFAULT_LEVEL_CAP) -> FiniteSubgroup:
     """The mod-M image of the subgroup, M a multiple of the spec level."""
     m = at_level if at_level is not None else spec.level
     if m % spec.level:
         raise ValueError("realization level must be a multiple of the spec level")
-    ambient = enumerate_sl2(m, level_cap)
     n = spec.level
+    if spec.kind in CONGRUENCE_RESIDUES:
+        _check_level(m, level_cap)
+        return FiniteSubgroup(m, _congruence_elements(
+            m, n, *CONGRUENCE_RESIDUES[spec.kind]))
+    ambient = enumerate_sl2(m, level_cap)
     if spec.kind == "full":
         return ambient
-    if spec.kind == "gamma0":
-        elems = [x for x in ambient.elements if x[2] % n == 0]
-    elif spec.kind == "gamma1":
-        elems = [x for x in ambient.elements
-                 if x[2] % n == 0 and x[0] % n == 1 % n and x[3] % n == 1 % n]
-    elif spec.kind == "gamma":
-        elems = [x for x in ambient.elements
-                 if x[0] % n == 1 % n and x[3] % n == 1 % n
-                 and x[1] % n == 0 and x[2] % n == 0]
-    else:  # custom: preimage of the generated closure mod the spec level
-        gens = [reduce_mat(g, n) for g in spec.generators]
-        closure = {identity_mat(n)}
-        frontier = list(closure)
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = mat_mul(x, g, n)
-                if y not in closure:
-                    closure.add(y)
-                    frontier.append(y)
-        elems = [x for x in ambient.elements
-                 if tuple(v % n for v in x) in closure]
-    return FiniteSubgroup(m, tuple(sorted(elems)))
+    # custom: preimage of the generated closure mod the spec level
+    gens = [reduce_mat(g, n) for g in spec.generators]
+    closure = {identity_mat(n)}
+    frontier = list(closure)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = mat_mul(x, g, n)
+            if y not in closure:
+                closure.add(y)
+                frontier.append(y)
+    return FiniteSubgroup(m, tuple(x for x in ambient.elements
+                                   if tuple(v % n for v in x) in closure))
 
 
 @dataclass(frozen=True)
@@ -280,21 +301,18 @@ def quotient(gamma: FiniteSubgroup, gamma1: FiniteSubgroup) -> QuotientGroup:
     n = gamma.level
     if not gamma1.element_set <= gamma.element_set:
         raise NotASubgroup("gamma1 is not contained in gamma")
-    # normality check
-    h_set = gamma1.element_set
-    for g in gamma.elements:
-        gi = mat_inv(g, n)
-        for h in gamma1.elements:
-            if mat_mul(mat_mul(g, h, n), gi, n) not in h_set:
-                raise NotNormal("gamma1 is not normal in gamma")
 
-    # cosets: canonical representative = minimal element of gamma1 * g
+    # cosets: canonical representative = minimal element of gamma1 * g.
+    # gamma1 is normal iff every right coset gamma1 * g equals g * gamma1,
+    # and one g per coset suffices
     rep_of: dict[Mat, Mat] = {}
     reps = []
     for g in gamma.elements:
         if g in rep_of:
             continue
         coset = sorted(mat_mul(h, g, n) for h in gamma1.elements)
+        if sorted(mat_mul(g, h, n) for h in gamma1.elements) != coset:
+            raise NotNormal("gamma1 is not normal in gamma")
         r = coset[0]
         for x in coset:
             rep_of[x] = r

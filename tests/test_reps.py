@@ -655,6 +655,51 @@ class TestSignatureCache:
                     subgroup_signature(pair.preimage_subgroup(sub))
 
 
+class TestArtinCache:
+    """Each character's Artin coefficients are solved once per pair and
+    column order; M and S share them."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        import modmult.reps as reps
+        calls = []
+        original = reps.solve_linear_exact
+
+        def counted(A, b, column_order=None):
+            calls.append(column_order)
+            return original(A, b, column_order=column_order)
+
+        monkeypatch.setattr(reps, "solve_linear_exact", counted)
+        return calls
+
+    def test_run_verify_solves_once_per_character(self, solves):
+        from modmult.verify import VerificationConfig, run_verify
+        specs = (SubgroupSpec("gamma0", 5), SubgroupSpec("gamma1", 5))
+        report = run_verify(VerificationConfig(*specs, kmax=60))
+        n_rationals = len(QuotientPair.build(*specs).rationals)
+        assert n_rationals == 3
+        assert len(report["reps"]) == 2 * n_rationals  # M and S
+        assert solves == [None] * n_rationals
+
+    def test_column_order_is_part_of_the_key(self, solves):
+        pair = QuotientPair.build(SubgroupSpec("gamma0", 7),
+                                  SubgroupSpec("gamma1", 7))
+        reverse = list(reversed(range(len(pair.cyclics))))
+        for rat in pair.rationals:
+            solves.clear()
+            series = [multiplicity_series(pair, rat, kind, range(2, 40),
+                                          column_order=order)
+                      for order in (None, reverse, None, reverse)
+                      for kind in ("M", "S")]
+            # one solve per column order, each with its own order
+            assert solves == [None, reverse]
+            assert series[0].entries == series[2].entries
+            assert series[1].entries == series[3].entries
+            assert pair.artin_coefficients(rat) == \
+                pair.artin_coefficients(rat, reverse) == \
+                artin_decompose(rat.values, pair.G, pair.cyclics)
+
+
 def sym_power_multiplicities(m):
     """Independent oracle for the S3 pair: the weight-2m forms of the
     principal level-2 group are Sym^m of the 2-dimensional irreducible,

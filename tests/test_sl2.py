@@ -1,11 +1,12 @@
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from modmult.cosets import subgroup_signature
 from modmult.sl2 import (LevelTooLarge, NotASubgroup, NotNormal, SubgroupSpec,
-                         cyclic_subgroups_up_to_conjugacy, enumerate_sl2,
-                         mat_inv, mat_mul, quotient, realize, sl2_group_order)
+                         _sl2_elements, cyclic_subgroups_up_to_conjugacy,
+                         enumerate_sl2, mat_inv, mat_mul, quotient, realize,
+                         sl2_group_order)
 
 
 def sl2_bruteforce(n):
@@ -100,6 +101,117 @@ class TestRealize:
     def test_realize_at_common_level(self):
         K = realize(SubgroupSpec("full", 1), at_level=2)
         assert K.order == 6
+
+
+def congruence_filter(kind, n, m):
+    """The mod-m image of the kind's level-n group, filtered from SL2(Z/m)."""
+    one = 1 % n
+    conditions = {
+        "gamma0": lambda a, b, c, d: c % n == 0,
+        "gamma1": lambda a, b, c, d: c % n == 0 and a % n == one
+        and d % n == one,
+        "gamma": lambda a, b, c, d: a % n == one and d % n == one
+        and b % n == 0 and c % n == 0,
+    }
+    return tuple(x for x in _sl2_elements(m) if conditions[kind](*x))
+
+
+class TestRealizeFromConditions:
+    """realize builds gamma0, gamma1 and gamma from their congruence
+    conditions; the result is the filter of SL2(Z/M), in the same order."""
+
+    @pytest.mark.parametrize("kind", ["gamma0", "gamma1", "gamma"])
+    @pytest.mark.parametrize("m", range(1, 31))
+    def test_equals_filter_of_sl2(self, kind, m):
+        for n in range(1, m + 1):
+            if m % n == 0:
+                K = realize(SubgroupSpec(kind, n), at_level=m)
+                assert K.level == m
+                assert K.elements == congruence_filter(kind, n, m)
+
+    def test_sl2_elements_sorted(self):
+        for m in range(1, 31):
+            assert list(_sl2_elements(m)) == sorted(_sl2_elements(m))
+
+    @pytest.mark.parametrize("kind", ["gamma0", "gamma1", "gamma"])
+    def test_level_errors(self, kind):
+        with pytest.raises(LevelTooLarge, match="^level 31 exceeds cap 30$"):
+            realize(SubgroupSpec(kind, 31))
+        with pytest.raises(LevelTooLarge, match="^level 35 exceeds cap 30$"):
+            realize(SubgroupSpec(kind, 5), at_level=35)
+        with pytest.raises(LevelTooLarge, match="^level 8 exceeds cap 7$"):
+            realize(SubgroupSpec(kind, 4), at_level=8, level_cap=7)
+        for m in (0, -5):
+            with pytest.raises(ValueError, match="^level must be positive$"):
+                realize(SubgroupSpec(kind, 5), at_level=m)
+        with pytest.raises(ValueError, match="must be a multiple"):
+            realize(SubgroupSpec(kind, 5), at_level=12)
+        assert realize(SubgroupSpec(kind, 31), level_cap=31).level == 31
+
+
+def conjugation_normal(gamma, gamma1):
+    """The reference rule: g h g^-1 lies in gamma1 for all g, h."""
+    n = gamma.level
+    return all(mat_mul(mat_mul(g, h, n), mat_inv(g, n), n) in gamma1.element_set
+               for g in gamma.elements for h in gamma1.elements)
+
+
+NORMALITY_PAIRS = (
+    [(SubgroupSpec("gamma0", n), SubgroupSpec("gamma1", n))
+     for n in range(1, 21)]
+    + [(SubgroupSpec("full", 1), SubgroupSpec("gamma", n)) for n in range(1, 7)]
+    + [(SubgroupSpec("gamma", n), SubgroupSpec("gamma", 2 * n))
+       for n in range(1, 16)]
+    + [(SubgroupSpec("gamma0", 2), SubgroupSpec("gamma0", 4)),
+       (SubgroupSpec("gamma0", 4), SubgroupSpec("gamma1", 8)),
+       (SubgroupSpec("gamma0", 4), SubgroupSpec("gamma", 4)),
+       (SubgroupSpec("gamma1", 4), SubgroupSpec("gamma", 8))]
+    + [(SubgroupSpec("full", 1), SubgroupSpec(kind, n))
+       for kind in ("gamma0", "gamma1") for n in (2, 3, 4, 6)]
+    + [(SubgroupSpec("gamma0", n), SubgroupSpec("gamma0", 2 * n))
+       for n in (2, 3, 5)]
+)
+
+
+class TestNormalityByCosets:
+    """quotient compares each right coset with the left coset of its first
+    element; that agrees with conjugating every element of gamma1."""
+
+    @pytest.mark.parametrize("specs", NORMALITY_PAIRS,
+                             ids=[f"{g.label()}/{g1.label()}"
+                                  for g, g1 in NORMALITY_PAIRS])
+    def test_agrees_with_conjugation(self, specs):
+        level = lcm(specs[0].level, specs[1].level)
+        gamma, gamma1 = (realize(s, at_level=level) for s in specs)
+        if conjugation_normal(gamma, gamma1):
+            assert quotient(gamma, gamma1).order == gamma.order // gamma1.order
+        else:
+            with pytest.raises(NotNormal,
+                               match="^gamma1 is not normal in gamma$"):
+                quotient(gamma, gamma1)
+
+    def test_both_outcomes_covered(self):
+        outcomes = set()
+        for specs in NORMALITY_PAIRS:
+            level = lcm(specs[0].level, specs[1].level)
+            outcomes.add(conjugation_normal(
+                *(realize(s, at_level=level) for s in specs)))
+        assert outcomes == {True, False}
+
+    def test_not_normal_cli(self, capsys):
+        from modmult.cli import main
+        assert main(["verify", "--pair", "gamma0:4/gamma1:8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "modmult: NotNormal: gamma1 is not normal in gamma\n"
+
+    def test_not_a_subgroup_before_not_normal(self, capsys):
+        from modmult.cli import main
+        # gamma0:4 is not in gamma1:4; containment is checked first
+        assert main(["verify", "--pair", "gamma1:4/gamma0:4"]) == 2
+        assert capsys.readouterr().err == \
+            "modmult: NotASubgroup: gamma1 is not contained in gamma\n"
 
 
 class TestQuotient:

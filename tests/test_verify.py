@@ -415,3 +415,46 @@ class TestParseSpecs:
         err = capsys.readouterr().err
         assert f"custom group file {str(path)!r}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,reason", [
+        (["verify", "--pair", "gamma0:0/gamma1:0"],
+         "argument --pair: group spec 'gamma0:0': level must be positive"),
+        (["signature", "--group", "gamma0:-3"],
+         "argument --group: group spec 'gamma0:-3': level must be positive"),
+        (["signature", "--group", "gamma1:x"],
+         "argument --group: group spec 'gamma1:x': level 'x' is not an "
+         "integer"),
+    ], ids=["pair-level-0", "group-level-negative", "group-level-text"])
+    def test_bad_level_says_why(self, argv, reason, capsys):
+        from modmult.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: {reason}\n")
+        assert "invalid parse_" not in err
+
+    @pytest.mark.parametrize("content,reason", [
+        ("0\n", "level must be positive"),
+        ("-2\n1 1 0 1\n", "level must be positive"),
+        ("four\n", "level 'four' is not an integer"),
+        ("4\n1 1 0 one\n", "generator entry 'one' is not an integer"),
+        ("4\n1 1/2 0 1\n", "generator entry '1/2' is not an integer"),
+        ("4\n1 1 0\n", "generators need four integers per line"),
+    ], ids=["level-0", "level-negative", "level-text", "entry-text",
+            "entry-fraction", "three-entries"])
+    def test_bad_custom_file_says_why(self, content, reason, capsys,
+                                      tmp_path):
+        import argparse
+        from modmult.cli import main, parse_group_spec
+        path = tmp_path / "group.txt"
+        path.write_text(content)
+        message = f"custom group file {str(path)!r}: {reason}"
+        with pytest.raises(argparse.ArgumentTypeError) as exc:
+            parse_group_spec(f"custom:{path}")
+        assert str(exc.value) == message
+        with pytest.raises(SystemExit) as exc:
+            main(["signature", "--group", f"custom:{path}"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument --group: "
+                                                f"{message}\n")
