@@ -84,7 +84,9 @@ def _subgroup_spec(where: str, kind: str, level: int, gens=()) -> SubgroupSpec:
 
 def parse_weights(text: str) -> range:
     lo, sep, hi = text.partition("..")
-    weights = range(int(lo), int(hi if sep else lo) + 1)
+    where = f"weight range {text!r}"
+    start = _integer(where, "start" if sep else "weight", lo)
+    weights = range(start, (_integer(where, "end", hi) if sep else start) + 1)
     if not weights:
         raise argparse.ArgumentTypeError(f"weight range {text!r} is empty")
     if 1 in weights:

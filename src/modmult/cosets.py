@@ -6,10 +6,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
-from .sl2 import (FiniteSubgroup, Mat, S_MAT, T_MAT, identity_mat, mat_inv,
-                  mat_mul, minus_identity, reduce_mat, sl2_group_order)
+from .sl2 import (FiniteSubgroup, Mat, QuotientGroup, S_MAT, T_MAT,
+                  identity_mat, mat_inv, mat_mul, minus_identity, reduce_mat,
+                  sl2_group_order)
 
 
 class NonIntegralGenus(Exception):
@@ -85,46 +86,54 @@ class Signature:
             raise ValueError("irregular cusps require -I absent")
 
 
-def _coset_table(subgroup: frozenset, n: int, gens: tuple[Mat, ...],
-                 find: tuple[Mat, ...] = ()):
-    """Right cosets H\\G explored by right multiplication by gens, which must
-    generate SL2(Z/N) and be reduced mod n.
+def _coset_table(subgroup: frozenset, d: int, m: int, gens: tuple[Mat, ...]):
+    """Right cosets in SL2(Z/m) of the preimage of subgroup, a subgroup of
+    SL2(Z/d) with d | m, explored by right multiplication by gens, which
+    must generate SL2(Z/m) and be reduced mod m.
 
-    Returns the coset representatives, for each generator its permutation
-    of the cosets, and the coset of each reduced matrix in find.
+    The cosets are looked up by their reductions mod d, so the lookup holds
+    |SL2(Z/d)| matrices.  Returns a representative mod m of each coset and
+    for each generator its permutation of the cosets.
     """
-    size = sl2_group_order(n) // len(subgroup)
+    size = sl2_group_order(d) // len(subgroup)
     elt_to_coset = dict.fromkeys(subgroup, 0)
-    reps = [identity_mat(n)]
+    reps = [identity_mat(m)]
     perms = [[0] * size for _ in gens]
     queue = [0]
     while queue:
         i = queue.pop()
         for g, perm in zip(gens, perms):
-            img = mat_mul(reps[i], g, n)
-            j = elt_to_coset.get(img)
+            img = mat_mul(reps[i], g, m)
+            key = (img[0] % d, img[1] % d, img[2] % d, img[3] % d)
+            j = elt_to_coset.get(key)
             if j is None:
                 j = len(reps)
                 reps.append(img)
                 for h in subgroup:
-                    elt_to_coset[mat_mul(h, img, n)] = j
+                    elt_to_coset[mat_mul(h, key, d)] = j
                 queue.append(j)
             perm[i] = j
-    return (tuple(reps), [tuple(perm) for perm in perms],
-            tuple(elt_to_coset[x] for x in find))
+    return tuple(reps), [tuple(perm) for perm in perms]
 
 
+def _own_level(kp: frozenset, m: int):
+    """The least d | m such that kp, a subgroup of SL2(Z/m), contains every
+    matrix = I mod d, and the reductions of kp mod d."""
+    for d in range(1, m + 1):
+        kernel = sl2_group_order(m) // sl2_group_order(d)
+        if m % d or len(kp) % kernel:
+            continue
+        reduced = frozenset((a % d, b % d, c % d, e % d) for a, b, c, e in kp)
+        if len(reduced) * kernel == len(kp):
+            return d, reduced
+
+
+@lru_cache(maxsize=1)
 def coset_action(K: FiniteSubgroup) -> PermutationAction:
-    """Permutations of S, T and ST on projective cosets of K."""
-    return normal_coset_action(K, ())[0]
+    """Permutations of S, T and ST on projective cosets of K.
 
-
-def normal_coset_action(K: FiniteSubgroup, lifts: tuple[Mat, ...]):
-    """The coset action of K and the coset K g of each g in lifts.
-
-    Left multiplication by a g that normalises K permutes the cosets of K,
-    commutes with S and T and sends K to K g, which therefore fixes it; see
-    preimage_signature.  The lookup that finds K g is dropped on return.
+    The action of the last K is kept: a pair's branch points are read from
+    the table that gave Gamma's signature.
     """
     n = K.level
     minus_i = K.contains_minus_I
@@ -134,63 +143,14 @@ def normal_coset_action(K: FiniteSubgroup, lifts: tuple[Mat, ...]):
         mi = minus_identity(n)
         kp = K.element_set | frozenset(mat_mul(mi, x, n) for x in K.elements)
 
+    d, kp_d = _own_level(kp, n)
     gens = (reduce_mat(S_MAT, n), reduce_mat(T_MAT, n))
-    reps, (sigma_S, sigma_T), starts = _coset_table(kp, n, gens, lifts)
-    act = PermutationAction(
+    reps, (sigma_S, sigma_T) = _coset_table(kp_d, d, n, gens)
+    return PermutationAction(
         size=len(reps), sigma_S=sigma_S, sigma_T=sigma_T,
         sigma_ST=tuple(sigma_T[j] for j in sigma_S), reps=reps,
         minus_I=minus_i, sl_size=sl2_group_order(n) // K.order,
     )
-    return act, starts
-
-
-def _left_translation(act: PermutationAction, start: int) -> list[int]:
-    """Left multiplication by g on the cosets, given start = the coset of g.
-
-    It commutes with S and T and sends coset 0 to start, so one walk of the
-    S/T Schreier graph from coset 0, mirrored from start, fixes it.
-    """
-    img = [-1] * act.size
-    img[0] = start
-    stack = [0]
-    perms = (act.sigma_S, act.sigma_T)
-    while stack:
-        i = stack.pop()
-        for perm in perms:
-            j = perm[i]
-            if img[j] < 0:
-                img[j] = perm[img[i]]
-                stack.append(j)
-    return img
-
-
-def preimage_signature(act: PermutationAction, starts,
-                       K: FiniteSubgroup) -> Signature:
-    """Signature of K from the coset action act of a subgroup H normal in K.
-
-    starts holds the coset H g of one g in each coset of H in K.  The
-    cosets of K are the orbits of the left translations by these g on the
-    cosets of H, and S and T act on the orbits as induced.
-    """
-    lefts = [_left_translation(act, s) for s in set(starts) if s]
-    orbit_of = [-1] * act.size
-    firsts = []
-    for x in range(act.size):
-        if orbit_of[x] < 0:
-            orbit_of[x] = len(firsts)
-            for left in lefts:
-                orbit_of[left[x]] = len(firsts)
-            firsts.append(x)
-    sigma_S = tuple(orbit_of[act.sigma_S[x]] for x in firsts)
-    sigma_T = tuple(orbit_of[act.sigma_T[x]] for x in firsts)
-    induced = PermutationAction(
-        size=len(firsts), sigma_S=sigma_S, sigma_T=sigma_T,
-        sigma_ST=tuple(sigma_T[j] for j in sigma_S),
-        reps=tuple(act.reps[x] for x in firsts),
-        minus_I=K.contains_minus_I,
-        sl_size=sl2_group_order(K.level) // K.order,
-    )
-    return signature_from_action(induced, K)
 
 
 def _cycles(perm: tuple[int, ...]):
@@ -209,25 +169,62 @@ def _cycles(perm: tuple[int, ...]):
     return out
 
 
+@dataclass(frozen=True)
+class BranchPoints:
+    """The elliptic points and cusps of a group, each with the generator of
+    its stabiliser, as a matrix or as its image in a quotient."""
+
+    elliptic2: tuple                # generator at each point of order 2
+    elliptic3: tuple                # generator at each point of order 3
+    cusps: tuple                    # (width, eps, generator) of each cusp
+
+
+def branch_points(act: PermutationAction, K: FiniteSubgroup,
+                  image=None) -> BranchPoints:
+    """K's branch points, read from its coset action act.
+
+    A coset +-K r fixed by S or ST, or a T-cycle of width w from it, has the
+    stabiliser generator eps r x r^-1 with x = S, ST or T^w, and eps = 1 iff
+    r x r^-1 itself lies in K.  Each generator is passed through image.
+    """
+    n = K.level
+
+    def stabiliser(r, x):
+        y = mat_mul(mat_mul(r, x, n), mat_inv(r, n), n)
+        eps = 1 if y in K.element_set else -1
+        if eps < 0:
+            y = tuple(-v % n for v in y)
+        return eps, (y if image is None else image(y))
+
+    s = reduce_mat(S_MAT, n)
+    st = mat_mul(s, reduce_mat(T_MAT, n), n)
+    return BranchPoints(
+        elliptic2=tuple(stabiliser(act.reps[i], s)[1]
+                        for i, j in enumerate(act.sigma_S) if i == j),
+        elliptic3=tuple(stabiliser(act.reps[i], st)[1]
+                        for i, j in enumerate(act.sigma_ST) if i == j),
+        cusps=tuple((len(cyc), *stabiliser(act.reps[cyc[0]],
+                                           (1, len(cyc), 0, 1)))
+                    for cyc in _cycles(act.sigma_T)),
+    )
+
+
 def signature_from_action(act: PermutationAction, K: FiniteSubgroup) -> Signature:
     """Signature of the preimage in SL2(Z) of K."""
-    nu2 = sum(1 for i, j in enumerate(act.sigma_S) if i == j)
-    nu3 = sum(1 for i, j in enumerate(act.sigma_ST) if i == j)
-    t_cycles = _cycles(act.sigma_T)
+    branch = branch_points(act, K)
+    # the cusp r(oo) of width w is regular iff r T^w r^-1 is in K, not -K;
+    # every cusp is when -I is in K
+    cusps = [CuspDatum(width=width, regular=eps == 1)
+             for width, eps, _ in branch.cusps]
+    return _signature(act.size, len(branch.elliptic2), len(branch.elliptic3),
+                      cusps, act.minus_I, act.sl_size)
 
-    # the cusp r(oo) of width w is regular iff r T^w r^-1 is in K, not -K
-    n = K.level
-    cusps = []
-    for cyc in t_cycles:
-        width = len(cyc)
-        r = act.reps[cyc[0]]
-        regular = act.minus_I or mat_mul(
-            mat_mul(r, (1, width, 0, 1), n), mat_inv(r, n), n) in K.element_set
-        cusps.append(CuspDatum(width=width, regular=regular))
+
+def _signature(mu: int, nu2: int, nu3: int, cusps: list[CuspDatum],
+               minus_i: bool, mu_sl: int) -> Signature:
+    """The signature with these counts; its genus from the Euler formula."""
     # by width, regular first: independent of how the cosets are numbered
     cusps.sort(key=lambda c: (c.width, not c.regular))
-
-    mu = act.size
     t = len(cusps)
     g = Fraction(1) + Fraction(mu, 12) - Fraction(nu2, 4) - Fraction(nu3, 3) - Fraction(t, 2)
     if g.denominator != 1 or g < 0:
@@ -237,10 +234,57 @@ def signature_from_action(act: PermutationAction, K: FiniteSubgroup) -> Signatur
         genus=int(g),
         elliptic_orders=(2,) * nu2 + (3,) * nu3,
         cusps=tuple(cusps),
-        minus_I=act.minus_I,
+        minus_I=minus_i,
         mu_proj=mu,
-        mu_sl=act.sl_size,
+        mu_sl=mu_sl,
     )
+
+
+def fibre_signature(G: QuotientGroup, branch: BranchPoints,
+                    C: frozenset) -> Signature:
+    """Signature of Gamma_C, the preimage in Gamma of the subgroup C of G,
+    from Gamma's branch points with their generators' images in G.
+
+    Riemann-Hurwitz for X(Gamma_C) -> X(Gamma): with C' = C<iota>, the
+    points over a branch point with generator image h are the orbits of
+    right multiplication by h on the cosets C'x.  Over an elliptic point
+    the fixed cosets are elliptic points of Gamma_C; over a cusp of width w
+    an orbit of length l from C'x is a cusp of width w l, regular iff
+    -I is in Gamma_C, or eps^l = 1 and x h^l x^-1 lies in C.
+    """
+    iota = G.iota
+    minus_i = iota is not None and iota in C
+    cbar = C if iota is None else C | {G.mul[c][iota] for c in C}
+    coset_of = [-1] * G.order
+    reps = []
+    for x in range(G.order):
+        if coset_of[x] < 0:
+            for c in cbar:
+                coset_of[G.mul[c][x]] = len(reps)
+            reps.append(x)
+
+    def fixed(hs):
+        return sum(1 for h in hs for x in reps
+                   if coset_of[G.mul[x][h]] == coset_of[x])
+
+    cusps = []
+    for width, eps, h in branch.cusps:
+        seen = [False] * len(reps)
+        for i, x in enumerate(reps):
+            if seen[i]:
+                continue
+            length, y = 0, x
+            while not seen[coset_of[y]]:
+                seen[coset_of[y]] = True
+                length += 1
+                y = G.mul[y][h]
+            regular = minus_i or ((eps == 1 or length % 2 == 0) and G.mul[
+                G.mul[x][G.power(h, length)]][G.inv[x]] in C)
+            cusps.append(CuspDatum(width=width * length, regular=regular))
+    return _signature(
+        sum(c.width for c in cusps), fixed(branch.elliptic2),
+        fixed(branch.elliptic3), cusps, minus_i,
+        sl2_group_order(G.level) // (G.normal.order * len(C)))
 
 
 def subgroup_signature(K: FiniteSubgroup) -> Signature:

@@ -9,15 +9,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .cosets import (PermutationAction, Signature, area_constant_c,
-                     normal_coset_action, preimage_signature,
-                     signature_from_action, subgroup_signature)
+from .cosets import (BranchPoints, Signature, area_constant_c, branch_points,
+                     coset_action, fibre_signature, subgroup_signature)
 from .dimensions import WeightOneUnsupported, dims, quasi_period
 from .exact import (CycloValue, InconsistentSystem, integer_rows,
                     reduce_cyclotomic, solve_linear_exact)
 from .sl2 import (DEFAULT_LEVEL_CAP, FiniteSubgroup, QuotientGroup,
-                  SubgroupSpec, cyclic_subgroups_up_to_conjugacy, mat_mul,
-                  quotient, realize)
+                  SubgroupSpec, cyclic_subgroups_up_to_conjugacy, quotient,
+                  realize)
 
 
 class NotAbelian(ValueError):
@@ -417,10 +416,8 @@ class QuotientPair:
     sig_gamma: Signature
     sig_gamma1: Signature
     c: Fraction
-    # Gamma1's coset action and the coset of each element of G: every
-    # Gamma_C signature is read from them
-    _cosets: PermutationAction = field(repr=False)
-    _starts: tuple[int, ...] = field(repr=False)
+    # every Gamma_C signature is read from Gamma's branch points
+    _branch: BranchPoints = field(repr=False)
     _sig_cache: dict = field(default_factory=dict, repr=False)
     _artin_cache: dict = field(default_factory=dict, repr=False)
 
@@ -435,30 +432,22 @@ class QuotientPair:
         rats = rational_characters(table)
         cyclics = cyclic_subgroups_up_to_conjugacy(G)
         sig_gamma = subgroup_signature(gamma)
-        cosets, starts = normal_coset_action(gamma1, G.elements)
-        sig_gamma1 = signature_from_action(cosets, gamma1)
+        # the coset action that gave sig_gamma, kept by coset_action
+        branch = branch_points(coset_action(gamma), gamma, G.coset_index)
+        sig_gamma1 = fibre_signature(G, branch, frozenset({G.identity}))
         return cls(
             gamma_spec=gamma_spec, gamma1_spec=gamma1_spec, level=level,
             gamma=gamma, gamma1=gamma1, G=G, table=table, rationals=rats,
             cyclics=cyclics, sig_gamma=sig_gamma, sig_gamma1=sig_gamma1,
-            c=area_constant_c(sig_gamma), _cosets=cosets, _starts=starts,
+            c=area_constant_c(sig_gamma), _branch=branch,
             _sig_cache={frozenset({G.identity}): sig_gamma1,
                         frozenset(range(G.order)): sig_gamma},
         )
 
-    def preimage_subgroup(self, C: frozenset) -> FiniteSubgroup:
-        """The mod-N subgroup Gamma_C: the union of Gamma1-cosets over C."""
-        n = self.level
-        elems = sorted({mat_mul(h, self.G.elements[c], n)
-                        for c in C for h in self.gamma1.elements})
-        return FiniteSubgroup(n, tuple(elems))
-
     def subgroup_sig(self, C: frozenset) -> Signature:
         sig = self._sig_cache.get(C)
         if sig is None:
-            sig = preimage_signature(self._cosets,
-                                     [self._starts[c] for c in C],
-                                     self.preimage_subgroup(C))
+            sig = fibre_signature(self.G, self._branch, C)
             self._sig_cache[C] = sig
         return sig
 

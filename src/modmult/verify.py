@@ -137,13 +137,15 @@ def monitor_lower_bound(pair: QuotientPair, series: MultiplicitySeries,
     multiplicity_k >= aggregate_degree * dim M_{k-n0}(Gamma) for every
     in-parity weight k in [n0+4, kmax]; the weight set must be non-empty."""
     agg = series.aggregate_degree
+    # every k - n0 below is in the parity class and lies in [4, kmax]
+    dim_gamma = {j: dims(pair.sig_gamma, j).dim_M
+                 for j in _parity_ks(series.parity_class, 4, kmax)}
     for n0 in range(0, offset_bound + 1, 2):
         ks = [k for k in _parity_ks(series.parity_class, n0 + 4, kmax)
               if k in series.entries]
         if not ks:
             continue
-        if all(series.entries[k] >= agg * dims(pair.sig_gamma, k - n0).dim_M
-               for k in ks):
+        if all(series.entries[k] >= agg * dim_gamma[k - n0] for k in ks):
             return LowerBoundReport(rep_label=series.rep_label,
                                     kind=series.kind, offset=n0)
     return LowerBoundReport(rep_label=series.rep_label, kind=series.kind,

@@ -5,16 +5,23 @@ import pytest
 
 from modmult.cosets import (CuspDatum, NonPositiveArea, PermutationAction,
                             Signature, area_constant_c, coset_action,
-                            normal_coset_action, preimage_signature,
                             signature_from_action, subgroup_signature)
 from modmult.dimensions import dims, quasi_period
 from modmult.reps import QuotientPair
-from modmult.sl2 import (T_MAT, SubgroupSpec, enumerate_sl2, mat_inv,
-                         mat_mul, minus_identity, realize, reduce_mat)
+from modmult.sl2 import (T_MAT, FiniteSubgroup, SubgroupSpec, enumerate_sl2,
+                         mat_inv, mat_mul, minus_identity, realize, reduce_mat)
 
 
-def group(kind, n):
-    return realize(SubgroupSpec(kind, n))
+def group(kind, n, at_level=None):
+    return realize(SubgroupSpec(kind, n), at_level=at_level)
+
+
+def preimage_subgroup(pair, C):
+    """The mod-N subgroup Gamma_C: the union of Gamma1-cosets over C."""
+    n = pair.level
+    elems = {mat_mul(h, pair.G.elements[c], n)
+             for c in C for h in pair.gamma1.elements}
+    return FiniteSubgroup(n, tuple(sorted(elems)))
 
 
 def compose(p, q):
@@ -200,7 +207,7 @@ def preimage_groups():
         pair = QuotientPair.build(SubgroupSpec(k0, n0), SubgroupSpec(k1, n1))
         for gen, sub in pair.cyclics:
             out.append((f"{k0}:{n0}/{k1}:{n1}/C{gen}",
-                        pair.preimage_subgroup(sub)))
+                        preimage_subgroup(pair, sub)))
     return out
 
 
@@ -288,14 +295,51 @@ class TestCuspOrder:
                 lowest_coset_order(act, K), f"{kind}:{n}"
 
 
+class TestOwnLevel:
+    """A group realized above its level has the coset action of its
+    realization at its level: the lookup runs at the lower level."""
+
+    @pytest.mark.parametrize("kind,n,m", [
+        ("gamma0", 5, 10), ("gamma0", 4, 24), ("gamma1", 4, 12),
+        ("gamma1", 7, 14), ("gamma", 3, 6), ("gamma", 12, 24),
+        ("gamma", 5, 30), ("full", 1, 6)])
+    def test_same_action_at_a_multiple_of_the_level(self, kind, n, m,
+                                                    monkeypatch):
+        import modmult.cosets as cosets
+        levels = []
+        original = cosets._coset_table
+
+        def recorded(subgroup, d, *args):
+            levels.append(d)
+            return original(subgroup, d, *args)
+
+        monkeypatch.setattr(cosets, "_coset_table", recorded)
+        cosets.coset_action.cache_clear()
+        low, high = group(kind, n), group(kind, n, at_level=m)
+        act_low, act_high = coset_action(low), coset_action(high)
+        # both tables look cosets up at the same divisor of n
+        assert len(levels) == 2 and levels[0] == levels[1] and n % levels[0] == 0
+        assert act_high.size == act_low.size
+        assert (act_high.sigma_S, act_high.sigma_T) == \
+            (act_low.sigma_S, act_low.sigma_T)
+        assert repr(subgroup_signature(high)) == repr(subgroup_signature(low))
+
+
 PAIRS = ([("gamma0", n, "gamma1", n) for n in (8, 12, 20, 24, 28)]
          + [("gamma1", 4, "gamma", 4), ("gamma", 12, "gamma", 24),
-            ("full", 1, "gamma", 2)])
+            ("full", 1, "gamma", 2)]
+         # with the above: Gamma0(N)/Gamma1(N) for N <= 30, Gamma(N)/Gamma(2N)
+         # and Gamma1(N)/Gamma(N) for N <= 15
+         + [("gamma0", n, "gamma1", n) for n in range(1, 31)
+            if n not in (8, 12, 20, 24, 28)]
+         + [("gamma", n, "gamma", 2 * n) for n in range(1, 16) if n != 12]
+         + [("gamma1", n, "gamma", n) for n in range(1, 16) if n != 4]
+         + [("gamma0", 3, "gamma", 3), ("gamma0", 4, "gamma", 4)])
 
 
 class TestPreimageSignature:
-    """Every Gamma_C read from the orbits of C on Gamma1's cosets equals its
-    signature from a coset table of its own."""
+    """Every Gamma_C read from Gamma's branch points equals its signature
+    from a coset table of its own."""
 
     @pytest.mark.parametrize("k0,n0,k1,n1", PAIRS,
                              ids=[f"{a}:{b}/{c}:{d}" for a, b, c, d in PAIRS])
@@ -304,14 +348,13 @@ class TestPreimageSignature:
         G = pair.G
         subgroups = {frozenset(G.mul[G.mul[g][x]][G.inv[g]] for x in sub)
                      for _, sub in pair.cyclics for g in range(G.order)}
+        # Gamma and Gamma1 themselves
+        subgroups |= {frozenset(range(G.order)), frozenset({G.identity})}
         for C in subgroups:
-            assert pair.subgroup_sig(C) == \
-                subgroup_signature(pair.preimage_subgroup(C)), sorted(C)
-        # Gamma and Gamma1 themselves, from the same table of Gamma1
-        act, starts = normal_coset_action(pair.gamma1, G.elements)
-        assert preimage_signature(act, starts, pair.gamma) == pair.sig_gamma
-        assert preimage_signature(act, [starts[G.identity]], pair.gamma1) == \
-            pair.sig_gamma1 == subgroup_signature(pair.gamma1)
+            assert repr(pair.subgroup_sig(C)) == \
+                repr(subgroup_signature(preimage_subgroup(pair, C))), sorted(C)
+        assert pair.sig_gamma1 == subgroup_signature(pair.gamma1)
+        assert pair.subgroup_sig(frozenset(range(G.order))) == pair.sig_gamma
 
     def test_irregular_cusps_are_covered(self):
         pair = QuotientPair.build(SubgroupSpec("gamma0", 12),

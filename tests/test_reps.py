@@ -16,8 +16,9 @@ from modmult.reps import (CharacterTable, CharacterTableRequired,
                           load_character_table, multiplicity_series,
                           parity_class_of, parity_of, permutation_character,
                           rational_characters)
-from modmult.sl2 import (SubgroupSpec, cyclic_subgroups_up_to_conjugacy,
-                         enumerate_sl2, quotient, realize)
+from modmult.sl2 import (FiniteSubgroup, SubgroupSpec,
+                         cyclic_subgroups_up_to_conjugacy, enumerate_sl2,
+                         mat_mul, quotient, realize)
 
 
 @pytest.fixture(scope="module")
@@ -643,16 +644,19 @@ class TestSignatureCache:
         for specs in [(SubgroupSpec("gamma0", 5), SubgroupSpec("gamma1", 5)),
                       (SubgroupSpec("gamma", 12), SubgroupSpec("gamma", 24))]:
             monkeypatch.setattr(cosets, "_coset_table", counted)
+            cosets.coset_action.cache_clear()
             tables.clear()
             pair = QuotientPair.build(*specs)
             pair.period()
-            # one coset table for Gamma and one for Gamma1, whatever the
-            # number of cyclic classes: each Gamma_C is read from Gamma1's
-            assert len(tables) == 2
+            # one coset table, Gamma's, whatever the number of cyclic
+            # classes: Gamma1 and each Gamma_C are read from its branch points
+            assert len(tables) == 1
             monkeypatch.undo()
             for _, sub in pair.cyclics:
-                assert pair.subgroup_sig(sub) == \
-                    subgroup_signature(pair.preimage_subgroup(sub))
+                elems = {mat_mul(h, pair.G.elements[c], pair.level)
+                         for c in sub for h in pair.gamma1.elements}
+                assert pair.subgroup_sig(sub) == subgroup_signature(
+                    FiniteSubgroup(pair.level, tuple(sorted(elems))))
 
 
 class TestArtinCache:

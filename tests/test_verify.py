@@ -328,6 +328,19 @@ class TestCli:
         assert captured.out == ""
         assert f"weight range {weights!r}" in captured.err
 
+    @pytest.mark.parametrize("weights,reason", [
+        ("x..4", "start 'x'"), ("..4", "start ''"), ("2..y", "end 'y'"),
+        ("2..", "end ''"), ("2..4.5", "end '4.5'"), ("x", "weight 'x'")])
+    def test_non_integer_weight_ends_rejected(self, weights, reason, capsys):
+        from modmult.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main(["dims", "--group", "gamma0:5", "--weights", weights])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"weight range {weights!r}: {reason} is not an integer" \
+            in captured.err
+
     @pytest.mark.parametrize("argv,error", CLI_ERRORS,
                              ids=[e for _, e in CLI_ERRORS])
     def test_typed_error_is_one_line_with_status_2(self, argv, error,
