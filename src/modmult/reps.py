@@ -400,6 +400,10 @@ class MultiplicitySeries:
         return self.degree * self.orbit_size
 
 
+# weights per block of the dimension table
+_BLOCK = 64
+
+
 @dataclass
 class QuotientPair:
     """The pair (Gamma, Gamma1) with everything the engine derives from it."""
@@ -420,6 +424,11 @@ class QuotientPair:
     _branch: BranchPoints = field(repr=False)
     _sig_cache: dict = field(default_factory=dict, repr=False)
     _artin_cache: dict = field(default_factory=dict, repr=False)
+    # the dimension table: C -> {k // _BLOCK: [dim M_k, dim S_k, ...]}
+    # for Gamma_C, None where dims has not run; blocks keep a negative
+    # weight from wrapping round to another's slot, and a distant weight
+    # costs one block, not a list reaching out to it
+    _dims: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, gamma_spec: SubgroupSpec, gamma1_spec: SubgroupSpec,
@@ -450,6 +459,29 @@ class QuotientPair:
             sig = fibre_signature(self.G, self._branch, C)
             self._sig_cache[C] = sig
         return sig
+
+    def dims_of(self, C: frozenset, kind: str, weights) -> list[int]:
+        """dim M_k (kind "M") or dim S_k (kind "S") of Gamma_C at each of
+        the weights, in order, as plain ints.  Gamma1 is C = {1} and Gamma
+        is C = G; every caller on the pair shares one table, so dims runs at
+        most once per group and weight."""
+        if kind not in ("M", "S"):
+            raise ValueError(f"unknown kind {kind!r}")
+        j = 0 if kind == "M" else 1
+        sig = self.subgroup_sig(C)
+        blocks = self._dims.setdefault(C, {})
+        out = []
+        for k in weights:
+            b, i = divmod(k, _BLOCK)
+            block = blocks.get(b)
+            if block is None:
+                block = blocks[b] = [None] * (2 * _BLOCK)
+            i *= 2
+            if block[i] is None:
+                d = dims(sig, k)
+                block[i], block[i + 1] = d.dim_M, d.dim_S
+            out.append(block[i + j])
+        return out
 
     def artin_coefficients(self, rat: RationalCharacter,
                            column_order=None) -> tuple[Fraction, ...]:
@@ -489,13 +521,13 @@ def multiplicity_series(pair: QuotientPair, rat: RationalCharacter, kind: str,
     if 1 in ks:
         raise WeightOneUnsupported("weight 1 is not supported")
     coeffs = pair.artin_coefficients(rat, column_order)
-    sigs = [pair.subgroup_sig(sub) for _, sub in pair.cyclics]
+    terms = [(q, pair.dims_of(sub, kind, ks))
+             for q, (_, sub) in zip(coeffs, pair.cyclics) if q]
     entries = {}
-    for k in ks:
+    for i, k in enumerate(ks):
         total = Fraction(0)
-        for q, sig in zip(coeffs, sigs):
-            if q:
-                total += q * dims(sig, k).kind(kind)
+        for q, dim in terms:
+            total += q * dim[i]
         if total.denominator != 1 or total < 0:
             raise ArithmeticError(
                 f"multiplicity of {rat.label} at k={k} is {total}")

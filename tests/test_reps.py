@@ -624,10 +624,17 @@ class TestMultiplicities:
                     for k, v in s.entries.items():
                         assert s.per_member[k] * rat.orbit_size == v
 
-    def test_weight_one_rejected(self, diamond5):
+    def test_weight_one_rejected(self, diamond5, monkeypatch):
+        import modmult.reps as reps
         from modmult.dimensions import WeightOneUnsupported
-        with pytest.raises(WeightOneUnsupported):
-            multiplicity_series(diamond5, diamond5.rationals[0], "M", [1, 2])
+        # rejected before any work: not one dims call, cached or not
+        calls = []
+        monkeypatch.setattr(reps, "dims", lambda *a: calls.append(a))
+        for kind in ("M", "S"):
+            with pytest.raises(WeightOneUnsupported):
+                multiplicity_series(diamond5, diamond5.rationals[0], kind,
+                                    [1, 2])
+        assert calls == []
 
 
 class TestSignatureCache:
@@ -657,6 +664,103 @@ class TestSignatureCache:
                          for c in sub for h in pair.gamma1.elements}
                 assert pair.subgroup_sig(sub) == subgroup_signature(
                     FiniteSubgroup(pair.level, tuple(sorted(elems))))
+
+
+def series_from_dims(pair, rat, kind, weights):
+    """Reference multiplicities, summed straight from dims at every weight
+    with the Artin coefficients solved afresh."""
+    from modmult.dimensions import dims
+    coeffs = artin_decompose(rat.values, pair.G, pair.cyclics)
+    sigs = [pair.subgroup_sig(sub) for _, sub in pair.cyclics]
+    return {k: int(sum(q * dims(sig, k).kind(kind)
+                       for q, sig in zip(coeffs, sigs)))
+            for k in weights}
+
+
+NEAR_ZERO = [k for k in range(-4, 12) if k != 1]
+
+
+class TestDimensionTable:
+    """The pair's table reads what dims gives at every weight, negative
+    ones included, and runs dims once per group and weight."""
+
+    def test_table_matches_dims_on_every_pair(self):
+        from modmult.dimensions import dims
+        from test_cosets import PAIRS
+        for k0, n0, k1, n1 in PAIRS:
+            pair = QuotientPair.build(SubgroupSpec(k0, n0),
+                                      SubgroupSpec(k1, n1))
+            G = pair.G
+            groups = {sub for _, sub in pair.cyclics}
+            groups |= {frozenset(range(G.order)), frozenset({G.identity})}
+            ks = [k for k in range(-4, 4 + 3 * pair.period()) if k != 1]
+            for C in groups:
+                sig = pair.subgroup_sig(C)
+                for kind in ("M", "S"):
+                    want = [dims(sig, k).kind(kind) for k in ks]
+                    # the second read comes from the table, backwards
+                    assert pair.dims_of(C, kind, ks) == want, (k0, n0, k1, n1)
+                    assert pair.dims_of(C, kind, ks[::-1]) == want[::-1]
+
+    @pytest.mark.parametrize("weight_lists", [
+        [NEAR_ZERO], [[40, 4], range(2, 101)], [[-70, 300, -3], NEAR_ZERO]],
+        ids=["negative", "sparse", "far"])
+    def test_series_match_dims(self, weight_lists):
+        for specs in [(SubgroupSpec("gamma0", 5), SubgroupSpec("gamma1", 5)),
+                      (SubgroupSpec("full", 1), SubgroupSpec("gamma", 2)),
+                      (SubgroupSpec("gamma0", 12), SubgroupSpec("gamma1", 12))]:
+            pair = QuotientPair.build(*specs)
+            for weights in weight_lists:
+                for kind in ("M", "S"):
+                    for rat in pair.rationals:
+                        series = multiplicity_series(pair, rat, kind, weights)
+                        assert series.entries == \
+                            series_from_dims(pair, rat, kind, weights)
+
+    def test_negative_weights_through_the_cli(self, capsys):
+        from modmult.cli import main
+        pair = QuotientPair.build(SubgroupSpec("gamma0", 5),
+                                  SubgroupSpec("gamma1", 5))
+        for lo in (-1, -3):
+            assert main(["mult", "--pair", "gamma0:5/gamma1:5",
+                         f"--weights={lo}..0"]) == 0
+            rows = capsys.readouterr().out.splitlines()
+            assert rows[0] == "rep,k,multiplicity"
+            assert rows[1:] == [
+                f"{rat.label},{k},{int(k == 0 and rat.label == 'triv')}"
+                for rat in pair.rationals for k in range(lo, 1)]
+        assert "triv,-1,0" in rows
+
+    def test_run_verify_calls_dims_once_per_group_and_weight(self,
+                                                             monkeypatch):
+        import modmult.reps as reps
+        from modmult.verify import VerificationConfig, _parity_ks, run_verify
+        calls = []
+        original = reps.dims
+
+        def counted(sig, k):
+            calls.append((id(sig), k))
+            return original(sig, k)
+
+        monkeypatch.setattr(reps, "dims", counted)
+        specs = (SubgroupSpec("gamma0", 5), SubgroupSpec("gamma1", 5))
+        kmax = 60
+        report = run_verify(VerificationConfig(*specs, kmax=kmax))
+        assert report["pass"] is True
+        # the (group, weight) values verify needs: the series read each
+        # Gamma_C with a nonzero Artin coefficient, the identity Gamma1 and
+        # the monitor Gamma, each at its weights
+        pair = QuotientPair.build(*specs)
+        G = pair.G
+        weights = [k for k in range(kmax + 1) if k != 1]
+        used = {(frozenset({G.identity}), k) for k in weights}
+        for rat in pair.rationals:
+            coeffs = artin_decompose(rat.values, G, pair.cyclics)
+            used |= {(sub, k) for q, (_, sub) in zip(coeffs, pair.cyclics)
+                     if q for k in weights}
+            used |= {(frozenset(range(G.order)), k) for k in
+                     _parity_ks(parity_class_of(rat, G), 4, kmax)}
+        assert len(set(calls)) == len(calls) == len(used)
 
 
 class TestArtinCache:
