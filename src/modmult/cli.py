@@ -107,13 +107,18 @@ def parse_table_file(path: str) -> dict:
     """Read a character-table JSON file; the loader validates its content."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise argparse.ArgumentTypeError(
             f"cannot read character table {path!r}: {exc.strerror}") from None
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"character table {path!r} is not JSON: {exc}") from None
+    # the loader would take a JSON string for the path of another file
+    if not isinstance(doc, dict):
+        raise argparse.ArgumentTypeError(
+            f"character table {path!r} is not a JSON object")
+    return doc
 
 
 def _dump_json(obj) -> str:
@@ -185,8 +190,7 @@ def cmd_mult(args) -> int:
 def cmd_verify(args) -> int:
     g, g1 = args.pair
     config = VerificationConfig(
-        gamma_spec=g, gamma1_spec=g1, kmax=args.kmax,
-        kinds=("M", "S"), split=args.split,
+        gamma_spec=g, gamma1_spec=g1, kmax=args.kmax, split=args.split,
         offset_bound=args.offset_bound, table_source=args.table,
         level_cap=args.level_cap,
     )

@@ -187,8 +187,8 @@ def load_character_table(source, G: QuotientGroup) -> CharacterTable:
     else:
         doc = source
     try:
-        cls_docs = doc["classes"]
-        char_docs = doc["characters"]
+        cls_docs = list(doc["classes"])
+        char_docs = list(doc["characters"])
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"missing top-level key: {exc}") from exc
     if len(cls_docs) != len(G.classes):
@@ -198,11 +198,11 @@ def load_character_table(source, G: QuotientGroup) -> CharacterTable:
     seen = set()
     for cd in cls_docs:
         try:
-            rep = tuple(int(x) for x in cd["rep"])
+            a, b, c, d = (int(x) for x in cd["rep"])
             size = int(cd["size"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad class entry: {cd!r}") from exc
-        ci = G.class_of[G.coset_index(rep)]
+        ci = G.class_of[G.coset_index((a, b, c, d))]
         if ci in seen:
             raise ClassMismatch(f"two file classes map to the same class of G")
         seen.add(ci)
@@ -215,7 +215,7 @@ def load_character_table(source, G: QuotientGroup) -> CharacterTable:
         try:
             name = str(ch["name"])
             degree = int(ch["degree"])
-            vals = ch["values"]
+            vals = list(ch["values"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad character entry: {exc}") from exc
         if len(vals) != len(cls_docs):
@@ -223,11 +223,11 @@ def load_character_table(source, G: QuotientGroup) -> CharacterTable:
         row = [None] * len(G.classes)
         for pos, vd in enumerate(vals):
             try:
-                order = int(vd["order"])
                 coeffs = {int(j): Fraction(s) for j, s in vd["coeffs"].items()}
-            except (KeyError, TypeError, ValueError) as exc:
+                row[perm[pos]] = CycloValue(int(vd["order"]), coeffs)
+            except (KeyError, TypeError, ValueError, AttributeError,
+                    ZeroDivisionError) as exc:
                 raise SchemaError(f"bad value entry in {name}: {exc}") from exc
-            row[perm[pos]] = CycloValue(order, coeffs)
         names.append(name)
         degrees.append(degree)
         values.append(tuple(row))
@@ -400,10 +400,6 @@ class MultiplicitySeries:
         return self.degree * self.orbit_size
 
 
-# weights per block of the dimension table
-_BLOCK = 64
-
-
 @dataclass
 class QuotientPair:
     """The pair (Gamma, Gamma1) with everything the engine derives from it."""
@@ -424,10 +420,8 @@ class QuotientPair:
     _branch: BranchPoints = field(repr=False)
     _sig_cache: dict = field(default_factory=dict, repr=False)
     _artin_cache: dict = field(default_factory=dict, repr=False)
-    # the dimension table: C -> {k // _BLOCK: [dim M_k, dim S_k, ...]}
-    # for Gamma_C, None where dims has not run; blocks keep a negative
-    # weight from wrapping round to another's slot, and a distant weight
-    # costs one block, not a list reaching out to it
+    # the dimension table: C -> (P, {kind: (base, step)}) for Gamma_C,
+    # dim at k = 3 + t*P + r being base[r] + t*step[r]
     _dims: dict = field(default_factory=dict, repr=False)
 
     @classmethod
@@ -463,24 +457,34 @@ class QuotientPair:
     def dims_of(self, C: frozenset, kind: str, weights) -> list[int]:
         """dim M_k (kind "M") or dim S_k (kind "S") of Gamma_C at each of
         the weights, in order, as plain ints.  Gamma1 is C = {1} and Gamma
-        is C = G; every caller on the pair shares one table, so dims runs at
-        most once per group and weight."""
+        is C = G.
+
+        For k >= 3 both dimensions are A*k + B(k mod P), P the quasi-period
+        (Shimura, Thms 2.23 and 2.25), so one table per group, built from
+        dims on [3, 3 + 2P), answers every such k; k = 2, the exception of
+        Riemann-Roch, and k <= 1 go to dims itself."""
         if kind not in ("M", "S"):
             raise ValueError(f"unknown kind {kind!r}")
-        j = 0 if kind == "M" else 1
         sig = self.subgroup_sig(C)
-        blocks = self._dims.setdefault(C, {})
+        table = self._dims.get(C)
+        if table is None:
+            P = quasi_period(sig)
+            ds = [dims(sig, k) for k in range(3, 3 + 2 * P)]
+            rows = {}
+            for which in ("M", "S"):
+                vals = [d.kind(which) for d in ds]
+                rows[which] = (vals[:P],
+                               [b - a for a, b in zip(vals, vals[P:])])
+            table = self._dims[C] = (P, rows)
+        P, rows = table
+        base, step = rows[kind]
         out = []
         for k in weights:
-            b, i = divmod(k, _BLOCK)
-            block = blocks.get(b)
-            if block is None:
-                block = blocks[b] = [None] * (2 * _BLOCK)
-            i *= 2
-            if block[i] is None:
-                d = dims(sig, k)
-                block[i], block[i + 1] = d.dim_M, d.dim_S
-            out.append(block[i + j])
+            if k < 3:
+                out.append(dims(sig, k).kind(kind))
+            else:
+                t, r = divmod(k - 3, P)
+                out.append(base[r] + t * step[r])
         return out
 
     def artin_coefficients(self, rat: RationalCharacter,

@@ -4,7 +4,7 @@ conjugacy classes, cyclic subgroups and power maps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 
@@ -222,8 +222,10 @@ class QuotientGroup:
     class_of: tuple[int, ...]
     iota: int | None
     iota_trivial: bool
-    ambient: FiniteSubgroup
     normal: FiniteSubgroup
+    orders: tuple[int, ...]
+    # every element of Gamma -> the index of its coset
+    coset_of: dict = field(repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -253,23 +255,12 @@ class QuotientGroup:
             m >>= 1
         return result
 
-    @cached_property
-    def _orders(self) -> tuple[int, ...]:
-        out = []
-        for i in range(self.order):
-            m, x = 1, i
-            while x != self.identity:
-                x = self.mul[x][i]
-                m += 1
-            out.append(m)
-        return tuple(out)
-
     def element_order(self, i: int) -> int:
-        return self._orders[i]
+        return self.orders[i]
 
     @cached_property
     def exponent(self) -> int:
-        return lcm(*self._orders) if self._orders else 1
+        return lcm(*self.orders) if self.orders else 1
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -277,19 +268,10 @@ class QuotientGroup:
         return all(self.mul[i][j] == self.mul[j][i]
                    for i in range(n) for j in range(i + 1, n))
 
-    @cached_property
-    def _coset_index(self) -> dict:
-        lut = {}
-        n = self.level
-        for idx, rep in enumerate(self.elements):
-            for h in self.normal.elements:
-                lut[mat_mul(h, rep, n)] = idx
-        return lut
-
     def coset_index(self, mat) -> int:
         m = reduce_mat(mat, self.level)
         try:
-            return self._coset_index[m]
+            return self.coset_of[m]
         except KeyError:
             raise NotASubgroup(f"matrix {mat} is not in the ambient group") from None
 
@@ -340,14 +322,15 @@ def quotient(gamma: FiniteSubgroup, gamma1: FiniteSubgroup) -> QuotientGroup:
             seen[x] = True
         raw_classes.append(tuple(sorted(cls)))
 
-    def order_of(i: int) -> int:
+    orders = []
+    for i in range(size):
         m, x = 1, i
         while x != identity:
             x = mul[x][i]
             m += 1
-        return m
+        orders.append(m)
 
-    raw_classes.sort(key=lambda cls: (len(cls), order_of(cls[0]),
+    raw_classes.sort(key=lambda cls: (len(cls), orders[cls[0]],
                                       tuple(reps[i] for i in cls)))
     classes = tuple(raw_classes)
     class_of = [0] * size
@@ -362,7 +345,8 @@ def quotient(gamma: FiniteSubgroup, gamma1: FiniteSubgroup) -> QuotientGroup:
     return QuotientGroup(
         level=n, elements=tuple(reps), mul=mul, inv=inv, identity=identity,
         classes=classes, class_of=tuple(class_of), iota=iota,
-        iota_trivial=iota_trivial, ambient=gamma, normal=gamma1,
+        iota_trivial=iota_trivial, normal=gamma1, orders=tuple(orders),
+        coset_of={x: index[r] for x, r in rep_of.items()},
     )
 
 

@@ -11,8 +11,8 @@ from . import __version__
 # not called here (the pair's table calls dims); perfbench/tests checks
 # that the tracer wraps modmult.verify.dims, so the name stays
 from .dimensions import dims  # noqa: F401
-from .reps import (MultiplicitySeries, QuotientPair, RationalCharacter,
-                   multiplicity_series, parity_class_of)
+from .reps import (MultiplicitySeries, QuotientPair, multiplicity_series,
+                   parity_class_of)
 from .sl2 import DEFAULT_LEVEL_CAP, SubgroupSpec
 
 
@@ -33,8 +33,6 @@ class VerificationConfig:
     gamma_spec: SubgroupSpec
     gamma1_spec: SubgroupSpec
     kmax: int = 100
-    kinds: tuple[str, ...] = ("M", "S")
-    reps: str | tuple[str, ...] = "all"
     split: bool = False
     offset_bound: int = 24          # even offsets only
     table_source: object = None
@@ -184,11 +182,6 @@ def run_verify(config: VerificationConfig) -> dict:
         raise WindowTooSmall(
             f"kmax {config.kmax} below slope window bound {5 + 3 * P}")
 
-    if config.reps == "all":
-        rats = list(pair.rationals)
-    else:
-        rats = [pair.rational_by_name(name) for name in config.reps]
-
     # preflight: sum of squared degrees over each parity class = mu_proj
     preflight = {}
     for pclass in sorted({parity_class_of(r, G) for r in pair.rationals}):
@@ -199,13 +192,15 @@ def run_verify(config: VerificationConfig) -> dict:
     weights = [k for k in range(0, config.kmax + 1) if k != 1]
     ok = all(preflight.values())
     rep_reports = []
-    series_cache: dict[str, dict[str, MultiplicitySeries]] = {}
+    identity = {}
     findings = []
-    for kind in sorted(config.kinds):
-        for rat in rats:
+    for kind in ("M", "S"):
+        # one kind's series at a time: the identity below needs no other
+        series_by_rep = {}
+        for rat in pair.rationals:
             series = multiplicity_series(pair, rat, kind, weights,
                                          split=config.split)
-            series_cache.setdefault(kind, {})[rat.label] = series
+            series_by_rep[rat.label] = series
             slope = detect_slope(series, P, pair.c)
             bound = monitor_lower_bound(pair, series, config.offset_bound,
                                         config.kmax)
@@ -243,11 +238,8 @@ def run_verify(config: VerificationConfig) -> dict:
                 "deviation_bounded": bounded,
                 "liminf_holds": liminf_ok,
             })
-
-    identity = {}
-    for kind in sorted(config.kinds):
         per_k = check_decomposition_identity(pair, kind, weights,
-                                             series_by_rep=series_cache[kind])
+                                             series_by_rep=series_by_rep)
         identity[kind] = {str(k): v for k, v in sorted(per_k.items())}
 
     sig = pair.sig_gamma

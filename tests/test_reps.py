@@ -14,8 +14,7 @@ from modmult.reps import (CharacterTable, CharacterTableRequired,
                           abelian_character_table, artin_decompose,
                           builtin_s3_table, character_table_for,
                           load_character_table, multiplicity_series,
-                          parity_class_of, parity_of, permutation_character,
-                          rational_characters)
+                          parity_of, permutation_character, rational_characters)
 from modmult.sl2 import (FiniteSubgroup, SubgroupSpec,
                          cyclic_subgroups_up_to_conjugacy, enumerate_sl2,
                          mat_mul, quotient, realize)
@@ -682,7 +681,8 @@ NEAR_ZERO = [k for k in range(-4, 12) if k != 1]
 
 class TestDimensionTable:
     """The pair's table reads what dims gives at every weight, negative
-    ones included, and runs dims once per group and weight."""
+    and far ones included; it runs dims on one quasi-period per group,
+    [3, 3 + 2P), whatever the weights read, and leaves k < 3 to dims."""
 
     def test_table_matches_dims_on_every_pair(self):
         from modmult.dimensions import dims
@@ -693,7 +693,9 @@ class TestDimensionTable:
             G = pair.G
             groups = {sub for _, sub in pair.cyclics}
             groups |= {frozenset(range(G.order)), frozenset({G.identity})}
+            # k = 26 is the edge a table starting at k = 2 gets wrong
             ks = [k for k in range(-4, 4 + 3 * pair.period()) if k != 1]
+            ks += [3000, 3001, 12345]
             for C in groups:
                 sig = pair.subgroup_sig(C)
                 for kind in ("M", "S"):
@@ -731,36 +733,29 @@ class TestDimensionTable:
                 for rat in pair.rationals for k in range(lo, 1)]
         assert "triv,-1,0" in rows
 
-    def test_run_verify_calls_dims_once_per_group_and_weight(self,
-                                                             monkeypatch):
+    def test_run_verify_dims_calls_do_not_grow_with_kmax(self, monkeypatch):
         import modmult.reps as reps
-        from modmult.verify import VerificationConfig, _parity_ks, run_verify
+        from modmult.dimensions import quasi_period
+        from modmult.verify import VerificationConfig, run_verify
         calls = []
         original = reps.dims
 
         def counted(sig, k):
-            calls.append((id(sig), k))
+            calls.append((sig, k))
             return original(sig, k)
 
         monkeypatch.setattr(reps, "dims", counted)
         specs = (SubgroupSpec("gamma0", 5), SubgroupSpec("gamma1", 5))
-        kmax = 60
-        report = run_verify(VerificationConfig(*specs, kmax=kmax))
-        assert report["pass"] is True
-        # the (group, weight) values verify needs: the series read each
-        # Gamma_C with a nonzero Artin coefficient, the identity Gamma1 and
-        # the monitor Gamma, each at its weights
-        pair = QuotientPair.build(*specs)
-        G = pair.G
-        weights = [k for k in range(kmax + 1) if k != 1]
-        used = {(frozenset({G.identity}), k) for k in weights}
-        for rat in pair.rationals:
-            coeffs = artin_decompose(rat.values, G, pair.cyclics)
-            used |= {(sub, k) for q, (_, sub) in zip(coeffs, pair.cyclics)
-                     if q for k in weights}
-            used |= {(frozenset(range(G.order)), k) for k in
-                     _parity_ks(parity_class_of(rat, G), 4, kmax)}
-        assert len(set(calls)) == len(calls) == len(used)
+        counts = []
+        for kmax in (60, 600):
+            calls.clear()
+            report = run_verify(VerificationConfig(*specs, kmax=kmax))
+            assert report["pass"] is True
+            counts.append(len(calls))
+            # from k = 3 on, dims runs only on one table's weights
+            assert all(k < 3 + 2 * quasi_period(sig)
+                       for sig, k in calls if k >= 3)
+        assert counts[0] == counts[1]
 
 
 class TestArtinCache:

@@ -205,7 +205,9 @@ class TestRunVerify:
 
 def s3_table_doc(broken=None):
     """The SL2Z/Gamma(2) character table (triv, sign, std) as a --table
-    document, or broken: a wrong degree, class size or duplicated row."""
+    document, or broken: a wrong degree, class size or duplicated row, a
+    class rep of three integers, a coefficient 1/0, a value of order 0,
+    coefficients given as a list or values given as a number."""
     pair = QuotientPair.build(SubgroupSpec("full", 1), SubgroupSpec("gamma", 2))
     G, table = pair.G, pair.table
     doc = {"classes": [{"rep": list(G.elements[cls[0]]), "size": len(cls)}
@@ -225,6 +227,16 @@ def s3_table_doc(broken=None):
         doc["classes"][1]["size"] += 1
     elif broken == "duplicate":
         chars[1]["values"] = chars[0]["values"]
+    elif broken == "short-rep":
+        doc["classes"][0]["rep"] = doc["classes"][0]["rep"][:3]
+    elif broken == "zero-denominator":
+        chars[0]["values"][0]["coeffs"]["0"] = "1/0"
+    elif broken == "zero-order":
+        chars[0]["values"][0]["order"] = 0
+    elif broken == "coeff-list":
+        chars[0]["values"][0]["coeffs"] = ["1"]
+    elif broken == "values-number":
+        chars[0]["values"] = 3.5
     return doc
 
 
@@ -243,9 +255,26 @@ CLI_ERRORS = [
     (["verify", "--pair", "SL2Z/gamma:2", "--table", "size"], "ClassMismatch"),
     (["verify", "--pair", "SL2Z/gamma:2", "--table", "duplicate"],
      "OrthogonalityFailure"),
+    (["mult", "--pair", "SL2Z/gamma:2", "--weights", "2..4", "--table",
+      "short-rep"], "SchemaError"),
+    (["mult", "--pair", "SL2Z/gamma:2", "--weights", "2..4", "--table",
+      "zero-denominator"], "SchemaError"),
+    (["mult", "--pair", "SL2Z/gamma:2", "--weights", "2..4", "--table",
+      "zero-order"], "SchemaError"),
+    (["mult", "--pair", "SL2Z/gamma:2", "--weights", "2..4", "--table",
+      "coeff-list"], "SchemaError"),
+    (["mult", "--pair", "SL2Z/gamma:2", "--weights", "2..4", "--table",
+      "values-number"], "SchemaError"),
     (["verify", "--pair", "gamma0:5/gamma1:5", "--offset-bound", "3"],
      "InvalidOffsetBound"),
 ]
+
+# each entry's error name; an error met before is told apart by the entry's
+# last argument, its broken table mode
+CLI_ERROR_IDS = []
+for _argv, _error in CLI_ERRORS:
+    CLI_ERROR_IDS.append(f"{_error}-{_argv[-1]}" if _error in CLI_ERROR_IDS
+                         else _error)
 
 
 def run_cli(argv, capsys):
@@ -341,8 +370,7 @@ class TestCli:
         assert f"weight range {weights!r}: {reason} is not an integer" \
             in captured.err
 
-    @pytest.mark.parametrize("argv,error", CLI_ERRORS,
-                             ids=[e for _, e in CLI_ERRORS])
+    @pytest.mark.parametrize("argv,error", CLI_ERRORS, ids=CLI_ERROR_IDS)
     def test_typed_error_is_one_line_with_status_2(self, argv, error,
                                                    capsys, tmp_path):
         argv = list(argv)
@@ -381,8 +409,8 @@ class TestCli:
                                  "--kmax", "60", "--table", str(path)], capsys)
         assert code == 0 and json.loads(out)["pass"] is True
 
-    @pytest.mark.parametrize("content", [None, "{", ""],
-                             ids=["missing", "truncated", "empty"])
+    @pytest.mark.parametrize("content", [None, "{", "", '"s3.json"'],
+                             ids=["missing", "truncated", "empty", "string"])
     def test_unreadable_table_file(self, content, capsys, tmp_path):
         from modmult.cli import main
         path = tmp_path / "table.json"
