@@ -11,7 +11,7 @@ from math import gcd, lcm
 
 from .cosets import (BranchPoints, Signature, area_constant_c, branch_points,
                      coset_action, fibre_signature, subgroup_signature)
-from .dimensions import WeightOneUnsupported, dims, quasi_period
+from .dimensions import WeightOneUnsupported, dims
 from .exact import (CycloValue, InconsistentSystem, integer_rows,
                     reduce_cyclotomic, solve_linear_exact)
 from .sl2 import (DEFAULT_LEVEL_CAP, FiniteSubgroup, QuotientGroup,
@@ -64,6 +64,12 @@ class CharacterTable:
             raise SchemaError("character value rows must match the class count")
         if sum(d * d for d in self.degrees) != G.order:
             raise SchemaError("sum of squared degrees must equal |G|")
+        # every value lies in Q(zeta_e), e = exp G, so a field larger than
+        # |G| * e is refused before anything is lifted to it
+        m = lcm(*(v.order for row in self.values for v in row))
+        if m > G.order * G.exponent:
+            raise SchemaError(f"value orders have lcm {m}, above "
+                              f"|G| * exp G = {G.order * G.exponent}")
         for deg, row in zip(self.degrees, self.values):
             at_id = row[G.class_of[G.identity]].rational_part()
             if at_id != deg:
@@ -343,7 +349,7 @@ def permutation_character(G: QuotientGroup, C: frozenset) -> tuple[int, ...]:
     return tuple(vals)
 
 
-def artin_decompose(target_values, G: QuotientGroup, cyclics=None,
+def artin_decompose(target_values, G: QuotientGroup, cyclics,
                     column_order=None) -> tuple[Fraction, ...]:
     """Exact coefficients expressing a rational class function as a
     combination of permutation characters of cyclic subgroups.
@@ -355,8 +361,6 @@ def artin_decompose(target_values, G: QuotientGroup, cyclics=None,
     then checked at every class; a function that is not constant on the
     Galois class orbits raises InconsistentSystem.
     """
-    if cyclics is None:
-        cyclics = cyclic_subgroups_up_to_conjugacy(G)
     perms = [permutation_character(G, sub) for _, sub in cyclics]
     rows = [G.class_of[gen] for gen, _ in cyclics]
     A = [[perm[cl] for perm in perms] for cl in rows]
@@ -400,9 +404,27 @@ class MultiplicitySeries:
         return self.degree * self.orbit_size
 
 
-@dataclass
+# Every Gamma_C lies in SL2(Z), whose elliptic points have order 2 or 3, so
+# quasi_period of each is lcm(2, 12, 4, 6) = 12: one period for all of them
+PERIOD = 12
+
+
+def _dim_table(sig: Signature) -> tuple:
+    """(sig, {kind: (base, step)}) with dim at k = 3 + t*P + r >= 3 being
+    base[r] + t*step[r], P = PERIOD, built from dims on [3, 3 + 2P)."""
+    ds = [dims(sig, k) for k in range(3, 3 + 2 * PERIOD)]
+    rows = {}
+    for kind in ("M", "S"):
+        vals = [d.kind(kind) for d in ds]
+        rows[kind] = (vals[:PERIOD],
+                      [b - a for a, b in zip(vals, vals[PERIOD:])])
+    return sig, rows
+
+
+@dataclass(frozen=True)
 class QuotientPair:
-    """The pair (Gamma, Gamma1) with everything the engine derives from it."""
+    """The pair (Gamma, Gamma1) with everything the engine derives from it,
+    all built by build and only read after."""
 
     gamma_spec: SubgroupSpec
     gamma1_spec: SubgroupSpec
@@ -416,13 +438,12 @@ class QuotientPair:
     sig_gamma: Signature
     sig_gamma1: Signature
     c: Fraction
+    # each rational character -> its Artin coefficients over cyclics
+    artin: dict = field(repr=False)
     # every Gamma_C signature is read from Gamma's branch points
     _branch: BranchPoints = field(repr=False)
-    _sig_cache: dict = field(default_factory=dict, repr=False)
-    _artin_cache: dict = field(default_factory=dict, repr=False)
-    # the dimension table: C -> (P, {kind: (base, step)}) for Gamma_C,
-    # dim at k = 3 + t*P + r being base[r] + t*step[r]
-    _dims: dict = field(default_factory=dict, repr=False)
+    # C -> _dim_table of Gamma_C, for each cyclic C and for Gamma (C = G)
+    _dims: dict = field(repr=False)
 
     @classmethod
     def build(cls, gamma_spec: SubgroupSpec, gamma1_spec: SubgroupSpec,
@@ -437,67 +458,45 @@ class QuotientPair:
         sig_gamma = subgroup_signature(gamma)
         # the coset action that gave sig_gamma, kept by coset_action
         branch = branch_points(coset_action(gamma), gamma, G.coset_index)
-        sig_gamma1 = fibre_signature(G, branch, frozenset({G.identity}))
+        sigs = {sub: fibre_signature(G, branch, sub) for _, sub in cyclics}
+        sigs[frozenset(range(G.order))] = sig_gamma
         return cls(
             gamma_spec=gamma_spec, gamma1_spec=gamma1_spec, level=level,
             gamma=gamma, gamma1=gamma1, G=G, table=table, rationals=rats,
-            cyclics=cyclics, sig_gamma=sig_gamma, sig_gamma1=sig_gamma1,
-            c=area_constant_c(sig_gamma), _branch=branch,
-            _sig_cache={frozenset({G.identity}): sig_gamma1,
-                        frozenset(range(G.order)): sig_gamma},
+            cyclics=cyclics, sig_gamma=sig_gamma,
+            sig_gamma1=sigs[frozenset({G.identity})],
+            c=area_constant_c(sig_gamma),
+            artin={rat: artin_decompose(rat.values, G, cyclics)
+                   for rat in rats},
+            _branch=branch,
+            _dims={C: _dim_table(sig) for C, sig in sigs.items()},
         )
 
     def subgroup_sig(self, C: frozenset) -> Signature:
-        sig = self._sig_cache.get(C)
-        if sig is None:
-            sig = fibre_signature(self.G, self._branch, C)
-            self._sig_cache[C] = sig
-        return sig
+        """Gamma_C's signature, for any subgroup C of G."""
+        return fibre_signature(self.G, self._branch, C)
 
     def dims_of(self, C: frozenset, kind: str, weights) -> list[int]:
         """dim M_k (kind "M") or dim S_k (kind "S") of Gamma_C at each of
-        the weights, in order, as plain ints.  Gamma1 is C = {1} and Gamma
-        is C = G.
+        the weights, in order, as plain ints, for Gamma1 (C = {1}), a
+        cyclic C of the pair, or Gamma (C = G).
 
-        For k >= 3 both dimensions are A*k + B(k mod P), P the quasi-period
-        (Shimura, Thms 2.23 and 2.25), so one table per group, built from
-        dims on [3, 3 + 2P), answers every such k; k = 2, the exception of
-        Riemann-Roch, and k <= 1 go to dims itself."""
+        For k >= 3 both dimensions are A*k + B(k mod P), P = PERIOD
+        (Shimura, Thms 2.23 and 2.25), so the group's table answers every
+        such k; k = 2, the exception of Riemann-Roch, and k <= 1 go to dims
+        itself."""
         if kind not in ("M", "S"):
             raise ValueError(f"unknown kind {kind!r}")
-        sig = self.subgroup_sig(C)
-        table = self._dims.get(C)
-        if table is None:
-            P = quasi_period(sig)
-            ds = [dims(sig, k) for k in range(3, 3 + 2 * P)]
-            rows = {}
-            for which in ("M", "S"):
-                vals = [d.kind(which) for d in ds]
-                rows[which] = (vals[:P],
-                               [b - a for a, b in zip(vals, vals[P:])])
-            table = self._dims[C] = (P, rows)
-        P, rows = table
+        sig, rows = self._dims[C]
         base, step = rows[kind]
         out = []
         for k in weights:
             if k < 3:
                 out.append(dims(sig, k).kind(kind))
             else:
-                t, r = divmod(k - 3, P)
+                t, r = divmod(k - 3, PERIOD)
                 out.append(base[r] + t * step[r])
         return out
-
-    def artin_coefficients(self, rat: RationalCharacter,
-                           column_order=None) -> tuple[Fraction, ...]:
-        """rat's Artin coefficients over the cyclic classes, solved once
-        per character and column order."""
-        key = (rat.values, None if column_order is None else tuple(column_order))
-        coeffs = self._artin_cache.get(key)
-        if coeffs is None:
-            coeffs = artin_decompose(rat.values, self.G, self.cyclics,
-                                     column_order=column_order)
-            self._artin_cache[key] = coeffs
-        return coeffs
 
     def rational_by_name(self, name: str) -> RationalCharacter:
         for rat in self.rationals:
@@ -506,9 +505,8 @@ class QuotientPair:
         raise KeyError(f"no character or orbit named {name!r}")
 
     def period(self) -> int:
-        ps = [quasi_period(self.sig_gamma), quasi_period(self.sig_gamma1)]
-        ps += [quasi_period(self.subgroup_sig(sub)) for _, sub in self.cyclics]
-        return lcm(*ps)
+        """The quasi-period of every series of the pair (see PERIOD)."""
+        return PERIOD
 
 
 def multiplicity_series(pair: QuotientPair, rat: RationalCharacter, kind: str,
@@ -524,7 +522,8 @@ def multiplicity_series(pair: QuotientPair, rat: RationalCharacter, kind: str,
     ks = sorted(set(weights))
     if 1 in ks:
         raise WeightOneUnsupported("weight 1 is not supported")
-    coeffs = pair.artin_coefficients(rat, column_order)
+    coeffs = pair.artin[rat] if column_order is None else artin_decompose(
+        rat.values, pair.G, pair.cyclics, column_order=column_order)
     terms = [(q, pair.dims_of(sub, kind, ks))
              for q, (_, sub) in zip(coeffs, pair.cyclics) if q]
     entries = {}

@@ -244,10 +244,7 @@ class QuotientGroup:
     def power(self, i: int, m: int) -> int:
         result = self.identity
         base = i
-        m = m % self.element_order(i) if m >= 0 else m
-        if m < 0:
-            base = self.inv[i]
-            m = -m
+        m %= self.element_order(i)
         while m:
             if m & 1:
                 result = self.mul[result][base]

@@ -354,6 +354,8 @@ class TestPreimageSignature:
             assert repr(pair.subgroup_sig(C)) == \
                 repr(subgroup_signature(preimage_subgroup(pair, C))), sorted(C)
         assert pair.sig_gamma1 == subgroup_signature(pair.gamma1)
+        # subgroup_sig reads the fibres at C = G too; sig_gamma is Gamma's
+        # own coset table
         assert pair.subgroup_sig(frozenset(range(G.order))) == pair.sig_gamma
 
     def test_irregular_cusps_are_covered(self):

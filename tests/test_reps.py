@@ -149,6 +149,19 @@ class TestLoadTable:
         with pytest.raises(ClassMismatch):
             load_character_table(doc, s3pair.G)
 
+    def test_value_orders_bounded_by_order_times_exponent(self, s3pair):
+        # |G| * exp G = 36 for S3: the value 1 written in Q(zeta_36) loads,
+        # in Q(zeta_37) it is refused before any lift
+        doc = table_to_doc(s3pair.table)
+        value = doc["characters"][0]["values"][0]
+        value["order"] = 36
+        assert load_character_table(doc, s3pair.G).names == \
+            s3pair.table.names
+        value["order"] = 37
+        with pytest.raises(SchemaError, match="^value orders have lcm 37, "
+                                              r"above \|G\| \* exp G = 36$"):
+            load_character_table(doc, s3pair.G)
+
     def test_exact_fraction_strings(self, s3pair, diamond5):
         doc = table_to_doc(diamond5.table)
         table = load_character_table(doc, diamond5.G)
@@ -181,6 +194,11 @@ def reference_validate(table):
         raise SchemaError("character value rows must match the class count")
     if sum(d * d for d in table.degrees) != G.order:
         raise SchemaError("sum of squared degrees must equal |G|")
+    bound = G.order * G.exponent
+    m = lcm(*(v.order for row in table.values for v in row))
+    if m > bound:
+        raise SchemaError(f"value orders have lcm {m}, above "
+                          f"|G| * exp G = {bound}")
     for deg, row in zip(table.degrees, table.values):
         if row[G.class_of[G.identity]].rational_part() != deg:
             raise SchemaError("degree must equal the value at the identity")
@@ -685,7 +703,7 @@ class TestDimensionTable:
     [3, 3 + 2P), whatever the weights read, and leaves k < 3 to dims."""
 
     def test_table_matches_dims_on_every_pair(self):
-        from modmult.dimensions import dims
+        from modmult.dimensions import dims, quasi_period
         from test_cosets import PAIRS
         for k0, n0, k1, n1 in PAIRS:
             pair = QuotientPair.build(SubgroupSpec(k0, n0),
@@ -698,6 +716,7 @@ class TestDimensionTable:
             ks += [3000, 3001, 12345]
             for C in groups:
                 sig = pair.subgroup_sig(C)
+                assert quasi_period(sig) == pair.period()
                 for kind in ("M", "S"):
                     want = [dims(sig, k).kind(kind) for k in ks]
                     # the second read comes from the table, backwards
@@ -733,6 +752,24 @@ class TestDimensionTable:
                 for rat in pair.rationals for k in range(lo, 1)]
         assert "triv,-1,0" in rows
 
+    def test_period_is_12_without_signatures(self, monkeypatch):
+        import modmult.cosets as cosets
+        import modmult.dimensions as dimensions
+        import modmult.reps as reps
+        pair = QuotientPair.build(SubgroupSpec("gamma0", 7),
+                                  SubgroupSpec("gamma1", 7))
+
+        def refused(*args):
+            raise AssertionError("period() ran signature code")
+
+        for module, name in [(reps, "fibre_signature"),
+                             (reps, "subgroup_signature"),
+                             (cosets, "fibre_signature"),
+                             (cosets, "subgroup_signature"),
+                             (dimensions, "quasi_period")]:
+            monkeypatch.setattr(module, name, refused)
+        assert pair.period() == reps.PERIOD == 12
+
     def test_run_verify_dims_calls_do_not_grow_with_kmax(self, monkeypatch):
         import modmult.reps as reps
         from modmult.dimensions import quasi_period
@@ -758,9 +795,9 @@ class TestDimensionTable:
         assert counts[0] == counts[1]
 
 
-class TestArtinCache:
-    """Each character's Artin coefficients are solved once per pair and
-    column order; M and S share them."""
+class TestArtinSolves:
+    """build solves each character's Artin coefficients once, M and S
+    share them, and a given column order solves afresh with that order."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -775,16 +812,23 @@ class TestArtinCache:
         monkeypatch.setattr(reps, "solve_linear_exact", counted)
         return calls
 
-    def test_run_verify_solves_once_per_character(self, solves):
+    def test_build_solves_once_per_character(self, solves):
         from modmult.verify import VerificationConfig, run_verify
         specs = (SubgroupSpec("gamma0", 5), SubgroupSpec("gamma1", 5))
+        pair = QuotientPair.build(*specs)
+        assert len(pair.rationals) == 3
+        assert solves == [None] * 3
+        for rat in pair.rationals:
+            for kind in ("M", "S"):
+                multiplicity_series(pair, rat, kind, range(2, 40))
+        # the series only read what build solved
+        assert solves == [None] * 3
+        solves.clear()
         report = run_verify(VerificationConfig(*specs, kmax=60))
-        n_rationals = len(QuotientPair.build(*specs).rationals)
-        assert n_rationals == 3
-        assert len(report["reps"]) == 2 * n_rationals  # M and S
-        assert solves == [None] * n_rationals
+        assert len(report["reps"]) == 2 * 3  # M and S
+        assert solves == [None] * 3
 
-    def test_column_order_is_part_of_the_key(self, solves):
+    def test_column_order_solves_afresh(self, solves):
         pair = QuotientPair.build(SubgroupSpec("gamma0", 7),
                                   SubgroupSpec("gamma1", 7))
         reverse = list(reversed(range(len(pair.cyclics))))
@@ -794,13 +838,12 @@ class TestArtinCache:
                                           column_order=order)
                       for order in (None, reverse, None, reverse)
                       for kind in ("M", "S")]
-            # one solve per column order, each with its own order
-            assert solves == [None, reverse]
+            # no solve without an order, one with each given order
+            assert solves == [reverse] * 4
             assert series[0].entries == series[2].entries
             assert series[1].entries == series[3].entries
-            assert pair.artin_coefficients(rat) == \
-                pair.artin_coefficients(rat, reverse) == \
-                artin_decompose(rat.values, pair.G, pair.cyclics)
+            assert pair.artin[rat] == artin_decompose(
+                rat.values, pair.G, pair.cyclics, column_order=reverse)
 
 
 def sym_power_multiplicities(m):

@@ -206,8 +206,8 @@ class TestRunVerify:
 def s3_table_doc(broken=None):
     """The SL2Z/Gamma(2) character table (triv, sign, std) as a --table
     document, or broken: a wrong degree, class size or duplicated row, a
-    class rep of three integers, a coefficient 1/0, a value of order 0,
-    coefficients given as a list or values given as a number."""
+    class rep of three integers, a coefficient 1/0, a value of order 0 or
+    10**6, coefficients given as a list or values given as a number."""
     pair = QuotientPair.build(SubgroupSpec("full", 1), SubgroupSpec("gamma", 2))
     G, table = pair.G, pair.table
     doc = {"classes": [{"rep": list(G.elements[cls[0]]), "size": len(cls)}
@@ -233,6 +233,9 @@ def s3_table_doc(broken=None):
         chars[0]["values"][0]["coeffs"]["0"] = "1/0"
     elif broken == "zero-order":
         chars[0]["values"][0]["order"] = 0
+    elif broken == "huge-order":
+        # still the value 1, but in Q(zeta_m) with m far above |G| * exp G
+        chars[0]["values"][0]["order"] = 10 ** 6
     elif broken == "coeff-list":
         chars[0]["values"][0]["coeffs"] = ["1"]
     elif broken == "values-number":
@@ -261,6 +264,8 @@ CLI_ERRORS = [
       "zero-denominator"], "SchemaError"),
     (["mult", "--pair", "SL2Z/gamma:2", "--weights", "2..4", "--table",
       "zero-order"], "SchemaError"),
+    (["mult", "--pair", "SL2Z/gamma:2", "--weights", "2..4", "--table",
+      "huge-order"], "SchemaError"),
     (["mult", "--pair", "SL2Z/gamma:2", "--weights", "2..4", "--table",
       "coeff-list"], "SchemaError"),
     (["mult", "--pair", "SL2Z/gamma:2", "--weights", "2..4", "--table",
