@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import gcd
 
 from .sl2 import (FiniteSubgroup, Mat, QuotientGroup, S_MAT, T_MAT,
                   identity_mat, mat_inv, mat_mul, minus_identity, reduce_mat,
@@ -86,31 +87,33 @@ class Signature:
             raise ValueError("irregular cusps require -I absent")
 
 
-def _coset_table(subgroup: frozenset, d: int, m: int, gens: tuple[Mat, ...]):
-    """Right cosets in SL2(Z/m) of the preimage of subgroup, a subgroup of
-    SL2(Z/d) with d | m, explored by right multiplication by gens, which
-    must generate SL2(Z/m) and be reduced mod m.
+def _coset_table(size: int, acting, top: int, d: int, m: int,
+                 gens: tuple[Mat, ...]):
+    """The size right cosets in SL2(Z/m) of a group +-K, explored from the
+    identity by right multiplication by gens, which must generate SL2(Z/m)
+    and be reduced mod m.
 
-    The cosets are looked up by their reductions mod d, so the lookup holds
-    |SL2(Z/d)| matrices.  Returns a representative mod m of each coset and
-    for each generator its permutation of the cosets.
+    A matrix is keyed by its top row mod top and its bottom row mod d, with
+    top and d dividing m.  A new coset met at x writes the keys of h x for
+    h in acting, elements of +-K mod d that must reach every key of the
+    coset.  Returns a representative mod m of each coset and for each
+    generator its permutation of the cosets.
     """
-    size = sl2_group_order(d) // len(subgroup)
-    elt_to_coset = dict.fromkeys(subgroup, 0)
     reps = [identity_mat(m)]
+    lookup = {mat_mul(h, (1 % top, 0, 0, 1 % d), d): 0 for h in acting}
     perms = [[0] * size for _ in gens]
     queue = [0]
     while queue:
         i = queue.pop()
         for g, perm in zip(gens, perms):
             img = mat_mul(reps[i], g, m)
-            key = (img[0] % d, img[1] % d, img[2] % d, img[3] % d)
-            j = elt_to_coset.get(key)
+            k = (img[0] % top, img[1] % top, img[2] % d, img[3] % d)
+            j = lookup.get(k)
             if j is None:
                 j = len(reps)
                 reps.append(img)
-                for h in subgroup:
-                    elt_to_coset[mat_mul(h, key, d)] = j
+                for h in acting:
+                    lookup[mat_mul(h, k, d)] = j
                 queue.append(j)
             perm[i] = j
     return tuple(reps), [tuple(perm) for perm in perms]
@@ -128,6 +131,33 @@ def _own_level(kp: frozenset, m: int):
             return d, reduced
 
 
+def _lookup(K: FiniteSubgroup):
+    """(acting, top, d) for _coset_table on the cosets of +-K.
+
+    Realized Gamma0(N) and Gamma1(N) are keyed by the bottom row (c, d) mod
+    N alone (top = 1): +-Gamma0(N) g is that row of g up to the units u of
+    Z/N, a point of P^1(Z/N), reached by the diagonal (1/u, u), and
+    +-Gamma1(N) g is the row up to sign, reached by +-I (Cremona,
+    Algorithms for Modular Elliptic Curves, ch. 2).  A coset then has
+    phi(N) keys or at most 2.  Every other group is keyed by the whole
+    matrix mod its own level d, the least d with every matrix = I mod d in
+    +-K, and acting is all of +-K mod d: at most 2 keys a coset for Gamma(N).
+    """
+    kind, n = K.family or (None, None)
+    if kind == "gamma0":
+        return ([(pow(u, -1, n), 0, 0, u) for u in range(n) if gcd(u, n) == 1],
+                1, n)
+    if kind == "gamma1":
+        return [identity_mat(n), minus_identity(n)], 1, n
+    m = K.level
+    kp = K.element_set
+    if not K.contains_minus_I:
+        mi = minus_identity(m)
+        kp = kp | frozenset(mat_mul(mi, x, m) for x in K.elements)
+    d, kp_d = _own_level(kp, m)
+    return kp_d, d, d
+
+
 @lru_cache(maxsize=1)
 def coset_action(K: FiniteSubgroup) -> PermutationAction:
     """Permutations of S, T and ST on projective cosets of K.
@@ -137,19 +167,14 @@ def coset_action(K: FiniteSubgroup) -> PermutationAction:
     """
     n = K.level
     minus_i = K.contains_minus_I
-    if minus_i:
-        kp = K.element_set
-    else:
-        mi = minus_identity(n)
-        kp = K.element_set | frozenset(mat_mul(mi, x, n) for x in K.elements)
-
-    d, kp_d = _own_level(kp, n)
+    sl_size = sl2_group_order(n) // K.order
+    size = sl_size if minus_i else sl_size // 2
     gens = (reduce_mat(S_MAT, n), reduce_mat(T_MAT, n))
-    reps, (sigma_S, sigma_T) = _coset_table(kp_d, d, n, gens)
+    reps, (sigma_S, sigma_T) = _coset_table(size, *_lookup(K), n, gens)
     return PermutationAction(
-        size=len(reps), sigma_S=sigma_S, sigma_T=sigma_T,
+        size=size, sigma_S=sigma_S, sigma_T=sigma_T,
         sigma_ST=tuple(sigma_T[j] for j in sigma_S), reps=reps,
-        minus_I=minus_i, sl_size=sl2_group_order(n) // K.order,
+        minus_I=minus_i, sl_size=sl_size,
     )
 
 

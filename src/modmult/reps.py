@@ -15,8 +15,9 @@ from .dimensions import WeightOneUnsupported, dims
 from .exact import (CycloValue, InconsistentSystem, integer_rows,
                     reduce_cyclotomic, solve_linear_exact)
 from .sl2 import (DEFAULT_LEVEL_CAP, FiniteSubgroup, QuotientGroup,
-                  SubgroupSpec, cyclic_subgroups_up_to_conjugacy, quotient,
-                  realize)
+                  SubgroupSpec, cosets_commute,
+                  cyclic_subgroups_up_to_conjugacy, quotient, realize,
+                  right_cosets)
 
 
 class NotAbelian(ValueError):
@@ -250,8 +251,12 @@ def character_table_for(G: QuotientGroup, table_source=None) -> CharacterTable:
         return abelian_character_table(G)
     if G.order == 6:
         return builtin_s3_table(G)
-    raise CharacterTableRequired(
-        f"nonabelian quotient of order {G.order}: supply a character table")
+    raise _table_required(G.order)
+
+
+def _table_required(order: int) -> CharacterTableRequired:
+    return CharacterTableRequired(
+        f"nonabelian quotient of order {order}: supply a character table")
 
 
 @dataclass(frozen=True)
@@ -451,7 +456,14 @@ class QuotientPair:
         level = lcm(gamma_spec.level, gamma1_spec.level)
         gamma = realize(gamma_spec, at_level=level, level_cap=level_cap)
         gamma1 = realize(gamma1_spec, at_level=level, level_cap=level_cap)
-        G = quotient(gamma, gamma1)
+        rep_of = right_cosets(gamma, gamma1)
+        # without a table only an abelian G or one of order 6 has one: a
+        # nonabelian G fails here, before its |G|^2 multiplication table
+        order = gamma.order // gamma1.order
+        if (table_source is None and order != 6
+                and not cosets_commute(rep_of, level)):
+            raise _table_required(order)
+        G = quotient(gamma, gamma1, rep_of)
         table = character_table_for(G, table_source)
         rats = rational_characters(table)
         cyclics = cyclic_subgroups_up_to_conjugacy(G)

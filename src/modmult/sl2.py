@@ -80,10 +80,16 @@ def sl2_group_order(n: int) -> int:
 
 @dataclass(frozen=True)
 class FiniteSubgroup:
-    """A subgroup of SL2(Z/N) given by its full (sorted) element list."""
+    """A subgroup of SL2(Z/N) given by its full (sorted) element list.
+
+    family is (kind, N) when realize generated the group from the congruence
+    conditions of CONGRUENCE_RESIDUES[kind] mod N; it takes no part in
+    equality or hashing, so equal element lists are equal groups.
+    """
 
     level: int
     elements: tuple[Mat, ...]
+    family: tuple[str, int] | None = field(default=None, compare=False)
 
     @cached_property
     def element_set(self) -> frozenset:
@@ -190,7 +196,7 @@ def realize(spec: SubgroupSpec, at_level: int | None = None,
     if spec.kind in CONGRUENCE_RESIDUES:
         _check_level(m, level_cap)
         return FiniteSubgroup(m, _congruence_elements(
-            m, n, *CONGRUENCE_RESIDUES[spec.kind]))
+            m, n, *CONGRUENCE_RESIDUES[spec.kind]), family=(spec.kind, n))
     ambient = enumerate_sl2(m, level_cap)
     if spec.kind == "full":
         return ambient
@@ -273,30 +279,47 @@ class QuotientGroup:
             raise NotASubgroup(f"matrix {mat} is not in the ambient group") from None
 
 
-def quotient(gamma: FiniteSubgroup, gamma1: FiniteSubgroup) -> QuotientGroup:
-    """Build Gamma/Gamma1 with conjugacy classes and the coset of -I located."""
+def right_cosets(gamma: FiniteSubgroup, gamma1: FiniteSubgroup) -> dict:
+    """Each element of gamma -> the least element of its right coset gamma1*g.
+
+    Raises NotASubgroup unless gamma1 lies in gamma, and NotNormal unless
+    every right coset gamma1*g equals g*gamma1; one g per coset suffices.
+    """
     if gamma.level != gamma1.level:
         raise NotASubgroup("subgroups live at different levels")
     n = gamma.level
     if not gamma1.element_set <= gamma.element_set:
         raise NotASubgroup("gamma1 is not contained in gamma")
-
-    # cosets: canonical representative = minimal element of gamma1 * g.
-    # gamma1 is normal iff every right coset gamma1 * g equals g * gamma1,
-    # and one g per coset suffices
     rep_of: dict[Mat, Mat] = {}
-    reps = []
     for g in gamma.elements:
         if g in rep_of:
             continue
         coset = sorted(mat_mul(h, g, n) for h in gamma1.elements)
         if sorted(mat_mul(g, h, n) for h in gamma1.elements) != coset:
             raise NotNormal("gamma1 is not normal in gamma")
-        r = coset[0]
         for x in coset:
-            rep_of[x] = r
-        reps.append(r)
-    reps.sort()
+            rep_of[x] = coset[0]
+    return rep_of
+
+
+def cosets_commute(rep_of: dict, n: int) -> bool:
+    """Whether Gamma/Gamma1 is abelian, from rep_of = right_cosets(Gamma,
+    Gamma1) at level n: x*y and y*x lie in one coset for every two coset
+    representatives.  Stops at the first two that do not."""
+    reps = sorted(set(rep_of.values()))
+    return all(rep_of[mat_mul(x, y, n)] == rep_of[mat_mul(y, x, n)]
+               for i, x in enumerate(reps) for y in reps[i + 1:])
+
+
+def quotient(gamma: FiniteSubgroup, gamma1: FiniteSubgroup,
+             rep_of: dict | None = None) -> QuotientGroup:
+    """Build Gamma/Gamma1 with conjugacy classes and the coset of -I located.
+
+    rep_of, if given, is right_cosets(gamma, gamma1)."""
+    if rep_of is None:
+        rep_of = right_cosets(gamma, gamma1)
+    n = gamma.level
+    reps = sorted(set(rep_of.values()))
     index = {r: i for i, r in enumerate(reps)}
     size = len(reps)
 

@@ -297,7 +297,9 @@ class TestCuspOrder:
 
 class TestOwnLevel:
     """A group realized above its level has the coset action of its
-    realization at its level: the lookup runs at the lower level."""
+    realization at its level: the lookup runs at the lower level, on the
+    bottom row mod N for Gamma0(N) and Gamma1(N), on the whole matrix mod
+    the own level for the others."""
 
     @pytest.mark.parametrize("kind,n,m", [
         ("gamma0", 5, 10), ("gamma0", 4, 24), ("gamma1", 4, 12),
@@ -306,23 +308,98 @@ class TestOwnLevel:
     def test_same_action_at_a_multiple_of_the_level(self, kind, n, m,
                                                     monkeypatch):
         import modmult.cosets as cosets
-        levels = []
+        lookups = []
         original = cosets._coset_table
 
-        def recorded(subgroup, d, *args):
-            levels.append(d)
-            return original(subgroup, d, *args)
+        def recorded(size, acting, top, d, *args):
+            lookups.append((frozenset(acting), top, d))
+            return original(size, acting, top, d, *args)
 
         monkeypatch.setattr(cosets, "_coset_table", recorded)
         cosets.coset_action.cache_clear()
         low, high = group(kind, n), group(kind, n, at_level=m)
         act_low, act_high = coset_action(low), coset_action(high)
-        # both tables look cosets up at the same divisor of n
-        assert len(levels) == 2 and levels[0] == levels[1] and n % levels[0] == 0
+        # both tables are keyed alike, mod the same divisor of n
+        assert len(lookups) == 2 and lookups[0] == lookups[1]
+        _, top, d = lookups[0]
+        if kind in ("gamma0", "gamma1"):
+            assert (top, d) == (1, n)
+        else:
+            assert top == d and n % d == 0
         assert act_high.size == act_low.size
         assert (act_high.sigma_S, act_high.sigma_T) == \
             (act_low.sigma_S, act_low.sigma_T)
         assert repr(subgroup_signature(high)) == repr(subgroup_signature(low))
+
+
+def generic(K):
+    """K without its family: the same elements, looked up by the generic
+    table."""
+    return FiniteSubgroup(K.level, K.elements)
+
+
+class TestKeyedTable:
+    """Gamma0(N) and Gamma1(N) keyed by bottom rows give the coset table of
+    the generic lookup, in O(index) keys."""
+
+    @pytest.mark.parametrize("kind", ["gamma0", "gamma1", "gamma"])
+    def test_keyed_equals_generic(self, kind):
+        # coset_action's cache ignores the family, so both run uncached
+        for n in range(1, 31):
+            for m in (n, 2 * n):
+                K = realize(SubgroupSpec(kind, n), at_level=m, level_cap=60)
+                keyed = coset_action.__wrapped__(K)
+                assert keyed == coset_action.__wrapped__(generic(K)), \
+                    f"{kind}:{n} at {m}"
+
+    @pytest.mark.parametrize("kind,bound", [
+        # mu_proj * phi(97) and 2 * mu_proj for Gamma1(97)
+        ("gamma0", 98 * 96), ("gamma1", 2 * 4704)])
+    def test_keys_are_o_of_the_index(self, kind, bound, monkeypatch):
+        import modmult.cosets as cosets
+        tables = []
+        original = cosets._coset_table
+
+        def recorded(size, acting, top, d, m, gens):
+            reps, perms = original(size, acting, top, d, m, gens)
+            tables.append(len({
+                mat_mul(h, (r[0] % top, r[1] % top, r[2] % d, r[3] % d), d)
+                for r in reps for h in acting}))
+            return reps, perms
+
+        monkeypatch.setattr(cosets, "_coset_table", recorded)
+        K = realize(SubgroupSpec(kind, 97), level_cap=200)
+        coset_action.__wrapped__(K)
+        # not one key per element of SL2(Z/97), 912,576 of them
+        assert tables == [bound]
+
+    @pytest.mark.parametrize("n", [37, 41])
+    def test_verify_report_by_either_route(self, n, monkeypatch, capsys):
+        import modmult.cosets as cosets
+        import modmult.reps as reps
+        from modmult.cli import main
+        argv = ["verify", "--pair", f"gamma0:{n}/gamma1:{n}",
+                "--level-cap", str(n)]
+        tops = []
+        original = cosets._coset_table
+
+        def recorded(size, acting, top, *args):
+            tops.append(top)
+            return original(size, acting, top, *args)
+
+        monkeypatch.setattr(cosets, "_coset_table", recorded)
+        reports = []
+        for strip in (False, True):
+            if strip:
+                realized = reps.realize
+                monkeypatch.setattr(reps, "realize",
+                                    lambda *a, **k: generic(realized(*a, **k)))
+            cosets.coset_action.cache_clear()
+            assert main(argv) == 0
+            reports.append(capsys.readouterr().out)
+        # keyed by bottom rows, then by whole matrices mod n
+        assert tops == [1, n]
+        assert reports[0] == reports[1]
 
 
 PAIRS = ([("gamma0", n, "gamma1", n) for n in (8, 12, 20, 24, 28)]

@@ -107,6 +107,25 @@ class TestS3Table:
         with pytest.raises(CharacterTableRequired):
             character_table_for(G)
 
+    def test_nonabelian_fails_before_multiplication_table(self, monkeypatch):
+        import modmult.sl2 as sl2
+        products = []
+        original = sl2.mat_mul
+
+        def counted(*args):
+            products.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(sl2, "mat_mul", counted)
+        # G = SL2(Z/16): the cosets of Gamma(16) = {I} cost 2|Gamma| products
+        # and the commutation test stops at its first pair, far short of the
+        # |G|^2 = 9,437,184 products of G's multiplication table
+        with pytest.raises(CharacterTableRequired, match=(
+                "^nonabelian quotient of order 3072: "
+                "supply a character table$")):
+            QuotientPair.build(SubgroupSpec("full"), SubgroupSpec("gamma", 16))
+        assert len(products) <= 3 * 3072
+
 
 def table_to_doc(table):
     G = table.group
@@ -660,21 +679,25 @@ class TestSignatureCache:
         tables = []
         original = cosets._coset_table
 
-        def counted(*args, **kwargs):
-            tables.append(args[0])
-            return original(*args, **kwargs)
+        def counted(size, acting, top, d, *args):
+            tables.append((top, d))
+            return original(size, acting, top, d, *args)
 
         # G = C4 with classes 1, C2, C4; G = (Z/2)^3 with eight
-        for specs in [(SubgroupSpec("gamma0", 5), SubgroupSpec("gamma1", 5)),
-                      (SubgroupSpec("gamma", 12), SubgroupSpec("gamma", 24))]:
+        for specs, lookup in [
+                ((SubgroupSpec("gamma0", 5), SubgroupSpec("gamma1", 5)), (1, 5)),
+                ((SubgroupSpec("gamma", 12), SubgroupSpec("gamma", 24)),
+                 (12, 12))]:
             monkeypatch.setattr(cosets, "_coset_table", counted)
             cosets.coset_action.cache_clear()
             tables.clear()
             pair = QuotientPair.build(*specs)
             pair.period()
             # one coset table, Gamma's, whatever the number of cyclic
-            # classes: Gamma1 and each Gamma_C are read from its branch points
-            assert len(tables) == 1
+            # classes: Gamma1 and each Gamma_C are read from its branch
+            # points.  Gamma0(5) is keyed by bottom rows mod 5, Gamma(12)
+            # by whole matrices mod 12
+            assert tables == [lookup]
             monkeypatch.undo()
             for _, sub in pair.cyclics:
                 elems = {mat_mul(h, pair.G.elements[c], pair.level)
