@@ -3,6 +3,13 @@ modular forms and cusp forms, with an exact slope-verification harness."""
 
 __version__ = "0.1.0"
 
+
+# defined before the submodules below are imported: each error class of
+# theirs derives from it
+class ModmultError(Exception):
+    """Base of modmult's typed errors; the CLI reports each in one line."""
+
+
 from .cosets import (CuspDatum, PermutationAction, Signature, area_constant_c,
                      coset_action, signature_from_action, subgroup_signature)
 from .dimensions import DimResult, dims, quasi_period

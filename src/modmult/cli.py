@@ -7,26 +7,12 @@ import json
 import re
 import sys
 
-from .cosets import NonIntegralGenus, NonPositiveArea, subgroup_signature
-from .dimensions import OddOrderViolation, WeightOneUnsupported, dims
-from .exact import InconsistentSystem
-from .reps import (CharacterTableRequired, ClassMismatch,
-                   IndivisibleOrbitTotal, NotAbelian, NotRationalAfterSum,
-                   OrthogonalityFailure, QuotientPair, SchemaError,
-                   multiplicity_series)
-from .sl2 import (DEFAULT_LEVEL_CAP, LevelTooLarge, NotAGroup, NotASubgroup,
-                  NotNormal, SubgroupSpec, realize)
-from .verify import (IdentityViolation, InvalidOffsetBound,
-                     VerificationConfig, WindowTooSmall, run_verify,
-                     signature_record)
-
-# modmult's typed errors: main reports each in one line with exit status 2
-ERRORS = (LevelTooLarge, NotAGroup, NotASubgroup, NotNormal,
-          NonIntegralGenus, NonPositiveArea, OddOrderViolation,
-          WeightOneUnsupported, InconsistentSystem, CharacterTableRequired,
-          ClassMismatch, IndivisibleOrbitTotal, NotAbelian,
-          NotRationalAfterSum, OrthogonalityFailure, SchemaError,
-          IdentityViolation, InvalidOffsetBound, WindowTooSmall)
+from . import ModmultError
+from .cosets import subgroup_signature
+from .dimensions import dims
+from .reps import QuotientPair, multiplicity_series
+from .sl2 import DEFAULT_LEVEL_CAP, SubgroupSpec, realize
+from .verify import VerificationConfig, run_verify, signature_record
 
 # a '/' that starts the second spec of a pair; custom paths may contain '/'
 _SECOND_SPEC = re.compile(r"/(?=SL2Z$|gamma0:|gamma1:|gamma:|custom:)")
@@ -114,7 +100,7 @@ def parse_table_file(path: str) -> dict:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"character table {path!r} is not JSON: {exc}") from None
-    # the loader would take a JSON string for the path of another file
+    # the loader reads the keys of one JSON object
     if not isinstance(doc, dict):
         raise argparse.ArgumentTypeError(
             f"character table {path!r} is not a JSON object")
@@ -259,9 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # every typed error of modmult is reported in one line, with status 2
     try:
         return args.func(args)
-    except ERRORS as exc:
+    except ModmultError as exc:
         print(f"modmult: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

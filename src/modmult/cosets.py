@@ -9,17 +9,18 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 
+from . import ModmultError
 from .sl2 import (FiniteSubgroup, Mat, QuotientGroup, S_MAT, T_MAT,
                   identity_mat, mat_inv, mat_mul, minus_identity, reduce_mat,
                   sl2_group_order)
 
 
-class NonIntegralGenus(Exception):
+class NonIntegralGenus(ModmultError):
     """Internal inconsistency: the Euler-characteristic genus is not a
     non-negative integer.  Must never fire on pipeline-produced actions."""
 
 
-class NonPositiveArea(ValueError):
+class NonPositiveArea(ModmultError, ValueError):
     pass
 
 
@@ -119,18 +120,6 @@ def _coset_table(size: int, acting, top: int, d: int, m: int,
     return tuple(reps), [tuple(perm) for perm in perms]
 
 
-def _own_level(kp: frozenset, m: int):
-    """The least d | m such that kp, a subgroup of SL2(Z/m), contains every
-    matrix = I mod d, and the reductions of kp mod d."""
-    for d in range(1, m + 1):
-        kernel = sl2_group_order(m) // sl2_group_order(d)
-        if m % d or len(kp) % kernel:
-            continue
-        reduced = frozenset((a % d, b % d, c % d, e % d) for a, b, c, e in kp)
-        if len(reduced) * kernel == len(kp):
-            return d, reduced
-
-
 def _lookup(K: FiniteSubgroup):
     """(acting, top, d) for _coset_table on the cosets of +-K.
 
@@ -139,23 +128,19 @@ def _lookup(K: FiniteSubgroup):
     Z/N, a point of P^1(Z/N), reached by the diagonal (1/u, u), and
     +-Gamma1(N) g is the row up to sign, reached by +-I (Cremona,
     Algorithms for Modular Elliptic Curves, ch. 2).  A coset then has
-    phi(N) keys or at most 2.  Every other group is keyed by the whole
-    matrix mod its own level d, the least d with every matrix = I mod d in
-    +-K, and acting is all of +-K mod d: at most 2 keys a coset for Gamma(N).
+    phi(N) keys or at most 2.  Every other group contains each matrix
+    = I mod n, the level of its family (K.level for a hand-built group), so
+    it is keyed by the whole matrix mod n, with acting all of +-K mod n: at
+    most 2 keys a coset for Gamma(N), 1 for SL2(Z).
     """
-    kind, n = K.family or (None, None)
+    kind, n = K.family or (None, K.level)
     if kind == "gamma0":
         return ([(pow(u, -1, n), 0, 0, u) for u in range(n) if gcd(u, n) == 1],
                 1, n)
     if kind == "gamma1":
         return [identity_mat(n), minus_identity(n)], 1, n
-    m = K.level
-    kp = K.element_set
-    if not K.contains_minus_I:
-        mi = minus_identity(m)
-        kp = kp | frozenset(mat_mul(mi, x, m) for x in K.elements)
-    d, kp_d = _own_level(kp, m)
-    return kp_d, d, d
+    acting = {(a % n, b % n, c % n, d % n) for a, b, c, d in K.elements}
+    return acting | {tuple(-v % n for v in x) for x in acting}, n, n
 
 
 @lru_cache(maxsize=1)

@@ -8,14 +8,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from . import ModmultError
 from .cosets import Signature
 
 
-class WeightOneUnsupported(ValueError):
+class WeightOneUnsupported(ModmultError, ValueError):
     """Weight 1 dimensions are not Riemann-Roch computable."""
 
 
-class OddOrderViolation(ValueError):
+class OddOrderViolation(ModmultError, ValueError):
     """Odd weight without -I requires all elliptic orders odd."""
 
 

@@ -10,8 +10,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
+from . import ModmultError
 
-class InconsistentSystem(Exception):
+
+class InconsistentSystem(ModmultError):
     """Raised when a linear system A x = b has no solution."""
 
 
@@ -161,10 +163,6 @@ class CycloValue:
         self.coeffs = {j: c for j, c in d.items() if c}
 
     @classmethod
-    def root_of_unity(cls, order: int, exp: int = 1) -> "CycloValue":
-        return cls(order, {exp: Fraction(1)})
-
-    @classmethod
     def from_rational(cls, q) -> "CycloValue":
         return cls(1, {0: Fraction(q)})
 
@@ -190,16 +188,6 @@ class CycloValue:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return CycloValue(self.order, {j: -c for j, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, CycloValue)
-                       else CycloValue.from_rational(-Fraction(other)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, CycloValue):
             q = Fraction(other)
@@ -214,9 +202,6 @@ class CycloValue:
 
     __rmul__ = __mul__
 
-    def conj(self) -> "CycloValue":
-        return CycloValue(self.order, {(-j) % self.order: c for j, c in self.coeffs.items()})
-
     def reduced(self) -> tuple[Fraction, ...]:
         """Coordinates in the power basis 1, zeta, ..., zeta^(phi(n)-1)."""
         rem = [Fraction(0)] * self.order
@@ -230,9 +215,6 @@ class CycloValue:
         if any(r[1:]):
             return None
         return r[0]
-
-    def is_zero(self) -> bool:
-        return not any(self.reduced())
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -4,11 +4,11 @@ dimensions over cyclic subgroups plus Artin-induction linear algebra.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
+from . import ModmultError
 from .cosets import (BranchPoints, Signature, area_constant_c, branch_points,
                      coset_action, fibre_signature, subgroup_signature)
 from .dimensions import WeightOneUnsupported, dims
@@ -20,31 +20,31 @@ from .sl2 import (DEFAULT_LEVEL_CAP, FiniteSubgroup, QuotientGroup,
                   right_cosets)
 
 
-class NotAbelian(ValueError):
+class NotAbelian(ModmultError, ValueError):
     pass
 
 
-class SchemaError(ValueError):
+class SchemaError(ModmultError, ValueError):
     pass
 
 
-class OrthogonalityFailure(ValueError):
+class OrthogonalityFailure(ModmultError, ValueError):
     pass
 
 
-class ClassMismatch(ValueError):
+class ClassMismatch(ModmultError, ValueError):
     pass
 
 
-class NotRationalAfterSum(Exception):
+class NotRationalAfterSum(ModmultError):
     """A Galois-orbit sum failed to be rational; indicates a broken table."""
 
 
-class IndivisibleOrbitTotal(Exception):
+class IndivisibleOrbitTotal(ModmultError):
     """An orbit total did not divide by the orbit size under --split."""
 
 
-class CharacterTableRequired(ValueError):
+class CharacterTableRequired(ModmultError, ValueError):
     """Nonabelian quotient without a built-in or user-supplied table."""
 
 
@@ -180,19 +180,15 @@ def builtin_s3_table(G: QuotientGroup) -> CharacterTable:
     return table
 
 
-def load_character_table(source, G: QuotientGroup) -> CharacterTable:
-    """Load and validate a character table from a JSON file or dict.
+def load_character_table(doc, G: QuotientGroup) -> CharacterTable:
+    """Validate a character table given as a JSON document (cli's
+    parse_table_file reads one from a file).
 
     Schema: {"classes": [{"rep": [a,b,c,d], "size": s}, ...],
              "characters": [{"name": ..., "degree": d,
                              "values": [{"order": n, "coeffs": {"j": "p/q"}}]}]}
     Values are listed in the file's class order and re-indexed onto G.
     """
-    if isinstance(source, (str, bytes)):
-        with open(source) as fh:
-            doc = json.load(fh)
-    else:
-        doc = source
     try:
         cls_docs = list(doc["classes"])
         char_docs = list(doc["characters"])
@@ -337,21 +333,10 @@ def rational_characters(table: CharacterTable) -> tuple[RationalCharacter, ...]:
 
 def permutation_character(G: QuotientGroup, C: frozenset) -> tuple[int, ...]:
     """Values per conjugacy class of the character induced from the trivial
-    character of the cyclic subgroup C, via the action on left cosets."""
-    cs = sorted(C)
-    cosets = []
-    covered = set()
-    for x in range(G.order):
-        if x in covered:
-            continue
-        coset = frozenset(G.mul[x][c] for c in cs)
-        covered |= coset
-        cosets.append((x, coset))
-    vals = []
-    for cls in G.classes:
-        g = cls[0]
-        vals.append(sum(1 for x, coset in cosets if G.mul[g][x] in coset))
-    return tuple(vals)
+    character of the subgroup C: |G| |K n C| / (|K| |C|) at a class K
+    (Serre, Linear Representations, 7.2)."""
+    return tuple(G.order * len(C.intersection(cls)) // (len(cls) * len(C))
+                 for cls in G.classes)
 
 
 def artin_decompose(target_values, G: QuotientGroup, cyclics,

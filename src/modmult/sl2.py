@@ -8,24 +8,26 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 
+from . import ModmultError
+
 Mat = tuple[int, int, int, int]
 
 DEFAULT_LEVEL_CAP = 30
 
 
-class LevelTooLarge(ValueError):
+class LevelTooLarge(ModmultError, ValueError):
     pass
 
 
-class NotAGroup(ValueError):
+class NotAGroup(ModmultError, ValueError):
     pass
 
 
-class NotASubgroup(ValueError):
+class NotASubgroup(ModmultError, ValueError):
     pass
 
 
-class NotNormal(ValueError):
+class NotNormal(ModmultError, ValueError):
     pass
 
 
@@ -82,9 +84,11 @@ def sl2_group_order(n: int) -> int:
 class FiniteSubgroup:
     """A subgroup of SL2(Z/N) given by its full (sorted) element list.
 
-    family is (kind, N) when realize generated the group from the congruence
-    conditions of CONGRUENCE_RESIDUES[kind] mod N; it takes no part in
-    equality or hashing, so equal element lists are equal groups.
+    family is (kind, n) for every group realize or enumerate_sl2 returns:
+    the spec's kind and level, ("full", 1) for all of SL2(Z/N).  The group
+    then contains every matrix = I mod n, and cosets.coset_action keys its
+    cosets mod n.  It takes no part in equality or hashing, so equal
+    element lists are equal groups; a hand-built group has None.
     """
 
     level: int
@@ -149,7 +153,7 @@ def _check_level(n: int, level_cap: int) -> None:
 def enumerate_sl2(n: int, level_cap: int = DEFAULT_LEVEL_CAP) -> FiniteSubgroup:
     """All of SL2(Z/N)."""
     _check_level(n, level_cap)
-    return FiniteSubgroup(n, _sl2_elements(n))
+    return FiniteSubgroup(n, _sl2_elements(n), family=("full", 1))
 
 
 @dataclass(frozen=True)
@@ -212,7 +216,8 @@ def realize(spec: SubgroupSpec, at_level: int | None = None,
                 closure.add(y)
                 frontier.append(y)
     return FiniteSubgroup(m, tuple(x for x in ambient.elements
-                                   if tuple(v % n for v in x) in closure))
+                                   if tuple(v % n for v in x) in closure),
+                          family=("custom", n))
 
 
 @dataclass(frozen=True)
@@ -374,29 +379,26 @@ def cyclic_subgroups_up_to_conjugacy(G: QuotientGroup):
     """All cyclic subgroups of G, one per conjugacy class of subgroups.
 
     Returns a deterministically ordered list of (generator index, frozenset
-    of element indices), the trivial subgroup first.
+    of element indices), the trivial subgroup first, each the least of its
+    class by size, then by sorted elements.  Two cyclic subgroups are
+    conjugate iff their generators lie in the same conjugacy classes of G.
     """
-    gens: dict[frozenset, int] = {}
+    gens: dict[frozenset, list[int]] = {}
     for i in range(G.order):
         sub = set()
         x = i
         while x not in sub:
             sub.add(x)
             x = G.mul[x][i]
-        fs = frozenset(sub)
-        if fs not in gens or i < gens[fs]:
-            gens[fs] = min(gens.get(fs, i), i)
-    # fuse conjugate subgroups
-    remaining = set(gens)
-    out = []
-    while remaining:
-        sub = min(remaining, key=lambda s: (len(s), tuple(sorted(s))))
-        orbit = set()
-        for g in range(G.order):
-            conj = frozenset(G.mul[G.mul[g][x]][G.inv[g]] for x in sub)
-            orbit.add(conj)
-        remaining -= orbit
-        out.append((gens[sub], sub))
-    out.sort(key=lambda pair: (len(pair[1]), tuple(sorted(pair[1]))))
-    return out
+        gens.setdefault(frozenset(sub), []).append(i)
 
+    def key(sub):
+        return len(sub), tuple(sorted(sub))
+
+    least: dict[frozenset, frozenset] = {}
+    for sub, members in gens.items():
+        classes = frozenset(G.class_of[i] for i in members)
+        if classes not in least or key(sub) < key(least[classes]):
+            least[classes] = sub
+    return sorted(((gens[sub][0], sub) for sub in least.values()),
+                  key=lambda pair: key(pair[1]))

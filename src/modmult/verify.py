@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import __version__
+from . import ModmultError, __version__
 # not called here (the pair's table calls dims); perfbench/tests checks
 # that the tracer wraps modmult.verify.dims, so the name stays
 from .dimensions import dims  # noqa: F401
@@ -16,15 +16,15 @@ from .reps import (MultiplicitySeries, QuotientPair, multiplicity_series,
 from .sl2 import DEFAULT_LEVEL_CAP, SubgroupSpec
 
 
-class WindowTooSmall(ValueError):
+class WindowTooSmall(ModmultError, ValueError):
     pass
 
 
-class InvalidOffsetBound(ValueError):
+class InvalidOffsetBound(ModmultError, ValueError):
     """The lower-bound monitor's offset bound is odd or negative."""
 
 
-class IdentityViolation(Exception):
+class IdentityViolation(ModmultError):
     """The exact decomposition identity sum(deg * mult) = dim failed."""
 
 
@@ -65,16 +65,8 @@ class LowerBoundReport:
 
 
 def _parity_ks(parity_class: str, lo: int, hi: int):
-    ks = []
-    for k in range(lo, hi + 1):
-        if k == 1:
-            continue
-        if parity_class == "even" and k % 2:
-            continue
-        if parity_class == "odd" and k % 2 == 0:
-            continue
-        ks.append(k)
-    return ks
+    skip = {"even": 1, "odd": 0}.get(parity_class)
+    return [k for k in range(lo, hi + 1) if k % 2 != skip]
 
 
 def detect_slope(series: MultiplicitySeries, P: int, c: Fraction) -> SlopeReport:

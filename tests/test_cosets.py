@@ -299,12 +299,14 @@ class TestOwnLevel:
     """A group realized above its level has the coset action of its
     realization at its level: the lookup runs at the lower level, on the
     bottom row mod N for Gamma0(N) and Gamma1(N), on the whole matrix mod
-    the own level for the others."""
+    the family's level for the others (N for Gamma(N), 1 for SL2Z, n for
+    custom:n)."""
 
     @pytest.mark.parametrize("kind,n,m", [
         ("gamma0", 5, 10), ("gamma0", 4, 24), ("gamma1", 4, 12),
         ("gamma1", 7, 14), ("gamma", 3, 6), ("gamma", 12, 24),
-        ("gamma", 5, 30), ("full", 1, 6)])
+        ("gamma", 5, 30), ("full", 1, 6), ("custom", 4, 8),
+        ("custom", 6, 12)])
     def test_same_action_at_a_multiple_of_the_level(self, kind, n, m,
                                                     monkeypatch):
         import modmult.cosets as cosets
@@ -319,13 +321,10 @@ class TestOwnLevel:
         cosets.coset_action.cache_clear()
         low, high = group(kind, n), group(kind, n, at_level=m)
         act_low, act_high = coset_action(low), coset_action(high)
-        # both tables are keyed alike, mod the same divisor of n
+        # both tables are keyed alike, mod n
         assert len(lookups) == 2 and lookups[0] == lookups[1]
         _, top, d = lookups[0]
-        if kind in ("gamma0", "gamma1"):
-            assert (top, d) == (1, n)
-        else:
-            assert top == d and n % d == 0
+        assert (top, d) == ((1, n) if kind in ("gamma0", "gamma1") else (n, n))
         assert act_high.size == act_low.size
         assert (act_high.sigma_S, act_high.sigma_T) == \
             (act_low.sigma_S, act_low.sigma_T)
@@ -333,24 +332,47 @@ class TestOwnLevel:
 
 
 def generic(K):
-    """K without its family: the same elements, looked up by the generic
-    table."""
+    """K without its family: the same elements, looked up by whole matrices
+    mod K.level."""
     return FiniteSubgroup(K.level, K.elements)
 
 
-class TestKeyedTable:
-    """Gamma0(N) and Gamma1(N) keyed by bottom rows give the coset table of
-    the generic lookup, in O(index) keys."""
+T_GEN, S_GEN, MINUS_I = (1, 1, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1)
 
-    @pytest.mark.parametrize("kind", ["gamma0", "gamma1", "gamma"])
+
+def custom_specs():
+    """Custom groups of level n <= 15: Gamma(n) and the preimages of <T>,
+    <S> and <T, -I> mod n."""
+    return [SubgroupSpec("custom", n, gens) for n in range(1, 16)
+            for gens in ((), (T_GEN,), (S_GEN,), (T_GEN, MINUS_I))]
+
+
+def family_specs(kind):
+    if kind == "full":
+        return [SubgroupSpec("full", 1)]
+    if kind == "custom":
+        return custom_specs()
+    return [SubgroupSpec(kind, n) for n in range(1, 31)]
+
+
+class TestKeyedTable:
+    """Each realized group, keyed by its family (bottom rows for Gamma0(N)
+    and Gamma1(N), whole matrices mod the family's level for the others),
+    gives the coset table of the generic lookup, whole matrices mod the
+    level K is realized at."""
+
+    @pytest.mark.parametrize("kind",
+                             ["gamma0", "gamma1", "gamma", "full", "custom"])
     def test_keyed_equals_generic(self, kind):
-        # coset_action's cache ignores the family, so both run uncached
-        for n in range(1, 31):
-            for m in (n, 2 * n):
-                K = realize(SubgroupSpec(kind, n), at_level=m, level_cap=60)
+        # coset_action's cache ignores the family, so both run uncached;
+        # SL2Z is realized at every level m <= 30
+        for spec in family_specs(kind):
+            n = spec.level
+            for m in (range(1, 31) if kind == "full" else (n, 2 * n)):
+                K = realize(spec, at_level=m, level_cap=60)
                 keyed = coset_action.__wrapped__(K)
                 assert keyed == coset_action.__wrapped__(generic(K)), \
-                    f"{kind}:{n} at {m}"
+                    f"{spec} at {m}"
 
     @pytest.mark.parametrize("kind,bound", [
         # mu_proj * phi(97) and 2 * mu_proj for Gamma1(97)

@@ -7,6 +7,7 @@ from modmult.sl2 import (LevelTooLarge, NotASubgroup, NotNormal, SubgroupSpec,
                          _sl2_elements, cyclic_subgroups_up_to_conjugacy,
                          enumerate_sl2, mat_inv, mat_mul, quotient, realize,
                          sl2_group_order)
+from test_cosets import PAIRS
 
 
 def sl2_bruteforce(n):
@@ -285,7 +286,55 @@ def diamond(n):
                     realize(SubgroupSpec("gamma1", n)))
 
 
+def pair_quotient(k0, n0, k1, n1):
+    level = lcm(n0, n1)
+    return quotient(realize(SubgroupSpec(k0, n0), at_level=level),
+                    realize(SubgroupSpec(k1, n1), at_level=level))
+
+
+def quotients():
+    """Label and G of every pair of test_cosets.PAIRS (Gamma(N)/Gamma(2N)
+    for N <= 15 among them) and of SL2Z/Gamma(N) for N <= 5."""
+    pairs = PAIRS + [("full", 1, "gamma", n) for n in range(1, 6)]
+    return [(f"{a}:{b}/{c}:{d}", pair_quotient(a, b, c, d))
+            for a, b, c, d in pairs]
+
+
+def cyclic_subgroup_of(G, i):
+    sub, x = set(), i
+    while x not in sub:
+        sub.add(x)
+        x = G.mul[x][i]
+    return frozenset(sub)
+
+
+def fused_by_conjugation(G):
+    """cyclic_subgroups_up_to_conjugacy by conjugating each subgroup by
+    every element of G: the least remaining subgroup, by size and then by
+    sorted elements, stands for its conjugates."""
+    gens = {}
+    for i in range(G.order):
+        gens.setdefault(cyclic_subgroup_of(G, i), i)
+
+    def key(sub):
+        return len(sub), tuple(sorted(sub))
+
+    remaining, out = set(gens), []
+    while remaining:
+        sub = min(remaining, key=key)
+        remaining -= {frozenset(G.mul[G.mul[g][x]][G.inv[g]] for x in sub)
+                      for g in range(G.order)}
+        out.append((gens[sub], sub))
+    return sorted(out, key=lambda pair: key(pair[1]))
+
+
 class TestCyclicSubgroups:
+    def test_same_as_conjugation(self):
+        # 68 quotients, SL2(Z/5) of order 120 the largest
+        for label, G in quotients():
+            assert cyclic_subgroups_up_to_conjugacy(G) == \
+                fused_by_conjugation(G), label
+
     def test_c4(self):
         subs = cyclic_subgroups_up_to_conjugacy(diamond(5))
         assert sorted(len(s) for _, s in subs) == [1, 2, 4]
@@ -297,11 +346,7 @@ class TestCyclicSubgroups:
         # every cyclic subgroup is conjugate to exactly one listed subgroup
         listed = [s for _, s in subs]
         for i in range(G.order):
-            cyc = set()
-            x = i
-            while x not in cyc:
-                cyc.add(x)
-                x = G.mul[x][i]
+            cyc = cyclic_subgroup_of(G, i)
             orbit = {frozenset(G.mul[G.mul[g][y]][G.inv[g]] for y in cyc)
                      for g in range(G.order)}
             assert sum(1 for s in listed if s in orbit) == 1

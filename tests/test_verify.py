@@ -282,6 +282,27 @@ for _argv, _error in CLI_ERRORS:
                          else _error)
 
 
+def test_every_error_class_is_a_modmult_error():
+    # main reports a ModmultError in one line with status 2, so an error
+    # class without that base would end in a traceback
+    import importlib
+    import pkgutil
+
+    import modmult
+    errors = []
+    for info in pkgutil.iter_modules(modmult.__path__):
+        module = importlib.import_module(f"modmult.{info.name}")
+        errors += [obj for obj in vars(module).values()
+                   if isinstance(obj, type) and issubclass(obj, Exception)
+                   and obj.__module__ == module.__name__]
+    assert len(errors) == 19
+    assert all(issubclass(e, modmult.ModmultError) for e in errors)
+    # each keeps its ValueError base, if it had one
+    assert sorted(e.__name__ for e in errors if not issubclass(e, ValueError)) \
+        == ["IdentityViolation", "InconsistentSystem", "IndivisibleOrbitTotal",
+            "NonIntegralGenus", "NotRationalAfterSum"]
+
+
 def run_cli(argv, capsys):
     """main's exit status, stdout and stderr."""
     from modmult.cli import main
