@@ -243,8 +243,25 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# a weight or weight range with a negative start, which argparse would
+# take for an option
+_NEGATIVE_WEIGHTS = re.compile(r"-\d+(\.\..*)?")
+
+
+def _join_negative_weights(argv: list[str]) -> list[str]:
+    """argv with '--weights -a..b' written '--weights=-a..b'."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--weights" and _NEGATIVE_WEIGHTS.fullmatch(arg):
+            out[-1] = f"--weights={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_join_negative_weights(argv))
     # every typed error of modmult is reported in one line, with status 2
     try:
         return args.func(args)

@@ -12,8 +12,8 @@ from . import ModmultError
 from .cosets import (BranchPoints, Signature, area_constant_c, branch_points,
                      coset_action, fibre_signature, subgroup_signature)
 from .dimensions import WeightOneUnsupported, dims
-from .exact import (CycloValue, InconsistentSystem, integer_rows,
-                    reduce_cyclotomic, solve_linear_exact)
+from .exact import (CycloValue, InconsistentSystem, euler_phi, integer_rows,
+                    mobius, reduce_cyclotomic, solve_linear_exact)
 from .sl2 import (DEFAULT_LEVEL_CAP, FiniteSubgroup, QuotientGroup,
                   SubgroupSpec, cosets_commute,
                   cyclic_subgroups_up_to_conjugacy, quotient, realize,
@@ -58,6 +58,11 @@ class CharacterTable:
     values: tuple[tuple[CycloValue, ...], ...]
     provenance: str
 
+    # BuiltinAbelian only: each row of values as exponents of zeta_e,
+    # e = exp G, per class, and the elements the table was extended along
+    exponents: tuple[tuple[int, ...], ...] | None = None
+    generators: tuple[int, ...] = ()
+
     def validate(self):
         G = self.group
         ncls = len(G.classes)
@@ -75,8 +80,21 @@ class CharacterTable:
             at_id = row[G.class_of[G.identity]].rational_part()
             if at_id != deg:
                 raise SchemaError("degree must equal the value at the identity")
-        # Gram matrix in Z[x]/(x^m - 1): each row is scaled by its
-        # denominator, and conj(zeta^b) = zeta^(m - b)
+        if self.exponents is None:
+            self._check_gram_matrix()
+        else:
+            self._check_exponent_rows()
+        if G.iota is not None:
+            for name, deg, row in zip(self.names, self.degrees, self.values):
+                v = row[G.class_of[G.iota]]
+                if not (v == deg or v == -deg):
+                    raise SchemaError(
+                        f"value of {name} at the -I coset is not a +-1 scalar")
+
+    def _check_gram_matrix(self):
+        """<chi_i, chi_j> = |G| delta_ij, computed in Z[x]/(x^m - 1): each
+        row is scaled by its denominator, and conj(zeta^b) = zeta^(m - b)."""
+        G = self.group
         m, rows, dens = integer_rows(self.values)
         sizes = [len(cls) for cls in G.classes]
         for i, row_i in enumerate(rows):
@@ -92,12 +110,43 @@ class CharacterTable:
                 if ip != (G.order if i == j else 0):
                     raise OrthogonalityFailure(
                         f"<{self.names[i]},{self.names[j]}> = {ip}/{G.order}")
-        if G.iota is not None:
-            for name, deg, row in zip(self.names, self.degrees, self.values):
-                v = row[G.class_of[G.iota]]
-                if not (v == deg or v == -deg):
-                    raise SchemaError(
-                        f"value of {name} at the -I coset is not a +-1 scalar")
+
+    def _check_exponent_rows(self):
+        """The rows are |G| distinct homomorphisms G -> Z/e, so they are all
+        of G's characters and orthogonal.  A row r with r(1) = 0 and
+        r(x s) = r(x) + r(s) for every x and every generator s is one: each
+        element is a word in the generators, which the walk below checks."""
+        G = self.group
+        e = G.exponent
+        rows = self.exponents
+        if [[(e, {x: 1}) for x in row] for row in rows] != \
+                [[(v.order, v.coeffs) for v in row] for row in self.values]:
+            raise SchemaError("values must be zeta_e to the exponent rows")
+        if len(rows) != G.order or len(set(rows)) != G.order:
+            raise OrthogonalityFailure(
+                f"{len(set(rows))} distinct exponent rows in {len(rows)}, "
+                f"not |G| = {G.order}")
+        cls = G.class_of
+        # (class of x, class of x s, class of s) over the walk from 1
+        steps = []
+        reached = {G.identity}
+        frontier = [G.identity]
+        while frontier:
+            x = frontier.pop()
+            for s in self.generators:
+                y = G.mul[x][s]
+                steps.append((cls[x], cls[y], cls[s]))
+                if y not in reached:
+                    reached.add(y)
+                    frontier.append(y)
+        if len(reached) != G.order:
+            raise SchemaError("the generators do not generate G")
+        one = cls[G.identity]
+        for name, row in zip(self.names, rows):
+            if row[one] or any((row[x] + row[s] - row[y]) % e
+                               for x, y, s in steps):
+                raise OrthogonalityFailure(
+                    f"{name} is not a homomorphism G -> Z/{e}")
 
 
 def abelian_character_table(G: QuotientGroup) -> CharacterTable:
@@ -108,9 +157,11 @@ def abelian_character_table(G: QuotientGroup) -> CharacterTable:
     e = G.exponent
     chars: list[dict[int, int]] = [{G.identity: 0}]  # element -> exponent of zeta_e
     subgroup = {G.identity}
+    generators = []
     for g in range(G.order):
         if g in subgroup:
             continue
+        generators.append(g)
         # m = least positive power of g landing in the current subgroup
         m, p = 1, g
         while p not in subgroup:
@@ -140,14 +191,16 @@ def abelian_character_table(G: QuotientGroup) -> CharacterTable:
     assert len(chars) == G.order
     class_reps = [cls[0] for cls in G.classes]
     rows = sorted(tuple(chi[r] for r in class_reps) for chi in chars)
+    zeta = [CycloValue(e, {exp: 1}) for exp in range(e)]
     names = []
     values = []
     for i, row in enumerate(rows):
         names.append("triv" if not any(row) else f"chi{i}")
-        values.append(tuple(CycloValue(e, {exp: 1}) for exp in row))
+        values.append(tuple(zeta[exp] for exp in row))
     table = CharacterTable(group=G, names=tuple(names),
                            degrees=(1,) * G.order, values=tuple(values),
-                           provenance="BuiltinAbelian")
+                           provenance="BuiltinAbelian", exponents=tuple(rows),
+                           generators=tuple(generators))
     table.validate()
     return table
 
@@ -284,8 +337,11 @@ def rational_characters(table: CharacterTable) -> tuple[RationalCharacter, ...]:
 
     The twist of chi by zeta -> zeta^a (a a unit mod exp G) is g -> chi(g^a),
     so each row's twists are found through the class power maps, with rows
-    keyed by the power-basis coordinates of their values in Q(zeta_m).
+    keyed by the power-basis coordinates of their values in Q(zeta_m).  A
+    BuiltinAbelian table is read from its exponent rows instead.
     """
+    if table.exponents is not None:
+        return _exponent_orbits(table)
     G = table.group
     e = G.exponent
     # keys are integer coordinates in Q(zeta_m), scaled by one denominator
@@ -329,6 +385,46 @@ def rational_characters(table: CharacterTable) -> tuple[RationalCharacter, ...]:
             degree=table.degrees[members[0]],
         ))
     return tuple(out)
+
+
+def _exponent_orbits(table: CharacterTable) -> tuple[RationalCharacter, ...]:
+    """rational_characters of a table with exponent rows.  The twists of a
+    row r are u r mod e over the units u, phi(o) distinct rows with
+    o = e / gcd(e, r), and their sum at a class where r is x is the
+    Ramanujan sum c_o(x / gcd(e, r))."""
+    e = table.group.exponent
+    rows = table.exponents
+    index = {row: i for i, row in enumerate(rows)}
+    out = []
+    seen: set[int] = set()
+    for i, row in enumerate(rows):
+        if i in seen:
+            continue
+        g = gcd(e, *row)
+        o = e // g
+        twists = [index.get(tuple(u * x % e for x in row))
+                  for u in range(1, o + 1) if gcd(u, o) == 1]
+        if None in twists:
+            raise NotRationalAfterSum(
+                f"Galois twist of {table.names[i]} is not in the table")
+        members = sorted(twists)
+        seen.update(members)
+        sums = [_ramanujan_sum(o, n) for n in range(o)]
+        out.append(RationalCharacter(
+            names=tuple(table.names[j] for j in members),
+            indices=tuple(members),
+            values=tuple(Fraction(sums[x // g]) for x in row),
+            degree=table.degrees[members[0]],
+        ))
+    return tuple(out)
+
+
+def _ramanujan_sum(q: int, n: int) -> int:
+    """c_q(n), the sum of zeta_q^(u n) over the units u mod q, is
+    mu(t) phi(q) / phi(t) with t = q / gcd(q, n) (Hardy and Wright,
+    Thm 272)."""
+    t = q // gcd(q, n)
+    return mobius(t) * euler_phi(q) // euler_phi(t)
 
 
 def permutation_character(G: QuotientGroup, C: frozenset) -> tuple[int, ...]:

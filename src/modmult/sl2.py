@@ -5,7 +5,7 @@ conjugacy classes, cyclic subgroups and power maps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, lcm
 
 from . import ModmultError
@@ -138,7 +138,6 @@ def _congruence_elements(m: int, n: int, a0: int | None, b0: int | None,
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def _sl2_elements(n: int) -> tuple[Mat, ...]:
     return _congruence_elements(n, 1, None, None, None)
 

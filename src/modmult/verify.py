@@ -144,6 +144,23 @@ def monitor_lower_bound(pair: QuotientPair, series: MultiplicitySeries,
                             offset=None)
 
 
+def _deviation_checks(series: MultiplicitySeries, c: Fraction,
+                     window: tuple[int, int], kmax: int) -> tuple[bool, bool]:
+    """(bounded, liminf) over the in-parity weights k in [2, kmax]:
+    bounded iff |s_k - c*agg*k| never exceeds its maximum B over the slope
+    window, liminf iff s_k >= c*agg*k - B throughout.  With c*agg = n/d
+    both are integer comparisons of s_k*d - n*k with B*d."""
+    target = c * series.aggregate_degree
+    n, d = target.numerator, target.denominator
+    s = series.entries
+    bound = max(abs(s[k] * d - n * k)
+                for k in _parity_ks(series.parity_class, *window))
+    ks = _parity_ks(series.parity_class, 2, kmax)
+    bounded = all(abs(s[k] * d - n * k) <= bound for k in ks)
+    # the deviation bound implies the liminf, so scan only without it
+    return bounded, bounded or all(s[k] * d >= n * k - bound for k in ks)
+
+
 def _fmt_frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
@@ -201,19 +218,8 @@ def run_verify(config: VerificationConfig) -> dict:
                 v == 0 for k, v in series.entries.items()
                 if (series.parity_class == "even" and k % 2)
                 or (series.parity_class == "odd" and k % 2 == 0 and k > 0))
-            # periodic-offset bound: |s_k - c*agg*k| stays within the window max
-            agg = series.aggregate_degree
-            in_class = _parity_ks(series.parity_class, slope.window[0],
-                                  slope.window[1])
-            offset_bound_const = max(abs(series.entries[k] - pair.c * agg * k)
-                                     for k in in_class)
-            bounded = all(abs(series.entries[k] - pair.c * agg * k)
-                          <= offset_bound_const
-                          for k in _parity_ks(series.parity_class, 2, config.kmax))
-            # the deviation bound implies the liminf, so scan only without it
-            liminf_ok = bounded or all(
-                series.entries[k] >= pair.c * agg * k - offset_bound_const
-                for k in _parity_ks(series.parity_class, 2, config.kmax))
+            bounded, liminf_ok = _deviation_checks(series, pair.c,
+                                                  slope.window, config.kmax)
             if not slope.exact_match:
                 findings.append(f"slope mismatch: {kind}/{rat.label}")
             if bound.offset is None:

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -18,6 +19,7 @@ from modmult.reps import (CharacterTable, CharacterTableRequired,
 from modmult.sl2 import (FiniteSubgroup, SubgroupSpec,
                          cyclic_subgroups_up_to_conjugacy, enumerate_sl2,
                          mat_mul, quotient, realize)
+from test_cosets import PAIRS
 
 
 @pytest.fixture(scope="module")
@@ -311,8 +313,9 @@ def edited(table, rows=None, degrees=None):
 
 
 class TestValidate:
-    """Every rejection of CharacterTable.validate on the cyclic table of
-    Gamma0(13)/Gamma1(13) (exponent 12), with its type and message."""
+    """Every rejection of CharacterTable.validate's Z[zeta_m] route on the
+    cyclic table of Gamma0(13)/Gamma1(13) (exponent 12), with its type and
+    message."""
 
     def test_row_of_wrong_length(self, table13):
         rows = list(table13.values)
@@ -499,6 +502,91 @@ class TestGaloisOrbitsFromPowerMaps:
         for i, cl in enumerate(rows):
             assert perms[i][cl] > 0
             assert all(perms[j][cl] == 0 for j in range(i))
+
+
+def cyclotomic(table):
+    """The same table without its exponent rows: validate and
+    rational_characters take the Z[zeta_m] route."""
+    return replace(table, exponents=None, generators=())
+
+
+def with_exponent_rows(table, rows):
+    """An exponent table like table, with the given rows and values
+    zeta_e to them."""
+    e = table.group.exponent
+    rows = tuple(tuple(row) for row in rows)
+    values = tuple(tuple(CycloValue(e, {x: 1}) for x in row) for row in rows)
+    return replace(table, values=values, exponents=rows)
+
+
+class TestExponentRows:
+    """A BuiltinAbelian table is checked and summed from its exponent rows;
+    the Z[zeta_m] route it replaces is the oracle."""
+
+    @pytest.mark.parametrize("k0,n0,k1,n1", PAIRS,
+                             ids=[f"{a}:{b}/{c}:{d}" for a, b, c, d in PAIRS])
+    def test_same_rational_characters_as_cyclotomic_route(self, k0, n0,
+                                                           k1, n1):
+        # PAIRS holds Gamma0(N)/Gamma1(N) for every N <= 30
+        level = lcm(n0, n1)
+        G = quotient(realize(SubgroupSpec(k0, n0), at_level=level),
+                     realize(SubgroupSpec(k1, n1), at_level=level))
+        if not G.is_abelian:
+            if G.order == 6:
+                assert character_table_for(G).exponents is None
+            return
+        table = character_table_for(G)
+        assert table.provenance == "BuiltinAbelian"
+        assert len(table.exponents) == G.order
+        cyclotomic(table).validate()
+        assert rational_characters(table) == \
+            rational_characters(cyclotomic(table))
+
+    def test_same_rational_characters_at_level_97(self):
+        G = quotient(realize(SubgroupSpec("gamma0", 97), level_cap=97),
+                     realize(SubgroupSpec("gamma1", 97), level_cap=97))
+        table = character_table_for(G)
+        assert table.exponents is not None and G.order == 96
+        assert rational_characters(table) == \
+            rational_characters(cyclotomic(table))
+
+    @pytest.mark.parametrize("fault", ["not a homomorphism", "duplicated row",
+                                       "-I exponent not 0 or e/2"])
+    def test_fault_rejected_like_cyclotomic_validate(self, table13, fault):
+        G = table13.group
+        e = G.exponent
+        iota = G.class_of[G.iota]
+        rows = [list(row) for row in table13.exponents]
+        if fault == "not a homomorphism":
+            c = next(ci for ci in range(len(G.classes))
+                     if ci not in (G.class_of[G.identity], iota))
+            rows[3][c] = (rows[3][c] + 1) % e
+        elif fault == "duplicated row":
+            rows[4] = rows[2]
+        else:
+            assert rows[5][iota] in (0, e // 2)
+            rows[5][iota] = e // 4
+        broken = with_exponent_rows(table13, rows)
+        got = outcome(CharacterTable.validate, broken)
+        assert got is not None
+        assert got[0] == outcome(CharacterTable.validate,
+                                 cyclotomic(broken))[0]
+
+    def test_generators_must_generate_the_group(self, table13, diamond8):
+        # with too few generators the homomorphism check proves nothing
+        assert len(diamond8.table.generators) == 2
+        for table in (table13, diamond8.table):
+            broken = replace(table, generators=table.generators[1:])
+            with pytest.raises(SchemaError, match="do not generate G"):
+                broken.validate()
+
+    def test_values_must_match_exponent_rows(self, table13):
+        rows = [list(row) for row in table13.exponents]
+        rows[3] = rows[2]
+        broken = replace(with_exponent_rows(table13, rows),
+                         exponents=table13.exponents)
+        with pytest.raises(SchemaError, match="exponent rows"):
+            broken.validate()
 
 
 def coset_count_character(G, C):

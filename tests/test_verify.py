@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,8 +9,10 @@ import pytest
 from modmult.reps import MultiplicitySeries, QuotientPair, multiplicity_series
 from modmult.sl2 import SubgroupSpec
 from modmult.verify import (VerificationConfig, WindowTooSmall,
+                            _deviation_checks, _parity_ks,
                             check_decomposition_identity, detect_slope,
                             monitor_lower_bound, run_verify)
+from test_cosets import PAIRS
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +172,59 @@ def _std_mult_gamma2(k):
         return 0
     n = k // 2
     return (n + 1 - (1, -1, 0)[n % 3]) // 3
+
+
+def fraction_deviation_checks(series, c, window, kmax):
+    """The deviation bound and the liminf scan in Fraction arithmetic, the
+    liminf scanned whether or not the bound holds."""
+    target = c * series.aggregate_degree
+    s = series.entries
+    bound = max(abs(s[k] - target * k)
+                for k in _parity_ks(series.parity_class, *window))
+    ks = _parity_ks(series.parity_class, 2, kmax)
+    return (all(abs(s[k] - target * k) <= bound for k in ks),
+            all(s[k] >= target * k - bound for k in ks))
+
+
+class TestDeviationChecks:
+    """run_verify's integer deviation and liminf decisions against the
+    Fraction scans they replace."""
+
+    @pytest.mark.parametrize("k0,n0,k1,n1", PAIRS,
+                             ids=[f"{a}:{b}/{c}:{d}" for a, b, c, d in PAIRS])
+    def test_match_fraction_reference(self, k0, n0, k1, n1):
+        pair = QuotientPair.build(SubgroupSpec(k0, n0), SubgroupSpec(k1, n1))
+        ks = [k for k in range(0, 101) if k != 1]
+        for kind in ("M", "S"):
+            for rat in pair.rationals:
+                series = multiplicity_series(pair, rat, kind, ks)
+                window = detect_slope(series, pair.period(), pair.c).window
+                assert _deviation_checks(series, pair.c, window, 100) == \
+                    fraction_deviation_checks(series, pair.c, window, 100)
+
+    def test_entry_at_and_past_the_bound(self, diamond5):
+        # one entry moved to each edge of the band c*k +- B and one past it:
+        # raised past it, only the liminf holds; lowered past it, neither
+        series = series_for(diamond5, "triv", kmax=100)
+        c, k = diamond5.c, 96
+        window = detect_slope(series, diamond5.period(), c).window
+        target = c * series.aggregate_degree
+        bound = max(abs(series.entries[j] - target * j)
+                    for j in _parity_ks(series.parity_class, *window))
+        hi, lo = target * k + bound, target * k - bound
+        assert hi.denominator == lo.denominator == 1 and lo > 0
+        cases = {int(hi): (True, True), int(hi) + 1: (False, True),
+                 int(lo): (True, True), int(lo) - 1: (False, False)}
+        for value, expect in cases.items():
+            off = replace(series, entries={**series.entries, k: value})
+            assert _deviation_checks(off, c, window, 100) == expect, value
+            assert fraction_deviation_checks(off, c, window, 100) == expect
+        # past the band at k + 2 and on its lower edge at k: the liminf scan
+        # runs and holds
+        off = replace(series, entries={**series.entries, k: int(lo),
+                                       k + 2: int(hi + 2 * target) + 1})
+        assert _deviation_checks(off, c, window, 100) == (False, True)
+        assert fraction_deviation_checks(off, c, window, 100) == (False, True)
 
 
 class TestRunVerify:
@@ -340,6 +398,23 @@ class TestCli:
                               "--weights", "4..4"], capsys)
         rows = set(out.strip().splitlines()[1:])
         assert any(r.startswith("triv,4,3") for r in rows)
+
+    @pytest.mark.parametrize("weights,ks", [("-4..0", range(-4, 1)),
+                                            ("-3", [-3])])
+    @pytest.mark.parametrize("command", [
+        ["dims", "--group", "gamma0:5"],
+        ["mult", "--pair", "gamma0:5/gamma1:5"]], ids=["dims", "mult"])
+    def test_negative_weights_after_a_space(self, command, weights, ks,
+                                            capsys):
+        spaced = self.run(command + ["--weights", weights], capsys)
+        joined = self.run(command + [f"--weights={weights}"], capsys)
+        assert spaced == joined
+        code, out = spaced
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert sorted({int(row["k"]) for row in rows}) == list(ks)
+        if command[0] == "dims" and 0 in ks:
+            assert rows[-1] == {"k": "0", "dim_M": "1"}
 
     def test_mult_split_json(self, capsys):
         code, out = self.run(["mult", "--pair", "gamma0:5/gamma1:5",
