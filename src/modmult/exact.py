@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from . import ModmultError
 
@@ -263,12 +263,19 @@ def solve_linear_exact(A, b, column_order=None):
     InconsistentSystem when none exists.  ``column_order`` controls the
     pivot-column order, which selects among solutions of underdetermined
     systems.
+
+    Gauss-Jordan elimination without fractions, in the manner of Bareiss
+    (Math. Comp. 22, 1968): each augmented row is scaled to integers by the
+    lcm of its denominators, and a row is cleared as pv * row - f * pivot_row
+    and divided by the gcd of its entries.  Every row stays a nonzero
+    multiple of the row rational elimination would hold, so the pivots and
+    the solution are the same; one Fraction is built per pivot variable.
     """
     r = len(A)
     s = len(A[0]) if r else 0
     if len(b) != r:
         raise ValueError("dimension mismatch")
-    M = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(A)]
+    M = [_integer_row([*row, b[i]]) for i, row in enumerate(A)]
     if any(len(row) != s + 1 for row in M):
         raise ValueError("ragged matrix")
     cols = list(range(s)) if column_order is None else list(column_order)
@@ -282,12 +289,14 @@ def solve_linear_exact(A, b, column_order=None):
         if sel is None:
             continue
         M[prow], M[sel] = M[sel], M[prow]
-        pv = M[prow][col]
-        M[prow] = [x / pv for x in M[prow]]
+        pivot_row = M[prow]
+        pv = pivot_row[col]
         for i in range(r):
-            if i != prow and M[i][col]:
-                f = M[i][col]
-                M[i] = [x - f * y for x, y in zip(M[i], M[prow])]
+            f = M[i][col]
+            if i != prow and f:
+                row = [pv * x - f * y for x, y in zip(M[i], pivot_row)]
+                g = gcd(*row)
+                M[i] = [x // g for x in row] if g > 1 else row
         pivots.append((prow, col))
         prow += 1
         if prow == r:
@@ -297,5 +306,12 @@ def solve_linear_exact(A, b, column_order=None):
             raise InconsistentSystem("no exact solution")
     x = [Fraction(0)] * s
     for row, col in pivots:
-        x[col] = M[row][s]
+        x[col] = Fraction(M[row][s], M[row][col])
     return x
+
+
+def _integer_row(row) -> list[int]:
+    """The row times the lcm of its entries' denominators."""
+    row = [v if type(v) is int else Fraction(v) for v in row]
+    den = lcm(*(v.denominator for v in row))
+    return [v.numerator * (den // v.denominator) for v in row]

@@ -81,21 +81,33 @@ class CharacterTable:
             if at_id != deg:
                 raise SchemaError("degree must equal the value at the identity")
         if self.exponents is None:
-            self._check_gram_matrix()
+            int_rows = integer_rows(self.values)
+            self._check_gram_matrix(*int_rows)
         else:
             self._check_exponent_rows()
         if G.iota is not None:
-            for name, deg, row in zip(self.names, self.degrees, self.values):
-                v = row[G.class_of[G.iota]]
-                if not (v == deg or v == -deg):
+            for i, name in enumerate(self.names):
+                if not self._scalar_at_iota(i):
                     raise SchemaError(
                         f"value of {name} at the -I coset is not a +-1 scalar")
+        if self.exponents is None:
+            self._check_class_algebra(*int_rows)
 
-    def _check_gram_matrix(self):
+    def _scalar_at_iota(self, i: int) -> bool:
+        """Whether row i is +-deg at the -I coset.  On an exponent table
+        that has passed _check_exponent_rows, deg = 1 and the value is
+        zeta_e^r with 0 <= r < e, so it is +-1 iff r is 0 or e/2."""
+        G = self.group
+        iota = G.class_of[G.iota]
+        if self.exponents is not None:
+            return 2 * self.exponents[i][iota] % G.exponent == 0
+        v, deg = self.values[i][iota], self.degrees[i]
+        return v == deg or v == -deg
+
+    def _check_gram_matrix(self, m, rows, dens):
         """<chi_i, chi_j> = |G| delta_ij, computed in Z[x]/(x^m - 1): each
         row is scaled by its denominator, and conj(zeta^b) = zeta^(m - b)."""
         G = self.group
-        m, rows, dens = integer_rows(self.values)
         sizes = [len(cls) for cls in G.classes]
         for i, row_i in enumerate(rows):
             for j in range(i, len(rows)):
@@ -110,6 +122,55 @@ class CharacterTable:
                 if ip != (G.order if i == j else 0):
                     raise OrthogonalityFailure(
                         f"<{self.names[i]},{self.names[j]}> = {ip}/{G.order}")
+
+    def _check_class_algebra(self, m, rows, dens):
+        """Each orthonormal row chi is an irreducible character: its degree
+        is positive and omega(K) = |K| chi(K) / chi(1) multiplies like the
+        class sums, omega(K_i) omega(K_j) = sum_l a_ijl omega(K_l) with
+        a_ijl = #{x in K_i : x^-1 z_l in K_j}, z_l in K_l (Burnside's
+        relations, as used by Dixon, Numer. Math. 10, 1967).  Then omega is
+        the central character of an irreducible psi, and chi = psi.  Over
+        the row's denominator, in Z[x]/(x^m - 1):
+        |K_i||K_j| chi_i chi_j = chi(1) sum_l a_ijl |K_l| chi_l."""
+        G = self.group
+        cls = G.class_of
+        sizes = [len(K) for K in G.classes]
+        # (i, j) -> {l: a_ijl |K_l|} for classes i <= j
+        terms: dict[tuple[int, int], dict[int, int]] = {}
+        for i, K in enumerate(G.classes):
+            for l, Kl in enumerate(G.classes):
+                z = Kl[0]
+                for x in K:
+                    j = cls[G.mul[G.inv[x]][z]]
+                    if j >= i:
+                        t = terms.setdefault((i, j), {})
+                        t[l] = t.get(l, 0) + sizes[l]
+        products = sorted(terms.items())
+        for name, deg, row, den in zip(self.names, self.degrees, rows, dens):
+            if deg < 1:
+                raise OrthogonalityFailure(
+                    f"{name} is not a character: degree {deg}")
+            scale = deg * den
+            for (i, j), t in products:
+                acc: dict[int, int] = {}
+                w = sizes[i] * sizes[j]
+                for a, x in row[i]:
+                    for b, y in row[j]:
+                        k = (a + b) % m
+                        acc[k] = acc.get(k, 0) + w * x * y
+                for l, c in t.items():
+                    for a, x in row[l]:
+                        acc[a] = acc.get(a, 0) - scale * c * x
+                if not any(acc.values()):
+                    continue
+                vec = [0] * m
+                for k, v in acc.items():
+                    vec[k] = v
+                if any(reduce_cyclotomic(m, vec)):
+                    zi, zj = (G.elements[G.classes[k][0]] for k in (i, j))
+                    raise OrthogonalityFailure(
+                        f"{name} is not a character: it breaks the class "
+                        f"multiplication at {zi} * {zj}")
 
     def _check_exponent_rows(self):
         """The rows are |G| distinct homomorphisms G -> Z/e, so they are all
@@ -444,16 +505,20 @@ def artin_decompose(target_values, G: QuotientGroup, cyclics,
     each cyclic subgroup (Serre, Linear Representations, 13.1), and at
     those classes the marks matrix is upper triangular with a positive
     diagonal, so the system is square and nonsingular.  The solution is
-    then checked at every class; a function that is not constant on the
-    Galois class orbits raises InconsistentSystem.
+    then checked at every class, in integers over the coefficients' common
+    denominator D; a function that is not constant on the Galois class
+    orbits raises InconsistentSystem.
     """
     perms = [permutation_character(G, sub) for _, sub in cyclics]
     rows = [G.class_of[gen] for gen, _ in cyclics]
     A = [[perm[cl] for perm in perms] for cl in rows]
     x = solve_linear_exact(A, [target_values[cl] for cl in rows],
                            column_order=column_order)
+    D = lcm(*(q.denominator for q in x))
+    scaled = [q.numerator * (D // q.denominator) for q in x]
     for cl, want in enumerate(target_values):
-        if sum(q * perm[cl] for q, perm in zip(x, perms)) != want:
+        got = sum(a * perm[cl] for a, perm in zip(scaled, perms))
+        if got * want.denominator != D * want.numerator:
             raise InconsistentSystem(
                 f"no Artin decomposition: mismatch at class {cl}")
     return tuple(x)

@@ -85,7 +85,15 @@ def detect_slope(series: MultiplicitySeries, P: int, c: Fraction) -> SlopeReport
     slope = Fraction(diffs.pop(), P) if quasi_linear else Fraction(0)
     agg = series.aggregate_degree
     target = c * agg
-    deviation = max(abs(Fraction(series.entries[k], k * agg) - c) for k in ks)
+    # |s_k / (k agg) - c| = |s_k d - n k agg| / (k agg d) with c = n/d: the
+    # largest |s_k d - n k agg| / k, found by cross-multiplying
+    n, d = c.numerator, c.denominator
+    top, k_top = 0, 1
+    for k in ks:
+        dev = abs(series.entries[k] * d - n * k * agg)
+        if dev * k_top > top * k:
+            top, k_top = dev, k
+    deviation = Fraction(top, k_top * agg * d)
     return SlopeReport(
         rep_label=series.rep_label, kind=series.kind,
         parity_class=series.parity_class, slope=slope, target=target,

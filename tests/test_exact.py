@@ -151,3 +151,117 @@ class TestSolver:
         assert solvable
         for i in range(r):
             assert sum(Fraction(A[i][j]) * x[j] for j in range(s)) == b[i]
+
+
+def fraction_gauss_jordan(A, b, column_order=None):
+    """solve_linear_exact as it was written in Fraction arithmetic: the
+    oracle for the integer elimination."""
+    r = len(A)
+    s = len(A[0]) if r else 0
+    if len(b) != r:
+        raise ValueError("dimension mismatch")
+    M = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(A)]
+    if any(len(row) != s + 1 for row in M):
+        raise ValueError("ragged matrix")
+    cols = list(range(s)) if column_order is None else list(column_order)
+    if sorted(cols) != list(range(s)):
+        raise ValueError("column_order must be a permutation of the columns")
+    pivots = []
+    prow = 0
+    for col in cols:
+        sel = next((i for i in range(prow, r) if M[i][col]), None)
+        if sel is None:
+            continue
+        M[prow], M[sel] = M[sel], M[prow]
+        pv = M[prow][col]
+        M[prow] = [x / pv for x in M[prow]]
+        for i in range(r):
+            if i != prow and M[i][col]:
+                f = M[i][col]
+                M[i] = [x - f * y for x, y in zip(M[i], M[prow])]
+        pivots.append((prow, col))
+        prow += 1
+        if prow == r:
+            break
+    for i in range(prow, r):
+        if M[i][s]:
+            raise InconsistentSystem("no exact solution")
+    x = [Fraction(0)] * s
+    for row, col in pivots:
+        x[col] = M[row][s]
+    return x
+
+
+def solver_outcome(solve, *args, **kwargs):
+    """The solution with the type of each entry, or the error's type and
+    message."""
+    try:
+        x = solve(*args, **kwargs)
+    except (ValueError, InconsistentSystem) as exc:
+        return type(exc), str(exc)
+    return [(type(v), v) for v in x]
+
+
+small_int = st.integers(min_value=-6, max_value=6)
+entry = st.one_of(small_int, small_fraction)
+
+
+@st.composite
+def systems(draw):
+    """(A, b): square, singular but consistent, inconsistent, or random
+    systems of up to 4 x 4, with int, Fraction or mixed entries."""
+    r, s = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    shape = draw(st.sampled_from(["random", "square", "singular", "inconsistent"]))
+    if shape == "square":
+        s = r
+    A = [[draw(entry) for _ in range(s)] for _ in range(r)]
+    if shape == "random":
+        return A, [draw(entry) for _ in range(r)]
+    # b = A x for some x; a dependent last row keeps the system consistent,
+    # and moving its b off A x makes it inconsistent
+    x = [draw(entry) for _ in range(s)]
+    if shape in ("singular", "inconsistent") and r > 1:
+        u, v = draw(small_int), draw(small_int)
+        A[-1] = [u * p + v * q for p, q in zip(A[0], A[1 % (r - 1)])]
+    b = [sum(Fraction(a) * y for a, y in zip(row, x)) for row in A]
+    if shape == "inconsistent" and r > 1:
+        b[-1] += draw(st.sampled_from([1, -1, Fraction(1, 3)]))
+    return A, b
+
+
+class TestSolverMatchesFractionElimination:
+    @settings(max_examples=300, deadline=None)
+    @given(systems())
+    def test_same_solution_or_error(self, system):
+        A, b = system
+        assert solver_outcome(solve_linear_exact, A, b) == \
+            solver_outcome(fraction_gauss_jordan, A, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(systems())
+    def test_every_column_order(self, system):
+        from itertools import permutations
+
+        A, b = system
+        for order in permutations(range(len(A[0]))):
+            assert solver_outcome(solve_linear_exact, A, b,
+                                  column_order=order) == \
+                solver_outcome(fraction_gauss_jordan, A, b,
+                               column_order=order)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(entry, min_size=0, max_size=4),
+                    min_size=1, max_size=4), st.data())
+    def test_ragged_and_mismatched_shapes(self, A, data):
+        b = data.draw(st.lists(entry, min_size=len(A) - 1,
+                               max_size=len(A) + 1))
+        order = data.draw(st.one_of(st.none(), st.permutations(range(3)),
+                                    st.just([0, 0])))
+        assert solver_outcome(solve_linear_exact, A, b, column_order=order) \
+            == solver_outcome(fraction_gauss_jordan, A, b, column_order=order)
+
+    def test_entries_rational_but_not_fractions(self):
+        A = [[True, "1/2"], [0.25, 3]]
+        b = ["-2/3", 1]
+        assert solver_outcome(solve_linear_exact, A, b) == \
+            solver_outcome(fraction_gauss_jordan, A, b)

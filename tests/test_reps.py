@@ -7,7 +7,7 @@ from math import gcd, lcm
 import pytest
 
 from modmult.cosets import subgroup_signature
-from modmult.exact import CycloValue, InconsistentSystem
+from modmult.exact import CycloValue, InconsistentSystem, solve_linear_exact
 from modmult.reps import (CharacterTable, CharacterTableRequired,
                           ClassMismatch, IndivisibleOrbitTotal, NotAbelian,
                           NotRationalAfterSum, OrthogonalityFailure,
@@ -202,10 +202,14 @@ TABLE_PAIRS = [
 ]
 
 
-def table_of(gamma, gamma1):
+def pair_quotient(gamma, gamma1):
     level = lcm(gamma.level, gamma1.level)
-    return character_table_for(quotient(realize(gamma, at_level=level),
-                                        realize(gamma1, at_level=level)))
+    return quotient(realize(gamma, at_level=level),
+                    realize(gamma1, at_level=level))
+
+
+def table_of(gamma, gamma1):
+    return character_table_for(pair_quotient(gamma, gamma1))
 
 
 def conj(v):
@@ -245,6 +249,22 @@ def reference_validate(table):
             if not (v == deg or v == -deg):
                 raise SchemaError(
                     f"value of {name} at the -I coset is not a +-1 scalar")
+    # each row is a character: |K_i||K_j| chi_i chi_j = chi(1) *
+    # sum_l a_ijl |K_l| chi_l, a_ijl = #{x in K_i : x^-1 z_l in K_j}
+    for name, deg, row in zip(table.names, table.degrees, table.values):
+        if deg < 1:
+            raise OrthogonalityFailure(f"{name} is not a character: degree {deg}")
+        for i, Ki in enumerate(G.classes):
+            for j in range(i, len(G.classes)):
+                rhs = CycloValue.from_rational(0)
+                for l, Kl in enumerate(G.classes):
+                    a = sum(G.class_of[G.mul[G.inv[x]][Kl[0]]] == j for x in Ki)
+                    rhs = rhs + (a * sizes[l]) * row[l]
+                if (sizes[i] * sizes[j]) * (row[i] * row[j]) != deg * rhs:
+                    raise OrthogonalityFailure(
+                        f"{name} is not a character: it breaks the class "
+                        f"multiplication at {G.elements[Ki[0]]} * "
+                        f"{G.elements[G.classes[j][0]]}")
 
 
 def outcome(check, table):
@@ -588,6 +608,108 @@ class TestExponentRows:
         with pytest.raises(SchemaError, match="exponent rows"):
             broken.validate()
 
+    def test_minus_identity_check_matches_cyclotomic_values(self):
+        # on every abelian quotient of PAIRS with -I in Gamma but not in
+        # Gamma1, every row's value at -I times each power of zeta_e
+        verdicts = set()
+        for k0, n0, k1, n1 in PAIRS:
+            G = pair_quotient(SubgroupSpec(k0, n0), SubgroupSpec(k1, n1))
+            if not G.is_abelian or G.iota is None or G.iota_trivial:
+                continue
+            table = character_table_for(G)
+            e, iota = G.exponent, G.class_of[G.iota]
+            for r in range(e):
+                rows = [list(row) for row in table.exponents]
+                for row in rows:
+                    row[iota] = (row[iota] + r) % e
+                moved = with_exponent_rows(table, rows)
+                for i in range(G.order):
+                    got = moved._scalar_at_iota(i)
+                    assert got == cyclotomic(moved)._scalar_at_iota(i)
+                    verdicts.add(got)
+        assert verdicts == {True, False}
+
+
+def swapped_columns_doc(gamma, gamma1, orders):
+    """The table of gamma/gamma1 as a --table document, with the values at
+    a class of each of the two element orders swapped in every row; neither
+    class is the identity or -I."""
+    G = pair_quotient(gamma, gamma1)
+    doc = table_to_doc(character_table_for(G))
+    picked = []
+    for order in orders:
+        picked.append(next(ci for ci, cls in enumerate(G.classes)
+                           if G.element_order(cls[0]) == order
+                           and cls[0] != G.iota and ci not in picked))
+    a, b = picked
+    for ch in doc["characters"]:
+        ch["values"][a], ch["values"][b] = ch["values"][b], ch["values"][a]
+    return G, doc
+
+
+# the two tables of orthonormal rows that are not characters: two classes
+# of order 2 of (Z/2)^3 swapped, and classes of order 3 and 4 of Z/12
+SWAPPED_TABLES = {
+    "gamma:12/gamma:24": (SubgroupSpec("gamma", 12), SubgroupSpec("gamma", 24),
+                          (2, 2)),
+    "gamma0:13/gamma1:13": (SubgroupSpec("gamma0", 13),
+                            SubgroupSpec("gamma1", 13), (3, 4)),
+}
+
+
+class TestClassAlgebra:
+    """A --table file's rows must multiply like the class sums; the
+    CycloValue version of the check is in reference_validate."""
+
+    @pytest.mark.parametrize("name", SWAPPED_TABLES)
+    def test_swapped_columns_rejected(self, name):
+        G, doc = swapped_columns_doc(*SWAPPED_TABLES[name])
+        with pytest.raises(OrthogonalityFailure,
+                           match=r"^chi\d+ is not a character: it breaks the "
+                                 r"class multiplication at \(.*\) \* \(.*\)$"):
+            load_character_table(doc, G)
+
+    @pytest.mark.parametrize("k0,n0,k1,n1", PAIRS,
+                             ids=[f"{a}:{b}/{c}:{d}" for a, b, c, d in PAIRS])
+    def test_every_abelian_table_loads(self, k0, n0, k1, n1):
+        G = pair_quotient(SubgroupSpec(k0, n0), SubgroupSpec(k1, n1))
+        if not G.is_abelian:
+            return
+        table = character_table_for(G)
+        loaded = load_character_table(table_to_doc(table), G)
+        assert loaded.names == table.names
+        assert rational_characters(loaded) == rational_characters(table)
+
+    @pytest.mark.parametrize("pair", TABLE_PAIRS,
+                             ids=lambda p: f"{p[0].label()}/{p[1].label()}")
+    def test_columns_permuted_by_a_power_map_load(self, pair):
+        # chi(x^u) for a unit u mod exp G is the Galois twist of chi, so the
+        # rows are the same characters in another order
+        G = pair_quotient(*pair)
+        table = character_table_for(G)
+        doc = table_to_doc(table)
+        e = G.exponent
+        for u in (u for u in range(2, e) if gcd(u, e) == 1):
+            pmap = [G.class_of[G.power(cls[0], u)] for cls in G.classes]
+            moved = json.loads(json.dumps(doc))
+            for ch, row in zip(moved["characters"], doc["characters"]):
+                ch["values"] = [row["values"][c] for c in pmap]
+            loaded = load_character_table(moved, G)
+            assert sorted(r.values for r in rational_characters(loaded)) == \
+                sorted(r.values for r in rational_characters(table))
+
+    def test_negated_row_rejected(self, s3pair):
+        # -sign with degree -1 is orthonormal and -1 at the identity
+        doc = table_to_doc(s3pair.table)
+        sign = doc["characters"][1]
+        assert sign["name"] == "sign"
+        sign["degree"] = -1
+        for v in sign["values"]:
+            v["coeffs"] = {j: str(-Fraction(c)) for j, c in v["coeffs"].items()}
+        with pytest.raises(OrthogonalityFailure,
+                           match="^sign is not a character: degree -1$"):
+            load_character_table(doc, s3pair.G)
+
 
 def coset_count_character(G, C):
     """1_C induced to G, at each class the number of left cosets xC that
@@ -676,6 +798,34 @@ class TestArtin:
         values = [Fraction(ci == order4[0]) for ci in range(len(G.classes))]
         with pytest.raises(InconsistentSystem):
             artin_decompose(values, G, diamond5.cyclics)
+
+    @pytest.mark.parametrize("pair", TABLE_PAIRS,
+                             ids=lambda p: f"{p[0].label()}/{p[1].label()}")
+    def test_integer_check_matches_fraction_check(self, pair):
+        # the indicator of each class: constant on the Galois class orbits
+        # or not, the outcome is the Fraction check's, message included
+        G = pair_quotient(*pair)
+        cy = cyclic_subgroups_up_to_conjugacy(G)
+        perms = [permutation_character(G, sub) for _, sub in cy]
+        rows = [G.class_of[gen] for gen, _ in cy]
+        A = [[perm[cl] for perm in perms] for cl in rows]
+        outcomes = set()
+        for c in range(len(G.classes)):
+            values = [Fraction(ci == c, 3) for ci in range(len(G.classes))]
+            x = solve_linear_exact(A, [values[cl] for cl in rows])
+            bad = [cl for cl, want in enumerate(values)
+                   if sum(q * perm[cl] for q, perm in zip(x, perms)) != want]
+            if bad:
+                with pytest.raises(InconsistentSystem) as err:
+                    artin_decompose(values, G, cy)
+                assert str(err.value) == \
+                    f"no Artin decomposition: mismatch at class {bad[0]}"
+            else:
+                assert artin_decompose(values, G, cy) == tuple(x)
+            outcomes.add(bool(bad))
+        # Z/12 has classes that are Galois conjugate and classes that are not
+        if G.order == 12:
+            assert outcomes == {True, False}
 
     def test_conjugate_subgroups_same_data(self, s3pair):
         # conjugates of a listed cyclic subgroup induce the same character

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -79,6 +80,48 @@ class TestDetectSlope:
         r = detect_slope(fake, 12, s3pair.c)
         assert not r.quasi_linear
         assert not r.exact_match
+
+
+# the nine pairs of perfbench/golden/
+GOLDEN_PAIRS = ["gamma0:25/gamma1:25", "gamma0:29/gamma1:29",
+                "gamma:12/gamma:24", "gamma:13/gamma:26", "gamma:14/gamma:28",
+                "gamma:15/gamma:30", "SL2Z/gamma:2", "gamma0:7/gamma1:7",
+                "gamma0:8/gamma1:8"]
+
+
+def fraction_max_deviation(series, c, window):
+    """detect_slope's max_deviation as a Fraction maximum."""
+    agg = series.aggregate_degree
+    return max(abs(Fraction(series.entries[k], k * agg) - c)
+               for k in _parity_ks(series.parity_class, *window))
+
+
+class TestMaxDeviation:
+    """detect_slope's integer maximum against the Fraction one it replaces."""
+
+    @pytest.mark.parametrize("text", GOLDEN_PAIRS)
+    def test_matches_fraction_maximum(self, text):
+        from modmult.cli import parse_pair
+        pair = QuotientPair.build(*parse_pair(text))
+        ks = [k for k in range(0, 5 + 3 * pair.period() + 1) if k != 1]
+        rng = random.Random(text)
+        for kind in ("M", "S"):
+            for rat in pair.rationals:
+                series = multiplicity_series(pair, rat, kind, ks)
+                report = detect_slope(series, pair.period(), pair.c)
+                assert report.max_deviation == \
+                    fraction_max_deviation(series, pair.c, report.window)
+                # entries moved up or down, to 0, and a larger degree
+                for _ in range(4):
+                    entries = dict(series.entries)
+                    for k in rng.sample(sorted(entries), 3):
+                        entries[k] = rng.choice(
+                            (0, entries[k] + rng.randint(-40, 40)))
+                    moved = replace(series, entries=entries,
+                                    degree=rng.choice((1, 2, 3)))
+                    assert detect_slope(moved, pair.period(), pair.c)\
+                        .max_deviation == fraction_max_deviation(
+                            moved, pair.c, report.window)
 
 
 class TestDecompositionIdentity:
@@ -509,6 +552,21 @@ class TestCli:
         code, out, _ = run_cli(["verify", "--pair", "SL2Z/gamma:2",
                                  "--kmax", "60", "--table", str(path)], capsys)
         assert code == 0 and json.loads(out)["pass"] is True
+
+    @pytest.mark.parametrize("pair", ["gamma:12/gamma:24",
+                                      "gamma0:13/gamma1:13"])
+    def test_table_of_non_characters_rejected(self, pair, capsys, tmp_path):
+        # orthonormal rows with two columns swapped pass the degree, Gram
+        # and -I checks; the class algebra rejects them
+        from test_reps import SWAPPED_TABLES, swapped_columns_doc
+        _, doc = swapped_columns_doc(*SWAPPED_TABLES[pair])
+        path = tmp_path / "swapped.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["verify", "--pair", pair, "--table",
+                                  str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("modmult: OrthogonalityFailure: chi")
+        assert " is not a character: " in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("content", [None, "{", "", '"s3.json"'],
                              ids=["missing", "truncated", "empty", "string"])
