@@ -185,10 +185,12 @@ def cmd_verify(args) -> int:
     return 0 if report["pass"] else 1
 
 
-SPLIT_HELP = ("divide orbit totals across orbit members; only meaningful "
-              "when Galois conjugates have equal multiplicity, otherwise "
-              "IndivisibleOrbitTotal (e.g. gamma0:3/gamma:3 at k=7, where "
-              "an orbit of 2 characters has total 5)")
+SPLIT_HELP = ("print each orbit total divided evenly among the orbit's "
+              "members. Galois conjugates need not have equal multiplicity, "
+              "so an even split is printed whenever the total divides and "
+              "can be wrong (gamma1:15/gamma:15, S at k=3); a total that "
+              "does not divide raises IndivisibleOrbitTotal (gamma0:3/"
+              "gamma:3 at k=7, where an orbit of 2 characters has total 5)")
 
 
 def build_parser() -> argparse.ArgumentParser:

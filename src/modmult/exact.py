@@ -75,52 +75,25 @@ def poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return poly_trim(out)
 
 
-def poly_divmod_exact(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Divide a by monic-up-to-sign b over Z, requiring zero remainder."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if abs(b[-1]) != 1:
-        raise ValueError("divisor must have leading coefficient +-1")
-    rem = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    lead = b[-1]
-    for i in range(len(rem) - len(b), -1, -1):
-        coef = rem[i + len(b) - 1]
-        if coef % lead:
-            raise ValueError("division not exact")
-        f = coef // lead
-        q[i] = f
-        if f:
-            for j, y in enumerate(b):
-                rem[i + j] -= f * y
-    if any(rem):
-        raise ValueError("division not exact")
-    return poly_trim(q)
-
-
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """The n-th cyclotomic polynomial, by exact division of x^n - 1."""
+    """The n-th cyclotomic polynomial, prod_{d | n} (x^d - 1)^mu(n/d): the
+    factors with mu = 1 are multiplied out, then each factor with mu = -1
+    is divided out exactly, as q = p / (x^d - 1) has q[i] = q[i-d] - p[i]."""
     if n < 1:
         raise ValueError("n must be positive")
-    num = tuple([-1] + [0] * (n - 1) + [1])  # x^n - 1
-    den = (1,)
-    for d in _divisors(n):
-        if d < n:
-            den = poly_mul(den, cyclotomic_poly(d))
-    return poly_divmod_exact(num, den)
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    p = (1,)
+    for d in divisors:
+        if mobius(n // d) == 1:
+            p = poly_mul(p, (-1,) + (0,) * (d - 1) + (1,))
+    for d in divisors:
+        if mobius(n // d) == -1:
+            q = []
+            for i in range(len(p) - d):
+                q.append((q[i - d] if i >= d else 0) - p[i])
+            p = tuple(q)
+    return p
 
 
 def reduce_cyclotomic(n: int, coeffs: list) -> tuple:
@@ -236,21 +209,19 @@ class CycloValue:
 def integer_rows(rows):
     """Rows of CycloValues as integer vectors in Z[x]/(x^m - 1).
 
-    Returns (m, int_rows, dens): m is the lcm of the value orders, and the
-    value in row r, column c is sum a * zeta_m^j / dens[r] over the
-    (j, a) pairs of int_rows[r][c], with dens[r] the least common
-    denominator of the row's coefficients.
+    Returns (m, int_rows, den): m is the lcm of the value orders, den the
+    least common denominator of every coefficient, and the value in row r,
+    column c is sum a * zeta_m^j / den over the (j, a) pairs of
+    int_rows[r][c].
     """
     m = lcm(*(v.order for row in rows for v in row))
-    int_rows, dens = [], []
-    for row in rows:
-        den = lcm(*(c.denominator for v in row for c in v.coeffs.values()))
-        int_rows.append(tuple(
-            tuple((j * (m // v.order), c.numerator * (den // c.denominator))
-                  for j, c in v.coeffs.items())
-            for v in row))
-        dens.append(den)
-    return m, int_rows, dens
+    den = lcm(*(c.denominator for row in rows for v in row
+                for c in v.coeffs.values()))
+    int_rows = [tuple(
+        tuple((j * (m // v.order), c.numerator * (den // c.denominator))
+              for j, c in v.coeffs.items())
+        for v in row) for row in rows]
+    return m, int_rows, den
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import ModmultError
-from .cosets import (BranchPoints, Signature, area_constant_c, branch_points,
-                     coset_action, fibre_signature, subgroup_signature)
+from .cosets import (Signature, area_constant_c, branch_points, coset_action,
+                     fibre_signature, subgroup_signature)
 from .dimensions import WeightOneUnsupported, dims
 from .exact import (CycloValue, InconsistentSystem, euler_phi, integer_rows,
                     mobius, reduce_cyclotomic, solve_linear_exact)
@@ -104,9 +104,9 @@ class CharacterTable:
         v, deg = self.values[i][iota], self.degrees[i]
         return v == deg or v == -deg
 
-    def _check_gram_matrix(self, m, rows, dens):
-        """<chi_i, chi_j> = |G| delta_ij, computed in Z[x]/(x^m - 1): each
-        row is scaled by its denominator, and conj(zeta^b) = zeta^(m - b)."""
+    def _check_gram_matrix(self, m, rows, den):
+        """<chi_i, chi_j> = |G| delta_ij, computed in Z[x]/(x^m - 1): the
+        table is scaled by its denominator, and conj(zeta^b) = zeta^(m - b)."""
         G = self.group
         sizes = [len(cls) for cls in G.classes]
         for i, row_i in enumerate(rows):
@@ -118,19 +118,19 @@ class CharacterTable:
                             acc[(a - b) % m] += size * x * y
                 coords = reduce_cyclotomic(m, acc)
                 ip = (None if any(coords[1:])
-                      else Fraction(coords[0], dens[i] * dens[j]))
+                      else Fraction(coords[0], den * den))
                 if ip != (G.order if i == j else 0):
                     raise OrthogonalityFailure(
                         f"<{self.names[i]},{self.names[j]}> = {ip}/{G.order}")
 
-    def _check_class_algebra(self, m, rows, dens):
+    def _check_class_algebra(self, m, rows, den):
         """Each orthonormal row chi is an irreducible character: its degree
         is positive and omega(K) = |K| chi(K) / chi(1) multiplies like the
         class sums, omega(K_i) omega(K_j) = sum_l a_ijl omega(K_l) with
         a_ijl = #{x in K_i : x^-1 z_l in K_j}, z_l in K_l (Burnside's
         relations, as used by Dixon, Numer. Math. 10, 1967).  Then omega is
         the central character of an irreducible psi, and chi = psi.  Over
-        the row's denominator, in Z[x]/(x^m - 1):
+        the table's denominator, in Z[x]/(x^m - 1):
         |K_i||K_j| chi_i chi_j = chi(1) sum_l a_ijl |K_l| chi_l."""
         G = self.group
         cls = G.class_of
@@ -146,7 +146,7 @@ class CharacterTable:
                         t = terms.setdefault((i, j), {})
                         t[l] = t.get(l, 0) + sizes[l]
         products = sorted(terms.items())
-        for name, deg, row, den in zip(self.names, self.degrees, rows, dens):
+        for name, deg, row in zip(self.names, self.degrees, rows):
             if deg < 1:
                 raise OrthogonalityFailure(
                     f"{name} is not a character: degree {deg}")
@@ -398,26 +398,27 @@ def rational_characters(table: CharacterTable) -> tuple[RationalCharacter, ...]:
 
     The twist of chi by zeta -> zeta^a (a a unit mod exp G) is g -> chi(g^a),
     so each row's twists are found through the class power maps, with rows
-    keyed by the power-basis coordinates of their values in Q(zeta_m).  A
-    BuiltinAbelian table is read from its exponent rows instead.
+    keyed by their exponent rows r, whose twists are a r mod e, or else by
+    the power-basis coordinates of their values in Q(zeta_m).  The orbit of
+    an exponent row r has phi(o) members, o = e / gcd(e, r), and its sum at
+    a class where r is x is the Ramanujan sum c_o(x / gcd(e, r)).
     """
-    if table.exponents is not None:
-        return _exponent_orbits(table)
     G = table.group
     e = G.exponent
-    # keys are integer coordinates in Q(zeta_m), scaled by one denominator
-    m, rows, dens = integer_rows(table.values)
-    den = lcm(*dens)
-    keys = []
-    for row, row_den in zip(rows, dens):
-        scale = den // row_den
-        key = []
-        for value in row:
-            vec = [0] * m
-            for j, a in value:
-                vec[j] = a * scale
-            key.append(reduce_cyclotomic(m, vec))
-        keys.append(tuple(key))
+    if table.exponents is not None:
+        keys = table.exponents
+    else:
+        # integer coordinates in Q(zeta_m), over the table's denominator
+        m, rows, den = integer_rows(table.values)
+        keys = []
+        for row in rows:
+            key = []
+            for value in row:
+                vec = [0] * m
+                for j, a in value:
+                    vec[j] = a
+                key.append(reduce_cyclotomic(m, vec))
+            keys.append(tuple(key))
     index = {key: i for i, key in enumerate(keys)}
     power_maps = [[G.class_of[G.power(cls[0], a)] for cls in G.classes]
                   for a in range(1, e + 1) if gcd(a, e) == 1]
@@ -433,48 +434,21 @@ def rational_characters(table: CharacterTable) -> tuple[RationalCharacter, ...]:
                 f"Galois twist of {table.names[i]} is not in the table")
         members = sorted(set(twists))
         seen.update(members)
-        vals = []
-        for coords in zip(*(keys[j] for j in members)):
-            total = [sum(cs) for cs in zip(*coords)]
-            if any(total[1:]):
-                raise NotRationalAfterSum("orbit sum is not rational")
-            vals.append(Fraction(total[0], den))
+        if table.exponents is not None:
+            g = gcd(e, *key)
+            sums = [Fraction(_ramanujan_sum(e // g, n)) for n in range(e // g)]
+            vals = [sums[x // g] for x in key]
+        else:
+            vals = []
+            for coords in zip(*(keys[j] for j in members)):
+                total = [sum(cs) for cs in zip(*coords)]
+                if any(total[1:]):
+                    raise NotRationalAfterSum("orbit sum is not rational")
+                vals.append(Fraction(total[0], den))
         out.append(RationalCharacter(
             names=tuple(table.names[i] for i in members),
             indices=tuple(members),
             values=tuple(vals),
-            degree=table.degrees[members[0]],
-        ))
-    return tuple(out)
-
-
-def _exponent_orbits(table: CharacterTable) -> tuple[RationalCharacter, ...]:
-    """rational_characters of a table with exponent rows.  The twists of a
-    row r are u r mod e over the units u, phi(o) distinct rows with
-    o = e / gcd(e, r), and their sum at a class where r is x is the
-    Ramanujan sum c_o(x / gcd(e, r))."""
-    e = table.group.exponent
-    rows = table.exponents
-    index = {row: i for i, row in enumerate(rows)}
-    out = []
-    seen: set[int] = set()
-    for i, row in enumerate(rows):
-        if i in seen:
-            continue
-        g = gcd(e, *row)
-        o = e // g
-        twists = [index.get(tuple(u * x % e for x in row))
-                  for u in range(1, o + 1) if gcd(u, o) == 1]
-        if None in twists:
-            raise NotRationalAfterSum(
-                f"Galois twist of {table.names[i]} is not in the table")
-        members = sorted(twists)
-        seen.update(members)
-        sums = [_ramanujan_sum(o, n) for n in range(o)]
-        out.append(RationalCharacter(
-            names=tuple(table.names[j] for j in members),
-            indices=tuple(members),
-            values=tuple(Fraction(sums[x // g]) for x in row),
             degree=table.degrees[members[0]],
         ))
     return tuple(out)
@@ -591,8 +565,6 @@ class QuotientPair:
     c: Fraction
     # each rational character -> its Artin coefficients over cyclics
     artin: dict = field(repr=False)
-    # every Gamma_C signature is read from Gamma's branch points
-    _branch: BranchPoints = field(repr=False)
     # C -> _dim_table of Gamma_C, for each cyclic C and for Gamma (C = G)
     _dims: dict = field(repr=False)
 
@@ -626,13 +598,8 @@ class QuotientPair:
             c=area_constant_c(sig_gamma),
             artin={rat: artin_decompose(rat.values, G, cyclics)
                    for rat in rats},
-            _branch=branch,
             _dims={C: _dim_table(sig) for C, sig in sigs.items()},
         )
-
-    def subgroup_sig(self, C: frozenset) -> Signature:
-        """Gamma_C's signature, for any subgroup C of G."""
-        return fibre_signature(self.G, self._branch, C)
 
     def dims_of(self, C: frozenset, kind: str, weights) -> list[int]:
         """dim M_k (kind "M") or dim S_k (kind "S") of Gamma_C at each of

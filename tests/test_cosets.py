@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from modmult.cosets import (CuspDatum, NonPositiveArea, PermutationAction,
-                            Signature, area_constant_c, coset_action,
+                            Signature, area_constant_c, branch_points,
+                            coset_action, fibre_signature,
                             signature_from_action, subgroup_signature)
 from modmult.dimensions import dims, quasi_period
 from modmult.reps import QuotientPair
@@ -22,6 +23,13 @@ def preimage_subgroup(pair, C):
     elems = {mat_mul(h, pair.G.elements[c], n)
              for c in C for h in pair.gamma1.elements}
     return FiniteSubgroup(n, tuple(sorted(elems)))
+
+
+def fibre_sig(pair, C):
+    """Gamma_C's signature, read from the fibres of Gamma's branch points."""
+    branch = branch_points(coset_action(pair.gamma), pair.gamma,
+                           pair.G.coset_index)
+    return fibre_signature(pair.G, branch, C)
 
 
 def compose(p, q):
@@ -450,16 +458,16 @@ class TestPreimageSignature:
         # Gamma and Gamma1 themselves
         subgroups |= {frozenset(range(G.order)), frozenset({G.identity})}
         for C in subgroups:
-            assert repr(pair.subgroup_sig(C)) == \
+            assert repr(fibre_sig(pair, C)) == \
                 repr(subgroup_signature(preimage_subgroup(pair, C))), sorted(C)
         assert pair.sig_gamma1 == subgroup_signature(pair.gamma1)
-        # subgroup_sig reads the fibres at C = G too; sig_gamma is Gamma's
+        # fibre_sig reads the fibres at C = G too; sig_gamma is Gamma's
         # own coset table
-        assert pair.subgroup_sig(frozenset(range(G.order))) == pair.sig_gamma
+        assert fibre_sig(pair, frozenset(range(G.order))) == pair.sig_gamma
 
     def test_irregular_cusps_are_covered(self):
         pair = QuotientPair.build(SubgroupSpec("gamma0", 12),
                                   SubgroupSpec("gamma1", 12))
-        sigs = [pair.subgroup_sig(sub) for _, sub in pair.cyclics]
+        sigs = [fibre_sig(pair, sub) for _, sub in pair.cyclics]
         assert any(sig.eps_irr for sig in sigs)
         assert any(not sig.minus_I and not sig.eps_irr for sig in sigs)

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modmult.exact import (CycloValue, InconsistentSystem, cyclotomic_poly,
-                           euler_phi, mobius, poly_divmod_exact, poly_mul,
-                           solve_linear_exact)
+                           euler_phi, mobius, poly_mul, solve_linear_exact)
 
 
 def divisors(n):
@@ -57,9 +56,11 @@ class TestCyclotomic:
     def test_degree_and_divisibility(self, n):
         phi_n = cyclotomic_poly(n)
         assert len(phi_n) - 1 == euler_phi(n)
-        xn1 = tuple([-1] + [0] * (n - 1) + [1])
-        q = poly_divmod_exact(xn1, phi_n)  # raises if not exact
-        assert poly_mul(q, phi_n) == xn1
+        # x^n - 1 is the product of Phi_d over the divisors d of n
+        prod = (1,)
+        for d in divisors(n):
+            prod = poly_mul(prod, cyclotomic_poly(d))
+        assert prod == tuple([-1] + [0] * (n - 1) + [1])
 
 
 small_fraction = st.fractions(

@@ -19,7 +19,7 @@ from modmult.reps import (CharacterTable, CharacterTableRequired,
 from modmult.sl2 import (FiniteSubgroup, SubgroupSpec,
                          cyclic_subgroups_up_to_conjugacy, enumerate_sl2,
                          mat_mul, quotient, realize)
-from test_cosets import PAIRS
+from test_cosets import PAIRS, fibre_sig
 
 
 @pytest.fixture(scope="module")
@@ -494,6 +494,16 @@ class TestGaloisOrbitsFromPowerMaps:
         assert got == reference_rational_characters(wide)
         assert got == [(r.names, r.values) for r in rational_characters(table)]
 
+    def test_exponent_keys_match_loaded_table(self, table_of_pair):
+        # an abelian built-in table is keyed by its exponent rows, the same
+        # table read from a document by its Z[zeta_m] coordinates
+        table = table_of_pair
+        G = table.group
+        assert (table.exponents is not None) == G.is_abelian
+        loaded = load_character_table(table_to_doc(table), G)
+        assert loaded.exponents is None
+        assert rational_characters(loaded) == rational_characters(table)
+
     def test_broken_tables_raise(self, diamond5):
         # unvalidated rows of G = C4: a row without its Galois twist, and a
         # row fixed by the power maps whose values lie outside Q(zeta_4)
@@ -833,11 +843,11 @@ class TestArtin:
         G = s3pair.G
         for _, sub in s3pair.cyclics:
             base_perm = permutation_character(G, sub)
-            base_sig = s3pair.subgroup_sig(sub)
+            base_sig = fibre_sig(s3pair, sub)
             for g in range(G.order):
                 conj = frozenset(G.mul[G.mul[g][x]][G.inv[g]] for x in sub)
                 assert permutation_character(G, conj) == base_perm
-                assert s3pair.subgroup_sig(conj) == base_sig
+                assert fibre_sig(s3pair, conj) == base_sig
 
 
 class TestParity:
@@ -969,7 +979,7 @@ class TestSignatureCache:
             for _, sub in pair.cyclics:
                 elems = {mat_mul(h, pair.G.elements[c], pair.level)
                          for c in sub for h in pair.gamma1.elements}
-                assert pair.subgroup_sig(sub) == subgroup_signature(
+                assert fibre_sig(pair, sub) == subgroup_signature(
                     FiniteSubgroup(pair.level, tuple(sorted(elems))))
 
 
@@ -978,7 +988,7 @@ def series_from_dims(pair, rat, kind, weights):
     with the Artin coefficients solved afresh."""
     from modmult.dimensions import dims
     coeffs = artin_decompose(rat.values, pair.G, pair.cyclics)
-    sigs = [pair.subgroup_sig(sub) for _, sub in pair.cyclics]
+    sigs = [fibre_sig(pair, sub) for _, sub in pair.cyclics]
     return {k: int(sum(q * dims(sig, k).kind(kind)
                        for q, sig in zip(coeffs, sigs)))
             for k in weights}
@@ -1005,7 +1015,7 @@ class TestDimensionTable:
             ks = [k for k in range(-4, 4 + 3 * pair.period()) if k != 1]
             ks += [3000, 3001, 12345]
             for C in groups:
-                sig = pair.subgroup_sig(C)
+                sig = fibre_sig(pair, C)
                 assert quasi_period(sig) == pair.period()
                 for kind in ("M", "S"):
                     want = [dims(sig, k).kind(kind) for k in ks]
