@@ -176,7 +176,7 @@ def cmd_mult(args) -> int:
 def cmd_verify(args) -> int:
     g, g1 = args.pair
     config = VerificationConfig(
-        gamma_spec=g, gamma1_spec=g1, kmax=args.kmax, split=args.split,
+        gamma_spec=g, gamma1_spec=g1, kmax=args.kmax,
         offset_bound=args.offset_bound, table_source=args.table,
         level_cap=args.level_cap,
     )
@@ -238,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kmax", type=int, default=100)
     sp.add_argument("--offset-bound", type=int, default=24)
     sp.add_argument("--table", type=parse_table_file, default=None)
-    sp.add_argument("--split", action="store_true", help=SPLIT_HELP)
     sp.add_argument("--format", choices=("json",), default="json")
     common(sp)
     sp.set_defaults(func=cmd_verify)

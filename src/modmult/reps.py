@@ -217,37 +217,24 @@ def abelian_character_table(G: QuotientGroup) -> CharacterTable:
         raise NotAbelian("quotient group is not abelian")
     e = G.exponent
     chars: list[dict[int, int]] = [{G.identity: 0}]  # element -> exponent of zeta_e
-    subgroup = {G.identity}
     generators = []
     for g in range(G.order):
-        if g in subgroup:
+        if g in chars[0]:
             continue
         generators.append(g)
-        # m = least positive power of g landing in the current subgroup
-        m, p = 1, g
-        while p not in subgroup:
-            p = G.mul[p][g]
-            m += 1
+        pg = G.powers[g]
+        # m = least positive power of g in the current subgroup, the key
+        # set of chars[0]: its meet with <g> has ord g / m elements
+        m = len(pg) // sum(x in chars[0] for x in pg)
         new_chars = []
         for chi in chars:
-            t = chi[p]
+            t = chi[pg[m % len(pg)]]
             for s in range(e):
-                if (m * s - t) % e:
-                    continue
-                ext = dict(chi)
-                for h, th in chi.items():
-                    x = h
-                    for j in range(1, m):
-                        x = G.mul[x][g]
-                        ext[x] = (th + s * j) % e
-                new_chars.append(ext)
+                if (m * s - t) % e == 0:
+                    new_chars.append({G.mul[h][pg[j]]: (th + s * j) % e
+                                      for h, th in chi.items()
+                                      for j in range(m)})
         chars = new_chars
-        x = g
-        base = list(subgroup)
-        for _ in range(1, m):
-            for h in base:
-                subgroup.add(G.mul[h][x])
-            x = G.mul[x][g]
 
     assert len(chars) == G.order
     class_reps = [cls[0] for cls in G.classes]

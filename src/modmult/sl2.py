@@ -233,7 +233,8 @@ class QuotientGroup:
     iota: int | None
     iota_trivial: bool
     normal: FiniteSubgroup
-    orders: tuple[int, ...]
+    # powers[i] = (1, i, i^2, ..., i^(ord i - 1))
+    powers: tuple[tuple[int, ...], ...]
     # every element of Gamma -> the index of its coset
     coset_of: dict = field(repr=False, compare=False)
 
@@ -252,22 +253,15 @@ class QuotientGroup:
         return self.order // 2
 
     def power(self, i: int, m: int) -> int:
-        result = self.identity
-        base = i
-        m %= self.element_order(i)
-        while m:
-            if m & 1:
-                result = self.mul[result][base]
-            base = self.mul[base][base]
-            m >>= 1
-        return result
+        p = self.powers[i]
+        return p[m % len(p)]
 
     def element_order(self, i: int) -> int:
-        return self.orders[i]
+        return len(self.powers[i])
 
     @cached_property
     def exponent(self) -> int:
-        return lcm(*self.orders) if self.orders else 1
+        return lcm(*map(len, self.powers))
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -346,15 +340,15 @@ def quotient(gamma: FiniteSubgroup, gamma1: FiniteSubgroup,
             seen[x] = True
         raw_classes.append(tuple(sorted(cls)))
 
-    orders = []
+    powers = []
     for i in range(size):
-        m, x = 1, i
+        row, x = [identity], i
         while x != identity:
+            row.append(x)
             x = mul[x][i]
-            m += 1
-        orders.append(m)
+        powers.append(tuple(row))
 
-    raw_classes.sort(key=lambda cls: (len(cls), orders[cls[0]],
+    raw_classes.sort(key=lambda cls: (len(cls), len(powers[cls[0]]),
                                       tuple(reps[i] for i in cls)))
     classes = tuple(raw_classes)
     class_of = [0] * size
@@ -369,7 +363,7 @@ def quotient(gamma: FiniteSubgroup, gamma1: FiniteSubgroup,
     return QuotientGroup(
         level=n, elements=tuple(reps), mul=mul, inv=inv, identity=identity,
         classes=classes, class_of=tuple(class_of), iota=iota,
-        iota_trivial=iota_trivial, normal=gamma1, orders=tuple(orders),
+        iota_trivial=iota_trivial, normal=gamma1, powers=tuple(powers),
         coset_of={x: index[r] for x, r in rep_of.items()},
     )
 
@@ -383,13 +377,8 @@ def cyclic_subgroups_up_to_conjugacy(G: QuotientGroup):
     conjugate iff their generators lie in the same conjugacy classes of G.
     """
     gens: dict[frozenset, list[int]] = {}
-    for i in range(G.order):
-        sub = set()
-        x = i
-        while x not in sub:
-            sub.add(x)
-            x = G.mul[x][i]
-        gens.setdefault(frozenset(sub), []).append(i)
+    for i, p in enumerate(G.powers):
+        gens.setdefault(frozenset(p), []).append(i)
 
     def key(sub):
         return len(sub), tuple(sorted(sub))

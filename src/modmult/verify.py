@@ -33,7 +33,6 @@ class VerificationConfig:
     gamma_spec: SubgroupSpec
     gamma1_spec: SubgroupSpec
     kmax: int = 100
-    split: bool = False
     offset_bound: int = 24          # even offsets only
     table_source: object = None
     level_cap: int = DEFAULT_LEVEL_CAP
@@ -215,8 +214,7 @@ def run_verify(config: VerificationConfig) -> dict:
         # one kind's series at a time: the identity below needs no other
         series_by_rep = {}
         for rat in pair.rationals:
-            series = multiplicity_series(pair, rat, kind, weights,
-                                         split=config.split)
+            series = multiplicity_series(pair, rat, kind, weights)
             series_by_rep[rat.label] = series
             slope = detect_slope(series, P, pair.c)
             bound = monitor_lower_bound(pair, series, config.offset_bound,

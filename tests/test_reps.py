@@ -56,7 +56,63 @@ def char_order(table, i):
     return n
 
 
+def reference_abelian_table(G):
+    """(exponent rows, names, generators) of abelian_character_table by its
+    former extension loop, which multiplied its way to each power of g and
+    kept the current subgroup as a set of its own."""
+    e = G.exponent
+    chars = [{G.identity: 0}]
+    subgroup = {G.identity}
+    generators = []
+    for g in range(G.order):
+        if g in subgroup:
+            continue
+        generators.append(g)
+        m, p = 1, g
+        while p not in subgroup:
+            p = G.mul[p][g]
+            m += 1
+        new_chars = []
+        for chi in chars:
+            t = chi[p]
+            for s in range(e):
+                if (m * s - t) % e:
+                    continue
+                ext = dict(chi)
+                for h, th in chi.items():
+                    x = h
+                    for j in range(1, m):
+                        x = G.mul[x][g]
+                        ext[x] = (th + s * j) % e
+                new_chars.append(ext)
+        chars = new_chars
+        x = g
+        base = list(subgroup)
+        for _ in range(1, m):
+            for h in base:
+                subgroup.add(G.mul[h][x])
+            x = G.mul[x][g]
+    class_reps = [cls[0] for cls in G.classes]
+    rows = sorted(tuple(chi[r] for r in class_reps) for chi in chars)
+    names = tuple("triv" if not any(row) else f"chi{i}"
+                  for i, row in enumerate(rows))
+    return tuple(rows), names, tuple(generators)
+
+
 class TestAbelianTable:
+    def test_same_as_reference_extension(self):
+        from test_sl2 import quotients
+        groups = [G for _, G in quotients() if G.is_abelian]
+        groups.append(quotient(realize(SubgroupSpec("gamma0", 97),
+                                       level_cap=97),
+                               realize(SubgroupSpec("gamma1", 97),
+                                       level_cap=97)))
+        for G in groups:
+            table = abelian_character_table(G)
+            assert (table.exponents, table.names, table.generators) == \
+                reference_abelian_table(G)
+        assert len(groups) == 56
+
     def test_units_mod_5(self, diamond5):
         table = diamond5.table
         G = table.group

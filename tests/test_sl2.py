@@ -300,6 +300,29 @@ def quotients():
             for a, b, c, d in pairs]
 
 
+class TestPowers:
+    def test_repeated_products(self):
+        # the 68 quotients of TestCyclicSubgroups.test_same_as_conjugation
+        for label, G in quotients():
+            orders = []
+            for i in range(G.order):
+                products, x = [G.identity], i
+                while x != G.identity:
+                    products.append(x)
+                    x = G.mul[x][i]
+                assert G.powers[i] == tuple(products), (label, i)
+                order = len(products)
+                orders.append(order)
+                assert G.element_order(i) == order
+                for m in range(-2 * order, 2 * order + 1):
+                    # i^m for m < 0 is a product of -m copies of i^-1
+                    base, want = (i if m >= 0 else G.inv[i]), G.identity
+                    for _ in range(abs(m)):
+                        want = G.mul[want][base]
+                    assert G.power(i, m) == want, (label, i, m)
+            assert G.exponent == lcm(*orders), label
+
+
 def cyclic_subgroup_of(G, i):
     sub, x = set(), i
     while x not in sub:

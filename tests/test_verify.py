@@ -467,6 +467,14 @@ class TestCli:
         members = [rep for rep in doc if doc[rep].get("3") == 2]
         assert len(members) == 2  # the two members of the odd orbit
 
+    def test_verify_refuses_split(self, capsys):
+        # verify prints orbit totals only; --split belongs to mult
+        from modmult.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--pair", "gamma0:3/gamma:3", "--split"])
+        assert exc.value.code == 2
+        assert "--split" in capsys.readouterr().err
+
     def test_verify_exit_zero(self, capsys):
         code, out = self.run(["verify", "--pair", "SL2Z/gamma:2",
                               "--kmax", "60"], capsys)
