@@ -227,12 +227,13 @@ def signature_from_action(act: PermutationAction, K: FiniteSubgroup) -> Signatur
     cusps = [CuspDatum(width=width, regular=eps == 1)
              for width, eps, _ in branch.cusps]
     return _signature(act.size, len(branch.elliptic2), len(branch.elliptic3),
-                      cusps, act.minus_I, act.sl_size)
+                      cusps, act.minus_I)
 
 
 def _signature(mu: int, nu2: int, nu3: int, cusps: list[CuspDatum],
-               minus_i: bool, mu_sl: int) -> Signature:
-    """The signature with these counts; its genus from the Euler formula."""
+               minus_i: bool) -> Signature:
+    """The signature with these counts, mu the projective index; its genus
+    from the Euler formula."""
     # by width, regular first: independent of how the cosets are numbered
     cusps.sort(key=lambda c: (c.width, not c.regular))
     t = len(cusps)
@@ -246,7 +247,7 @@ def _signature(mu: int, nu2: int, nu3: int, cusps: list[CuspDatum],
         cusps=tuple(cusps),
         minus_I=minus_i,
         mu_proj=mu,
-        mu_sl=mu_sl,
+        mu_sl=mu if minus_i else 2 * mu,
     )
 
 
@@ -293,8 +294,7 @@ def fibre_signature(G: QuotientGroup, branch: BranchPoints,
             cusps.append(CuspDatum(width=width * length, regular=regular))
     return _signature(
         sum(c.width for c in cusps), fixed(branch.elliptic2),
-        fixed(branch.elliptic3), cusps, minus_i,
-        sl2_group_order(G.level) // (G.normal.order * len(C)))
+        fixed(branch.elliptic3), cusps, minus_i)
 
 
 def subgroup_signature(K: FiniteSubgroup) -> Signature:

@@ -290,11 +290,12 @@ def load_character_table(doc, G: QuotientGroup) -> CharacterTable:
                              "values": [{"order": n, "coeffs": {"j": "p/q"}}]}]}
     Values are listed in the file's class order and re-indexed onto G.
     """
-    try:
-        cls_docs = list(doc["classes"])
-        char_docs = list(doc["characters"])
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"missing top-level key: {exc}") from exc
+    for key in ("classes", "characters"):
+        if key not in doc:
+            raise SchemaError(f"missing top-level key: {key!r}")
+        if not isinstance(doc[key], list):
+            raise SchemaError(f"top-level key {key!r} is not a list")
+    cls_docs, char_docs = doc["classes"], doc["characters"]
     if len(cls_docs) != len(G.classes):
         raise ClassMismatch(
             f"file has {len(cls_docs)} classes, group has {len(G.classes)}")
@@ -561,14 +562,14 @@ class QuotientPair:
         level = lcm(gamma_spec.level, gamma1_spec.level)
         gamma = realize(gamma_spec, at_level=level, level_cap=level_cap)
         gamma1 = realize(gamma1_spec, at_level=level, level_cap=level_cap)
-        rep_of = right_cosets(gamma, gamma1)
+        cosets = right_cosets(gamma, gamma1)
         # without a table only an abelian G or one of order 6 has one: a
         # nonabelian G fails here, before its |G|^2 multiplication table
         order = gamma.order // gamma1.order
         if (table_source is None and order != 6
-                and not cosets_commute(rep_of, level)):
+                and not cosets_commute(cosets, level)):
             raise _table_required(order)
-        G = quotient(gamma, gamma1, rep_of)
+        G = quotient(gamma, gamma1, cosets)
         table = character_table_for(G, table_source)
         rats = rational_characters(table)
         cyclics = cyclic_subgroups_up_to_conjugacy(G)

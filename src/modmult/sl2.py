@@ -1,6 +1,6 @@
-"""Finite matrix groups mod N: enumeration of SL2(Z/N), realization of the
-classical congruence families, and quotient groups Gamma/Gamma1 with their
-conjugacy classes, cyclic subgroups and power maps.
+"""Finite matrix groups mod N: every subgroup realized from its residue
+classes, and quotient groups Gamma/Gamma1 with their conjugacy classes,
+cyclic subgroups and power maps.
 """
 from __future__ import annotations
 
@@ -84,11 +84,11 @@ def sl2_group_order(n: int) -> int:
 class FiniteSubgroup:
     """A subgroup of SL2(Z/N) given by its full (sorted) element list.
 
-    family is (kind, n) for every group realize or enumerate_sl2 returns:
-    the spec's kind and level, ("full", 1) for all of SL2(Z/N).  The group
-    then contains every matrix = I mod n, and cosets.coset_action keys its
-    cosets mod n.  It takes no part in equality or hashing, so equal
-    element lists are equal groups; a hand-built group has None.
+    family is (kind, n) for every group realize returns: the spec's kind
+    and level, ("full", 1) for all of SL2(Z/N).  The group then contains
+    every matrix = I mod n, and cosets.coset_action keys its cosets mod n.
+    It takes no part in equality or hashing, so equal element lists are
+    equal groups; a hand-built group has None.
     """
 
     level: int
@@ -138,21 +138,11 @@ def _congruence_elements(m: int, n: int, a0: int | None, b0: int | None,
     return tuple(out)
 
 
-def _sl2_elements(n: int) -> tuple[Mat, ...]:
-    return _congruence_elements(n, 1, None, None, None)
-
-
 def _check_level(n: int, level_cap: int) -> None:
     if n < 1:
         raise ValueError("level must be positive")
     if n > level_cap:
         raise LevelTooLarge(f"level {n} exceeds cap {level_cap}")
-
-
-def enumerate_sl2(n: int, level_cap: int = DEFAULT_LEVEL_CAP) -> FiniteSubgroup:
-    """All of SL2(Z/N)."""
-    _check_level(n, level_cap)
-    return FiniteSubgroup(n, _sl2_elements(n), family=("full", 1))
 
 
 @dataclass(frozen=True)
@@ -181,8 +171,10 @@ class SubgroupSpec:
         return f"{self.kind}:{self.level}"
 
 
-# the residues of (a, b, c) mod N that define each congruence family
+# the residues of (a, b, c) mod N that define each congruence family;
+# SL2Z is the family with no condition, at N = 1
 CONGRUENCE_RESIDUES = {
+    "full": (None, None, None),
     "gamma0": (None, None, 0),
     "gamma1": (1, None, 0),
     "gamma": (1, 0, 0),
@@ -191,19 +183,17 @@ CONGRUENCE_RESIDUES = {
 
 def realize(spec: SubgroupSpec, at_level: int | None = None,
             level_cap: int = DEFAULT_LEVEL_CAP) -> FiniteSubgroup:
-    """The mod-M image of the subgroup, M a multiple of the spec level."""
+    """The mod-M image of the subgroup, M a multiple of the spec level N:
+    the union of its residue classes mod N."""
     m = at_level if at_level is not None else spec.level
     if m % spec.level:
         raise ValueError("realization level must be a multiple of the spec level")
+    _check_level(m, level_cap)
     n = spec.level
     if spec.kind in CONGRUENCE_RESIDUES:
-        _check_level(m, level_cap)
         return FiniteSubgroup(m, _congruence_elements(
             m, n, *CONGRUENCE_RESIDUES[spec.kind]), family=(spec.kind, n))
-    ambient = enumerate_sl2(m, level_cap)
-    if spec.kind == "full":
-        return ambient
-    # custom: preimage of the generated closure mod the spec level
+    # custom: the classes of the generated closure mod N, d filtered last
     gens = [reduce_mat(g, n) for g in spec.generators]
     closure = {identity_mat(n)}
     frontier = list(closure)
@@ -214,9 +204,15 @@ def realize(spec: SubgroupSpec, at_level: int | None = None,
             if y not in closure:
                 closure.add(y)
                 frontier.append(y)
-    return FiniteSubgroup(m, tuple(x for x in ambient.elements
-                                   if tuple(v % n for v in x) in closure),
-                          family=("custom", n))
+    return FiniteSubgroup(m, tuple(sorted(
+        x for a, b, c, d in closure
+        for x in _congruence_elements(m, n, a, b, c) if x[3] % n == d)),
+        family=("custom", n))
+
+
+def enumerate_sl2(n: int, level_cap: int = DEFAULT_LEVEL_CAP) -> FiniteSubgroup:
+    """All of SL2(Z/N)."""
+    return realize(SubgroupSpec("full"), n, level_cap)
 
 
 @dataclass(frozen=True)
@@ -232,7 +228,6 @@ class QuotientGroup:
     class_of: tuple[int, ...]
     iota: int | None
     iota_trivial: bool
-    normal: FiniteSubgroup
     # powers[i] = (1, i, i^2, ..., i^(ord i - 1))
     powers: tuple[tuple[int, ...], ...]
     # every element of Gamma -> the index of its coset
@@ -263,11 +258,10 @@ class QuotientGroup:
     def exponent(self) -> int:
         return lcm(*map(len, self.powers))
 
-    @cached_property
+    @property
     def is_abelian(self) -> bool:
-        n = self.order
-        return all(self.mul[i][j] == self.mul[j][i]
-                   for i in range(n) for j in range(i + 1, n))
+        # every class is then a singleton
+        return len(self.classes) == self.order
 
     def coset_index(self, mat) -> int:
         m = reduce_mat(mat, self.level)
@@ -277,54 +271,55 @@ class QuotientGroup:
             raise NotASubgroup(f"matrix {mat} is not in the ambient group") from None
 
 
-def right_cosets(gamma: FiniteSubgroup, gamma1: FiniteSubgroup) -> dict:
-    """Each element of gamma -> the least element of its right coset gamma1*g.
+def right_cosets(gamma: FiniteSubgroup, gamma1: FiniteSubgroup):
+    """The right cosets gamma1*g of gamma1 in gamma as (reps, coset_of):
+    reps the least element of each coset, in increasing order, and
+    coset_of each element of gamma -> the index of its coset.
 
     Raises NotASubgroup unless gamma1 lies in gamma, and NotNormal unless
-    every right coset gamma1*g equals g*gamma1; one g per coset suffices.
+    every right coset gamma1*g equals g*gamma1: the two have one size, so
+    each g*h must lie in the coset just numbered; one g per coset suffices.
     """
     if gamma.level != gamma1.level:
         raise NotASubgroup("subgroups live at different levels")
     n = gamma.level
     if not gamma1.element_set <= gamma.element_set:
         raise NotASubgroup("gamma1 is not contained in gamma")
-    rep_of: dict[Mat, Mat] = {}
+    reps: list[Mat] = []
+    coset_of: dict[Mat, int] = {}
     for g in gamma.elements:
-        if g in rep_of:
+        if g in coset_of:
             continue
-        coset = sorted(mat_mul(h, g, n) for h in gamma1.elements)
-        if sorted(mat_mul(g, h, n) for h in gamma1.elements) != coset:
+        i = len(reps)
+        reps.append(g)
+        for h in gamma1.elements:
+            coset_of[mat_mul(h, g, n)] = i
+        if any(coset_of.get(mat_mul(g, h, n)) != i for h in gamma1.elements):
             raise NotNormal("gamma1 is not normal in gamma")
-        for x in coset:
-            rep_of[x] = coset[0]
-    return rep_of
+    return reps, coset_of
 
 
-def cosets_commute(rep_of: dict, n: int) -> bool:
-    """Whether Gamma/Gamma1 is abelian, from rep_of = right_cosets(Gamma,
+def cosets_commute(cosets, n: int) -> bool:
+    """Whether Gamma/Gamma1 is abelian, from cosets = right_cosets(Gamma,
     Gamma1) at level n: x*y and y*x lie in one coset for every two coset
     representatives.  Stops at the first two that do not."""
-    reps = sorted(set(rep_of.values()))
-    return all(rep_of[mat_mul(x, y, n)] == rep_of[mat_mul(y, x, n)]
+    reps, coset_of = cosets
+    return all(coset_of[mat_mul(x, y, n)] == coset_of[mat_mul(y, x, n)]
                for i, x in enumerate(reps) for y in reps[i + 1:])
 
 
 def quotient(gamma: FiniteSubgroup, gamma1: FiniteSubgroup,
-             rep_of: dict | None = None) -> QuotientGroup:
+             cosets=None) -> QuotientGroup:
     """Build Gamma/Gamma1 with conjugacy classes and the coset of -I located.
 
-    rep_of, if given, is right_cosets(gamma, gamma1)."""
-    if rep_of is None:
-        rep_of = right_cosets(gamma, gamma1)
+    cosets, if given, is right_cosets(gamma, gamma1)."""
+    reps, coset_of = cosets or right_cosets(gamma, gamma1)
     n = gamma.level
-    reps = sorted(set(rep_of.values()))
-    index = {r: i for i, r in enumerate(reps)}
     size = len(reps)
 
-    mul = tuple(tuple(index[rep_of[mat_mul(reps[i], reps[j], n)]]
-                      for j in range(size)) for i in range(size))
-    identity = index[rep_of[identity_mat(n)]]
-    inv = tuple(index[rep_of[mat_inv(reps[i], n)]] for i in range(size))
+    mul = tuple(tuple(coset_of[mat_mul(x, y, n)] for y in reps) for x in reps)
+    identity = coset_of[identity_mat(n)]
+    inv = tuple(coset_of[mat_inv(x, n)] for x in reps)
 
     # conjugacy classes
     seen = [False] * size
@@ -356,15 +351,13 @@ def quotient(gamma: FiniteSubgroup, gamma1: FiniteSubgroup,
         for i in cls:
             class_of[i] = ci
 
-    mi = minus_identity(n)
-    iota = index[rep_of[mi]] if mi in gamma.element_set else None
-    iota_trivial = mi in gamma1.element_set
-
     return QuotientGroup(
         level=n, elements=tuple(reps), mul=mul, inv=inv, identity=identity,
-        classes=classes, class_of=tuple(class_of), iota=iota,
-        iota_trivial=iota_trivial, normal=gamma1, powers=tuple(powers),
-        coset_of={x: index[r] for x, r in rep_of.items()},
+        classes=classes, class_of=tuple(class_of),
+        iota=(coset_of[minus_identity(n)] if gamma.contains_minus_I
+              else None),
+        iota_trivial=gamma1.contains_minus_I, powers=tuple(powers),
+        coset_of=coset_of,
     )
 
 

@@ -206,7 +206,6 @@ def run_verify(config: VerificationConfig) -> dict:
         preflight[pclass] = (total == G.mu_proj)
 
     weights = [k for k in range(0, config.kmax + 1) if k != 1]
-    ok = all(preflight.values())
     rep_reports = []
     identity = {}
     findings = []
@@ -232,8 +231,6 @@ def run_verify(config: VerificationConfig) -> dict:
                 findings.append(f"no lower-bound offset: {kind}/{rat.label}")
             if not (parity_ok and bounded):
                 findings.append(f"series anomaly: {kind}/{rat.label}")
-            ok = ok and slope.exact_match and parity_ok and bounded \
-                and bound.offset is not None
             rep_reports.append({
                 "slope": _slope_report_dict(slope),
                 "lower_bound": {"rep": rat.label, "kind": kind,
@@ -266,7 +263,7 @@ def run_verify(config: VerificationConfig) -> dict:
         "reps": rep_reports,
         "identity": identity,
         "findings": sorted(findings),
-        "pass": ok,
+        "pass": all(preflight.values()) and not findings,
     }
     return report
 

@@ -240,6 +240,16 @@ class TestLoadTable:
                                               r"above \|G\| \* exp G = 36$"):
             load_character_table(doc, s3pair.G)
 
+    def test_missing_top_level_key(self, s3pair):
+        with pytest.raises(SchemaError,
+                           match="^missing top-level key: 'classes'$"):
+            load_character_table({"characters": []}, s3pair.G)
+
+    def test_top_level_entry_not_a_list(self, s3pair):
+        with pytest.raises(SchemaError,
+                           match="^top-level key 'classes' is not a list$"):
+            load_character_table({"classes": 5, "characters": []}, s3pair.G)
+
     def test_exact_fraction_strings(self, s3pair, diamond5):
         doc = table_to_doc(diamond5.table)
         table = load_character_table(doc, diamond5.G)

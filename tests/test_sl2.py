@@ -1,13 +1,16 @@
+from collections import defaultdict
 from math import gcd, lcm
 
 import pytest
 
-from modmult.cosets import subgroup_signature
-from modmult.sl2 import (LevelTooLarge, NotASubgroup, NotNormal, SubgroupSpec,
-                         _sl2_elements, cyclic_subgroups_up_to_conjugacy,
-                         enumerate_sl2, mat_inv, mat_mul, quotient, realize,
+from modmult.cosets import (coset_action, signature_from_action,
+                            subgroup_signature)
+from modmult.sl2 import (T_MAT, LevelTooLarge, NotASubgroup, NotNormal,
+                         SubgroupSpec, cyclic_subgroups_up_to_conjugacy,
+                         enumerate_sl2, identity_mat, mat_inv, mat_mul,
+                         quotient, realize, reduce_mat, right_cosets,
                          sl2_group_order)
-from test_cosets import PAIRS
+from test_cosets import PAIRS, custom_specs
 
 
 def sl2_bruteforce(n):
@@ -114,7 +117,58 @@ def congruence_filter(kind, n, m):
         "gamma": lambda a, b, c, d: a % n == one and d % n == one
         and b % n == 0 and c % n == 0,
     }
-    return tuple(x for x in _sl2_elements(m) if conditions[kind](*x))
+    return tuple(x for x in enumerate_sl2(m).elements if conditions[kind](*x))
+
+
+def closure_filter(spec, m):
+    """The mod-m image of a custom group, filtered from SL2(Z/m): each
+    matrix whose reduction mod the spec level lies in the closure of the
+    generators."""
+    n = spec.level
+    gens = [reduce_mat(g, n) for g in spec.generators]
+    closure, frontier = {identity_mat(n)}, [identity_mat(n)]
+    while frontier:
+        x = frontier.pop()
+        for y in (mat_mul(x, g, n) for g in gens):
+            if y not in closure:
+                closure.add(y)
+                frontier.append(y)
+    return tuple(x for x in enumerate_sl2(m).elements
+                 if tuple(v % n for v in x) in closure)
+
+
+class TestCustomFromResidues:
+    """realize builds a custom group from the residue classes of its
+    closure; the result is the closure's preimage filtered from SL2(Z/M)."""
+
+    def test_equals_closure_filter(self):
+        for spec in custom_specs():
+            for m in (spec.level, 2 * spec.level):
+                assert realize(spec, at_level=m).elements == \
+                    closure_filter(spec, m), (spec, m)
+
+    def test_d_decides_between_equal_abc(self):
+        # the closure holds (2, 1, 1, 1) but not (2, 1, 1, 3): both have
+        # the same a, b, c mod 4, so d must be filtered
+        spec = SubgroupSpec("custom", 4, ((2, 1, 1, 1),))
+        K = realize(spec)
+        assert K.order == 3
+        assert (2, 1, 1, 1) in K.element_set
+        assert (2, 1, 1, 3) not in K.element_set
+        for m in (4, 8):
+            assert realize(spec, at_level=m).elements == closure_filter(spec, m)
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_T_closure_is_gamma1(self, n):
+        # Gamma1(N) mod N is <T> mod N: the whole-matrix keys of the custom
+        # group and the bottom-row keys of Gamma1(N) give one signature;
+        # coset_action's cache ignores the family, so both run uncached
+        custom = realize(SubgroupSpec("custom", n, (T_MAT,)))
+        gamma1 = realize(SubgroupSpec("gamma1", n))
+        assert custom.elements == gamma1.elements
+        assert signature_from_action(coset_action.__wrapped__(custom),
+                                     custom) == \
+            signature_from_action(coset_action.__wrapped__(gamma1), gamma1)
 
 
 class TestRealizeFromConditions:
@@ -132,7 +186,8 @@ class TestRealizeFromConditions:
 
     def test_sl2_elements_sorted(self):
         for m in range(1, 31):
-            assert list(_sl2_elements(m)) == sorted(_sl2_elements(m))
+            elements = enumerate_sl2(m).elements
+            assert list(elements) == sorted(elements)
 
     @pytest.mark.parametrize("kind", ["gamma0", "gamma1", "gamma"])
     def test_level_errors(self, kind):
@@ -286,18 +341,37 @@ def diamond(n):
                     realize(SubgroupSpec("gamma1", n)))
 
 
-def pair_quotient(k0, n0, k1, n1):
-    level = lcm(n0, n1)
-    return quotient(realize(SubgroupSpec(k0, n0), at_level=level),
-                    realize(SubgroupSpec(k1, n1), at_level=level))
+def realized_pairs():
+    """Label, Gamma and Gamma1 of every pair of test_cosets.PAIRS
+    (Gamma(N)/Gamma(2N) for N <= 15 among them) and of SL2Z/Gamma(N) for
+    N <= 5."""
+    pairs = PAIRS + [("full", 1, "gamma", n) for n in range(1, 6)]
+    return [(f"{a}:{b}/{c}:{d}",
+             realize(SubgroupSpec(a, b), at_level=lcm(b, d)),
+             realize(SubgroupSpec(c, d), at_level=lcm(b, d)))
+            for a, b, c, d in pairs]
 
 
 def quotients():
-    """Label and G of every pair of test_cosets.PAIRS (Gamma(N)/Gamma(2N)
-    for N <= 15 among them) and of SL2Z/Gamma(N) for N <= 5."""
-    pairs = PAIRS + [("full", 1, "gamma", n) for n in range(1, 6)]
-    return [(f"{a}:{b}/{c}:{d}", pair_quotient(a, b, c, d))
-            for a, b, c, d in pairs]
+    """Label and G of every pair of realized_pairs()."""
+    return [(label, quotient(gamma, gamma1))
+            for label, gamma, gamma1 in realized_pairs()]
+
+
+class TestRightCosets:
+    def test_least_reps_and_coset_index(self):
+        # the 68 pairs of TestCyclicSubgroups.test_same_as_conjugation
+        for label, gamma, gamma1 in realized_pairs():
+            n = gamma.level
+            reps, coset_of = right_cosets(gamma, gamma1)
+            assert all(x < y for x, y in zip(reps, reps[1:])), label
+            assert coset_of.keys() == gamma.element_set, label
+            members = defaultdict(list)
+            for x, i in coset_of.items():
+                members[i].append(x)
+            assert [min(members[i]) for i in range(len(reps))] == reps, label
+            assert all(coset_of[mat_mul(h, g, n)] == coset_of[g]
+                       for g in gamma.elements for h in gamma1.elements), label
 
 
 class TestPowers:
