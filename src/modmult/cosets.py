@@ -7,12 +7,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd
 
 from . import ModmultError
 from .sl2 import (FiniteSubgroup, Mat, QuotientGroup, S_MAT, T_MAT,
-                  identity_mat, mat_inv, mat_mul, minus_identity, reduce_mat,
-                  sl2_group_order)
+                  identity_mat, mat_inv, mat_mul, reduce_mat, sl2_group_order)
 
 
 class NonIntegralGenus(ModmultError):
@@ -88,59 +86,55 @@ class Signature:
             raise ValueError("irregular cusps require -I absent")
 
 
-def _coset_table(size: int, acting, top: int, d: int, m: int,
+def _coset_table(size: int, acting, key: slice, n: int, m: int,
                  gens: tuple[Mat, ...]):
-    """The size right cosets in SL2(Z/m) of a group +-K, explored from the
-    identity by right multiplication by gens, which must generate SL2(Z/m)
-    and be reduced mod m.
+    """The size right cosets in SL2(Z/m) of a group +-K that contains every
+    matrix = I mod n (n | m), explored from the identity by right
+    multiplication by gens, which must generate SL2(Z/m) and be reduced mod m.
 
-    A matrix is keyed by its top row mod top and its bottom row mod d, with
-    top and d dividing m.  A new coset met at x writes the keys of h x for
-    h in acting, elements of +-K mod d that must reach every key of the
-    coset.  Returns a representative mod m of each coset and for each
-    generator its permutation of the cosets.
+    A matrix is keyed by the entries key picks from it mod n.  A new coset
+    met at x writes the keys of h x for h in acting, elements of +-K mod n
+    that must reach every key of the coset.  Returns a representative mod m
+    of each coset and for each generator its permutation of the cosets.
     """
     reps = [identity_mat(m)]
-    lookup = {mat_mul(h, (1 % top, 0, 0, 1 % d), d): 0 for h in acting}
+    lookup = {h[key]: 0 for h in acting}
     perms = [[0] * size for _ in gens]
     queue = [0]
     while queue:
         i = queue.pop()
         for g, perm in zip(gens, perms):
             img = mat_mul(reps[i], g, m)
-            k = (img[0] % top, img[1] % top, img[2] % d, img[3] % d)
+            k = (img[0] % n, img[1] % n, img[2] % n, img[3] % n)[key]
             j = lookup.get(k)
             if j is None:
                 j = len(reps)
                 reps.append(img)
                 for h in acting:
-                    lookup[mat_mul(h, k, d)] = j
+                    lookup[mat_mul(h, img, n)[key]] = j
                 queue.append(j)
             perm[i] = j
     return tuple(reps), [tuple(perm) for perm in perms]
 
 
 def _lookup(K: FiniteSubgroup):
-    """(acting, top, d) for _coset_table on the cosets of +-K.
+    """(acting, key, n) for _coset_table on the cosets of +-K, n the level
+    at which K contains every matrix = I (K.level for a hand-built group).
 
-    Realized Gamma0(N) and Gamma1(N) are keyed by the bottom row (c, d) mod
-    N alone (top = 1): +-Gamma0(N) g is that row of g up to the units u of
-    Z/N, a point of P^1(Z/N), reached by the diagonal (1/u, u), and
-    +-Gamma1(N) g is the row up to sign, reached by +-I (Cremona,
-    Algorithms for Modular Elliptic Curves, ch. 2).  A coset then has
-    phi(N) keys or at most 2.  Every other group contains each matrix
-    = I mod n, the level of its family (K.level for a hand-built group), so
-    it is keyed by the whole matrix mod n, with acting all of +-K mod n: at
-    most 2 keys a coset for Gamma(N), 1 for SL2(Z).
+    If T lies in +-K mod n, so does every upper unipotent matrix, and two
+    matrices with the same bottom row differ by one on the left: a coset is
+    keyed by its bottom row mod n, with acting one element of +-K for each
+    bottom row, phi(N) for Gamma0(N) and 2 for Gamma1(N) (Cremona,
+    Algorithms for Modular Elliptic Curves, ch. 2).  Otherwise, as for
+    Gamma(N), it is keyed by its whole matrices mod n, acting all of +-K.
     """
-    kind, n = K.family or (None, K.level)
-    if kind == "gamma0":
-        return ([(pow(u, -1, n), 0, 0, u) for u in range(n) if gcd(u, n) == 1],
-                1, n)
-    if kind == "gamma1":
-        return [identity_mat(n), minus_identity(n)], 1, n
+    n = K.own_level or K.level
     acting = {(a % n, b % n, c % n, d % n) for a, b, c, d in K.elements}
-    return acting | {tuple(-v % n for v in x) for x in acting}, n, n
+    if not K.contains_minus_I:
+        acting |= {tuple(-v % n for v in h) for h in acting}
+    if reduce_mat(T_MAT, n) in acting:
+        return list({h[2:]: h for h in acting}.values()), slice(2, 4), n
+    return acting, slice(0, 4), n
 
 
 @lru_cache(maxsize=1)

@@ -323,6 +323,8 @@ def load_character_table(doc, G: QuotientGroup) -> CharacterTable:
             vals = list(ch["values"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad character entry: {exc}") from exc
+        if name in names:
+            raise SchemaError(f"character name {name!r} is repeated")
         if len(vals) != len(cls_docs):
             raise SchemaError(f"character {name} has {len(vals)} values")
         row = [None] * len(G.classes)
@@ -439,6 +441,10 @@ def rational_characters(table: CharacterTable) -> tuple[RationalCharacter, ...]:
             values=tuple(vals),
             degree=table.degrees[members[0]],
         ))
+    # labels key the series: no name may be another orbit's label
+    labels = [rat.label for rat in out]
+    if clash := [label for label in labels if labels.count(label) > 1]:
+        raise SchemaError(f"two Galois orbits are labelled {clash[0]!r}")
     return tuple(out)
 
 

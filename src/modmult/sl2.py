@@ -84,16 +84,14 @@ def sl2_group_order(n: int) -> int:
 class FiniteSubgroup:
     """A subgroup of SL2(Z/N) given by its full (sorted) element list.
 
-    family is (kind, n) for every group realize returns: the spec's kind
-    and level, ("full", 1) for all of SL2(Z/N).  The group then contains
-    every matrix = I mod n, and cosets.coset_action keys its cosets mod n.
-    It takes no part in equality or hashing, so equal element lists are
-    equal groups; a hand-built group has None.
+    own_level is, for every group realize returns, its spec's level n: the
+    group contains every matrix = I mod n, and cosets.coset_action keys its
+    cosets mod n.  Equality and hashing ignore it; a hand-built group has None.
     """
 
     level: int
     elements: tuple[Mat, ...]
-    family: tuple[str, int] | None = field(default=None, compare=False)
+    own_level: int | None = field(default=None, compare=False)
 
     @cached_property
     def element_set(self) -> frozenset:
@@ -192,7 +190,7 @@ def realize(spec: SubgroupSpec, at_level: int | None = None,
     n = spec.level
     if spec.kind in CONGRUENCE_RESIDUES:
         return FiniteSubgroup(m, _congruence_elements(
-            m, n, *CONGRUENCE_RESIDUES[spec.kind]), family=(spec.kind, n))
+            m, n, *CONGRUENCE_RESIDUES[spec.kind]), own_level=n)
     # custom: the classes of the generated closure mod N, d filtered last
     gens = [reduce_mat(g, n) for g in spec.generators]
     closure = {identity_mat(n)}
@@ -207,7 +205,7 @@ def realize(spec: SubgroupSpec, at_level: int | None = None,
     return FiniteSubgroup(m, tuple(sorted(
         x for a, b, c, d in closure
         for x in _congruence_elements(m, n, a, b, c) if x[3] % n == d)),
-        family=("custom", n))
+        own_level=n)
 
 
 def enumerate_sl2(n: int, level_cap: int = DEFAULT_LEVEL_CAP) -> FiniteSubgroup:

@@ -305,10 +305,10 @@ class TestCuspOrder:
 
 class TestOwnLevel:
     """A group realized above its level has the coset action of its
-    realization at its level: the lookup runs at the lower level, on the
-    bottom row mod N for Gamma0(N) and Gamma1(N), on the whole matrix mod
-    the family's level for the others (N for Gamma(N), 1 for SL2Z, n for
-    custom:n)."""
+    realization at its level: the lookup runs mod its spec's level n, on
+    the bottom row when T lies in the group (Gamma0(N), Gamma1(N), SL2Z),
+    on the whole matrix otherwise (Gamma(N), and custom:n here, which is
+    Gamma(n))."""
 
     @pytest.mark.parametrize("kind,n,m", [
         ("gamma0", 5, 10), ("gamma0", 4, 24), ("gamma1", 4, 12),
@@ -321,9 +321,9 @@ class TestOwnLevel:
         lookups = []
         original = cosets._coset_table
 
-        def recorded(size, acting, top, d, *args):
-            lookups.append((frozenset(acting), top, d))
-            return original(size, acting, top, d, *args)
+        def recorded(size, acting, key, own, *args):
+            lookups.append((frozenset(acting), key, own))
+            return original(size, acting, key, own, *args)
 
         monkeypatch.setattr(cosets, "_coset_table", recorded)
         cosets.coset_action.cache_clear()
@@ -331,8 +331,10 @@ class TestOwnLevel:
         act_low, act_high = coset_action(low), coset_action(high)
         # both tables are keyed alike, mod n
         assert len(lookups) == 2 and lookups[0] == lookups[1]
-        _, top, d = lookups[0]
-        assert (top, d) == ((1, n) if kind in ("gamma0", "gamma1") else (n, n))
+        _, key, own = lookups[0]
+        assert own == n
+        assert key == (slice(2, 4) if kind in ("gamma0", "gamma1", "full")
+                       else slice(0, 4))
         assert act_high.size == act_low.size
         assert (act_high.sigma_S, act_high.sigma_T) == \
             (act_low.sigma_S, act_low.sigma_T)
@@ -340,9 +342,11 @@ class TestOwnLevel:
 
 
 def generic(K):
-    """K without its family: the same elements, looked up by whole matrices
-    mod K.level."""
-    return FiniteSubgroup(K.level, K.elements)
+    """The lookup that reads nothing of K but its elements: whole matrices
+    mod K.level, with acting all of +-K."""
+    n = K.level
+    return (set(K.elements) | {tuple(-v % n for v in h) for h in K.elements},
+            slice(0, 4), n)
 
 
 T_GEN, S_GEN, MINUS_I = (1, 1, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1)
@@ -363,42 +367,51 @@ def family_specs(kind):
     return [SubgroupSpec(kind, n) for n in range(1, 31)]
 
 
+# custom groups of level 97: <T> is Gamma1(97), and <T, diag(5, 39)> is
+# Gamma0(97), as 5 generates (Z/97)^x
+CUSTOM_97 = {"custom-T": (T_GEN,), "custom-T-diag": (T_GEN, (5, 0, 0, 39))}
+
+
 class TestKeyedTable:
-    """Each realized group, keyed by its family (bottom rows for Gamma0(N)
-    and Gamma1(N), whole matrices mod the family's level for the others),
-    gives the coset table of the generic lookup, whole matrices mod the
-    level K is realized at."""
+    """Each realized group, keyed by its own rule (bottom rows mod its
+    spec's level when T lies in it, whole matrices otherwise), gives the
+    coset table of the generic lookup, whole matrices mod the level K is
+    realized at."""
 
     @pytest.mark.parametrize("kind",
                              ["gamma0", "gamma1", "gamma", "full", "custom"])
-    def test_keyed_equals_generic(self, kind):
-        # coset_action's cache ignores the family, so both run uncached;
-        # SL2Z is realized at every level m <= 30
+    def test_keyed_equals_generic(self, kind, monkeypatch):
+        import modmult.cosets as cosets
+        # both run uncached; SL2Z is realized at every level m <= 30
         for spec in family_specs(kind):
             n = spec.level
             for m in (range(1, 31) if kind == "full" else (n, 2 * n)):
                 K = realize(spec, at_level=m, level_cap=60)
                 keyed = coset_action.__wrapped__(K)
-                assert keyed == coset_action.__wrapped__(generic(K)), \
-                    f"{spec} at {m}"
+                with monkeypatch.context() as patch:
+                    patch.setattr(cosets, "_lookup", generic)
+                    assert keyed == coset_action.__wrapped__(K), \
+                        f"{spec} at {m}"
 
     @pytest.mark.parametrize("kind,bound", [
         # mu_proj * phi(97) and 2 * mu_proj for Gamma1(97)
-        ("gamma0", 98 * 96), ("gamma1", 2 * 4704)])
+        ("gamma0", 98 * 96), ("gamma1", 2 * 4704),
+        ("custom-T", 2 * 4704), ("custom-T-diag", 98 * 96)])
     def test_keys_are_o_of_the_index(self, kind, bound, monkeypatch):
         import modmult.cosets as cosets
         tables = []
         original = cosets._coset_table
 
-        def recorded(size, acting, top, d, m, gens):
-            reps, perms = original(size, acting, top, d, m, gens)
-            tables.append(len({
-                mat_mul(h, (r[0] % top, r[1] % top, r[2] % d, r[3] % d), d)
-                for r in reps for h in acting}))
+        def recorded(size, acting, key, n, m, gens):
+            reps, perms = original(size, acting, key, n, m, gens)
+            tables.append(len({mat_mul(h, r, n)[key]
+                               for r in reps for h in acting}))
             return reps, perms
 
         monkeypatch.setattr(cosets, "_coset_table", recorded)
-        K = realize(SubgroupSpec(kind, 97), level_cap=200)
+        spec = (SubgroupSpec("custom", 97, CUSTOM_97[kind])
+                if kind in CUSTOM_97 else SubgroupSpec(kind, 97))
+        K = realize(spec, level_cap=200)
         coset_action.__wrapped__(K)
         # not one key per element of SL2(Z/97), 912,576 of them
         assert tables == [bound]
@@ -406,29 +419,26 @@ class TestKeyedTable:
     @pytest.mark.parametrize("n", [37, 41])
     def test_verify_report_by_either_route(self, n, monkeypatch, capsys):
         import modmult.cosets as cosets
-        import modmult.reps as reps
         from modmult.cli import main
         argv = ["verify", "--pair", f"gamma0:{n}/gamma1:{n}",
                 "--level-cap", str(n)]
-        tops = []
+        keys = []
         original = cosets._coset_table
 
-        def recorded(size, acting, top, *args):
-            tops.append(top)
-            return original(size, acting, top, *args)
+        def recorded(size, acting, key, *args):
+            keys.append(key)
+            return original(size, acting, key, *args)
 
         monkeypatch.setattr(cosets, "_coset_table", recorded)
         reports = []
-        for strip in (False, True):
-            if strip:
-                realized = reps.realize
-                monkeypatch.setattr(reps, "realize",
-                                    lambda *a, **k: generic(realized(*a, **k)))
+        for whole in (False, True):
+            if whole:
+                monkeypatch.setattr(cosets, "_lookup", generic)
             cosets.coset_action.cache_clear()
             assert main(argv) == 0
             reports.append(capsys.readouterr().out)
         # keyed by bottom rows, then by whole matrices mod n
-        assert tops == [1, n]
+        assert keys == [slice(2, 4), slice(0, 4)]
         assert reports[0] == reports[1]
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
@@ -214,6 +215,30 @@ class TestLoadTable:
         doc["characters"][1] = dict(doc["characters"][0], name="dup")
         with pytest.raises(OrthogonalityFailure):
             load_character_table(doc, s3pair.G)
+
+    def test_repeated_name(self, s3pair):
+        doc = table_to_doc(s3pair.table)
+        for ch in doc["characters"]:
+            ch["name"] = "x"
+        with pytest.raises(SchemaError,
+                           match="^character name 'x' is repeated$"):
+            load_character_table(doc, s3pair.G)
+
+    def test_name_is_an_orbit_label(self, diamond5):
+        # Z/4: chi1 and chi3 form one orbit; a row named for it would share
+        # its label, which keys the series
+        doc = table_to_doc(diamond5.table)
+        label = next(rat.label for rat in diamond5.rationals
+                     if rat.orbit_size > 1)
+        single = next(rat.names[0] for rat in diamond5.rationals
+                      if rat.orbit_size == 1)
+        for ch in doc["characters"]:
+            if ch["name"] == single:
+                ch["name"] = label
+        table = load_character_table(doc, diamond5.G)
+        with pytest.raises(SchemaError, match=r"^two Galois orbits are "
+                           rf"labelled '{re.escape(label)}'$"):
+            rational_characters(table)
 
     def test_degree_sum_mismatch(self, s3pair):
         doc = table_to_doc(s3pair.table)
@@ -1022,15 +1047,16 @@ class TestSignatureCache:
         tables = []
         original = cosets._coset_table
 
-        def counted(size, acting, top, d, *args):
-            tables.append((top, d))
-            return original(size, acting, top, d, *args)
+        def counted(size, acting, key, n, *args):
+            tables.append((key, n))
+            return original(size, acting, key, n, *args)
 
         # G = C4 with classes 1, C2, C4; G = (Z/2)^3 with eight
         for specs, lookup in [
-                ((SubgroupSpec("gamma0", 5), SubgroupSpec("gamma1", 5)), (1, 5)),
+                ((SubgroupSpec("gamma0", 5), SubgroupSpec("gamma1", 5)),
+                 (slice(2, 4), 5)),
                 ((SubgroupSpec("gamma", 12), SubgroupSpec("gamma", 24)),
-                 (12, 12))]:
+                 (slice(0, 4), 12))]:
             monkeypatch.setattr(cosets, "_coset_table", counted)
             cosets.coset_action.cache_clear()
             tables.clear()

@@ -308,7 +308,8 @@ def s3_table_doc(broken=None):
     """The SL2Z/Gamma(2) character table (triv, sign, std) as a --table
     document, or broken: a wrong degree, class size or duplicated row, a
     class rep of three integers, a coefficient 1/0, a value of order 0 or
-    10**6, coefficients given as a list or values given as a number."""
+    10**6, coefficients given as a list, values given as a number or two
+    rows of one name."""
     pair = QuotientPair.build(SubgroupSpec("full", 1), SubgroupSpec("gamma", 2))
     G, table = pair.G, pair.table
     doc = {"classes": [{"rep": list(G.elements[cls[0]]), "size": len(cls)}
@@ -341,6 +342,8 @@ def s3_table_doc(broken=None):
         chars[0]["values"][0]["coeffs"] = ["1"]
     elif broken == "values-number":
         chars[0]["values"] = 3.5
+    elif broken == "dup-name":
+        chars[1]["name"] = chars[0]["name"]
     return doc
 
 
@@ -371,6 +374,8 @@ CLI_ERRORS = [
       "coeff-list"], "SchemaError"),
     (["mult", "--pair", "SL2Z/gamma:2", "--weights", "2..4", "--table",
       "values-number"], "SchemaError"),
+    (["mult", "--pair", "SL2Z/gamma:2", "--weights", "4..6", "--table",
+      "dup-name"], "SchemaError"),
     (["verify", "--pair", "gamma0:5/gamma1:5", "--offset-bound", "3"],
      "InvalidOffsetBound"),
 ]
