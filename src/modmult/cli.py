@@ -21,8 +21,8 @@ _SECOND_SPEC = re.compile(r"/(?=SL2Z$|gamma0:|gamma1:|gamma:|custom:)")
 def parse_group_spec(text: str) -> SubgroupSpec:
     """Grammar: SL2Z | gamma0:N | gamma1:N | gamma:N | custom:<path>.
 
-    A custom file starts with a line giving the level, followed by one
-    generator per line as four integers a b c d.
+    A custom file starts with a line holding the level alone, followed by
+    one generator per line as four integers a b c d.
     """
     if text == "SL2Z":
         return SubgroupSpec("full", 1)
@@ -43,6 +43,9 @@ def parse_group_spec(text: str) -> SubgroupSpec:
                 f"cannot read {where}: {exc.strerror}") from None
         if not lines:
             raise argparse.ArgumentTypeError(f"{where} has no level line")
+        if len(lines[0]) != 1:
+            raise argparse.ArgumentTypeError(
+                f"{where}: the level line must hold the level alone")
         level = _integer(where, "level", lines[0][0])
         gens = tuple(tuple(_integer(where, "generator entry", x) for x in row)
                      for row in lines[1:])

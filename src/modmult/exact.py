@@ -227,58 +227,38 @@ def integer_rows(rows):
 # ---------------------------------------------------------------------------
 # Exact linear solver.
 
-def solve_linear_exact(A, b, column_order=None):
-    """Solve A x = b exactly over the rationals.
-
-    Returns one solution (free variables are set to 0); raises
-    InconsistentSystem when none exists.  ``column_order`` controls the
-    pivot-column order, which selects among solutions of underdetermined
-    systems.
+def solve_linear_exact(A, b):
+    """Solve the square, nonsingular system A x = b exactly over the
+    rationals; a non-square or singular A, or a b of another length,
+    raises ValueError.
 
     Gauss-Jordan elimination without fractions, in the manner of Bareiss
     (Math. Comp. 22, 1968): each augmented row is scaled to integers by the
     lcm of its denominators, and a row is cleared as pv * row - f * pivot_row
     and divided by the gcd of its entries.  Every row stays a nonzero
     multiple of the row rational elimination would hold, so the pivots and
-    the solution are the same; one Fraction is built per pivot variable.
+    the solution are the same; one Fraction is built per variable.
     """
-    r = len(A)
-    s = len(A[0]) if r else 0
-    if len(b) != r:
+    n = len(A)
+    if len(b) != n:
         raise ValueError("dimension mismatch")
+    if any(len(row) != n for row in A):
+        raise ValueError("matrix is not square")
     M = [_integer_row([*row, b[i]]) for i, row in enumerate(A)]
-    if any(len(row) != s + 1 for row in M):
-        raise ValueError("ragged matrix")
-    cols = list(range(s)) if column_order is None else list(column_order)
-    if sorted(cols) != list(range(s)):
-        raise ValueError("column_order must be a permutation of the columns")
-
-    pivots = []
-    prow = 0
-    for col in cols:
-        sel = next((i for i in range(prow, r) if M[i][col]), None)
+    for col in range(n):
+        sel = next((i for i in range(col, n) if M[i][col]), None)
         if sel is None:
-            continue
-        M[prow], M[sel] = M[sel], M[prow]
-        pivot_row = M[prow]
+            raise ValueError("singular matrix")
+        M[col], M[sel] = M[sel], M[col]
+        pivot_row = M[col]
         pv = pivot_row[col]
-        for i in range(r):
+        for i in range(n):
             f = M[i][col]
-            if i != prow and f:
+            if i != col and f:
                 row = [pv * x - f * y for x, y in zip(M[i], pivot_row)]
                 g = gcd(*row)
                 M[i] = [x // g for x in row] if g > 1 else row
-        pivots.append((prow, col))
-        prow += 1
-        if prow == r:
-            break
-    for i in range(prow, r):
-        if M[i][s]:
-            raise InconsistentSystem("no exact solution")
-    x = [Fraction(0)] * s
-    for row, col in pivots:
-        x[col] = Fraction(M[row][s], M[row][col])
-    return x
+    return [Fraction(row[n], row[col]) for col, row in enumerate(M)]
 
 
 def _integer_row(row) -> list[int]:

@@ -472,16 +472,21 @@ def artin_decompose(target_values, G: QuotientGroup, cyclics,
     A rational class function is fixed by its values at one generator of
     each cyclic subgroup (Serre, Linear Representations, 13.1), and at
     those classes the marks matrix is upper triangular with a positive
-    diagonal, so the system is square and nonsingular.  The solution is
-    then checked at every class, in integers over the coefficients' common
-    denominator D; a function that is not constant on the Galois class
-    orbits raises InconsistentSystem.
+    diagonal, so the system is square and nonsingular.  ``column_order``,
+    a permutation of the cyclic subgroups, orders the matrix's columns
+    and so the elimination's pivots; the coefficients do not depend on it.
+    The solution is then checked at every class, in integers over the
+    coefficients' common denominator D; a function that is not constant
+    on the Galois class orbits raises InconsistentSystem.
     """
     perms = [permutation_character(G, sub) for _, sub in cyclics]
+    order = list(range(len(perms)) if column_order is None else column_order)
+    if sorted(order) != list(range(len(perms))):
+        raise ValueError("column_order must be a permutation of the columns")
     rows = [G.class_of[gen] for gen, _ in cyclics]
-    A = [[perm[cl] for perm in perms] for cl in rows]
-    x = solve_linear_exact(A, [target_values[cl] for cl in rows],
-                           column_order=column_order)
+    A = [[perms[j][cl] for j in order] for cl in rows]
+    y = solve_linear_exact(A, [target_values[cl] for cl in rows])
+    x = [q for _, q in sorted(zip(order, y))]
     D = lcm(*(q.denominator for q in x))
     scaled = [q.numerator * (D // q.denominator) for q in x]
     for cl, want in enumerate(target_values):

@@ -202,6 +202,8 @@ def realize(spec: SubgroupSpec, at_level: int | None = None,
             if y not in closure:
                 closure.add(y)
                 frontier.append(y)
+    if m == n:
+        return FiniteSubgroup(m, tuple(sorted(closure)), own_level=n)
     return FiniteSubgroup(m, tuple(sorted(
         x for a, b, c, d in closure
         for x in _congruence_elements(m, n, a, b, c) if x[3] % n == d)),

@@ -890,6 +890,29 @@ class TestArtin:
                 total = sum(q * perms[j][ci] for j, q in enumerate(coeffs))
                 assert total == rat.values[ci]
 
+    def test_every_column_order(self):
+        # on each pair of at most five cyclic subgroups, every order of the
+        # marks matrix's columns gives the coefficients the pair solved
+        from itertools import permutations
+        for k0, n0, k1, n1 in PAIRS:
+            pair = QuotientPair.build(SubgroupSpec(k0, n0),
+                                      SubgroupSpec(k1, n1))
+            if len(pair.cyclics) > 5:
+                continue
+            for order in permutations(range(len(pair.cyclics))):
+                for rat in pair.rationals:
+                    assert artin_decompose(rat.values, pair.G, pair.cyclics,
+                                           column_order=order) \
+                        == pair.artin[rat]
+
+    def test_column_order_must_permute_the_columns(self, diamond5):
+        G = diamond5.G
+        values = diamond5.rationals[0].values
+        for order in ([0, 1], [0, 0, 1], [0, 1, 3]):
+            with pytest.raises(ValueError, match="permutation of the columns"):
+                artin_decompose(values, G, diamond5.cyclics,
+                                column_order=order)
+
     def test_not_constant_on_galois_class_orbits(self, diamond5):
         # the two classes of order 4 are Galois conjugate: a class function
         # that tells them apart is not a rational character
@@ -1193,13 +1216,16 @@ class TestArtinSolves:
 
     @pytest.fixture
     def solves(self, monkeypatch):
+        # the marks matrix is upper triangular in the cyclic subgroups'
+        # order, so a column's last nonzero row is the subgroup it belongs to
         import modmult.reps as reps
         calls = []
         original = reps.solve_linear_exact
 
-        def counted(A, b, column_order=None):
-            calls.append(column_order)
-            return original(A, b, column_order=column_order)
+        def counted(A, b):
+            calls.append([max(i for i, row in enumerate(A) if row[j])
+                          for j in range(len(A))])
+            return original(A, b)
 
         monkeypatch.setattr(reps, "solve_linear_exact", counted)
         return calls
@@ -1209,16 +1235,17 @@ class TestArtinSolves:
         specs = (SubgroupSpec("gamma0", 5), SubgroupSpec("gamma1", 5))
         pair = QuotientPair.build(*specs)
         assert len(pair.rationals) == 3
-        assert solves == [None] * 3
+        natural = [list(range(len(pair.cyclics)))] * 3
+        assert solves == natural
         for rat in pair.rationals:
             for kind in ("M", "S"):
                 multiplicity_series(pair, rat, kind, range(2, 40))
         # the series only read what build solved
-        assert solves == [None] * 3
+        assert solves == natural
         solves.clear()
         report = run_verify(VerificationConfig(*specs, kmax=60))
         assert len(report["reps"]) == 2 * 3  # M and S
-        assert solves == [None] * 3
+        assert solves == natural
 
     def test_column_order_solves_afresh(self, solves):
         pair = QuotientPair.build(SubgroupSpec("gamma0", 7),

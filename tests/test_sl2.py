@@ -88,6 +88,23 @@ class TestRealize:
         K = realize(SubgroupSpec("custom", 4, ((1, 1, 0, 1),)))
         assert K.order == 4
 
+    def test_custom_at_own_level_reads_its_closure(self, monkeypatch):
+        # at its own level a custom group is its closure: no residue lifts
+        import modmult.sl2 as sl2
+        calls = []
+        original = sl2._congruence_elements
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(sl2, "_congruence_elements", counted)
+        spec = SubgroupSpec("custom", 97, ((1, 1, 0, 1), (5, 0, 0, 39)))
+        K = realize(spec, level_cap=97)
+        assert calls == []
+        assert K.elements == realize(SubgroupSpec("gamma0", 97),
+                                     level_cap=97).elements
+
     def test_custom_preimage_above_own_level(self):
         # the preimage of <T> mod 2 and of {I} mod 2 in SL2(Z/4)
         T2 = SubgroupSpec("custom", 2, ((1, 1, 0, 1),))

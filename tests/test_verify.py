@@ -654,8 +654,9 @@ class TestParseSpecs:
         ("4\n1 1 0 one\n", "generator entry 'one' is not an integer"),
         ("4\n1 1/2 0 1\n", "generator entry '1/2' is not an integer"),
         ("4\n1 1 0\n", "generators need four integers per line"),
+        ("4 1 1 0 1\n", "the level line must hold the level alone"),
     ], ids=["level-0", "level-negative", "level-text", "entry-text",
-            "entry-fraction", "three-entries"])
+            "entry-fraction", "three-entries", "level-line-extra"])
     def test_bad_custom_file_says_why(self, content, reason, capsys,
                                       tmp_path):
         import argparse
