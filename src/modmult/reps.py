@@ -5,6 +5,7 @@ dimensions over cyclic subgroups plus Artin-induction linear algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -50,7 +51,13 @@ class CharacterTableRequired(ModmultError, ValueError):
 
 @dataclass(frozen=True)
 class CharacterTable:
-    """Exact character data of G, values indexed by G's conjugacy classes."""
+    """Exact character data of G, values indexed by G's conjugacy classes.
+
+    A table whose degrees are all 1 and whose values are all zeta_o^j, with
+    coefficient 1 and o | e, e = exp G, has exponent rows, worked out from
+    the values.  validate accepts rows that are |G| distinct homomorphisms
+    G -> Z/e without the Z[zeta_m] checks, and _scalar_at_iota and
+    rational_characters read them; every other table is read in Z[zeta_m]."""
 
     group: QuotientGroup
     names: tuple[str, ...]
@@ -58,10 +65,16 @@ class CharacterTable:
     values: tuple[tuple[CycloValue, ...], ...]
     provenance: str
 
-    # BuiltinAbelian only: each row of values as exponents of zeta_e,
-    # e = exp G, per class, and the elements the table was extended along
-    exponents: tuple[tuple[int, ...], ...] | None = None
-    generators: tuple[int, ...] = ()
+    @cached_property
+    def exponents(self) -> tuple[tuple[int, ...], ...] | None:
+        """Each row as exponents of zeta_e per class, or None."""
+        e = self.group.exponent
+        if set(self.degrees) != {1} or any(
+                e % v.order or list(v.coeffs.values()) != [1]
+                for row in self.values for v in row):
+            return None
+        return tuple(tuple(j * (e // v.order) for v in row for j in v.coeffs)
+                     for row in self.values)
 
     def validate(self):
         G = self.group
@@ -80,23 +93,22 @@ class CharacterTable:
             at_id = row[G.class_of[G.identity]].rational_part()
             if at_id != deg:
                 raise SchemaError("degree must equal the value at the identity")
-        if self.exponents is None:
+        int_rows = None
+        if not self._check_exponent_rows():
             int_rows = integer_rows(self.values)
             self._check_gram_matrix(*int_rows)
-        else:
-            self._check_exponent_rows()
         if G.iota is not None:
             for i, name in enumerate(self.names):
                 if not self._scalar_at_iota(i):
                     raise SchemaError(
                         f"value of {name} at the -I coset is not a +-1 scalar")
-        if self.exponents is None:
+        if int_rows is not None:
             self._check_class_algebra(*int_rows)
 
     def _scalar_at_iota(self, i: int) -> bool:
-        """Whether row i is +-deg at the -I coset.  On an exponent table
-        that has passed _check_exponent_rows, deg = 1 and the value is
-        zeta_e^r with 0 <= r < e, so it is +-1 iff r is 0 or e/2."""
+        """Whether row i is +-deg at the -I coset.  On a table with
+        exponent rows, deg = 1 and the value is zeta_e^r with 0 <= r < e,
+        so it is +-1 iff r is 0 or e/2."""
         G = self.group
         iota = G.class_of[G.iota]
         if self.exponents is not None:
@@ -172,42 +184,21 @@ class CharacterTable:
                         f"{name} is not a character: it breaks the class "
                         f"multiplication at {zi} * {zj}")
 
-    def _check_exponent_rows(self):
-        """The rows are |G| distinct homomorphisms G -> Z/e, so they are all
-        of G's characters and orthogonal.  A row r with r(1) = 0 and
-        r(x s) = r(x) + r(s) for every x and every generator s is one: each
-        element is a word in the generators, which the walk below checks."""
-        G = self.group
-        e = G.exponent
-        rows = self.exponents
-        if [[(e, {x: 1}) for x in row] for row in rows] != \
-                [[(v.order, v.coeffs) for v in row] for row in self.values]:
-            raise SchemaError("values must be zeta_e to the exponent rows")
-        if len(rows) != G.order or len(set(rows)) != G.order:
-            raise OrthogonalityFailure(
-                f"{len(set(rows))} distinct exponent rows in {len(rows)}, "
-                f"not |G| = {G.order}")
+    def _check_exponent_rows(self) -> bool:
+        """Whether the table has exponent rows that are |G| distinct
+        homomorphisms G -> Z/e, and so all of G's characters, orthogonal and
+        irreducible.  A row r is one if r(x s) = r(x) + r(s) for every x and
+        every generator s of G: each element is a word in the generators.
+        validate checks every other table in Z[zeta_m], and so refuses
+        exponent rows that are not G's table as it refuses any table."""
+        G, rows = self.group, self.exponents
+        if rows is None or not len(set(rows)) == len(rows) == G.order:
+            return False
         cls = G.class_of
-        # (class of x, class of x s, class of s) over the walk from 1
-        steps = []
-        reached = {G.identity}
-        frontier = [G.identity]
-        while frontier:
-            x = frontier.pop()
-            for s in self.generators:
-                y = G.mul[x][s]
-                steps.append((cls[x], cls[y], cls[s]))
-                if y not in reached:
-                    reached.add(y)
-                    frontier.append(y)
-        if len(reached) != G.order:
-            raise SchemaError("the generators do not generate G")
-        one = cls[G.identity]
-        for name, row in zip(self.names, rows):
-            if row[one] or any((row[x] + row[s] - row[y]) % e
-                               for x, y, s in steps):
-                raise OrthogonalityFailure(
-                    f"{name} is not a homomorphism G -> Z/{e}")
+        steps = [(cls[x], cls[G.mul[x][s]], cls[s])
+                 for x in range(G.order) for s in G.generators]
+        return not any((row[x] + row[s] - row[y]) % G.exponent
+                       for row in rows for x, y, s in steps)
 
 
 def abelian_character_table(G: QuotientGroup) -> CharacterTable:
@@ -217,11 +208,7 @@ def abelian_character_table(G: QuotientGroup) -> CharacterTable:
         raise NotAbelian("quotient group is not abelian")
     e = G.exponent
     chars: list[dict[int, int]] = [{G.identity: 0}]  # element -> exponent of zeta_e
-    generators = []
-    for g in range(G.order):
-        if g in chars[0]:
-            continue
-        generators.append(g)
+    for g in G.generators:
         pg = G.powers[g]
         # m = least positive power of g in the current subgroup, the key
         # set of chars[0]: its meet with <g> has ord g / m elements
@@ -247,8 +234,7 @@ def abelian_character_table(G: QuotientGroup) -> CharacterTable:
         values.append(tuple(zeta[exp] for exp in row))
     table = CharacterTable(group=G, names=tuple(names),
                            degrees=(1,) * G.order, values=tuple(values),
-                           provenance="BuiltinAbelian", exponents=tuple(rows),
-                           generators=tuple(generators))
+                           provenance="BuiltinAbelian")
     table.validate()
     return table
 

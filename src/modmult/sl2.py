@@ -258,6 +258,19 @@ class QuotientGroup:
     def exponent(self) -> int:
         return lcm(*map(len, self.powers))
 
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """Each element outside the subgroup the earlier ones generate."""
+        gens, sub = [], {self.identity}
+        for g in range(self.order):
+            if g not in sub:
+                gens.append(g)
+                new = sub
+                while new:
+                    new = {self.mul[x][s] for x in new for s in gens} - sub
+                    sub |= new
+        return tuple(gens)
+
     @property
     def is_abelian(self) -> bool:
         # every class is then a singleton

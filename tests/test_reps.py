@@ -60,7 +60,8 @@ def char_order(table, i):
 def reference_abelian_table(G):
     """(exponent rows, names, generators) of abelian_character_table by its
     former extension loop, which multiplied its way to each power of g and
-    kept the current subgroup as a set of its own."""
+    kept the current subgroup as a set of its own; the generators are those
+    G.generators lists."""
     e = G.exponent
     chars = [{G.identity: 0}]
     subgroup = {G.identity}
@@ -110,7 +111,7 @@ class TestAbelianTable:
                                        level_cap=97)))
         for G in groups:
             table = abelian_character_table(G)
-            assert (table.exponents, table.names, table.generators) == \
+            assert (table.exponents, table.names, G.generators) == \
                 reference_abelian_table(G)
         assert len(groups) == 56
 
@@ -424,9 +425,10 @@ def edited(table, rows=None, degrees=None):
 
 
 class TestValidate:
-    """Every rejection of CharacterTable.validate's Z[zeta_m] route on the
-    cyclic table of Gamma0(13)/Gamma1(13) (exponent 12), with its type and
-    message."""
+    """Every rejection of CharacterTable.validate on the cyclic table of
+    Gamma0(13)/Gamma1(13) (exponent 12), with its type and message.  Rows of
+    roots of unity have exponent rows; when they are not the character
+    table, the Z[zeta_m] checks refuse them as reference_validate does."""
 
     def test_row_of_wrong_length(self, table13):
         rows = list(table13.values)
@@ -454,9 +456,13 @@ class TestValidate:
                  if G.element_order(cls[0]) == 3)
         rows = [list(row) for row in table13.values]
         rows[1][c] = rows[1][c] * CycloValue(12, {1: 1})
+        broken = edited(table13, rows=rows)
+        assert broken.exponents is not None
         with pytest.raises(OrthogonalityFailure) as err:
-            edited(table13, rows=rows).validate()
+            broken.validate()
         assert str(err.value) == f"<triv,{table13.names[1]}> = None/12"
+        assert outcome(reference_validate, broken) == \
+            (OrthogonalityFailure, str(err.value))
 
     def test_user_file_fractions_in_q_zeta_24(self, table13):
         # chi1 written in Q(zeta_24) with thirds that cancel (zeta^12 = -1)
@@ -489,23 +495,32 @@ class TestValidate:
             row[iota], row[c] = row[c], row[iota]
         name = next(n for n, row in zip(table13.names, rows)
                     if row[iota] != 1 and row[iota] != -1)
+        broken = edited(table13, rows=rows)
+        assert broken.exponents is not None
         with pytest.raises(SchemaError) as err:
-            edited(table13, rows=rows).validate()
+            broken.validate()
         assert str(err.value) == f"value of {name} at the -I coset is not a +-1 scalar"
+        assert outcome(reference_validate, broken) == \
+            (SchemaError, str(err.value))
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("pair", TABLE_PAIRS[:4],
                              ids=lambda p: f"{p[0].label()}/{p[1].label()}")
     def test_matches_reference_on_mutations(self, pair, seed):
+        # the mutations of an abelian table reach both routes: rows of
+        # roots of unity have exponent rows, other values do not
         table = table_of(*pair)
         rng = random.Random(f"{seed}/{pair[0].label()}/{pair[1].label()}")
-        seen = set()
+        seen, routes = set(), set()
         for _ in range(40):
             broken = mutate(table, rng)
             got = outcome(CharacterTable.validate, broken)
             assert got == outcome(reference_validate, broken)
             seen.add(None if got is None else got[0])
+            routes.add(broken.exponents is not None)
         assert OrthogonalityFailure in seen and SchemaError in seen
+        assert routes == ({False, True} if table.group.is_abelian
+                          else {False})
 
 
 class TestRationalCharacters:
@@ -586,13 +601,13 @@ class TestGaloisOrbitsFromPowerMaps:
         assert got == [(r.names, r.values) for r in rational_characters(table)]
 
     def test_exponent_keys_match_loaded_table(self, table_of_pair):
-        # an abelian built-in table is keyed by its exponent rows, the same
-        # table read from a document by its Z[zeta_m] coordinates
+        # an abelian table is keyed by its exponent rows, built in or read
+        # from a document; the S3 table by its Z[zeta_m] coordinates
         table = table_of_pair
         G = table.group
         assert (table.exponents is not None) == G.is_abelian
         loaded = load_character_table(table_to_doc(table), G)
-        assert loaded.exponents is None
+        assert loaded.exponents == table.exponents
         assert rational_characters(loaded) == rational_characters(table)
 
     def test_broken_tables_raise(self, diamond5):
@@ -625,33 +640,44 @@ class TestGaloisOrbitsFromPowerMaps:
             assert all(perms[j][cl] == 0 for j in range(i))
 
 
-def cyclotomic(table):
-    """The same table without its exponent rows: validate and
-    rational_characters take the Z[zeta_m] route."""
-    return replace(table, exponents=None, generators=())
+def as_sums(table):
+    """The same table with each value c zeta_o^j written as the sum
+    -c zeta_3o^(3j+o) - c zeta_3o^(3j+2o): it has no exponent rows, so
+    validate and rational_characters take the Z[zeta_m] route."""
+    def as_sum(v):
+        (j, c), = v.coeffs.items()
+        o = v.order
+        return CycloValue(3 * o, {3 * j + o: -c, 3 * j + 2 * o: -c})
+    return replace(table, values=tuple(tuple(map(as_sum, row))
+                                       for row in table.values))
 
 
 def with_exponent_rows(table, rows):
-    """An exponent table like table, with the given rows and values
-    zeta_e to them."""
+    """table with values zeta_e to the given rows, e = exp G."""
     e = table.group.exponent
-    rows = tuple(tuple(row) for row in rows)
-    values = tuple(tuple(CycloValue(e, {x: 1}) for x in row) for row in rows)
-    return replace(table, values=values, exponents=rows)
+    return replace(table, values=tuple(
+        tuple(CycloValue(e, {x: 1}) for x in row) for row in rows))
+
+
+@pytest.fixture(scope="module")
+def table97():
+    return character_table_for(quotient(
+        realize(SubgroupSpec("gamma0", 97), level_cap=97),
+        realize(SubgroupSpec("gamma1", 97), level_cap=97)))
 
 
 class TestExponentRows:
-    """A BuiltinAbelian table is checked and summed from its exponent rows;
-    the Z[zeta_m] route it replaces is the oracle."""
+    """A table with exponent rows is checked and summed from them; the
+    CycloValue oracles reference_validate and reference_rational_characters
+    are the check."""
 
     @pytest.mark.parametrize("k0,n0,k1,n1", PAIRS,
                              ids=[f"{a}:{b}/{c}:{d}" for a, b, c, d in PAIRS])
     def test_same_rational_characters_as_cyclotomic_route(self, k0, n0,
                                                            k1, n1):
-        # PAIRS holds Gamma0(N)/Gamma1(N) for every N <= 30
-        level = lcm(n0, n1)
-        G = quotient(realize(SubgroupSpec(k0, n0), at_level=level),
-                     realize(SubgroupSpec(k1, n1), at_level=level))
+        # PAIRS holds Gamma0(N)/Gamma1(N) for every N <= 30; the oracle's
+        # class algebra grows as |G|^4, so it checks |G| <= 8 only
+        G = pair_quotient(SubgroupSpec(k0, n0), SubgroupSpec(k1, n1))
         if not G.is_abelian:
             if G.order == 6:
                 assert character_table_for(G).exponents is None
@@ -659,17 +685,28 @@ class TestExponentRows:
         table = character_table_for(G)
         assert table.provenance == "BuiltinAbelian"
         assert len(table.exponents) == G.order
-        cyclotomic(table).validate()
-        assert rational_characters(table) == \
-            rational_characters(cyclotomic(table))
+        if G.order <= 8:
+            assert outcome(reference_validate, table) is None
+        assert [(r.names, r.values) for r in rational_characters(table)] == \
+            reference_rational_characters(table)
 
-    def test_same_rational_characters_at_level_97(self):
-        G = quotient(realize(SubgroupSpec("gamma0", 97), level_cap=97),
-                     realize(SubgroupSpec("gamma1", 97), level_cap=97))
-        table = character_table_for(G)
-        assert table.exponents is not None and G.order == 96
-        assert rational_characters(table) == \
-            rational_characters(cyclotomic(table))
+    def test_same_rational_characters_at_level_97(self, table97):
+        # the oracle would take minutes: the Z[zeta_m] route is the check
+        assert table97.exponents is not None and table97.group.order == 96
+        assert rational_characters(table97) == \
+            rational_characters(as_sums(table97))
+
+    def test_table_file_at_level_97_runs_no_cyclotomic_check(
+            self, table97, monkeypatch):
+        calls = []
+        for name in ("_check_gram_matrix", "_check_class_algebra"):
+            monkeypatch.setattr(CharacterTable, name,
+                                lambda self, *rows, name=name:
+                                calls.append(name))
+        loaded = load_character_table(table_to_doc(table97), table97.group)
+        assert calls == []
+        assert loaded.exponents == table97.exponents
+        assert rational_characters(loaded) == rational_characters(table97)
 
     @pytest.mark.parametrize("fault", ["not a homomorphism", "duplicated row",
                                        "-I exponent not 0 or e/2"])
@@ -688,30 +725,34 @@ class TestExponentRows:
             assert rows[5][iota] in (0, e // 2)
             rows[5][iota] = e // 4
         broken = with_exponent_rows(table13, rows)
+        assert broken.exponents == tuple(map(tuple, rows))
         got = outcome(CharacterTable.validate, broken)
         assert got is not None
-        assert got[0] == outcome(CharacterTable.validate,
-                                 cyclotomic(broken))[0]
+        assert got == outcome(reference_validate, broken)
 
-    def test_generators_must_generate_the_group(self, table13, diamond8):
-        # with too few generators the homomorphism check proves nothing
-        assert len(diamond8.table.generators) == 2
-        for table in (table13, diamond8.table):
-            broken = replace(table, generators=table.generators[1:])
-            with pytest.raises(SchemaError, match="do not generate G"):
-                broken.validate()
-
-    def test_values_must_match_exponent_rows(self, table13):
-        rows = [list(row) for row in table13.exponents]
-        rows[3] = rows[2]
-        broken = replace(with_exponent_rows(table13, rows),
-                         exponents=table13.exponents)
-        with pytest.raises(SchemaError, match="exponent rows"):
-            broken.validate()
+    def test_rows_are_checked_along_every_generator(self):
+        # on (Z/2)^3, swapping the columns of a and a s, s and a the first
+        # two generators, keeps r(x s) = r(x) + r(s) for each row r, and the
+        # rows orthonormal; they are not homomorphisms along the others
+        G = pair_quotient(SubgroupSpec("gamma", 12), SubgroupSpec("gamma", 24))
+        table = character_table_for(G)
+        s, a, _ = G.generators
+        rows = [list(row) for row in table.exponents]
+        ca, cas = G.class_of[a], G.class_of[G.mul[a][s]]
+        for row in rows:
+            row[ca], row[cas] = row[cas], row[ca]
+        cls = G.class_of
+        assert not any((row[cls[x]] + row[cls[s]] - row[cls[G.mul[x][s]]]) % 2
+                       for row in rows for x in range(G.order))
+        broken = with_exponent_rows(table, rows)
+        got = outcome(CharacterTable.validate, broken)
+        assert got is not None and got[0] is OrthogonalityFailure
+        assert got == outcome(reference_validate, broken)
 
     def test_minus_identity_check_matches_cyclotomic_values(self):
         # on every abelian quotient of PAIRS with -I in Gamma but not in
-        # Gamma1, every row's value at -I times each power of zeta_e
+        # Gamma1, every row's value at -I times each power of zeta_e, against
+        # reference_validate's test v == deg or v == -deg
         verdicts = set()
         for k0, n0, k1, n1 in PAIRS:
             G = pair_quotient(SubgroupSpec(k0, n0), SubgroupSpec(k1, n1))
@@ -724,19 +765,23 @@ class TestExponentRows:
                 for row in rows:
                     row[iota] = (row[iota] + r) % e
                 moved = with_exponent_rows(table, rows)
+                assert moved.exponents is not None
                 for i in range(G.order):
                     got = moved._scalar_at_iota(i)
-                    assert got == cyclotomic(moved)._scalar_at_iota(i)
+                    v = moved.values[i][iota]
+                    assert got == (v == 1 or v == -1)
                     verdicts.add(got)
         assert verdicts == {True, False}
 
 
-def swapped_columns_doc(gamma, gamma1, orders):
-    """The table of gamma/gamma1 as a --table document, with the values at
-    a class of each of the two element orders swapped in every row; neither
-    class is the identity or -I."""
+def swapped_columns_doc(gamma, gamma1, orders, sums=False):
+    """The table of gamma/gamma1 as a --table document, its values roots of
+    unity or, with sums, written as_sums, with the values at a class of each
+    of the two element orders swapped in every row; neither class is the
+    identity or -I."""
     G = pair_quotient(gamma, gamma1)
-    doc = table_to_doc(character_table_for(G))
+    table = character_table_for(G)
+    doc = table_to_doc(as_sums(table) if sums else table)
     picked = []
     for order in orders:
         picked.append(next(ci for ci, cls in enumerate(G.classes)
@@ -764,11 +809,14 @@ class TestClassAlgebra:
 
     @pytest.mark.parametrize("name", SWAPPED_TABLES)
     def test_swapped_columns_rejected(self, name):
-        G, doc = swapped_columns_doc(*SWAPPED_TABLES[name])
-        with pytest.raises(OrthogonalityFailure,
-                           match=r"^chi\d+ is not a character: it breaks the "
-                                 r"class multiplication at \(.*\) \* \(.*\)$"):
-            load_character_table(doc, G)
+        # in roots of unity the exponent rows are not homomorphisms, and the
+        # Z[zeta_m] checks refuse the rows as they do written as sums
+        for sums in (False, True):
+            G, doc = swapped_columns_doc(*SWAPPED_TABLES[name], sums=sums)
+            with pytest.raises(OrthogonalityFailure, match=(
+                    r"^chi\d+ is not a character: it breaks the "
+                    r"class multiplication at \(.*\) \* \(.*\)$")):
+                load_character_table(doc, G)
 
     @pytest.mark.parametrize("k0,n0,k1,n1", PAIRS,
                              ids=[f"{a}:{b}/{c}:{d}" for a, b, c, d in PAIRS])

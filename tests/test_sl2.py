@@ -414,6 +414,26 @@ class TestPowers:
             assert G.exponent == lcm(*orders), label
 
 
+def generated_subgroup(G, gens):
+    """The closure of 1 and gens under products of two elements."""
+    sub = {G.identity, *gens}
+    while more := {G.mul[x][y] for x in sub for y in sub} - sub:
+        sub |= more
+    return sub
+
+
+class TestGenerators:
+    def test_each_outside_the_subgroup_of_the_earlier(self):
+        # the 68 quotients: each generator is the least element that the
+        # earlier ones do not generate, and all of them generate G
+        for label, G in quotients():
+            gens = G.generators
+            for k, g in enumerate(gens):
+                outside = set(range(G.order)) - generated_subgroup(G, gens[:k])
+                assert g == min(outside), (label, k)
+            assert generated_subgroup(G, gens) == set(range(G.order)), label
+
+
 def cyclic_subgroup_of(G, i):
     sub, x = set(), i
     while x not in sub:

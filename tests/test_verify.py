@@ -308,8 +308,9 @@ def s3_table_doc(broken=None):
     """The SL2Z/Gamma(2) character table (triv, sign, std) as a --table
     document, or broken: a wrong degree, class size or duplicated row, a
     class rep of three integers, a coefficient 1/0, a value of order 0 or
-    10**6, coefficients given as a list, values given as a number or two
-    rows of one name."""
+    10**6, coefficients given as a list, values given as a number, two
+    rows of one name or six distinct rows of degree 1 in sixth roots of
+    unity."""
     pair = QuotientPair.build(SubgroupSpec("full", 1), SubgroupSpec("gamma", 2))
     G, table = pair.G, pair.table
     doc = {"classes": [{"rep": list(G.elements[cls[0]]), "size": len(cls)}
@@ -344,6 +345,14 @@ def s3_table_doc(broken=None):
         chars[0]["values"] = 3.5
     elif broken == "dup-name":
         chars[1]["name"] = chars[0]["name"]
+    elif broken == "linear":
+        # exponent rows, but S3 has two homomorphisms to Z/6, not six
+        one = G.class_of[G.identity]
+        doc["characters"] = [
+            {"name": f"lin{k}", "degree": 1,
+             "values": [{"order": 6, "coeffs": {str(k * (c != one)): "1"}}
+                        for c in range(len(G.classes))]}
+            for k in range(6)]
     return doc
 
 
@@ -376,6 +385,8 @@ CLI_ERRORS = [
       "values-number"], "SchemaError"),
     (["mult", "--pair", "SL2Z/gamma:2", "--weights", "4..6", "--table",
       "dup-name"], "SchemaError"),
+    (["verify", "--pair", "SL2Z/gamma:2", "--table", "linear"],
+     "OrthogonalityFailure"),
     (["verify", "--pair", "gamma0:5/gamma1:5", "--offset-bound", "3"],
      "InvalidOffsetBound"),
 ]
@@ -570,16 +581,18 @@ class TestCli:
                                       "gamma0:13/gamma1:13"])
     def test_table_of_non_characters_rejected(self, pair, capsys, tmp_path):
         # orthonormal rows with two columns swapped pass the degree, Gram
-        # and -I checks; the class algebra rejects them
+        # and -I checks; the class algebra rejects them, in roots of unity
+        # (rows that are not homomorphisms) and written as sums
         from test_reps import SWAPPED_TABLES, swapped_columns_doc
-        _, doc = swapped_columns_doc(*SWAPPED_TABLES[pair])
-        path = tmp_path / "swapped.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = run_cli(["verify", "--pair", pair, "--table",
-                                  str(path)], capsys)
-        assert (code, out) == (2, "")
-        assert err.startswith("modmult: OrthogonalityFailure: chi")
-        assert " is not a character: " in err and err.count("\n") == 1
+        for sums in (False, True):
+            _, doc = swapped_columns_doc(*SWAPPED_TABLES[pair], sums=sums)
+            path = tmp_path / "swapped.json"
+            path.write_text(json.dumps(doc))
+            code, out, err = run_cli(["verify", "--pair", pair, "--table",
+                                      str(path)], capsys)
+            assert (code, out) == (2, "")
+            assert err.startswith("modmult: OrthogonalityFailure: chi")
+            assert " is not a character: " in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("content", [None, "{", "", '"s3.json"'],
                              ids=["missing", "truncated", "empty", "string"])
