@@ -12,7 +12,7 @@ class ModmultError(Exception):
 
 from .cosets import (CuspDatum, PermutationAction, Signature, area_constant_c,
                      coset_action, signature_from_action, subgroup_signature)
-from .dimensions import DimResult, dims, quasi_period
+from .dimensions import DimResult, dims
 from .exact import (CycloValue, InconsistentSystem, cyclotomic_poly,
                     euler_phi, mobius, solve_linear_exact)
 from .reps import (CharacterTable, MultiplicitySeries, QuotientPair,

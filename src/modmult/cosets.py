@@ -14,26 +14,18 @@ from .sl2 import (FiniteSubgroup, Mat, QuotientGroup, S_MAT, T_MAT,
 
 
 class NonIntegralGenus(ModmultError):
-    """Internal inconsistency: the Euler-characteristic genus is not a
-    non-negative integer.  Must never fire on pipeline-produced actions."""
-
-
-class NonPositiveArea(ModmultError, ValueError):
-    pass
+    """The Euler formula gives a genus that is not a non-negative integer:
+    no subgroup of SL2(Z) has these branch data."""
 
 
 @dataclass(frozen=True)
 class PermutationAction:
     """Right-multiplication action of S and T on projective cosets of K in
-    SL2(Z/N)."""
+    SL2(Z/N), with a representative of each coset."""
 
-    size: int                      # number of projective cosets
     sigma_S: tuple[int, ...]
     sigma_T: tuple[int, ...]
-    sigma_ST: tuple[int, ...]
-    reps: tuple[Mat, ...]          # a representative of each coset
-    minus_I: bool
-    sl_size: int
+    reps: tuple[Mat, ...]
 
 
 @dataclass(frozen=True)
@@ -44,30 +36,38 @@ class CuspDatum:
 
 @dataclass(frozen=True)
 class Signature:
-    """Geometric data of a Fuchsian group of the first kind.
+    """Branch data of a finite-index subgroup of SL2(Z): its numbers of
+    elliptic points of order 2 and 3, its cusps and whether it holds -I.
+    The rest follows (Shimura, Prop. 1.40): mu_proj, the index in PSL2(Z),
+    is the sum of the cusp widths, mu_sl is mu_proj with -I and 2 mu_proj
+    without, and the genus is 1 + mu_proj/12 - nu2/4 - nu3/3 - t/2."""
 
-    mu_proj / mu_sl are indices in PSL2(Z) / SL2(Z) when the signature comes
-    from the congruence pipeline; user-supplied signatures may leave them None.
-    """
-
-    genus: int
-    elliptic_orders: tuple[int, ...]
+    nu2: int
+    nu3: int
     cusps: tuple[CuspDatum, ...]
     minus_I: bool
-    mu_proj: int | None = None
-    mu_sl: int | None = None
 
-    @cached_property
-    def nu2(self) -> int:
-        return sum(1 for e in self.elliptic_orders if e == 2)
-
-    @cached_property
-    def nu3(self) -> int:
-        return sum(1 for e in self.elliptic_orders if e == 3)
-
-    @cached_property
+    @property
     def t(self) -> int:
         return len(self.cusps)
+
+    @property
+    def mu_proj(self) -> int:
+        return sum(c.width for c in self.cusps)
+
+    @property
+    def mu_sl(self) -> int:
+        return self.mu_proj if self.minus_I else 2 * self.mu_proj
+
+    @cached_property
+    def genus(self) -> int:
+        mu, t = self.mu_proj, self.t
+        g = (1 + Fraction(mu, 12) - Fraction(self.nu2, 4)
+             - Fraction(self.nu3, 3) - Fraction(t, 2))
+        if g.denominator != 1 or g < 0:
+            raise NonIntegralGenus(
+                f"genus {g} from mu={mu}, nu2={self.nu2}, nu3={self.nu3}, t={t}")
+        return int(g)
 
     @cached_property
     def eps_reg(self) -> int:
@@ -78,12 +78,11 @@ class Signature:
         return sum(1 for c in self.cusps if not c.regular)
 
     def __post_init__(self):
-        if self.genus < 0:
-            raise ValueError("genus must be non-negative")
-        if any(e < 2 for e in self.elliptic_orders):
-            raise ValueError("elliptic orders must be >= 2")
+        if not self.cusps:
+            raise ValueError("every finite-index subgroup of SL2(Z) has a cusp")
         if self.minus_I and any(not c.regular for c in self.cusps):
             raise ValueError("irregular cusps require -I absent")
+        self.genus  # refuses branch data with no genus
 
 
 def _coset_table(size: int, acting, key: slice, n: int, m: int,
@@ -139,22 +138,16 @@ def _lookup(K: FiniteSubgroup):
 
 @lru_cache(maxsize=1)
 def coset_action(K: FiniteSubgroup) -> PermutationAction:
-    """Permutations of S, T and ST on projective cosets of K.
+    """Permutations of S and T on projective cosets of K.
 
     The action of the last K is kept: a pair's branch points are read from
     the table that gave Gamma's signature.
     """
     n = K.level
-    minus_i = K.contains_minus_I
-    sl_size = sl2_group_order(n) // K.order
-    size = sl_size if minus_i else sl_size // 2
+    size = sl2_group_order(n) // K.order // (1 if K.contains_minus_I else 2)
     gens = (reduce_mat(S_MAT, n), reduce_mat(T_MAT, n))
     reps, (sigma_S, sigma_T) = _coset_table(size, *_lookup(K), n, gens)
-    return PermutationAction(
-        size=size, sigma_S=sigma_S, sigma_T=sigma_T,
-        sigma_ST=tuple(sigma_T[j] for j in sigma_S), reps=reps,
-        minus_I=minus_i, sl_size=sl_size,
-    )
+    return PermutationAction(sigma_S=sigma_S, sigma_T=sigma_T, reps=reps)
 
 
 def _cycles(perm: tuple[int, ...]):
@@ -206,7 +199,8 @@ def branch_points(act: PermutationAction, K: FiniteSubgroup,
         elliptic2=tuple(stabiliser(act.reps[i], s)[1]
                         for i, j in enumerate(act.sigma_S) if i == j),
         elliptic3=tuple(stabiliser(act.reps[i], st)[1]
-                        for i, j in enumerate(act.sigma_ST) if i == j),
+                        for i, j in enumerate(act.sigma_S)
+                        if act.sigma_T[j] == i),
         cusps=tuple((len(cyc), *stabiliser(act.reps[cyc[0]],
                                            (1, len(cyc), 0, 1)))
                     for cyc in _cycles(act.sigma_T)),
@@ -220,29 +214,16 @@ def signature_from_action(act: PermutationAction, K: FiniteSubgroup) -> Signatur
     # every cusp is when -I is in K
     cusps = [CuspDatum(width=width, regular=eps == 1)
              for width, eps, _ in branch.cusps]
-    return _signature(act.size, len(branch.elliptic2), len(branch.elliptic3),
-                      cusps, act.minus_I)
+    return _signature(len(branch.elliptic2), len(branch.elliptic3), cusps,
+                      K.contains_minus_I)
 
 
-def _signature(mu: int, nu2: int, nu3: int, cusps: list[CuspDatum],
+def _signature(nu2: int, nu3: int, cusps: list[CuspDatum],
                minus_i: bool) -> Signature:
-    """The signature with these counts, mu the projective index; its genus
-    from the Euler formula."""
+    """The signature with these branch data."""
     # by width, regular first: independent of how the cosets are numbered
     cusps.sort(key=lambda c: (c.width, not c.regular))
-    t = len(cusps)
-    g = Fraction(1) + Fraction(mu, 12) - Fraction(nu2, 4) - Fraction(nu3, 3) - Fraction(t, 2)
-    if g.denominator != 1 or g < 0:
-        raise NonIntegralGenus(f"genus {g} from mu={mu}, nu2={nu2}, nu3={nu3}, t={t}")
-
-    return Signature(
-        genus=int(g),
-        elliptic_orders=(2,) * nu2 + (3,) * nu3,
-        cusps=tuple(cusps),
-        minus_I=minus_i,
-        mu_proj=mu,
-        mu_sl=mu if minus_i else 2 * mu,
-    )
+    return Signature(nu2=nu2, nu3=nu3, cusps=tuple(cusps), minus_I=minus_i)
 
 
 def fibre_signature(G: QuotientGroup, branch: BranchPoints,
@@ -286,9 +267,8 @@ def fibre_signature(G: QuotientGroup, branch: BranchPoints,
             regular = minus_i or ((eps == 1 or length % 2 == 0) and G.mul[
                 G.mul[x][G.power(h, length)]][G.inv[x]] in C)
             cusps.append(CuspDatum(width=width * length, regular=regular))
-    return _signature(
-        sum(c.width for c in cusps), fixed(branch.elliptic2),
-        fixed(branch.elliptic3), cusps, minus_i)
+    return _signature(fixed(branch.elliptic2), fixed(branch.elliptic3), cusps,
+                      minus_i)
 
 
 def subgroup_signature(K: FiniteSubgroup) -> Signature:
@@ -296,9 +276,8 @@ def subgroup_signature(K: FiniteSubgroup) -> Signature:
 
 
 def area_constant_c(sig: Signature) -> Fraction:
-    """c = area(Gamma\\H)/4pi via Gauss-Bonnet, as an exact rational."""
-    c = Fraction(1, 2) * (2 * sig.genus - 2 + sig.t
-                          + sum(Fraction(e - 1, e) for e in sig.elliptic_orders))
-    if c <= 0:
-        raise NonPositiveArea(f"signature has non-positive area: c = {c}")
-    return c
+    """c = area(Gamma\\H)/4pi = mu_proj/12, as SL2(Z)\\H has area pi/3.
+
+    By the Euler formula this is (2g - 2 + t + nu2/2 + 2 nu3/3)/2, the
+    Gauss-Bonnet area."""
+    return Fraction(sig.mu_proj, 12)

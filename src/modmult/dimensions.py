@@ -1,12 +1,10 @@
 """Exact dimensions of M_k and S_k for a signature, at every supported
-weight, plus the quasi-period that makes the weight-graded dimension
-sequence exactly linear-plus-periodic.
+weight, by Riemann-Roch (Shimura, Thms 2.23 and 2.25).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from . import ModmultError
 from .cosets import Signature
@@ -17,7 +15,7 @@ class WeightOneUnsupported(ModmultError, ValueError):
 
 
 class OddOrderViolation(ModmultError, ValueError):
-    """Odd weight without -I requires all elliptic orders odd."""
+    """Odd weight without -I requires no elliptic point of order 2."""
 
 
 @dataclass(frozen=True)
@@ -51,24 +49,19 @@ def dims(sig: Signature, k: int) -> DimResult:
         return DimResult(0, 0)
     g, t = sig.genus, sig.t
     if k == 2:
-        s = g
-        m = g + t - 1 if t > 0 else g
-        return DimResult(m, s)
-    elliptic = sum(k * (e - 1) // (2 * e) for e in sig.elliptic_orders)
+        return DimResult(g + t - 1, g)
+    # floor(k (e - 1) / 2e) at each elliptic point of order e = 2, 3
+    elliptic = sig.nu2 * (k // 4) + sig.nu3 * (k // 3)
     if k % 2 == 0:
         s = (k - 1) * (g - 1) + elliptic + (k // 2 - 1) * t
         m = s + t
     else:
-        if any(e % 2 == 0 for e in sig.elliptic_orders):
+        if sig.nu2:
             raise OddOrderViolation(
-                "odd weight with an even elliptic order and no -I")
+                "odd weight with an elliptic point of order 2 and no -I")
         s = _as_int(Fraction((k - 1) * (g - 1) + elliptic)
                     + Fraction(k - 2, 2) * sig.eps_reg
                     + Fraction(k - 1, 2) * sig.eps_irr)
         m = s + sig.eps_reg
     return DimResult(m, s)
 
-
-def quasi_period(sig: Signature) -> int:
-    """P with dims(sig, .) exactly linear-plus-P-periodic on each parity."""
-    return lcm(2, 12, *(2 * e for e in sig.elliptic_orders))

@@ -350,7 +350,6 @@ class RationalCharacter:
     """A Galois orbit of characters; the orbit-summed values are rational."""
 
     names: tuple[str, ...]
-    indices: tuple[int, ...]
     values: tuple[Fraction, ...]    # orbit-sum value per conjugacy class
     degree: int                     # degree of each orbit member
 
@@ -423,7 +422,6 @@ def rational_characters(table: CharacterTable) -> tuple[RationalCharacter, ...]:
                 vals.append(Fraction(total[0], den))
         out.append(RationalCharacter(
             names=tuple(table.names[i] for i in members),
-            indices=tuple(members),
             values=tuple(vals),
             degree=table.degrees[members[0]],
         ))
@@ -514,8 +512,8 @@ class MultiplicitySeries:
         return self.degree * self.orbit_size
 
 
-# Every Gamma_C lies in SL2(Z), whose elliptic points have order 2 or 3, so
-# quasi_period of each is lcm(2, 12, 4, 6) = 12: one period for all of them
+# dims reads k only through floor(k/4), floor(k/3) and the parity of k,
+# which repeat with period 12: one period for every Gamma_C
 PERIOD = 12
 
 

@@ -114,9 +114,10 @@ def check_decomposition_identity(pair: QuotientPair, kind: str, weights,
     out = {}
     ks = [k for k in sorted(set(weights)) if k != 1]
     gamma1 = frozenset({pair.G.identity})
+    terms = [(rat.degree, series_by_rep[rat.label].entries)
+             for rat in pair.rationals]
     for k, rhs in zip(ks, pair.dims_of(gamma1, kind, ks)):
-        lhs = sum(rat.degree * series_by_rep[rat.label].entries[k]
-                  for rat in pair.rationals)
+        lhs = sum(degree * entries[k] for degree, entries in terms)
         if lhs != rhs:
             raise IdentityViolation(
                 f"pair {pair.gamma_spec.label()}/{pair.gamma1_spec.label()} "

@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from modmult.cosets import (CuspDatum, NonPositiveArea, PermutationAction,
+from modmult.cosets import (CuspDatum, NonIntegralGenus, PermutationAction,
                             Signature, area_constant_c, branch_points,
                             coset_action, fibre_signature,
                             signature_from_action, subgroup_signature)
-from modmult.dimensions import dims, quasi_period
-from modmult.reps import QuotientPair
+from modmult.dimensions import dims
+from modmult.reps import PERIOD, QuotientPair
 from modmult.sl2 import (T_MAT, FiniteSubgroup, SubgroupSpec, enumerate_sl2,
-                         mat_inv, mat_mul, minus_identity, realize, reduce_mat)
+                         mat_inv, mat_mul, minus_identity, realize, reduce_mat,
+                         sl2_group_order)
 
 
 def group(kind, n, at_level=None):
@@ -40,28 +41,30 @@ def compose(p, q):
 class TestCosetAction:
     def test_trivial_level(self):
         act = coset_action(group("full", 1))
-        assert act.size == 1
+        assert len(act.reps) == 1
         assert act.sigma_S == act.sigma_T == (0,)
 
     def test_gamma0_5(self):
         act = coset_action(group("gamma0", 5))
-        assert act.size == 6
+        assert len(act.reps) == 6
         assert sum(1 for i, j in enumerate(act.sigma_S) if i == j) == 2
 
     def test_gamma1_4(self):
-        act = coset_action(group("gamma1", 4))
-        assert act.size == 6
+        K = group("gamma1", 4)
+        act = coset_action(K)
+        assert len(act.reps) == 6
         cycles = cycle_lengths(act.sigma_T)
         assert sorted(cycles) == [1, 1, 4]
-        assert act.sl_size == 12
+        assert subgroup_signature(K).mu_sl == 12
 
     @pytest.mark.parametrize("kind,n", [("gamma0", 11), ("gamma1", 5),
                                         ("gamma", 3), ("gamma0", 24)])
     def test_projective_relations(self, kind, n):
         act = coset_action(group(kind, n))
-        ident = tuple(range(act.size))
+        ident = tuple(range(len(act.reps)))
         assert compose(act.sigma_S, act.sigma_S) == ident
-        st3 = compose(act.sigma_ST, compose(act.sigma_ST, act.sigma_ST))
+        sigma_ST = compose(act.sigma_T, act.sigma_S)
+        st3 = compose(sigma_ST, compose(sigma_ST, sigma_ST))
         assert st3 == ident
 
 
@@ -89,14 +92,14 @@ class TestSignatures:
     def test_gamma0_11(self):
         sig = subgroup_signature(group("gamma0", 11))
         assert sig.genus == 1
-        assert sig.elliptic_orders == ()
+        assert (sig.nu2, sig.nu3) == (0, 0)
         assert sig.t == 2
         assert sig.mu_proj == 12
 
     def test_gamma1_4(self):
         sig = subgroup_signature(group("gamma1", 4))
         assert sig.genus == 0
-        assert sig.elliptic_orders == ()
+        assert (sig.nu2, sig.nu3) == (0, 0)
         assert sorted((c.width, c.regular) for c in sig.cusps) == \
             [(1, False), (1, True), (4, True)]
         assert sig.mu_proj == 6
@@ -105,7 +108,7 @@ class TestSignatures:
     def test_gamma_2(self):
         sig = subgroup_signature(group("gamma", 2))
         assert sig.genus == 0
-        assert sig.elliptic_orders == ()
+        assert (sig.nu2, sig.nu3) == (0, 0)
         assert [c.width for c in sig.cusps] == [2, 2, 2]
         assert sig.mu_proj == 6
         assert sig.minus_I
@@ -118,10 +121,33 @@ class TestAreaConstant:
         assert area_constant_c(subgroup_signature(group("gamma", 2))) == Fraction(1, 2)
 
     def test_nonpositive_area(self):
-        # a torus signature has zero area
-        sig = Signature(genus=1, elliptic_orders=(), cusps=(), minus_I=True)
-        with pytest.raises(NonPositiveArea):
-            area_constant_c(sig)
+        # c = mu_proj/12 is 0 only without cusps; the branch data with no
+        # cusp and an integral genus, the torus and the spheres with four
+        # points of order 2 or three of order 3, are refused
+        for nu2, nu3 in [(0, 0), (4, 0), (0, 3)]:
+            with pytest.raises(ValueError, match="has a cusp"):
+                Signature(nu2=nu2, nu3=nu3, cusps=(), minus_I=True)
+
+
+class TestConstruction:
+    """Branch data that no subgroup of SL2(Z) has are refused when the
+    signature is built."""
+
+    @pytest.mark.parametrize("nu2,nu3,widths", [
+        (1, 0, (1,)), (0, 1, (1,)), (0, 0, (5,)),
+        # the Euler formula gives -1
+        (4, 0, (3, 3, 3, 3))])
+    def test_non_integral_genus(self, nu2, nu3, widths):
+        cusps = tuple(CuspDatum(w, True) for w in widths)
+        with pytest.raises(NonIntegralGenus):
+            Signature(nu2=nu2, nu3=nu3, cusps=cusps, minus_I=True)
+
+    def test_irregular_cusp_with_minus_I(self):
+        # Gamma1(4)'s branch data, with -I
+        cusps = (CuspDatum(1, True), CuspDatum(1, False), CuspDatum(4, True))
+        assert Signature(nu2=0, nu3=0, cusps=cusps, minus_I=False).genus == 0
+        with pytest.raises(ValueError, match="irregular"):
+            Signature(nu2=0, nu3=0, cusps=cusps, minus_I=True)
 
 
 class TestFamilyInvariants:
@@ -130,14 +156,16 @@ class TestFamilyInvariants:
     def test_pipeline_consistency(self, kind, n):
         if kind == "gamma" and n > 12:
             return  # keep the suite quick; lower levels already cover it
-        sig = subgroup_signature(group(kind, n))
+        K = group(kind, n)
+        sig = subgroup_signature(K)
         assert sig.genus >= 0
-        assert sum(c.width for c in sig.cusps) == sig.mu_proj
+        assert len(coset_action(K).reps) == sig.mu_proj
         if not sig.minus_I:
             assert sig.nu2 == 0
         else:
             assert all(c.regular for c in sig.cusps)
-        assert sig.mu_sl == (sig.mu_proj if sig.minus_I else 2 * sig.mu_proj)
+        assert sig.minus_I == K.contains_minus_I
+        assert sig.mu_sl == sl2_group_order(K.level) // K.order
 
     @pytest.mark.parametrize("n", range(5, 26))
     def test_gamma1_regular_above_4(self, n):
@@ -157,7 +185,7 @@ class TestFamilyInvariants:
     def test_finite_k_slope_equals_c(self, kind, n):
         sig = subgroup_signature(group(kind, n))
         c = area_constant_c(sig)
-        P = quasi_period(sig)
+        P = PERIOD
         for k in range(4, 4 + 2 * P, 2):
             diff = dims(sig, k + P).dim_M - dims(sig, k).dim_M
             assert Fraction(diff, P) == c
@@ -241,7 +269,7 @@ class TestRegularityMatchesSlLevelRule:
 
 def relabelled(act, seed):
     """The same action with its cosets numbered in a random order."""
-    order = list(range(act.size))
+    order = list(range(len(act.reps)))
     random.Random(seed).shuffle(order)  # new number -> old number
     new = {old: i for i, old in enumerate(order)}
 
@@ -250,16 +278,14 @@ def relabelled(act, seed):
 
     sigma_S, sigma_T = perm(act.sigma_S), perm(act.sigma_T)
     return PermutationAction(
-        size=act.size, sigma_S=sigma_S, sigma_T=sigma_T,
-        sigma_ST=tuple(sigma_T[j] for j in sigma_S),
-        reps=tuple(act.reps[old] for old in order),
-        minus_I=act.minus_I, sl_size=act.sl_size)
+        sigma_S=sigma_S, sigma_T=sigma_T,
+        reps=tuple(act.reps[old] for old in order))
 
 
 def lowest_coset_order(act, K):
     """Cusps with the T-cycles ordered by width, then by lowest coset."""
     n, seen, cycles = K.level, set(), []
-    for i in range(act.size):
+    for i in range(len(act.reps)):
         if i not in seen:
             cycles.append(cycle_of(act.sigma_T, i))
             seen.update(cycles[-1])
@@ -267,7 +293,8 @@ def lowest_coset_order(act, K):
     for cyc in sorted(cycles, key=lambda c: (len(c), c)):
         r = act.reps[cyc[0]]
         conj = mat_mul(mat_mul(r, (1, len(cyc), 0, 1), n), mat_inv(r, n), n)
-        out.append(CuspDatum(len(cyc), act.minus_I or conj in K.element_set))
+        out.append(CuspDatum(len(cyc),
+                             K.contains_minus_I or conj in K.element_set))
     return tuple(out)
 
 
@@ -335,7 +362,7 @@ class TestOwnLevel:
         assert own == n
         assert key == (slice(2, 4) if kind in ("gamma0", "gamma1", "full")
                        else slice(0, 4))
-        assert act_high.size == act_low.size
+        assert len(act_high.reps) == len(act_low.reps)
         assert (act_high.sigma_S, act_high.sigma_T) == \
             (act_low.sigma_S, act_low.sigma_T)
         assert repr(subgroup_signature(high)) == repr(subgroup_signature(low))
@@ -481,3 +508,39 @@ class TestPreimageSignature:
         sigs = [fibre_sig(pair, sub) for _, sub in pair.cyclics]
         assert any(sig.eps_irr for sig in sigs)
         assert any(not sig.minus_I and not sig.eps_irr for sig in sigs)
+
+
+def gauss_bonnet(sig):
+    """c from the genus and branch data: (2g - 2 + t + nu2/2 + 2 nu3/3)/2."""
+    return Fraction(1, 2) * (2 * sig.genus - 2 + sig.t + Fraction(sig.nu2, 2)
+                             + Fraction(2 * sig.nu3, 3))
+
+
+def projective_index(K):
+    """The number of cosets of +-K in SL2(Z/N), from the group orders."""
+    index = sl2_group_order(K.level) // K.order
+    return index if K.contains_minus_I else index // 2
+
+
+class TestGaussBonnet:
+    """c = mu_proj/12 equals the Gauss-Bonnet area from the genus and the
+    branch data, and mu_proj equals the coset count."""
+
+    @pytest.mark.parametrize("label,K", GROUPS,
+                             ids=[label for label, _ in GROUPS])
+    def test_group(self, label, K):
+        sig = subgroup_signature(K)
+        assert area_constant_c(sig) == gauss_bonnet(sig)
+        assert sig.mu_proj == len(coset_action(K).reps) == projective_index(K)
+
+    @pytest.mark.parametrize("k0,n0,k1,n1", PAIRS,
+                             ids=[f"{a}:{b}/{c}:{d}" for a, b, c, d in PAIRS])
+    def test_gamma_and_every_gamma_c(self, k0, n0, k1, n1):
+        pair = QuotientPair.build(SubgroupSpec(k0, n0), SubgroupSpec(k1, n1))
+        G = pair.G
+        sigs = [(sub, fibre_sig(pair, sub)) for _, sub in pair.cyclics]
+        sigs.append((frozenset(range(G.order)), pair.sig_gamma))
+        for C, sig in sigs:
+            assert area_constant_c(sig) == gauss_bonnet(sig), sorted(C)
+            assert sig.mu_proj == \
+                projective_index(preimage_subgroup(pair, C)), sorted(C)

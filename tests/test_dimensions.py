@@ -4,8 +4,8 @@ import pytest
 
 from modmult.cosets import (CuspDatum, Signature, area_constant_c,
                             subgroup_signature)
-from modmult.dimensions import (OddOrderViolation, WeightOneUnsupported,
-                                dims, quasi_period)
+from modmult.dimensions import OddOrderViolation, WeightOneUnsupported, dims
+from modmult.reps import PERIOD
 from modmult.sl2 import SubgroupSpec, realize
 
 
@@ -36,7 +36,7 @@ class TestAnchors:
         assert (d.dim_M, d.dim_S) == (2, 0)
 
     def test_gamma1_3_style_weight_5(self):
-        sig = Signature(genus=0, elliptic_orders=(3,),
+        sig = Signature(nu2=0, nu3=1,
                         cusps=(CuspDatum(1, True), CuspDatum(3, True)),
                         minus_I=False)
         d = dims(sig, 5)
@@ -75,19 +75,12 @@ class TestErrors:
             dims(sig_of("full", 1), 1)
 
     def test_odd_order_violation(self):
-        sig = Signature(genus=0, elliptic_orders=(4,),
-                        cusps=(CuspDatum(1, True),) * 2, minus_I=False)
+        # genus 1 + 9/12 - 1/4 - 1/2 = 1
+        sig = Signature(nu2=1, nu3=0, cusps=(CuspDatum(9, True),),
+                        minus_I=False)
+        assert sig.genus == 1
         with pytest.raises(OddOrderViolation):
             dims(sig, 3)
-
-
-class TestQuasiPeriod:
-    def test_examples(self):
-        assert quasi_period(sig_of("full", 1)) == 12
-        assert quasi_period(sig_of("gamma1", 5)) == 12
-        user = Signature(genus=0, elliptic_orders=(5,),
-                         cusps=(CuspDatum(1, True),) * 2, minus_I=False)
-        assert quasi_period(user) == 60
 
 
 PIPELINE_GROUPS = [("full", 1), ("gamma0", 5), ("gamma0", 11), ("gamma1", 4),
@@ -110,7 +103,7 @@ class TestProperties:
     def test_exact_quasi_linearity(self, kind, n):
         sig = sig_of(kind, n)
         c = area_constant_c(sig)
-        P = quasi_period(sig)
+        P = PERIOD
         parities = [0] if sig.minus_I else [0, 1]
         for par in parities:
             for k in range(4 + par, 120):

@@ -1185,7 +1185,7 @@ class TestDimensionTable:
     [3, 3 + 2P), whatever the weights read, and leaves k < 3 to dims."""
 
     def test_table_matches_dims_on_every_pair(self):
-        from modmult.dimensions import dims, quasi_period
+        from modmult.dimensions import dims
         from test_cosets import PAIRS
         for k0, n0, k1, n1 in PAIRS:
             pair = QuotientPair.build(SubgroupSpec(k0, n0),
@@ -1198,7 +1198,6 @@ class TestDimensionTable:
             ks += [3000, 3001, 12345]
             for C in groups:
                 sig = fibre_sig(pair, C)
-                assert quasi_period(sig) == pair.period()
                 for kind in ("M", "S"):
                     want = [dims(sig, k).kind(kind) for k in ks]
                     # the second read comes from the table, backwards
@@ -1236,7 +1235,6 @@ class TestDimensionTable:
 
     def test_period_is_12_without_signatures(self, monkeypatch):
         import modmult.cosets as cosets
-        import modmult.dimensions as dimensions
         import modmult.reps as reps
         pair = QuotientPair.build(SubgroupSpec("gamma0", 7),
                                   SubgroupSpec("gamma1", 7))
@@ -1247,14 +1245,12 @@ class TestDimensionTable:
         for module, name in [(reps, "fibre_signature"),
                              (reps, "subgroup_signature"),
                              (cosets, "fibre_signature"),
-                             (cosets, "subgroup_signature"),
-                             (dimensions, "quasi_period")]:
+                             (cosets, "subgroup_signature")]:
             monkeypatch.setattr(module, name, refused)
         assert pair.period() == reps.PERIOD == 12
 
     def test_run_verify_dims_calls_do_not_grow_with_kmax(self, monkeypatch):
         import modmult.reps as reps
-        from modmult.dimensions import quasi_period
         from modmult.verify import VerificationConfig, run_verify
         calls = []
         original = reps.dims
@@ -1272,8 +1268,7 @@ class TestDimensionTable:
             assert report["pass"] is True
             counts.append(len(calls))
             # from k = 3 on, dims runs only on one table's weights
-            assert all(k < 3 + 2 * quasi_period(sig)
-                       for sig, k in calls if k >= 3)
+            assert all(k < 3 + 2 * reps.PERIOD for _, k in calls if k >= 3)
         assert counts[0] == counts[1]
 
 
