@@ -37,10 +37,6 @@ class ClassMismatch(ModmultError, ValueError):
     pass
 
 
-class NotRationalAfterSum(ModmultError):
-    """A Galois-orbit sum failed to be rational; indicates a broken table."""
-
-
 class IndivisibleOrbitTotal(ModmultError):
     """An orbit total did not divide by the orbit size under --split."""
 
@@ -56,8 +52,9 @@ class CharacterTable:
     A table whose degrees are all 1 and whose values are all zeta_o^j, with
     coefficient 1 and o | e, e = exp G, has exponent rows, worked out from
     the values.  validate accepts rows that are |G| distinct homomorphisms
-    G -> Z/e without the Z[zeta_m] checks, and _scalar_at_iota and
-    rational_characters read them; every other table is read in Z[zeta_m]."""
+    G -> Z/e without the Z[zeta_m] checks, _scalar_at_iota reads them, and
+    rational_characters reads each exponent x as the trace c_e(x); every
+    other table is read in Z[zeta_m]."""
 
     group: QuotientGroup
     names: tuple[str, ...]
@@ -295,7 +292,7 @@ def load_character_table(doc, G: QuotientGroup) -> CharacterTable:
             raise SchemaError(f"bad class entry: {cd!r}") from exc
         ci = G.class_of[G.coset_index((a, b, c, d))]
         if ci in seen:
-            raise ClassMismatch(f"two file classes map to the same class of G")
+            raise ClassMismatch("two file classes map to the same class of G")
         seen.add(ci)
         if size != len(G.classes[ci]):
             raise ClassMismatch(f"class size {size} != {len(G.classes[ci])}")
@@ -371,60 +368,34 @@ class RationalCharacter:
 def rational_characters(table: CharacterTable) -> tuple[RationalCharacter, ...]:
     """Partition the table into Galois orbits and sum each orbit exactly.
 
-    The twist of chi by zeta -> zeta^a (a a unit mod exp G) is g -> chi(g^a),
-    so each row's twists are found through the class power maps, with rows
-    keyed by their exponent rows r, whose twists are a r mod e, or else by
-    the power-basis coordinates of their values in Q(zeta_m).  The orbit of
-    an exponent row r has phi(o) members, o = e / gcd(e, r), and its sum at
-    a class where r is x is the Ramanujan sum c_o(x / gcd(e, r)).
+    With m the lcm of the value orders, Tr chi(K), the trace of chi(K)
+    from Q(zeta_m) to Q, is the sum of chi^s(K) over Gal(Q(zeta_m)/Q).
+    It meets each member of chi's orbit phi(m) / |orbit| times, so the
+    orbit sums to |orbit| Tr chi / phi(m); Tr zeta_m^j is the Ramanujan
+    sum c_m(j) (Hardy and Wright, Thm 272).  Two rows share an orbit iff
+    their trace vectors agree: the sums of two orbits are distinct rational
+    irreducible characters, nonzero and orthogonal (Serre, Linear
+    Representations, 12-13).  That needs a validated table, as
+    character_table_for and load_character_table return.
     """
-    G = table.group
-    e = G.exponent
     if table.exponents is not None:
-        keys = table.exponents
+        m, den = table.group.exponent, 1
+        c = [_ramanujan_sum(m, j) for j in range(m)]
+        traces = [tuple(c[x] for x in row) for row in table.exponents]
     else:
-        # integer coordinates in Q(zeta_m), over the table's denominator
         m, rows, den = integer_rows(table.values)
-        keys = []
-        for row in rows:
-            key = []
-            for value in row:
-                vec = [0] * m
-                for j, a in value:
-                    vec[j] = a
-                key.append(reduce_cyclotomic(m, vec))
-            keys.append(tuple(key))
-    index = {key: i for i, key in enumerate(keys)}
-    power_maps = [[G.class_of[G.power(cls[0], a)] for cls in G.classes]
-                  for a in range(1, e + 1) if gcd(a, e) == 1]
-
-    out = []
-    seen: set[int] = set()
-    for i, key in enumerate(keys):
-        if i in seen:
-            continue
-        twists = [index.get(tuple(key[c] for c in pmap)) for pmap in power_maps]
-        if None in twists:
-            raise NotRationalAfterSum(
-                f"Galois twist of {table.names[i]} is not in the table")
-        members = sorted(set(twists))
-        seen.update(members)
-        if table.exponents is not None:
-            g = gcd(e, *key)
-            sums = [Fraction(_ramanujan_sum(e // g, n)) for n in range(e // g)]
-            vals = [sums[x // g] for x in key]
-        else:
-            vals = []
-            for coords in zip(*(keys[j] for j in members)):
-                total = [sum(cs) for cs in zip(*coords)]
-                if any(total[1:]):
-                    raise NotRationalAfterSum("orbit sum is not rational")
-                vals.append(Fraction(total[0], den))
-        out.append(RationalCharacter(
-            names=tuple(table.names[i] for i in members),
-            values=tuple(vals),
-            degree=table.degrees[members[0]],
-        ))
+        c = [_ramanujan_sum(m, j) for j in range(m)]
+        traces = [tuple(sum(a * c[j] for j, a in value) for value in row)
+                  for row in rows]
+    orbits: dict[tuple[int, ...], list[int]] = {}
+    for i, trace in enumerate(traces):
+        orbits.setdefault(trace, []).append(i)
+    scale = euler_phi(m) * den
+    out = [RationalCharacter(
+        names=tuple(table.names[i] for i in members),
+        values=tuple(Fraction(len(members) * t, scale) for t in trace),
+        degree=table.degrees[members[0]],
+    ) for trace, members in orbits.items()]
     # labels key the series: no name may be another orbit's label
     labels = [rat.label for rat in out]
     if clash := [label for label in labels if labels.count(label) > 1]:

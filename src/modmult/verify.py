@@ -4,7 +4,7 @@ lower-bound monitor, and the structured PASS/FAIL report.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ModmultError, __version__

@@ -8,16 +8,16 @@ from math import gcd, lcm
 import pytest
 
 from modmult.cosets import subgroup_signature
-from modmult.exact import CycloValue, InconsistentSystem, solve_linear_exact
+from modmult.exact import (CycloValue, InconsistentSystem, integer_rows,
+                           reduce_cyclotomic, solve_linear_exact)
 from modmult.reps import (CharacterTable, CharacterTableRequired,
-                          ClassMismatch, IndivisibleOrbitTotal, NotAbelian,
-                          NotRationalAfterSum, OrthogonalityFailure,
+                          ClassMismatch, NotAbelian, OrthogonalityFailure,
                           QuotientPair, SchemaError,
                           abelian_character_table, artin_decompose,
-                          builtin_s3_table, character_table_for,
+                          character_table_for,
                           load_character_table, multiplicity_series,
                           parity_of, permutation_character, rational_characters)
-from modmult.sl2 import (FiniteSubgroup, SubgroupSpec,
+from modmult.sl2 import (FiniteSubgroup, QuotientGroup, SubgroupSpec,
                          cyclic_subgroups_up_to_conjugacy, enumerate_sl2,
                          mat_mul, quotient, realize)
 from test_cosets import PAIRS, fibre_sig
@@ -574,10 +574,80 @@ def reference_rational_characters(table):
     return out
 
 
+def power_map_orbits(table):
+    """Galois orbits by a power-map search: the twist of chi by
+    zeta -> zeta^a, a a unit mod exp G, is g -> chi(g^a), so each row's
+    twists are looked up through the class power maps, with rows keyed by
+    the power-basis coordinates of their values in Q(zeta_m); each orbit is
+    summed in those coordinates.  (member names, orbit-sum values) per
+    orbit."""
+    G = table.group
+    e = G.exponent
+    m, rows, den = integer_rows(table.values)
+    keys = []
+    for row in rows:
+        key = []
+        for value in row:
+            vec = [0] * m
+            for j, a in value:
+                vec[j] += a
+            key.append(reduce_cyclotomic(m, vec))
+        keys.append(tuple(key))
+    index = {key: i for i, key in enumerate(keys)}
+    power_maps = [[G.class_of[G.power(cls[0], a)] for cls in G.classes]
+                  for a in range(1, e + 1) if gcd(a, e) == 1]
+    out, seen = [], set()
+    for i, key in enumerate(keys):
+        if i in seen:
+            continue
+        members = sorted({index[tuple(key[c] for c in pmap)]
+                          for pmap in power_maps})
+        seen.update(members)
+        sums = []
+        for coords in zip(*(keys[j] for j in members)):
+            total = [sum(cs) for cs in zip(*coords)]
+            assert not any(total[1:])
+            sums.append(Fraction(total[0], den))
+        out.append((tuple(table.names[j] for j in members), tuple(sums)))
+    return out
+
+
 class TestGaloisOrbitsFromPowerMaps:
     def test_matches_value_twisting(self, table_of_pair):
         got = [(r.names, r.values) for r in rational_characters(table_of_pair)]
         assert got == reference_rational_characters(table_of_pair)
+
+    @pytest.mark.parametrize("sums", [False, True], ids=["roots", "as_sums"])
+    def test_matches_power_map_search(self, table_of_pair, sums):
+        table = as_sums(table_of_pair) if sums else table_of_pair
+        got = [(r.names, r.values) for r in rational_characters(table)]
+        assert got == power_map_orbits(table)
+
+    def test_sums_read_without_power_maps_or_reductions(self, table13,
+                                                         monkeypatch):
+        # an as_sums table has no exponent rows; its traces are read from
+        # its integer rows alone
+        import modmult.exact as exact
+        import modmult.reps as reps
+        sums = as_sums(table13)
+        sums.validate()  # reduces in Z[zeta_m]: checked before the spies
+        calls = []
+
+        def spied(name, f):
+            def wrapped(*args):
+                calls.append(name)
+                return f(*args)
+            return wrapped
+        for module in (exact, reps):
+            monkeypatch.setattr(module, "reduce_cyclotomic",
+                                spied("reduce_cyclotomic",
+                                      module.reduce_cyclotomic))
+        monkeypatch.setattr(QuotientGroup, "power",
+                            spied("power", QuotientGroup.power))
+        got = rational_characters(sums)
+        monkeypatch.undo()
+        assert calls == []
+        assert got == rational_characters(table13)
 
     def test_user_file_in_larger_cyclotomic_field(self, table13):
         # values written in Q(zeta_{2e}) give the same orbits and sums, also
@@ -609,25 +679,6 @@ class TestGaloisOrbitsFromPowerMaps:
         loaded = load_character_table(table_to_doc(table), G)
         assert loaded.exponents == table.exponents
         assert rational_characters(loaded) == rational_characters(table)
-
-    def test_broken_tables_raise(self, diamond5):
-        # unvalidated rows of G = C4: a row without its Galois twist, and a
-        # row fixed by the power maps whose values lie outside Q(zeta_4)
-        G = diamond5.G
-        table = diamond5.table
-        odd = next(i for i, row in enumerate(table.values)
-                   if row[G.class_of[G.iota]] == -1)
-        partial = CharacterTable(G, ("triv", "chi"), (1, 1),
-                                 (table.values[0], table.values[odd]), "test")
-        with pytest.raises(NotRationalAfterSum, match="twist"):
-            rational_characters(partial)
-        z8 = CycloValue(8, {1: 1})
-        fixed = tuple(CycloValue.from_rational(1)
-                      if G.element_order(cls[0]) < 4 else z8
-                      for cls in G.classes)
-        outside = CharacterTable(G, ("f",), (1,), (fixed,), "test")
-        with pytest.raises(NotRationalAfterSum, match="orbit sum"):
-            rational_characters(outside)
 
     def test_square_marks_matrix_is_triangular(self, table_of_pair):
         G = table_of_pair.group
@@ -702,10 +753,12 @@ class TestExponentRows:
             assert rational_characters(sums) == rational_characters(table)
 
     def test_same_rational_characters_at_level_97(self, table97):
-        # the oracle would take minutes: the Z[zeta_m] route is the check
+        # the CycloValue oracle would take minutes: the power-map search is
+        # the check, on the roots of unity and on the values written as sums
         assert table97.exponents is not None and table97.group.order == 96
-        assert rational_characters(table97) == \
-            rational_characters(as_sums(table97))
+        for table in (table97, as_sums(table97)):
+            got = [(r.names, r.values) for r in rational_characters(table)]
+            assert got == power_map_orbits(table)
 
     def test_table_file_at_level_97_runs_no_cyclotomic_check(
             self, table97, monkeypatch):
