@@ -490,7 +490,8 @@ PERIOD = 12
 
 def _dim_table(sig: Signature) -> tuple:
     """(sig, {kind: (base, step)}) with dim at k = 3 + t*P + r >= 3 being
-    base[r] + t*step[r], P = PERIOD, built from dims on [3, 3 + 2P)."""
+    base[r] + t*step[r], P = PERIOD, built from dims on [3, 3 + 2P).  It
+    reads sig alone, so every group with that signature shares it."""
     ds = [dims(sig, k) for k in range(3, 3 + 2 * PERIOD)]
     rows = {}
     for kind in ("M", "S"):
@@ -519,7 +520,8 @@ class QuotientPair:
     c: Fraction
     # each rational character -> its Artin coefficients over cyclics
     artin: dict = field(repr=False)
-    # C -> _dim_table of Gamma_C, for each cyclic C and for Gamma (C = G)
+    # C -> _dim_table of Gamma_C, for each cyclic C and for Gamma (C = G);
+    # the C whose Gamma_C share a signature share one table
     _dims: dict = field(repr=False)
 
     @classmethod
@@ -544,6 +546,7 @@ class QuotientPair:
         branch = branch_points(coset_action(gamma), gamma, G.coset_index)
         sigs = {sub: fibre_signature(G, branch, sub) for _, sub in cyclics}
         sigs[frozenset(range(G.order))] = sig_gamma
+        tables = {sig: _dim_table(sig) for sig in dict.fromkeys(sigs.values())}
         return cls(
             gamma_spec=gamma_spec, gamma1_spec=gamma1_spec, level=level,
             gamma=gamma, gamma1=gamma1, G=G, table=table, rationals=rats,
@@ -552,7 +555,7 @@ class QuotientPair:
             c=area_constant_c(sig_gamma),
             artin={rat: artin_decompose(rat.values, G, cyclics)
                    for rat in rats},
-            _dims={C: _dim_table(sig) for C, sig in sigs.items()},
+            _dims={C: tables[sig] for C, sig in sigs.items()},
         )
 
     def dims_of(self, C: frozenset, kind: str, weights) -> list[int]:
@@ -561,9 +564,9 @@ class QuotientPair:
         cyclic C of the pair, or Gamma (C = G).
 
         For k >= 3 both dimensions are A*k + B(k mod P), P = PERIOD
-        (Shimura, Thms 2.23 and 2.25), so the group's table answers every
-        such k; k = 2, the exception of Riemann-Roch, and k <= 1 go to dims
-        itself."""
+        (Shimura, Thms 2.23 and 2.25), so the table of Gamma_C's signature
+        answers every such k; k = 2, the exception of Riemann-Roch, and
+        k <= 1 go to dims itself."""
         if kind not in ("M", "S"):
             raise ValueError(f"unknown kind {kind!r}")
         sig, rows = self._dims[C]
@@ -595,6 +598,10 @@ def multiplicity_series(pair: QuotientPair, rat: RationalCharacter, kind: str,
 
     With split=True the per-character values (orbit total / orbit size) are
     included; a divisibility failure raises IndivisibleOrbitTotal.
+
+    dims reads Gamma_C's signature alone, so the coefficients of the cyclic
+    C whose Gamma_C share a signature are added first, and each nonzero sum
+    reads the dimensions once.
     """
     if kind not in ("M", "S"):
         raise ValueError(f"kind must be 'M' or 'S', got {kind!r}")
@@ -603,8 +610,11 @@ def multiplicity_series(pair: QuotientPair, rat: RationalCharacter, kind: str,
         raise WeightOneUnsupported("weight 1 is not supported")
     coeffs = pair.artin[rat] if column_order is None else artin_decompose(
         rat.values, pair.G, pair.cyclics, column_order=column_order)
+    by_sig: dict = {}  # signature -> [summed coefficient, one C with it]
+    for q, (_, sub) in zip(coeffs, pair.cyclics):
+        by_sig.setdefault(pair._dims[sub][0], [0, sub])[0] += q
     terms = [(q, pair.dims_of(sub, kind, ks))
-             for q, (_, sub) in zip(coeffs, pair.cyclics) if q]
+             for q, sub in by_sig.values() if q]
     entries = {}
     for i, k in enumerate(ks):
         total = Fraction(0)

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
@@ -1233,9 +1234,13 @@ NEAR_ZERO = [k for k in range(-4, 12) if k != 1]
 
 
 class TestDimensionTable:
-    """The pair's table reads what dims gives at every weight, negative
-    and far ones included; it runs dims on one quasi-period per group,
-    [3, 3 + 2P), whatever the weights read, and leaves k < 3 to dims."""
+    """The pair's tables read what dims gives at every weight, negative
+    and far ones included.  dims reads a group's signature alone, so the
+    pair keeps one table per distinct signature of Gamma1, the Gamma_C and
+    Gamma: it runs dims on one quasi-period per signature, [3, 3 + 2P),
+    whatever the weights read, and leaves k < 3 to dims.  A series adds
+    the coefficients of the C whose Gamma_C share a signature and reads
+    the dimensions once per nonzero sum."""
 
     def test_table_matches_dims_on_every_pair(self):
         from modmult.dimensions import dims
@@ -1263,7 +1268,10 @@ class TestDimensionTable:
     def test_series_match_dims(self, weight_lists):
         for specs in [(SubgroupSpec("gamma0", 5), SubgroupSpec("gamma1", 5)),
                       (SubgroupSpec("full", 1), SubgroupSpec("gamma", 2)),
-                      (SubgroupSpec("gamma0", 12), SubgroupSpec("gamma1", 12))]:
+                      (SubgroupSpec("gamma0", 12), SubgroupSpec("gamma1", 12)),
+                      # 8 cyclic classes each, with 3 and 5 signatures
+                      (SubgroupSpec("gamma", 12), SubgroupSpec("gamma", 24)),
+                      (SubgroupSpec("gamma0", 24), SubgroupSpec("gamma1", 24))]:
             pair = QuotientPair.build(*specs)
             for weights in weight_lists:
                 for kind in ("M", "S"):
@@ -1271,6 +1279,73 @@ class TestDimensionTable:
                         series = multiplicity_series(pair, rat, kind, weights)
                         assert series.entries == \
                             series_from_dims(pair, rat, kind, weights)
+
+    def test_shared_signatures_on_every_pair(self):
+        from modmult.verify import VerificationConfig, run_verify
+        weights = [k for k in range(-4, 61) if k != 1] + [3000, 12345]
+        shared = []
+        for k0, n0, k1, n1 in PAIRS:
+            specs = (SubgroupSpec(k0, n0), SubgroupSpec(k1, n1))
+            pair = QuotientPair.build(*specs)
+            sigs = [fibre_sig(pair, sub) for _, sub in pair.cyclics]
+            if len(set(sigs)) == len(sigs):
+                continue
+            shared.append((k0, n0, k1, n1))
+            backwards = list(range(len(pair.cyclics)))[::-1]
+            for rat in pair.rationals:
+                for kind in ("M", "S"):
+                    series = multiplicity_series(pair, rat, kind, weights)
+                    assert series.entries == series_from_dims(
+                        pair, rat, kind, weights), (k0, n0, k1, n1)
+                    assert multiplicity_series(
+                        pair, rat, kind, weights,
+                        column_order=backwards).entries == series.entries
+            assert run_verify(VerificationConfig(*specs, kmax=60))["pass"]
+        # the SL2(Z) normaliser of Gamma(N)/Gamma(2N) maps a cyclic C to
+        # subgroups not conjugate to it in G, with Gamma_C's signature
+        assert len(shared) == 13
+        assert ("gamma", 12, "gamma", 24) in shared
+
+    def test_one_table_and_one_read_per_signature(self, monkeypatch):
+        import modmult.reps as reps
+        calls = []
+        original = reps.dims
+
+        def counted(sig, k):
+            calls.append((sig, k))
+            return original(sig, k)
+
+        monkeypatch.setattr(reps, "dims", counted)
+        pair = QuotientPair.build(SubgroupSpec("gamma", 12),
+                                  SubgroupSpec("gamma", 24))
+        monkeypatch.undo()
+        sigs = [fibre_sig(pair, sub) for _, sub in pair.cyclics]
+        groups = set(sigs) | {pair.sig_gamma}
+        # 8 cyclic classes and Gamma, with 4 signatures between them
+        assert (len(sigs), len(set(sigs)), len(groups)) == (8, 3, 4)
+        quasi_period = list(range(3, 3 + 2 * reps.PERIOD))
+        assert Counter(calls) == Counter(
+            (sig, k) for sig in groups for k in quasi_period)
+
+        reads = []
+        original_dims_of = QuotientPair.dims_of
+
+        def spied(self, C, kind, weights):
+            reads.append(C)
+            return original_dims_of(self, C, kind, weights)
+
+        monkeypatch.setattr(QuotientPair, "dims_of", spied)
+        sig_of = {sub: sig for (_, sub), sig in zip(pair.cyclics, sigs)}
+        for rat in pair.rationals:
+            sums = {}
+            for q, sig in zip(pair.artin[rat], sigs):
+                sums[sig] = sums.get(sig, 0) + q
+            want = Counter(sig for sig, q in sums.items() if q)
+            for kind in ("M", "S"):
+                reads.clear()
+                multiplicity_series(pair, rat, kind, range(2, 40))
+                assert Counter(sig_of[C] for C in reads) == want
+                assert len(reads) <= 3
 
     def test_negative_weights_through_the_cli(self, capsys):
         from modmult.cli import main
