@@ -4,7 +4,6 @@ weight, by Riemann-Roch (Shimura, Thms 2.23 and 2.25).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import ModmultError
 from .cosets import Signature
@@ -31,12 +30,6 @@ class DimResult:
         raise ValueError(f"unknown kind {which!r}")
 
 
-def _as_int(x: Fraction) -> int:
-    if x.denominator != 1:
-        raise ArithmeticError(f"non-integral dimension {x}")
-    return int(x)
-
-
 def dims(sig: Signature, k: int) -> DimResult:
     """Exact (dim M_k, dim S_k) for the group with the given signature."""
     if k == 1:
@@ -59,9 +52,11 @@ def dims(sig: Signature, k: int) -> DimResult:
         if sig.nu2:
             raise OddOrderViolation(
                 "odd weight with an elliptic point of order 2 and no -I")
-        s = _as_int(Fraction((k - 1) * (g - 1) + elliptic)
-                    + Fraction(k - 2, 2) * sig.eps_reg
-                    + Fraction(k - 1, 2) * sig.eps_irr)
+        s2 = (2 * ((k - 1) * (g - 1) + elliptic) + (k - 2) * sig.eps_reg
+              + (k - 1) * sig.eps_irr)
+        if s2 % 2:
+            raise ArithmeticError(f"non-integral dimension {s2}/2")
+        s = s2 // 2
         m = s + sig.eps_reg
     return DimResult(m, s)
 

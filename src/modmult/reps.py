@@ -52,9 +52,9 @@ class CharacterTable:
     A table whose degrees are all 1 and whose values are all zeta_o^j, with
     coefficient 1 and o | e, e = exp G, has exponent rows, worked out from
     the values.  validate accepts rows that are |G| distinct homomorphisms
-    G -> Z/e without the Z[zeta_m] checks, _scalar_at_iota reads them, and
-    rational_characters reads each exponent x as the trace c_e(x); every
-    other table is read in Z[zeta_m]."""
+    G -> Z/e without the Z[zeta_m] checks, and rational_characters reads
+    each exponent x as the trace c_e(x); every other table is read in
+    Z[zeta_m], from int_rows."""
 
     group: QuotientGroup
     names: tuple[str, ...]
@@ -73,6 +73,12 @@ class CharacterTable:
         return tuple(tuple(j * (e // v.order) for v in row for j in v.coeffs)
                      for row in self.values)
 
+    @cached_property
+    def int_rows(self):
+        """integer_rows of the values, lifted once for validate and
+        rational_characters."""
+        return integer_rows(self.values)
+
     def validate(self):
         G = self.group
         ncls = len(G.classes)
@@ -90,28 +96,19 @@ class CharacterTable:
             at_id = row[G.class_of[G.identity]].rational_part()
             if at_id != deg:
                 raise SchemaError("degree must equal the value at the identity")
-        int_rows = None
-        if not self._check_exponent_rows():
-            int_rows = integer_rows(self.values)
-            self._check_gram_matrix(*int_rows)
+        # homomorphisms r have 2 r(-I) = r(1) = 0 mod e: the -I check below
+        # cannot fail on exponent rows
+        if self._check_exponent_rows():
+            return
+        self._check_gram_matrix(*self.int_rows)
         if G.iota is not None:
-            for i, name in enumerate(self.names):
-                if not self._scalar_at_iota(i):
+            iota = G.class_of[G.iota]
+            for name, deg, row in zip(self.names, self.degrees, self.values):
+                v = row[iota]
+                if not (v == deg or v == -deg):
                     raise SchemaError(
                         f"value of {name} at the -I coset is not a +-1 scalar")
-        if int_rows is not None:
-            self._check_class_algebra(*int_rows)
-
-    def _scalar_at_iota(self, i: int) -> bool:
-        """Whether row i is +-deg at the -I coset.  On a table with
-        exponent rows, deg = 1 and the value is zeta_e^r with 0 <= r < e,
-        so it is +-1 iff r is 0 or e/2."""
-        G = self.group
-        iota = G.class_of[G.iota]
-        if self.exponents is not None:
-            return 2 * self.exponents[i][iota] % G.exponent == 0
-        v, deg = self.values[i][iota], self.degrees[i]
-        return v == deg or v == -deg
+        self._check_class_algebra(*self.int_rows)
 
     def _check_gram_matrix(self, m, rows, den):
         """<chi_i, chi_j> = |G| delta_ij, computed in Z[x]/(x^m - 1): the
@@ -383,7 +380,7 @@ def rational_characters(table: CharacterTable) -> tuple[RationalCharacter, ...]:
         c = [_ramanujan_sum(m, j) for j in range(m)]
         traces = [tuple(c[x] for x in row) for row in table.exponents]
     else:
-        m, rows, den = integer_rows(table.values)
+        m, rows, den = table.int_rows
         c = [_ramanujan_sum(m, j) for j in range(m)]
         traces = [tuple(sum(a * c[j] for j, a in value) for value in row)
                   for row in rows]

@@ -54,6 +54,8 @@ class SlopeReport:
     exact_match: bool
     quasi_linear: bool
     max_deviation: Fraction
+    deviation_bounded: bool
+    liminf_holds: bool
 
 
 @dataclass(frozen=True)
@@ -71,34 +73,45 @@ def _parity_ks(parity_class: str, lo: int, hi: int):
 def detect_slope(series: MultiplicitySeries, P: int, c: Fraction) -> SlopeReport:
     """Finite differences at stride P over the window [k0, k0+3P]; the
     sequence is declared exact iff the stride-P differences are constant and
-    the slope equals c times the aggregate degree."""
+    the slope equals c times the aggregate degree.
+
+    With c*agg = n/d, every deviation is read from dev_k = s_k d - n k over
+    the series' in-parity weights k >= 2: max_deviation is the largest
+    |dev_k| / (k agg d) over the window, whose largest |dev_k| is the bound
+    B; the deviation is bounded iff |dev_k| <= B at every k, and the liminf
+    holds iff dev_k >= -B at every k."""
     k0 = 4 if series.parity_class != "odd" else 5
     ks = _parity_ks(series.parity_class, k0, k0 + 3 * P)
-    missing = [k for k in ks if k not in series.entries]
+    s = series.entries
+    missing = [k for k in ks if k not in s]
     if missing:
         raise WindowTooSmall(
             f"series for {series.rep_label} lacks weights {missing[:4]}...")
-    diffs = {series.entries[k + P] - series.entries[k]
-             for k in ks if k + P <= k0 + 3 * P}
+    diffs = {s[k + P] - s[k] for k in ks if k + P <= k0 + 3 * P}
     quasi_linear = len(diffs) == 1
     slope = Fraction(diffs.pop(), P) if quasi_linear else Fraction(0)
     agg = series.aggregate_degree
     target = c * agg
-    # |s_k / (k agg) - c| = |s_k d - n k agg| / (k agg d) with c = n/d: the
-    # largest |s_k d - n k agg| / k, found by cross-multiplying
-    n, d = c.numerator, c.denominator
+    n, d = target.numerator, target.denominator
+    dev = {k: s[k] * d - n * k
+           for k in _parity_ks(series.parity_class, 2, max(s)) if k in s}
+    # the largest |dev_k| / k over the window, found by cross-multiplying
     top, k_top = 0, 1
     for k in ks:
-        dev = abs(series.entries[k] * d - n * k * agg)
-        if dev * k_top > top * k:
-            top, k_top = dev, k
-    deviation = Fraction(top, k_top * agg * d)
+        if abs(dev[k]) * k_top > top * k:
+            top, k_top = abs(dev[k]), k
+    bound = max(abs(dev[k]) for k in ks)
+    bounded = all(abs(v) <= bound for v in dev.values())
     return SlopeReport(
         rep_label=series.rep_label, kind=series.kind,
         parity_class=series.parity_class, slope=slope, target=target,
         window=(k0, k0 + 3 * P),
         exact_match=quasi_linear and slope == target,
-        quasi_linear=quasi_linear, max_deviation=deviation,
+        quasi_linear=quasi_linear,
+        max_deviation=Fraction(top, k_top * agg * d),
+        deviation_bounded=bounded,
+        # the deviation bound implies the liminf, so scan only without it
+        liminf_holds=bounded or all(v >= -bound for v in dev.values()),
     )
 
 
@@ -150,23 +163,6 @@ def monitor_lower_bound(pair: QuotientPair, series: MultiplicitySeries,
                                     kind=series.kind, offset=n0)
     return LowerBoundReport(rep_label=series.rep_label, kind=series.kind,
                             offset=None)
-
-
-def _deviation_checks(series: MultiplicitySeries, c: Fraction,
-                     window: tuple[int, int], kmax: int) -> tuple[bool, bool]:
-    """(bounded, liminf) over the in-parity weights k in [2, kmax]:
-    bounded iff |s_k - c*agg*k| never exceeds its maximum B over the slope
-    window, liminf iff s_k >= c*agg*k - B throughout.  With c*agg = n/d
-    both are integer comparisons of s_k*d - n*k with B*d."""
-    target = c * series.aggregate_degree
-    n, d = target.numerator, target.denominator
-    s = series.entries
-    bound = max(abs(s[k] * d - n * k)
-                for k in _parity_ks(series.parity_class, *window))
-    ks = _parity_ks(series.parity_class, 2, kmax)
-    bounded = all(abs(s[k] * d - n * k) <= bound for k in ks)
-    # the deviation bound implies the liminf, so scan only without it
-    return bounded, bounded or all(s[k] * d >= n * k - bound for k in ks)
 
 
 def _fmt_frac(x: Fraction) -> str:
@@ -224,21 +220,19 @@ def run_verify(config: VerificationConfig) -> dict:
                 v == 0 for k, v in series.entries.items()
                 if (series.parity_class == "even" and k % 2)
                 or (series.parity_class == "odd" and k % 2 == 0 and k > 0))
-            bounded, liminf_ok = _deviation_checks(series, pair.c,
-                                                  slope.window, config.kmax)
             if not slope.exact_match:
                 findings.append(f"slope mismatch: {kind}/{rat.label}")
             if bound.offset is None:
                 findings.append(f"no lower-bound offset: {kind}/{rat.label}")
-            if not (parity_ok and bounded):
+            if not (parity_ok and slope.deviation_bounded):
                 findings.append(f"series anomaly: {kind}/{rat.label}")
             rep_reports.append({
                 "slope": _slope_report_dict(slope),
                 "lower_bound": {"rep": rat.label, "kind": kind,
                                 "offset": bound.offset},
                 "parity_vanishing": parity_ok,
-                "deviation_bounded": bounded,
-                "liminf_holds": liminf_ok,
+                "deviation_bounded": slope.deviation_bounded,
+                "liminf_holds": slope.liminf_holds,
             })
         per_k = check_decomposition_identity(pair, kind, weights,
                                              series_by_rep=series_by_rep)

@@ -82,6 +82,15 @@ class TestErrors:
         with pytest.raises(OddOrderViolation):
             dims(sig, 3)
 
+    def test_non_integral_odd_weight_dimension(self):
+        # genus 1 + 6/12 - 1/2 = 1 with one regular cusp: 2 dim S_3 =
+        # 2 (2 * 0 + 0) + 1 * 1 + 2 * 0 = 1, which no group has
+        sig = Signature(0, 0, (CuspDatum(6, True),), False)
+        assert sig.genus == 1
+        with pytest.raises(ArithmeticError,
+                           match=r"^non-integral dimension 1/2$"):
+            dims(sig, 3)
+
 
 PIPELINE_GROUPS = [("full", 1), ("gamma0", 5), ("gamma0", 11), ("gamma1", 4),
                    ("gamma1", 7), ("gamma", 2), ("gamma0", 8), ("gamma1", 25)]

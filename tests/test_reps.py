@@ -816,9 +816,10 @@ class TestExponentRows:
 
     def test_minus_identity_check_matches_cyclotomic_values(self):
         # on every abelian quotient of PAIRS with -I in Gamma but not in
-        # Gamma1, every row's value at -I times each power of zeta_e, against
-        # reference_validate's test v == deg or v == -deg
-        verdicts = set()
+        # Gamma1, the exponent rows with each power zeta_e^r multiplied
+        # into the values at -I: a shift keeps the Gram matrix, so for r
+        # other than 0 and e/2 the first check to fail is the -I check,
+        # which the homomorphisms' own rows (r = 0) always pass
         for k0, n0, k1, n1 in PAIRS:
             G = pair_quotient(SubgroupSpec(k0, n0), SubgroupSpec(k1, n1))
             if not G.is_abelian or G.iota is None or G.iota_trivial:
@@ -831,12 +832,42 @@ class TestExponentRows:
                     row[iota] = (row[iota] + r) % e
                 moved = with_exponent_rows(table, rows)
                 assert moved.exponents is not None
-                for i in range(G.order):
-                    got = moved._scalar_at_iota(i)
-                    v = moved.values[i][iota]
-                    assert got == (v == 1 or v == -1)
-                    verdicts.add(got)
-        assert verdicts == {True, False}
+                got = outcome(CharacterTable.validate, moved)
+                if G.order <= 8:
+                    assert got == outcome(reference_validate, moved)
+                if r == 0:
+                    assert got is None
+                elif 2 * r != e:
+                    assert got == (SchemaError, f"value of {table.names[0]} "
+                                   f"at the -I coset is not a +-1 scalar")
+
+
+class TestIntegerRows:
+    """A table on the Z[zeta_m] route is lifted to integer rows once, for
+    validate and rational_characters both."""
+
+    @pytest.fixture
+    def lifts(self, monkeypatch):
+        calls = []
+
+        def spy(rows):
+            calls.append(len(rows))
+            return integer_rows(rows)
+        monkeypatch.setattr("modmult.reps.integer_rows", spy)
+        return calls
+
+    def test_s3_pair_lifts_its_table_once(self, lifts):
+        pair = QuotientPair.build(SubgroupSpec("full", 1),
+                                  SubgroupSpec("gamma", 2))
+        assert pair.table.exponents is None
+        assert lifts == [3]
+
+    def test_table_file_lifted_once(self, table13, lifts):
+        loaded = load_character_table(table_to_doc(as_sums(table13)),
+                                      table13.group)
+        assert loaded.exponents is None
+        assert rational_characters(loaded) == rational_characters(table13)
+        assert lifts == [12]
 
 
 def swapped_columns_doc(gamma, gamma1, orders, sums=False):

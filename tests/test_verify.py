@@ -9,8 +9,7 @@ import pytest
 
 from modmult.reps import MultiplicitySeries, QuotientPair, multiplicity_series
 from modmult.sl2 import SubgroupSpec
-from modmult.verify import (VerificationConfig, WindowTooSmall,
-                            _deviation_checks, _parity_ks,
+from modmult.verify import (VerificationConfig, WindowTooSmall, _parity_ks,
                             check_decomposition_identity, detect_slope,
                             monitor_lower_bound, run_verify)
 from test_cosets import PAIRS
@@ -229,8 +228,14 @@ def fraction_deviation_checks(series, c, window, kmax):
             all(s[k] >= target * k - bound for k in ks))
 
 
+def deviation_checks(series, P, c):
+    """detect_slope's (deviation_bounded, liminf_holds)."""
+    report = detect_slope(series, P, c)
+    return report.deviation_bounded, report.liminf_holds
+
+
 class TestDeviationChecks:
-    """run_verify's integer deviation and liminf decisions against the
+    """detect_slope's integer deviation and liminf decisions against the
     Fraction scans they replace."""
 
     @pytest.mark.parametrize("k0,n0,k1,n1", PAIRS,
@@ -241,16 +246,16 @@ class TestDeviationChecks:
         for kind in ("M", "S"):
             for rat in pair.rationals:
                 series = multiplicity_series(pair, rat, kind, ks)
-                window = detect_slope(series, pair.period(), pair.c).window
-                assert _deviation_checks(series, pair.c, window, 100) == \
-                    fraction_deviation_checks(series, pair.c, window, 100)
+                r = detect_slope(series, pair.period(), pair.c)
+                assert (r.deviation_bounded, r.liminf_holds) == \
+                    fraction_deviation_checks(series, pair.c, r.window, 100)
 
     def test_entry_at_and_past_the_bound(self, diamond5):
         # one entry moved to each edge of the band c*k +- B and one past it:
         # raised past it, only the liminf holds; lowered past it, neither
         series = series_for(diamond5, "triv", kmax=100)
-        c, k = diamond5.c, 96
-        window = detect_slope(series, diamond5.period(), c).window
+        c, k, P = diamond5.c, 96, diamond5.period()
+        window = detect_slope(series, P, c).window
         target = c * series.aggregate_degree
         bound = max(abs(series.entries[j] - target * j)
                     for j in _parity_ks(series.parity_class, *window))
@@ -260,13 +265,13 @@ class TestDeviationChecks:
                  int(lo): (True, True), int(lo) - 1: (False, False)}
         for value, expect in cases.items():
             off = replace(series, entries={**series.entries, k: value})
-            assert _deviation_checks(off, c, window, 100) == expect, value
+            assert deviation_checks(off, P, c) == expect, value
             assert fraction_deviation_checks(off, c, window, 100) == expect
         # past the band at k + 2 and on its lower edge at k: the liminf scan
         # runs and holds
         off = replace(series, entries={**series.entries, k: int(lo),
                                        k + 2: int(hi + 2 * target) + 1})
-        assert _deviation_checks(off, c, window, 100) == (False, True)
+        assert deviation_checks(off, P, c) == (False, True)
         assert fraction_deviation_checks(off, c, window, 100) == (False, True)
 
 
