@@ -4,9 +4,10 @@ regular/irregular cusp classification and the area constant c.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from . import ModmultError
 from .sl2 import (FiniteSubgroup, Mat, QuotientGroup, S_MAT, T_MAT,
@@ -136,13 +137,8 @@ def _lookup(K: FiniteSubgroup):
     return acting, slice(0, 4), n
 
 
-@lru_cache(maxsize=1)
 def coset_action(K: FiniteSubgroup) -> PermutationAction:
-    """Permutations of S and T on projective cosets of K.
-
-    The action of the last K is kept: a pair's branch points are read from
-    the table that gave Gamma's signature.
-    """
+    """Permutations of S and T on projective cosets of K."""
     n = K.level
     size = sl2_group_order(n) // K.order // (1 if K.contains_minus_I else 2)
     gens = (reduce_mat(S_MAT, n), reduce_mat(T_MAT, n))
@@ -250,11 +246,12 @@ def fibre_signature(G: QuotientGroup, branch: BranchPoints,
             reps.append(x)
 
     def fixed(hs):
-        return sum(1 for h in hs for x in reps
+        return sum(n for h, n in Counter(hs).items() for x in reps
                    if coset_of[G.mul[x][h]] == coset_of[x])
 
+    # walk each distinct branch datum once: Gamma(12)'s 48 cusps carry 3
     cusps = []
-    for width, eps, h in branch.cusps:
+    for (width, eps, h), n in Counter(branch.cusps).items():
         seen = [False] * len(reps)
         for i, x in enumerate(reps):
             if seen[i]:
@@ -266,7 +263,7 @@ def fibre_signature(G: QuotientGroup, branch: BranchPoints,
                 y = G.mul[y][h]
             regular = minus_i or ((eps == 1 or length % 2 == 0) and G.mul[
                 G.mul[x][G.power(h, length)]][G.inv[x]] in C)
-            cusps.append(CuspDatum(width=width * length, regular=regular))
+            cusps += [CuspDatum(width=width * length, regular=regular)] * n
     return _signature(fixed(branch.elliptic2), fixed(branch.elliptic3), cusps,
                       minus_i)
 

@@ -353,7 +353,6 @@ class TestOwnLevel:
             return original(size, acting, key, own, *args)
 
         monkeypatch.setattr(cosets, "_coset_table", recorded)
-        cosets.coset_action.cache_clear()
         low, high = group(kind, n), group(kind, n, at_level=m)
         act_low, act_high = coset_action(low), coset_action(high)
         # both tables are keyed alike, mod n
@@ -409,16 +408,15 @@ class TestKeyedTable:
                              ["gamma0", "gamma1", "gamma", "full", "custom"])
     def test_keyed_equals_generic(self, kind, monkeypatch):
         import modmult.cosets as cosets
-        # both run uncached; SL2Z is realized at every level m <= 30
+        # SL2Z is realized at every level m <= 30
         for spec in family_specs(kind):
             n = spec.level
             for m in (range(1, 31) if kind == "full" else (n, 2 * n)):
                 K = realize(spec, at_level=m, level_cap=60)
-                keyed = coset_action.__wrapped__(K)
+                keyed = coset_action(K)
                 with monkeypatch.context() as patch:
                     patch.setattr(cosets, "_lookup", generic)
-                    assert keyed == coset_action.__wrapped__(K), \
-                        f"{spec} at {m}"
+                    assert keyed == coset_action(K), f"{spec} at {m}"
 
     @pytest.mark.parametrize("kind,bound", [
         # mu_proj * phi(97) and 2 * mu_proj for Gamma1(97)
@@ -439,7 +437,7 @@ class TestKeyedTable:
         spec = (SubgroupSpec("custom", 97, CUSTOM_97[kind])
                 if kind in CUSTOM_97 else SubgroupSpec(kind, 97))
         K = realize(spec, level_cap=200)
-        coset_action.__wrapped__(K)
+        coset_action(K)
         # not one key per element of SL2(Z/97), 912,576 of them
         assert tables == [bound]
 
@@ -461,7 +459,6 @@ class TestKeyedTable:
         for whole in (False, True):
             if whole:
                 monkeypatch.setattr(cosets, "_lookup", generic)
-            cosets.coset_action.cache_clear()
             assert main(argv) == 0
             reports.append(capsys.readouterr().out)
         # keyed by bottom rows, then by whole matrices mod n
@@ -498,9 +495,9 @@ class TestPreimageSignature:
             assert repr(fibre_sig(pair, C)) == \
                 repr(subgroup_signature(preimage_subgroup(pair, C))), sorted(C)
         assert pair.sig_gamma1 == subgroup_signature(pair.gamma1)
-        # fibre_sig reads the fibres at C = G too; sig_gamma is Gamma's
-        # own coset table
-        assert fibre_sig(pair, frozenset(range(G.order))) == pair.sig_gamma
+        # sig_gamma is the fibre over C = G; subgroup_signature reads
+        # Gamma's own coset table
+        assert pair.sig_gamma == subgroup_signature(pair.gamma)
 
     def test_irregular_cusps_are_covered(self):
         pair = QuotientPair.build(SubgroupSpec("gamma0", 12),

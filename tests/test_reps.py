@@ -1219,12 +1219,19 @@ class TestMultiplicities:
 class TestSignatureCache:
     def test_each_signature_computed_once(self, monkeypatch):
         import modmult.cosets as cosets
-        tables = []
+        import modmult.reps as reps
+        tables, passes, signatures = [], [], []
         original = cosets._coset_table
 
         def counted(size, acting, key, n, *args):
             tables.append((key, n))
             return original(size, acting, key, n, *args)
+
+        def counter(calls, function):
+            def wrapped(*args, **kwargs):
+                calls.append(args)
+                return function(*args, **kwargs)
+            return wrapped
 
         # G = C4 with classes 1, C2, C4; G = (Z/2)^3 with eight
         for specs, lookup in [
@@ -1233,15 +1240,24 @@ class TestSignatureCache:
                 ((SubgroupSpec("gamma", 12), SubgroupSpec("gamma", 24)),
                  (slice(0, 4), 12))]:
             monkeypatch.setattr(cosets, "_coset_table", counted)
-            cosets.coset_action.cache_clear()
+            branched = counter(passes, cosets.branch_points)
+            signed = counter(signatures, cosets.subgroup_signature)
+            for module in (cosets, reps):
+                monkeypatch.setattr(module, "branch_points", branched)
+                monkeypatch.setattr(module, "subgroup_signature", signed,
+                                    raising=False)
             tables.clear()
+            passes.clear()
+            signatures.clear()
             pair = QuotientPair.build(*specs)
             pair.period()
-            # one coset table, Gamma's, whatever the number of cyclic
-            # classes: Gamma1 and each Gamma_C are read from its branch
-            # points.  Gamma0(5) is keyed by bottom rows mod 5, Gamma(12)
-            # by whole matrices mod 12
+            # one coset table, Gamma's, and one pass over its branch
+            # points, whatever the number of cyclic classes: Gamma, Gamma1
+            # and each Gamma_C are fibres over them, and no signature is
+            # read from a coset table of its own.  Gamma0(5) is keyed by
+            # bottom rows mod 5, Gamma(12) by whole matrices mod 12
             assert tables == [lookup]
+            assert len(passes) == 1 and signatures == []
             monkeypatch.undo()
             for _, sub in pair.cyclics:
                 elems = {mat_mul(h, pair.G.elements[c], pair.level)
@@ -1402,7 +1418,6 @@ class TestDimensionTable:
             raise AssertionError("period() ran signature code")
 
         for module, name in [(reps, "fibre_signature"),
-                             (reps, "subgroup_signature"),
                              (cosets, "fibre_signature"),
                              (cosets, "subgroup_signature")]:
             monkeypatch.setattr(module, name, refused)

@@ -178,14 +178,12 @@ class TestCustomFromResidues:
     @pytest.mark.parametrize("n", range(1, 31))
     def test_T_closure_is_gamma1(self, n):
         # Gamma1(N) mod N is <T> mod N: the whole-matrix keys of the custom
-        # group and the bottom-row keys of Gamma1(N) give one signature;
-        # coset_action's cache ignores the family, so both run uncached
+        # group and the bottom-row keys of Gamma1(N) give one signature
         custom = realize(SubgroupSpec("custom", n, (T_MAT,)))
         gamma1 = realize(SubgroupSpec("gamma1", n))
         assert custom.elements == gamma1.elements
-        assert signature_from_action(coset_action.__wrapped__(custom),
-                                     custom) == \
-            signature_from_action(coset_action.__wrapped__(gamma1), gamma1)
+        assert signature_from_action(coset_action(custom), custom) == \
+            signature_from_action(coset_action(gamma1), gamma1)
 
 
 class TestRealizeFromConditions:
