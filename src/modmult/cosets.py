@@ -4,8 +4,7 @@ regular/irregular cusp classification and the area constant c.
 """
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -41,12 +40,14 @@ class Signature:
     elliptic points of order 2 and 3, its cusps and whether it holds -I.
     The rest follows (Shimura, Prop. 1.40): mu_proj, the index in PSL2(Z),
     is the sum of the cusp widths, mu_sl is mu_proj with -I and 2 mu_proj
-    without, and the genus is 1 + mu_proj/12 - nu2/4 - nu3/3 - t/2."""
+    without, and the genus is 1 + mu_proj/12 - nu2/4 - nu3/3 - t/2.
+    A signature read from a coset table keeps the branch points it counts."""
 
     nu2: int
     nu3: int
     cusps: tuple[CuspDatum, ...]
     minus_I: bool
+    branch: BranchPoints | None = field(default=None, compare=False, repr=False)
 
     @property
     def t(self) -> int:
@@ -171,23 +172,27 @@ class BranchPoints:
     elliptic3: tuple                # generator at each point of order 3
     cusps: tuple                    # (width, eps, generator) of each cusp
 
+    def under(self, image) -> BranchPoints:
+        """The same points, each generator passed through image."""
+        return BranchPoints(tuple(map(image, self.elliptic2)),
+                            tuple(map(image, self.elliptic3)),
+                            tuple((w, e, image(y)) for w, e, y in self.cusps))
 
-def branch_points(act: PermutationAction, K: FiniteSubgroup,
-                  image=None) -> BranchPoints:
+
+def branch_points(act: PermutationAction, K: FiniteSubgroup) -> BranchPoints:
     """K's branch points, read from its coset action act.
 
     A coset +-K r fixed by S or ST, or a T-cycle of width w from it, has the
     stabiliser generator eps r x r^-1 with x = S, ST or T^w, and eps = 1 iff
-    r x r^-1 itself lies in K.  Each generator is passed through image.
+    r x r^-1 itself lies in K.
     """
     n = K.level
 
     def stabiliser(r, x):
         y = mat_mul(mat_mul(r, x, n), mat_inv(r, n), n)
-        eps = 1 if y in K.element_set else -1
-        if eps < 0:
-            y = tuple(-v % n for v in y)
-        return eps, (y if image is None else image(y))
+        if y in K.element_set:
+            return 1, y
+        return -1, tuple(-v % n for v in y)
 
     s = reduce_mat(S_MAT, n)
     st = mat_mul(s, reduce_mat(T_MAT, n), n)
@@ -204,22 +209,22 @@ def branch_points(act: PermutationAction, K: FiniteSubgroup,
 
 
 def signature_from_action(act: PermutationAction, K: FiniteSubgroup) -> Signature:
-    """Signature of the preimage in SL2(Z) of K."""
+    """Signature of the preimage in SL2(Z) of K, with its branch points."""
     branch = branch_points(act, K)
     # the cusp r(oo) of width w is regular iff r T^w r^-1 is in K, not -K;
     # every cusp is when -I is in K
     cusps = [CuspDatum(width=width, regular=eps == 1)
              for width, eps, _ in branch.cusps]
     return _signature(len(branch.elliptic2), len(branch.elliptic3), cusps,
-                      K.contains_minus_I)
+                      K.contains_minus_I, branch)
 
 
-def _signature(nu2: int, nu3: int, cusps: list[CuspDatum],
-               minus_i: bool) -> Signature:
+def _signature(nu2: int, nu3: int, cusps: list[CuspDatum], minus_i: bool,
+               branch: BranchPoints | None = None) -> Signature:
     """The signature with these branch data."""
     # by width, regular first: independent of how the cosets are numbered
     cusps.sort(key=lambda c: (c.width, not c.regular))
-    return Signature(nu2=nu2, nu3=nu3, cusps=tuple(cusps), minus_I=minus_i)
+    return Signature(nu2, nu3, tuple(cusps), minus_i, branch)
 
 
 def fibre_signature(G: QuotientGroup, branch: BranchPoints,
@@ -246,12 +251,11 @@ def fibre_signature(G: QuotientGroup, branch: BranchPoints,
             reps.append(x)
 
     def fixed(hs):
-        return sum(n for h, n in Counter(hs).items() for x in reps
+        return sum(1 for h in hs for x in reps
                    if coset_of[G.mul[x][h]] == coset_of[x])
 
-    # walk each distinct branch datum once: Gamma(12)'s 48 cusps carry 3
     cusps = []
-    for (width, eps, h), n in Counter(branch.cusps).items():
+    for width, eps, h in branch.cusps:
         seen = [False] * len(reps)
         for i, x in enumerate(reps):
             if seen[i]:
@@ -263,7 +267,7 @@ def fibre_signature(G: QuotientGroup, branch: BranchPoints,
                 y = G.mul[y][h]
             regular = minus_i or ((eps == 1 or length % 2 == 0) and G.mul[
                 G.mul[x][G.power(h, length)]][G.inv[x]] in C)
-            cusps += [CuspDatum(width=width * length, regular=regular)] * n
+            cusps.append(CuspDatum(width=width * length, regular=regular))
     return _signature(fixed(branch.elliptic2), fixed(branch.elliptic3), cusps,
                       minus_i)
 

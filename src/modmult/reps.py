@@ -10,8 +10,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import ModmultError
-from .cosets import (Signature, area_constant_c, branch_points, coset_action,
-                     fibre_signature)
+from .cosets import (Signature, area_constant_c, fibre_signature,
+                     subgroup_signature)
 from .dimensions import WeightOneUnsupported, dims
 from .exact import (CycloValue, InconsistentSystem, euler_phi, integer_rows,
                     mobius, reduce_cyclotomic, solve_linear_exact)
@@ -538,11 +538,10 @@ class QuotientPair:
         table = character_table_for(G, table_source)
         rats = rational_characters(table)
         cyclics = cyclic_subgroups_up_to_conjugacy(G)
-        branch = branch_points(coset_action(gamma), gamma, G.coset_index)
+        sig_gamma = subgroup_signature(gamma)
+        branch = sig_gamma.branch.under(G.coset_index)
         sigs = {sub: fibre_signature(G, branch, sub) for _, sub in cyclics}
-        # Gamma is the fibre over C = G, as Gamma1 is the one over C = {1}
-        whole = frozenset(range(G.order))
-        sig_gamma = sigs[whole] = fibre_signature(G, branch, whole)
+        sigs[frozenset(range(G.order))] = sig_gamma
         tables = {sig: _dim_table(sig) for sig in dict.fromkeys(sigs.values())}
         return cls(
             gamma_spec=gamma_spec, gamma1_spec=gamma1_spec, level=level,

@@ -28,9 +28,8 @@ def preimage_subgroup(pair, C):
 
 def fibre_sig(pair, C):
     """Gamma_C's signature, read from the fibres of Gamma's branch points."""
-    branch = branch_points(coset_action(pair.gamma), pair.gamma,
-                           pair.G.coset_index)
-    return fibre_signature(pair.G, branch, C)
+    branch = branch_points(coset_action(pair.gamma), pair.gamma)
+    return fibre_signature(pair.G, branch.under(pair.G.coset_index), C)
 
 
 def compose(p, q):
@@ -495,9 +494,9 @@ class TestPreimageSignature:
             assert repr(fibre_sig(pair, C)) == \
                 repr(subgroup_signature(preimage_subgroup(pair, C))), sorted(C)
         assert pair.sig_gamma1 == subgroup_signature(pair.gamma1)
-        # sig_gamma is the fibre over C = G; subgroup_signature reads
-        # Gamma's own coset table
-        assert pair.sig_gamma == subgroup_signature(pair.gamma)
+        # fibre_sig reads the fibres at C = G too; sig_gamma is Gamma's
+        # own coset table
+        assert fibre_sig(pair, frozenset(range(G.order))) == pair.sig_gamma
 
     def test_irregular_cusps_are_covered(self):
         pair = QuotientPair.build(SubgroupSpec("gamma0", 12),

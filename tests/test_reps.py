@@ -1243,22 +1243,24 @@ class TestSignatureCache:
             branched = counter(passes, cosets.branch_points)
             signed = counter(signatures, cosets.subgroup_signature)
             for module in (cosets, reps):
-                monkeypatch.setattr(module, "branch_points", branched)
-                monkeypatch.setattr(module, "subgroup_signature", signed,
+                monkeypatch.setattr(module, "branch_points", branched,
                                     raising=False)
+                monkeypatch.setattr(module, "subgroup_signature", signed)
             tables.clear()
             passes.clear()
             signatures.clear()
             pair = QuotientPair.build(*specs)
             pair.period()
             # one coset table, Gamma's, and one pass over its branch
-            # points, whatever the number of cyclic classes: Gamma, Gamma1
-            # and each Gamma_C are fibres over them, and no signature is
-            # read from a coset table of its own.  Gamma0(5) is keyed by
-            # bottom rows mod 5, Gamma(12) by whole matrices mod 12
+            # points, whatever the number of cyclic classes: Gamma's
+            # signature keeps them, and Gamma1 and each Gamma_C are fibres
+            # over them.  Gamma0(5) is keyed by bottom rows mod 5, Gamma(12)
+            # by whole matrices mod 12
             assert tables == [lookup]
-            assert len(passes) == 1 and signatures == []
+            assert len(passes) == 1 and signatures == [(pair.gamma,)]
             monkeypatch.undo()
+            assert pair.sig_gamma.branch == cosets.branch_points(
+                cosets.coset_action(pair.gamma), pair.gamma)
             for _, sub in pair.cyclics:
                 elems = {mat_mul(h, pair.G.elements[c], pair.level)
                          for c in sub for h in pair.gamma1.elements}
@@ -1418,6 +1420,7 @@ class TestDimensionTable:
             raise AssertionError("period() ran signature code")
 
         for module, name in [(reps, "fibre_signature"),
+                             (reps, "subgroup_signature"),
                              (cosets, "fibre_signature"),
                              (cosets, "subgroup_signature")]:
             monkeypatch.setattr(module, name, refused)
