@@ -12,7 +12,7 @@ class ModmultError(Exception):
 
 from .cosets import (CuspDatum, PermutationAction, Signature, area_constant_c,
                      coset_action, signature_from_action, subgroup_signature)
-from .dimensions import DimResult, dims
+from .dimensions import DimResult, DimTable, dims
 from .exact import (CycloValue, InconsistentSystem, cyclotomic_poly,
                     euler_phi, mobius, solve_linear_exact)
 from .reps import (CharacterTable, MultiplicitySeries, QuotientPair,
@@ -21,7 +21,6 @@ from .reps import (CharacterTable, MultiplicitySeries, QuotientPair,
                    multiplicity_series, parity_of, permutation_character,
                    rational_characters)
 from .sl2 import (FiniteSubgroup, QuotientGroup, SubgroupSpec,
-                  cyclic_subgroups_up_to_conjugacy, enumerate_sl2,
-                  quotient, realize)
+                  cyclic_subgroups_up_to_conjugacy, quotient, realize)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,5 +1,6 @@
 """Exact dimensions of M_k and S_k for a signature, at every supported
-weight, by Riemann-Roch (Shimura, Thms 2.23 and 2.25).
+weight, by Riemann-Roch (Shimura, Thms 2.23 and 2.25), and their tables
+over one quasi-period.
 """
 from __future__ import annotations
 
@@ -60,3 +61,41 @@ def dims(sig: Signature, k: int) -> DimResult:
         m = s + sig.eps_reg
     return DimResult(m, s)
 
+
+# dims reads k only through floor(k/4), floor(k/3) and the parity of k,
+# which repeat with period 12: one period for every signature
+PERIOD = 12
+
+
+class DimTable:
+    """dim M_k and dim S_k of one signature at any weights.
+
+    For k >= 3 both are A*k + B(k mod P), P = PERIOD (Shimura, Thms 2.23
+    and 2.25), so the table runs dims on [3, 3 + 2P) alone and keeps, per
+    kind, base[r] and step[r] = dim(k + P) - dim(k): every k = 3 + t*P + r
+    reads base[r] + t*step[r].  k = 2, the exception of Riemann-Roch, and
+    k <= 1 go to dims itself."""
+
+    def __init__(self, sig: Signature):
+        self.sig = sig
+        ds = [dims(sig, k) for k in range(3, 3 + 2 * PERIOD)]
+        self.rows = {}
+        for kind in ("M", "S"):
+            vals = [d.kind(kind) for d in ds]
+            self.rows[kind] = (vals[:PERIOD],
+                               [b - a for a, b in zip(vals, vals[PERIOD:])])
+
+    def read(self, kind: str, weights) -> list[int]:
+        """dim M_k (kind "M") or dim S_k (kind "S") at each of the weights,
+        in order, as plain ints."""
+        if kind not in self.rows:
+            raise ValueError(f"unknown kind {kind!r}")
+        base, step = self.rows[kind]
+        out = []
+        for k in weights:
+            if k < 3:
+                out.append(dims(self.sig, k).kind(kind))
+            else:
+                t, r = divmod(k - 3, PERIOD)
+                out.append(base[r] + t * step[r])
+        return out

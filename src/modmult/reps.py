@@ -12,7 +12,7 @@ from math import gcd, lcm
 from . import ModmultError
 from .cosets import (Signature, area_constant_c, fibre_signature,
                      subgroup_signature)
-from .dimensions import WeightOneUnsupported, dims
+from .dimensions import PERIOD, DimTable, WeightOneUnsupported
 from .exact import (CycloValue, InconsistentSystem, euler_phi, integer_rows,
                     mobius, reduce_cyclotomic, solve_linear_exact)
 from .sl2 import (DEFAULT_LEVEL_CAP, FiniteSubgroup, QuotientGroup,
@@ -450,9 +450,10 @@ def artin_decompose(target_values, G: QuotientGroup, cyclics,
 
 
 def parity_of(rat: RationalCharacter, G: QuotientGroup) -> str:
-    """'even', 'odd', or 'unconstrained' from the Schur scalar at -I."""
+    """Which weights can carry this character: 'even', 'odd', or 'all',
+    from the Schur scalar at -I."""
     if G.iota is None:
-        return "unconstrained"
+        return "all"
     if G.iota_trivial:
         return "even"
     sign = rat.values[G.class_of[G.iota]] / rat.aggregate_degree
@@ -480,24 +481,6 @@ class MultiplicitySeries:
         return self.degree * self.orbit_size
 
 
-# dims reads k only through floor(k/4), floor(k/3) and the parity of k,
-# which repeat with period 12: one period for every Gamma_C
-PERIOD = 12
-
-
-def _dim_table(sig: Signature) -> tuple:
-    """(sig, {kind: (base, step)}) with dim at k = 3 + t*P + r >= 3 being
-    base[r] + t*step[r], P = PERIOD, built from dims on [3, 3 + 2P).  It
-    reads sig alone, so every group with that signature shares it."""
-    ds = [dims(sig, k) for k in range(3, 3 + 2 * PERIOD)]
-    rows = {}
-    for kind in ("M", "S"):
-        vals = [d.kind(kind) for d in ds]
-        rows[kind] = (vals[:PERIOD],
-                      [b - a for a, b in zip(vals, vals[PERIOD:])])
-    return sig, rows
-
-
 @dataclass(frozen=True)
 class QuotientPair:
     """The pair (Gamma, Gamma1) with everything the engine derives from it,
@@ -517,9 +500,11 @@ class QuotientPair:
     c: Fraction
     # each rational character -> its Artin coefficients over cyclics
     artin: dict = field(repr=False)
-    # C -> _dim_table of Gamma_C, for each cyclic C and for Gamma (C = G);
-    # the C whose Gamma_C share a signature share one table
-    _dims: dict = field(repr=False)
+    # each cyclic C -> the signature of Gamma_C
+    sigs: dict = field(repr=False)
+    # each distinct signature among Gamma and the Gamma_C -> its DimTable:
+    # dims reads a signature alone, so the groups that share one share it
+    tables: dict = field(repr=False)
 
     @classmethod
     def build(cls, gamma_spec: SubgroupSpec, gamma1_spec: SubgroupSpec,
@@ -541,40 +526,22 @@ class QuotientPair:
         sig_gamma = subgroup_signature(gamma)
         branch = sig_gamma.branch.under(G.coset_index)
         sigs = {sub: fibre_signature(G, branch, sub) for _, sub in cyclics}
-        sigs[frozenset(range(G.order))] = sig_gamma
-        tables = {sig: _dim_table(sig) for sig in dict.fromkeys(sigs.values())}
+        tables = {sig: DimTable(sig)
+                  for sig in dict.fromkeys([*sigs.values(), sig_gamma])}
+        # equal signatures share their table's key, so a lookup matches it
+        # by identity and never compares the cusps
+        sigs = {C: tables[sig].sig for C, sig in sigs.items()}
         return cls(
             gamma_spec=gamma_spec, gamma1_spec=gamma1_spec, level=level,
             gamma=gamma, gamma1=gamma1, G=G, table=table, rationals=rats,
             cyclics=cyclics, sig_gamma=sig_gamma,
-            sig_gamma1=sigs[frozenset({G.identity})],
+            # cyclics[0] is the trivial subgroup, whose Gamma_C is Gamma1
+            sig_gamma1=sigs[cyclics[0][1]],
             c=area_constant_c(sig_gamma),
             artin={rat: artin_decompose(rat.values, G, cyclics)
                    for rat in rats},
-            _dims={C: tables[sig] for C, sig in sigs.items()},
+            sigs=sigs, tables=tables,
         )
-
-    def dims_of(self, C: frozenset, kind: str, weights) -> list[int]:
-        """dim M_k (kind "M") or dim S_k (kind "S") of Gamma_C at each of
-        the weights, in order, as plain ints, for Gamma1 (C = {1}), a
-        cyclic C of the pair, or Gamma (C = G).
-
-        For k >= 3 both dimensions are A*k + B(k mod P), P = PERIOD
-        (Shimura, Thms 2.23 and 2.25), so the table of Gamma_C's signature
-        answers every such k; k = 2, the exception of Riemann-Roch, and
-        k <= 1 go to dims itself."""
-        if kind not in ("M", "S"):
-            raise ValueError(f"unknown kind {kind!r}")
-        sig, rows = self._dims[C]
-        base, step = rows[kind]
-        out = []
-        for k in weights:
-            if k < 3:
-                out.append(dims(sig, k).kind(kind))
-            else:
-                t, r = divmod(k - 3, PERIOD)
-                out.append(base[r] + t * step[r])
-        return out
 
     def rational_by_name(self, name: str) -> RationalCharacter:
         for rat in self.rationals:
@@ -606,11 +573,11 @@ def multiplicity_series(pair: QuotientPair, rat: RationalCharacter, kind: str,
         raise WeightOneUnsupported("weight 1 is not supported")
     coeffs = pair.artin[rat] if column_order is None else artin_decompose(
         rat.values, pair.G, pair.cyclics, column_order=column_order)
-    by_sig: dict = {}  # signature -> [summed coefficient, one C with it]
+    by_table: dict = {}  # the table of Gamma_C's signature -> summed q_C
     for q, (_, sub) in zip(coeffs, pair.cyclics):
-        by_sig.setdefault(pair._dims[sub][0], [0, sub])[0] += q
-    terms = [(q, pair.dims_of(sub, kind, ks))
-             for q, sub in by_sig.values() if q]
+        table = pair.tables[pair.sigs[sub]]
+        by_table[table] = by_table.get(table, 0) + q
+    terms = [(q, table.read(kind, ks)) for table, q in by_table.items() if q]
     entries = {}
     for i, k in enumerate(ks):
         total = Fraction(0)
@@ -631,12 +598,6 @@ def multiplicity_series(pair: QuotientPair, rat: RationalCharacter, kind: str,
             per_member[k] = total // rat.orbit_size
     return MultiplicitySeries(
         rep_label=rat.label, kind=kind, entries=entries,
-        per_member=per_member, parity_class=parity_class_of(rat, pair.G),
+        per_member=per_member, parity_class=parity_of(rat, pair.G),
         degree=rat.degree, orbit_size=rat.orbit_size,
     )
-
-
-def parity_class_of(rat: RationalCharacter, G: QuotientGroup) -> str:
-    """Which weights can carry this character: 'even', 'odd', or 'all'."""
-    p = parity_of(rat, G)
-    return "all" if p == "unconstrained" else p

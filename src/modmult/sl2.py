@@ -210,11 +210,6 @@ def realize(spec: SubgroupSpec, at_level: int | None = None,
         own_level=n)
 
 
-def enumerate_sl2(n: int, level_cap: int = DEFAULT_LEVEL_CAP) -> FiniteSubgroup:
-    """All of SL2(Z/N)."""
-    return realize(SubgroupSpec("full"), n, level_cap)
-
-
 @dataclass(frozen=True)
 class QuotientGroup:
     """The finite quotient G = Gamma/Gamma1 on canonical coset representatives."""

@@ -12,7 +12,7 @@ from . import ModmultError, __version__
 # that the tracer wraps modmult.verify.dims, so the name stays
 from .dimensions import dims  # noqa: F401
 from .reps import (MultiplicitySeries, QuotientPair, multiplicity_series,
-                   parity_class_of)
+                   parity_of)
 from .sl2 import DEFAULT_LEVEL_CAP, SubgroupSpec
 
 
@@ -126,10 +126,9 @@ def check_decomposition_identity(pair: QuotientPair, kind: str, weights,
         }
     out = {}
     ks = [k for k in sorted(set(weights)) if k != 1]
-    gamma1 = frozenset({pair.G.identity})
     terms = [(rat.degree, series_by_rep[rat.label].entries)
              for rat in pair.rationals]
-    for k, rhs in zip(ks, pair.dims_of(gamma1, kind, ks)):
+    for k, rhs in zip(ks, pair.tables[pair.sig_gamma1].read(kind, ks)):
         lhs = sum(degree * entries[k] for degree, entries in terms)
         if lhs != rhs:
             raise IdentityViolation(
@@ -151,8 +150,7 @@ def monitor_lower_bound(pair: QuotientPair, series: MultiplicitySeries,
     agg = series.aggregate_degree
     # every k - n0 below is in the parity class and lies in [4, kmax]
     js = _parity_ks(series.parity_class, 4, kmax)
-    gamma = frozenset(range(pair.G.order))
-    dim_gamma = dict(zip(js, pair.dims_of(gamma, "M", js)))
+    dim_gamma = dict(zip(js, pair.tables[pair.sig_gamma].read("M", js)))
     for n0 in range(0, offset_bound + 1, 2):
         ks = [k for k in _parity_ks(series.parity_class, n0 + 4, kmax)
               if k in series.entries]
@@ -197,9 +195,9 @@ def run_verify(config: VerificationConfig) -> dict:
 
     # preflight: sum of squared degrees over each parity class = mu_proj
     preflight = {}
-    for pclass in sorted({parity_class_of(r, G) for r in pair.rationals}):
+    for pclass in sorted({parity_of(r, G) for r in pair.rationals}):
         total = sum(r.degree ** 2 * r.orbit_size for r in pair.rationals
-                    if parity_class_of(r, G) == pclass)
+                    if parity_of(r, G) == pclass)
         preflight[pclass] = (total == G.mu_proj)
 
     weights = [k for k in range(0, config.kmax + 1) if k != 1]

@@ -7,15 +7,20 @@ from modmult.cosets import (CuspDatum, NonIntegralGenus, PermutationAction,
                             Signature, area_constant_c, branch_points,
                             coset_action, fibre_signature,
                             signature_from_action, subgroup_signature)
-from modmult.dimensions import dims
-from modmult.reps import PERIOD, QuotientPair
-from modmult.sl2 import (T_MAT, FiniteSubgroup, SubgroupSpec, enumerate_sl2,
-                         mat_inv, mat_mul, minus_identity, realize, reduce_mat,
-                         sl2_group_order)
+from modmult.dimensions import PERIOD, dims
+from modmult.reps import QuotientPair
+from modmult.sl2 import (DEFAULT_LEVEL_CAP, T_MAT, FiniteSubgroup,
+                         SubgroupSpec, mat_inv, mat_mul, minus_identity,
+                         realize, reduce_mat, sl2_group_order)
 
 
 def group(kind, n, at_level=None):
     return realize(SubgroupSpec(kind, n), at_level=at_level)
+
+
+def full_sl2(n, level_cap=DEFAULT_LEVEL_CAP):
+    """All of SL2(Z/n)."""
+    return realize(SubgroupSpec("full"), n, level_cap=level_cap)
 
 
 def preimage_subgroup(pair, C):
@@ -199,7 +204,7 @@ def reference_cusps(K):
     """
     n = K.level
     coset_of, reps = {}, []
-    for g in enumerate_sl2(n).elements:
+    for g in full_sl2(n).elements:
         if g not in coset_of:
             for h in K.elements:
                 coset_of[mat_mul(h, g, n)] = len(reps)

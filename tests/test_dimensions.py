@@ -4,8 +4,8 @@ import pytest
 
 from modmult.cosets import (CuspDatum, Signature, area_constant_c,
                             subgroup_signature)
-from modmult.dimensions import OddOrderViolation, WeightOneUnsupported, dims
-from modmult.reps import PERIOD
+from modmult.dimensions import (PERIOD, OddOrderViolation,
+                                WeightOneUnsupported, dims)
 from modmult.sl2 import SubgroupSpec, realize
 
 

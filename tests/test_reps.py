@@ -19,9 +19,9 @@ from modmult.reps import (CharacterTable, CharacterTableRequired,
                           load_character_table, multiplicity_series,
                           parity_of, permutation_character, rational_characters)
 from modmult.sl2 import (FiniteSubgroup, QuotientGroup, SubgroupSpec,
-                         cyclic_subgroups_up_to_conjugacy, enumerate_sl2,
-                         mat_mul, quotient, realize)
-from test_cosets import PAIRS, fibre_sig
+                         cyclic_subgroups_up_to_conjugacy, mat_mul, quotient,
+                         realize)
+from test_cosets import PAIRS, fibre_sig, full_sl2
 
 
 @pytest.fixture(scope="module")
@@ -162,7 +162,7 @@ class TestS3Table:
 
     def test_nonabelian_without_table(self):
         # SL2(Z/3) / trivial is nonabelian of order 24: no built-in table
-        g = enumerate_sl2(3)
+        g = full_sl2(3)
         g1 = realize(SubgroupSpec("gamma", 3))
         G = quotient(g, g1)
         with pytest.raises(CharacterTableRequired):
@@ -1133,8 +1133,7 @@ class TestParity:
         pair = QuotientPair.build(SubgroupSpec("gamma1", 5),
                                   SubgroupSpec("gamma", 5))
         assert pair.G.iota is None
-        assert all(parity_of(r, pair.G) == "unconstrained"
-                   for r in pair.rationals)
+        assert all(parity_of(r, pair.G) == "all" for r in pair.rationals)
 
 
 class TestMultiplicities:
@@ -1204,11 +1203,11 @@ class TestMultiplicities:
                         assert s.per_member[k] * rat.orbit_size == v
 
     def test_weight_one_rejected(self, diamond5, monkeypatch):
-        import modmult.reps as reps
+        import modmult.dimensions as dimensions
         from modmult.dimensions import WeightOneUnsupported
         # rejected before any work: not one dims call, cached or not
         calls = []
-        monkeypatch.setattr(reps, "dims", lambda *a: calls.append(a))
+        monkeypatch.setattr(dimensions, "dims", lambda *a: calls.append(a))
         for kind in ("M", "S"):
             with pytest.raises(WeightOneUnsupported):
                 multiplicity_series(diamond5, diamond5.rationals[0], kind,
@@ -1298,18 +1297,26 @@ class TestDimensionTable:
             pair = QuotientPair.build(SubgroupSpec(k0, n0),
                                       SubgroupSpec(k1, n1))
             G = pair.G
-            groups = {sub for _, sub in pair.cyclics}
-            groups |= {frozenset(range(G.order)), frozenset({G.identity})}
+            for _, C in pair.cyclics:
+                assert pair.sigs[C] == fibre_sig(pair, C), (k0, n0, k1, n1)
+                # equal signatures are one object, the key of their table
+                assert pair.tables[pair.sigs[C]].sig is pair.sigs[C]
+            # Gamma1 (C = {1}) and Gamma (C = G) are read by their signatures
+            gamma1 = fibre_sig(pair, frozenset({G.identity}))
+            gamma = fibre_sig(pair, frozenset(range(G.order)))
+            assert (pair.sig_gamma1, pair.sig_gamma) == (gamma1, gamma)
+            sigs = {pair.sigs[C] for _, C in pair.cyclics} | {gamma1, gamma}
+            assert set(pair.tables) == sigs
             # k = 26 is the edge a table starting at k = 2 gets wrong
             ks = [k for k in range(-4, 4 + 3 * pair.period()) if k != 1]
             ks += [3000, 3001, 12345]
-            for C in groups:
-                sig = fibre_sig(pair, C)
+            for sig in sigs:
+                table = pair.tables[sig]
                 for kind in ("M", "S"):
                     want = [dims(sig, k).kind(kind) for k in ks]
                     # the second read comes from the table, backwards
-                    assert pair.dims_of(C, kind, ks) == want, (k0, n0, k1, n1)
-                    assert pair.dims_of(C, kind, ks[::-1]) == want[::-1]
+                    assert table.read(kind, ks) == want, (k0, n0, k1, n1)
+                    assert table.read(kind, ks[::-1]) == want[::-1]
 
     @pytest.mark.parametrize("weight_lists", [
         [NEAR_ZERO], [[40, 4], range(2, 101)], [[-70, 300, -3], NEAR_ZERO]],
@@ -1356,15 +1363,15 @@ class TestDimensionTable:
         assert ("gamma", 12, "gamma", 24) in shared
 
     def test_one_table_and_one_read_per_signature(self, monkeypatch):
-        import modmult.reps as reps
+        import modmult.dimensions as dimensions
         calls = []
-        original = reps.dims
+        original = dimensions.dims
 
         def counted(sig, k):
             calls.append((sig, k))
             return original(sig, k)
 
-        monkeypatch.setattr(reps, "dims", counted)
+        monkeypatch.setattr(dimensions, "dims", counted)
         pair = QuotientPair.build(SubgroupSpec("gamma", 12),
                                   SubgroupSpec("gamma", 24))
         monkeypatch.undo()
@@ -1372,19 +1379,19 @@ class TestDimensionTable:
         groups = set(sigs) | {pair.sig_gamma}
         # 8 cyclic classes and Gamma, with 4 signatures between them
         assert (len(sigs), len(set(sigs)), len(groups)) == (8, 3, 4)
-        quasi_period = list(range(3, 3 + 2 * reps.PERIOD))
+        quasi_period = list(range(3, 3 + 2 * dimensions.PERIOD))
         assert Counter(calls) == Counter(
             (sig, k) for sig in groups for k in quasi_period)
+        assert set(pair.tables) == groups
 
         reads = []
-        original_dims_of = QuotientPair.dims_of
+        original_read = dimensions.DimTable.read
 
-        def spied(self, C, kind, weights):
-            reads.append(C)
-            return original_dims_of(self, C, kind, weights)
+        def spied(self, kind, weights):
+            reads.append(self.sig)
+            return original_read(self, kind, weights)
 
-        monkeypatch.setattr(QuotientPair, "dims_of", spied)
-        sig_of = {sub: sig for (_, sub), sig in zip(pair.cyclics, sigs)}
+        monkeypatch.setattr(dimensions.DimTable, "read", spied)
         for rat in pair.rationals:
             sums = {}
             for q, sig in zip(pair.artin[rat], sigs):
@@ -1393,7 +1400,7 @@ class TestDimensionTable:
             for kind in ("M", "S"):
                 reads.clear()
                 multiplicity_series(pair, rat, kind, range(2, 40))
-                assert Counter(sig_of[C] for C in reads) == want
+                assert Counter(reads) == want
                 assert len(reads) <= 3
 
     def test_negative_weights_through_the_cli(self, capsys):
@@ -1413,6 +1420,7 @@ class TestDimensionTable:
     def test_period_is_12_without_signatures(self, monkeypatch):
         import modmult.cosets as cosets
         import modmult.reps as reps
+        from modmult.dimensions import PERIOD
         pair = QuotientPair.build(SubgroupSpec("gamma0", 7),
                                   SubgroupSpec("gamma1", 7))
 
@@ -1424,19 +1432,19 @@ class TestDimensionTable:
                              (cosets, "fibre_signature"),
                              (cosets, "subgroup_signature")]:
             monkeypatch.setattr(module, name, refused)
-        assert pair.period() == reps.PERIOD == 12
+        assert pair.period() == PERIOD == 12
 
     def test_run_verify_dims_calls_do_not_grow_with_kmax(self, monkeypatch):
-        import modmult.reps as reps
+        import modmult.dimensions as dimensions
         from modmult.verify import VerificationConfig, run_verify
         calls = []
-        original = reps.dims
+        original = dimensions.dims
 
         def counted(sig, k):
             calls.append((sig, k))
             return original(sig, k)
 
-        monkeypatch.setattr(reps, "dims", counted)
+        monkeypatch.setattr(dimensions, "dims", counted)
         specs = (SubgroupSpec("gamma0", 5), SubgroupSpec("gamma1", 5))
         counts = []
         for kmax in (60, 600):
@@ -1445,7 +1453,8 @@ class TestDimensionTable:
             assert report["pass"] is True
             counts.append(len(calls))
             # from k = 3 on, dims runs only on one table's weights
-            assert all(k < 3 + 2 * reps.PERIOD for _, k in calls if k >= 3)
+            assert all(k < 3 + 2 * dimensions.PERIOD
+                       for _, k in calls if k >= 3)
         assert counts[0] == counts[1]
 
 

@@ -7,10 +7,9 @@ from modmult.cosets import (coset_action, signature_from_action,
                             subgroup_signature)
 from modmult.sl2 import (T_MAT, LevelTooLarge, NotASubgroup, NotNormal,
                          SubgroupSpec, cyclic_subgroups_up_to_conjugacy,
-                         enumerate_sl2, identity_mat, mat_inv, mat_mul,
-                         quotient, realize, reduce_mat, right_cosets,
-                         sl2_group_order)
-from test_cosets import PAIRS, custom_specs
+                         identity_mat, mat_inv, mat_mul, quotient, realize,
+                         reduce_mat, right_cosets, sl2_group_order)
+from test_cosets import PAIRS, custom_specs, full_sl2
 
 
 def sl2_bruteforce(n):
@@ -25,24 +24,24 @@ def sl2_bruteforce(n):
 class TestEnumerate:
     @pytest.mark.parametrize("n,order", [(1, 1), (2, 6), (5, 120)])
     def test_orders(self, n, order):
-        assert enumerate_sl2(n).order == order
+        assert full_sl2(n).order == order
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_against_bruteforce(self, n):
-        assert set(enumerate_sl2(n).elements) == sl2_bruteforce(n)
+        assert set(full_sl2(n).elements) == sl2_bruteforce(n)
 
     @pytest.mark.parametrize("n", range(1, 26))
     def test_order_formula(self, n):
-        assert enumerate_sl2(n).order == sl2_group_order(n)
+        assert full_sl2(n).order == sl2_group_order(n)
 
     def test_level_cap(self):
         with pytest.raises(LevelTooLarge):
-            enumerate_sl2(31)
-        assert enumerate_sl2(31, level_cap=31).order == sl2_group_order(31)
+            full_sl2(31)
+        assert full_sl2(31, level_cap=31).order == sl2_group_order(31)
 
     @pytest.mark.parametrize("n", [2, 5, 8])
     def test_group_closure(self, n):
-        K = enumerate_sl2(n)
+        K = full_sl2(n)
         es = K.element_set
         for x in list(es)[:20]:
             assert mat_inv(x, n) in es
@@ -52,12 +51,12 @@ class TestEnumerate:
 
 class TestRealize:
     def test_gamma0_index(self):
-        full = enumerate_sl2(5)
+        full = full_sl2(5)
         K = realize(SubgroupSpec("gamma0", 5))
         assert full.order // K.order == 6
 
     def test_gamma1_index(self):
-        full = enumerate_sl2(4)
+        full = full_sl2(4)
         K = realize(SubgroupSpec("gamma1", 4))
         assert full.order // K.order == 12
 
@@ -81,7 +80,7 @@ class TestRealize:
         if m > 1:
             idx = idx // m * (m + 1)
         K = realize(SubgroupSpec("gamma0", n))
-        assert enumerate_sl2(n).order // K.order == idx
+        assert full_sl2(n).order // K.order == idx
 
     def test_custom_closure(self):
         # <T> mod 4 is cyclic of order 4
@@ -134,7 +133,7 @@ def congruence_filter(kind, n, m):
         "gamma": lambda a, b, c, d: a % n == one and d % n == one
         and b % n == 0 and c % n == 0,
     }
-    return tuple(x for x in enumerate_sl2(m).elements if conditions[kind](*x))
+    return tuple(x for x in full_sl2(m).elements if conditions[kind](*x))
 
 
 def closure_filter(spec, m):
@@ -150,7 +149,7 @@ def closure_filter(spec, m):
             if y not in closure:
                 closure.add(y)
                 frontier.append(y)
-    return tuple(x for x in enumerate_sl2(m).elements
+    return tuple(x for x in full_sl2(m).elements
                  if tuple(v % n for v in x) in closure)
 
 
@@ -201,7 +200,7 @@ class TestRealizeFromConditions:
 
     def test_sl2_elements_sorted(self):
         for m in range(1, 31):
-            elements = enumerate_sl2(m).elements
+            elements = full_sl2(m).elements
             assert list(elements) == sorted(elements)
 
     @pytest.mark.parametrize("kind", ["gamma0", "gamma1", "gamma"])
@@ -298,7 +297,7 @@ class TestQuotient:
         assert G.mu_sl == 4 and G.mu_proj == 2
 
     def test_s3(self):
-        g = enumerate_sl2(2)
+        g = full_sl2(2)
         g1 = realize(SubgroupSpec("gamma", 2))
         G = quotient(g, g1)
         assert G.order == 6
@@ -321,7 +320,7 @@ class TestQuotient:
 
     def test_not_normal(self):
         # <S> is not normal in SL2(Z/5)
-        g = enumerate_sl2(5)
+        g = full_sl2(5)
         g1 = realize(SubgroupSpec("custom", 5, ((0, -1, 1, 0),)))
         with pytest.raises(NotNormal):
             quotient(g, g1)
@@ -472,7 +471,7 @@ class TestCyclicSubgroups:
         assert sorted(len(s) for _, s in subs) == [1, 2, 4]
 
     def test_s3(self):
-        G = quotient(enumerate_sl2(2), realize(SubgroupSpec("gamma", 2)))
+        G = quotient(full_sl2(2), realize(SubgroupSpec("gamma", 2)))
         subs = cyclic_subgroups_up_to_conjugacy(G)
         assert sorted(len(s) for _, s in subs) == [1, 2, 3]
         # every cyclic subgroup is conjugate to exactly one listed subgroup
