@@ -4,6 +4,7 @@ regular/irregular cusp classification and the area constant c.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -41,13 +42,22 @@ class Signature:
     The rest follows (Shimura, Prop. 1.40): mu_proj, the index in PSL2(Z),
     is the sum of the cusp widths, mu_sl is mu_proj with -I and 2 mu_proj
     without, and the genus is 1 + mu_proj/12 - nu2/4 - nu3/3 - t/2.
-    A signature read from a coset table keeps the branch points it counts."""
+    A signature read from a coset table keeps the branch points it counts;
+    they are neither compared nor hashed, and the hash of the rest is
+    computed once, so a table keyed by signatures never rehashes cusps."""
 
     nu2: int
     nu3: int
     cusps: tuple[CuspDatum, ...]
     minus_I: bool
     branch: BranchPoints | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.nu2, self.nu3, self.cusps, self.minus_I))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def t(self) -> int:
@@ -237,7 +247,9 @@ def fibre_signature(G: QuotientGroup, branch: BranchPoints,
     right multiplication by h on the cosets C'x.  Over an elliptic point
     the fixed cosets are elliptic points of Gamma_C; over a cusp of width w
     an orbit of length l from C'x is a cusp of width w l, regular iff
-    -I is in Gamma_C, or eps^l = 1 and x h^l x^-1 lies in C.
+    -I is in Gamma_C, or eps^l = 1 and x h^l x^-1 lies in C.  Cusps with
+    the same (w, eps, h) have the same fibres: each distinct one is walked
+    once and counted with its multiplicity.
     """
     iota = G.iota
     minus_i = iota is not None and iota in C
@@ -255,7 +267,7 @@ def fibre_signature(G: QuotientGroup, branch: BranchPoints,
                    if coset_of[G.mul[x][h]] == coset_of[x])
 
     cusps = []
-    for width, eps, h in branch.cusps:
+    for (width, eps, h), count in Counter(branch.cusps).items():
         seen = [False] * len(reps)
         for i, x in enumerate(reps):
             if seen[i]:
@@ -267,7 +279,7 @@ def fibre_signature(G: QuotientGroup, branch: BranchPoints,
                 y = G.mul[y][h]
             regular = minus_i or ((eps == 1 or length % 2 == 0) and G.mul[
                 G.mul[x][G.power(h, length)]][G.inv[x]] in C)
-            cusps.append(CuspDatum(width=width * length, regular=regular))
+            cusps += [CuspDatum(width=width * length, regular=regular)] * count
     return _signature(fixed(branch.elliptic2), fixed(branch.elliptic3), cusps,
                       minus_i)
 

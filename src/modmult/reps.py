@@ -529,7 +529,7 @@ class QuotientPair:
         tables = {sig: DimTable(sig)
                   for sig in dict.fromkeys([*sigs.values(), sig_gamma])}
         # equal signatures share their table's key, so a lookup matches it
-        # by identity and never compares the cusps
+        # by identity, with the hash computed once, and never reads cusps
         sigs = {C: tables[sig].sig for C, sig in sigs.items()}
         return cls(
             gamma_spec=gamma_spec, gamma1_spec=gamma1_spec, level=level,

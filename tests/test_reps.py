@@ -1267,6 +1267,57 @@ class TestSignatureCache:
                     FiniteSubgroup(pair.level, tuple(sorted(elems))))
 
 
+class TestSignatureHash:
+    """A signature's hash leaves out its branch points and is computed
+    once, so the series, the identity and the monitor, which read the
+    pair's tables by signature, hash no cusp."""
+
+    @pytest.fixture(scope="class")
+    def gamma12(self):
+        # Gamma(12)/Gamma(24): 8 cyclic classes, 3 signatures, 48 cusps on
+        # Gamma's
+        return QuotientPair.build(SubgroupSpec("gamma", 12),
+                                  SubgroupSpec("gamma", 24))
+
+    def test_table_lookups_hash_no_cusp(self, gamma12, monkeypatch):
+        from modmult.cosets import CuspDatum
+        from modmult.verify import (check_decomposition_identity,
+                                    monitor_lower_bound)
+        calls = []
+        original = CuspDatum.__hash__
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(CuspDatum, "__hash__", counted)
+        weights = range(2, 61)
+        for kind in ("M", "S"):
+            for rat in gamma12.rationals:
+                series = multiplicity_series(gamma12, rat, kind, weights,
+                                             split=True)
+                monitor_lower_bound(gamma12, series, 24, 60)
+            check_decomposition_identity(gamma12, kind, weights)
+        assert calls == []
+
+    def test_hash_leaves_out_branch_points(self, gamma12):
+        from modmult.cosets import CuspDatum, Signature
+        from modmult.dimensions import DimTable
+        G = gamma12.G
+        read = gamma12.sig_gamma
+        fibre = fibre_sig(gamma12, frozenset(range(G.order)))
+        by_hand = Signature(read.nu2, read.nu3,
+                            tuple(CuspDatum(c.width, c.regular)
+                                  for c in read.cusps), read.minus_I)
+        assert read.branch is not None
+        assert fibre.branch is None and by_hand.branch is None
+        assert read == fibre == by_hand
+        assert hash(read) == hash(fibre) == hash(by_hand)
+        # each finds the table keyed by the other
+        assert gamma12.tables[by_hand] is gamma12.tables[read]
+        assert {by_hand: DimTable(by_hand)}[read].sig is by_hand
+
+
 def series_from_dims(pair, rat, kind, weights):
     """Reference multiplicities, summed straight from dims at every weight
     with the Artin coefficients solved afresh."""
