@@ -12,7 +12,8 @@ from .cosets import subgroup_signature
 from .dimensions import dims
 from .reps import QuotientPair, multiplicity_series
 from .sl2 import DEFAULT_LEVEL_CAP, SubgroupSpec, realize
-from .verify import VerificationConfig, run_verify, signature_record
+from .verify import (MAX_WEIGHTS, VerificationConfig, run_verify,
+                     signature_record)
 
 # a '/' that starts the second spec of a pair; custom paths may contain '/'
 _SECOND_SPEC = re.compile(r"/(?=SL2Z$|gamma0:|gamma1:|gamma:|custom:)")
@@ -78,6 +79,10 @@ def parse_weights(text: str) -> range:
     weights = range(start, (_integer(where, "end", hi) if sep else start) + 1)
     if not weights:
         raise argparse.ArgumentTypeError(f"weight range {text!r} is empty")
+    # not len(weights), which overflows past sys.maxsize
+    if weights.stop - weights.start > MAX_WEIGHTS:
+        raise argparse.ArgumentTypeError(
+            f"weight range {text!r} holds more than {MAX_WEIGHTS} weights")
     if 1 in weights:
         raise argparse.ArgumentTypeError(
             f"weight range {text!r} contains k = 1, which is not supported")

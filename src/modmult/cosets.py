@@ -8,6 +8,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from . import ModmultError
 from .sl2 import (FiniteSubgroup, Mat, QuotientGroup, S_MAT, T_MAT,
@@ -29,8 +30,10 @@ class PermutationAction:
     reps: tuple[Mat, ...]
 
 
-@dataclass(frozen=True)
-class CuspDatum:
+class CuspDatum(NamedTuple):
+    """A cusp's width and regularity: a plain tuple, so a signature's
+    cusps hash and compare in C."""
+
     width: int
     regular: bool
 
@@ -43,21 +46,13 @@ class Signature:
     is the sum of the cusp widths, mu_sl is mu_proj with -I and 2 mu_proj
     without, and the genus is 1 + mu_proj/12 - nu2/4 - nu3/3 - t/2.
     A signature read from a coset table keeps the branch points it counts;
-    they are neither compared nor hashed, and the hash of the rest is
-    computed once, so a table keyed by signatures never rehashes cusps."""
+    they are neither compared nor hashed."""
 
     nu2: int
     nu3: int
     cusps: tuple[CuspDatum, ...]
     minus_I: bool
     branch: BranchPoints | None = field(default=None, compare=False, repr=False)
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.nu2, self.nu3, self.cusps, self.minus_I))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def t(self) -> int:

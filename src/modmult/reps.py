@@ -528,9 +528,6 @@ class QuotientPair:
         sigs = {sub: fibre_signature(G, branch, sub) for _, sub in cyclics}
         tables = {sig: DimTable(sig)
                   for sig in dict.fromkeys([*sigs.values(), sig_gamma])}
-        # equal signatures share their table's key, so a lookup matches it
-        # by identity, with the hash computed once, and never reads cusps
-        sigs = {C: tables[sig].sig for C, sig in sigs.items()}
         return cls(
             gamma_spec=gamma_spec, gamma1_spec=gamma1_spec, level=level,
             gamma=gamma, gamma1=gamma1, G=G, table=table, rationals=rats,

@@ -24,6 +24,15 @@ class InvalidOffsetBound(ModmultError, ValueError):
     """The lower-bound monitor's offset bound is odd or negative."""
 
 
+# the most weights one command reads: verify reads kmax of them (0 and
+# 2..kmax), dims and mult one for each weight of their range
+MAX_WEIGHTS = 100_000
+
+
+class TooManyWeights(ModmultError, ValueError):
+    """kmax asks for more than MAX_WEIGHTS weights."""
+
+
 class IdentityViolation(ModmultError):
     """The exact decomposition identity sum(deg * mult) = dim failed."""
 
@@ -41,6 +50,9 @@ class VerificationConfig:
         if self.offset_bound < 0 or self.offset_bound % 2:
             raise InvalidOffsetBound(
                 f"offset bound must be even and >= 0, got {self.offset_bound}")
+        if self.kmax > MAX_WEIGHTS:
+            raise TooManyWeights(
+                f"kmax {self.kmax} asks for more than {MAX_WEIGHTS} weights")
 
 
 @dataclass(frozen=True)

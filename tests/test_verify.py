@@ -417,7 +417,7 @@ def test_every_error_class_is_a_modmult_error():
         errors += [obj for obj in vars(module).values()
                    if isinstance(obj, type) and issubclass(obj, Exception)
                    and obj.__module__ == module.__name__]
-    assert len(errors) == 17
+    assert len(errors) == 18
     assert all(issubclass(e, modmult.ModmultError) for e in errors)
     # each keeps its ValueError base, if it had one
     assert sorted(e.__name__ for e in errors if not issubclass(e, ValueError)) \
@@ -625,6 +625,79 @@ class TestCli:
             main(["verify", "--pair", "SL2Z/gamma:2", "--table", str(path)])
         assert exc.value.code == 2
         assert str(path) in capsys.readouterr().err
+
+
+class TestWeightBound:
+    """More than MAX_WEIGHTS weights are refused before any is read; no
+    test here runs a command's work, so a missing guard fails them without
+    allocating the weights."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        import modmult.cli
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the command ran past its arguments")
+
+        for name in ("dims", "multiplicity_series", "run_verify"):
+            monkeypatch.setattr(modmult.cli, name, refused)
+
+    def test_config_refuses_kmax_past_bound(self):
+        from modmult.verify import MAX_WEIGHTS, TooManyWeights
+        g, g1 = SubgroupSpec("gamma0", 5), SubgroupSpec("gamma1", 5)
+        for kmax in (MAX_WEIGHTS + 1, 10 ** 11):
+            with pytest.raises(TooManyWeights, match=f"^kmax {kmax} asks for "
+                                                     f"more than {MAX_WEIGHTS} "
+                                                     f"weights$"):
+                VerificationConfig(g, g1, kmax=kmax)
+
+    def test_config_accepts_kmax_at_bound(self):
+        # constructed only: running it reads MAX_WEIGHTS weights
+        from modmult.verify import MAX_WEIGHTS
+        config = VerificationConfig(SubgroupSpec("gamma0", 5),
+                                    SubgroupSpec("gamma1", 5),
+                                    kmax=MAX_WEIGHTS)
+        assert config.kmax == MAX_WEIGHTS
+
+    def test_parse_weights_refuses_ranges_past_bound(self):
+        import argparse
+
+        from modmult.cli import parse_weights
+        from modmult.verify import MAX_WEIGHTS
+        # 10**40 is past sys.maxsize, where len() of a range overflows
+        for end in (MAX_WEIGHTS + 2, 10 ** 11, 10 ** 40):
+            text = f"2..{end}"
+            with pytest.raises(argparse.ArgumentTypeError,
+                               match=f"^weight range '{text}' holds more "
+                                     f"than {MAX_WEIGHTS} weights$"):
+                parse_weights(text)
+
+    def test_parse_weights_accepts_range_at_bound(self):
+        from modmult.cli import parse_weights
+        from modmult.verify import MAX_WEIGHTS
+        assert len(parse_weights(f"2..{MAX_WEIGHTS + 1}")) == MAX_WEIGHTS
+        assert len(parse_weights(f"{-MAX_WEIGHTS + 1}..0")) == MAX_WEIGHTS
+
+    def test_verify_refuses_huge_kmax_in_one_line(self, no_work, capsys):
+        code, out, err = run_cli(["verify", "--pair", "gamma0:5/gamma1:5",
+                                  "--kmax", "100000000000"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("modmult: TooManyWeights: kmax 100000000000 asks for "
+                       "more than 100000 weights\n")
+
+    @pytest.mark.parametrize("argv", [["dims", "--group", "gamma0:5"],
+                                      ["mult", "--pair", "gamma0:5/gamma1:5"]],
+                             ids=["dims", "mult"])
+    def test_huge_weight_range_rejected(self, argv, no_work, capsys):
+        from modmult.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--weights", "2..100000000000"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: argument --weights: weight range "
+                                     "'2..100000000000' holds more than "
+                                     "100000 weights\n")
 
 
 class TestParseSpecs:
