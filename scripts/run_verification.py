@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
 """Run the full verification harness on the four standard pairs and write
-one JSON report per pair into an output directory (default: reports/)."""
+one JSON report per pair into an output directory (default: reports/).
+
+Exits 0 when all four pass and 1 when one fails; a typed error of modmult,
+such as a kmax below the slope window, is one line on stderr and status 2."""
 import argparse
 import json
 import pathlib
 import sys
 import time
 
+from modmult import ModmultError
 from modmult.sl2 import SubgroupSpec
 from modmult.verify import VerificationConfig, run_verify
 
@@ -29,7 +33,12 @@ def main(argv=None) -> int:
     all_pass = True
     for label, g, g1 in PAIRS:
         t0 = time.monotonic()
-        report = run_verify(VerificationConfig(g, g1, kmax=args.kmax))
+        try:
+            report = run_verify(VerificationConfig(g, g1, kmax=args.kmax))
+        except ModmultError as exc:
+            print(f"run_verification: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
+            return 2
         dt = time.monotonic() - t0
         name = label.replace("/", "__").replace(":", "_") + ".json"
         path = outdir / name

@@ -496,15 +496,13 @@ class QuotientPair:
     rationals: tuple[RationalCharacter, ...]
     cyclics: list
     sig_gamma: Signature
-    sig_gamma1: Signature
     c: Fraction
     # each rational character -> its Artin coefficients over cyclics
     artin: dict = field(repr=False)
-    # each cyclic C -> the signature of Gamma_C
-    sigs: dict = field(repr=False)
-    # each distinct signature among Gamma and the Gamma_C -> its DimTable:
-    # dims reads a signature alone, so the groups that share one share it
-    tables: dict = field(repr=False)
+    # the DimTable of each Gamma_C, aligned with cyclics, and Gamma's: dims
+    # reads a signature alone, so the groups that share one share its table
+    cyclic_dims: tuple = field(repr=False)
+    gamma_dims: DimTable = field(repr=False)
 
     @classmethod
     def build(cls, gamma_spec: SubgroupSpec, gamma1_spec: SubgroupSpec,
@@ -525,19 +523,20 @@ class QuotientPair:
         cyclics = cyclic_subgroups_up_to_conjugacy(G)
         sig_gamma = subgroup_signature(gamma)
         branch = sig_gamma.branch.under(G.coset_index)
-        sigs = {sub: fibre_signature(G, branch, sub) for _, sub in cyclics}
-        tables = {sig: DimTable(sig)
-                  for sig in dict.fromkeys([*sigs.values(), sig_gamma])}
+        sigs = [fibre_signature(G, branch, sub) for _, sub in cyclics]
+        # the only signature comparisons: equal signatures share a table
+        tables: dict = {}
+        *cyclic_dims, gamma_dims = (
+            tables.get(sig) or tables.setdefault(sig, DimTable(sig))
+            for sig in [*sigs, sig_gamma])
         return cls(
             gamma_spec=gamma_spec, gamma1_spec=gamma1_spec, level=level,
             gamma=gamma, gamma1=gamma1, G=G, table=table, rationals=rats,
             cyclics=cyclics, sig_gamma=sig_gamma,
-            # cyclics[0] is the trivial subgroup, whose Gamma_C is Gamma1
-            sig_gamma1=sigs[cyclics[0][1]],
             c=area_constant_c(sig_gamma),
             artin={rat: artin_decompose(rat.values, G, cyclics)
                    for rat in rats},
-            sigs=sigs, tables=tables,
+            cyclic_dims=tuple(cyclic_dims), gamma_dims=gamma_dims,
         )
 
     def rational_by_name(self, name: str) -> RationalCharacter:
@@ -559,9 +558,9 @@ def multiplicity_series(pair: QuotientPair, rat: RationalCharacter, kind: str,
     With split=True the per-character values (orbit total / orbit size) are
     included; a divisibility failure raises IndivisibleOrbitTotal.
 
-    dims reads Gamma_C's signature alone, so the coefficients of the cyclic
-    C whose Gamma_C share a signature are added first, and each nonzero sum
-    reads the dimensions once.
+    The cyclic C whose Gamma_C share a signature share a DimTable, so their
+    coefficients are added first, per table, and each nonzero sum reads the
+    dimensions once.
     """
     if kind not in ("M", "S"):
         raise ValueError(f"kind must be 'M' or 'S', got {kind!r}")
@@ -570,9 +569,8 @@ def multiplicity_series(pair: QuotientPair, rat: RationalCharacter, kind: str,
         raise WeightOneUnsupported("weight 1 is not supported")
     coeffs = pair.artin[rat] if column_order is None else artin_decompose(
         rat.values, pair.G, pair.cyclics, column_order=column_order)
-    by_table: dict = {}  # the table of Gamma_C's signature -> summed q_C
-    for q, (_, sub) in zip(coeffs, pair.cyclics):
-        table = pair.tables[pair.sigs[sub]]
+    by_table: dict = {}  # each DimTable, hashed by identity -> summed q_C
+    for q, table in zip(coeffs, pair.cyclic_dims):
         by_table[table] = by_table.get(table, 0) + q
     terms = [(q, table.read(kind, ks)) for table, q in by_table.items() if q]
     entries = {}

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ModmultError, __version__
+from .dimensions import PERIOD
 # not called here (the pair's table calls dims); perfbench/tests checks
 # that the tracer wraps modmult.verify.dims, so the name stays
 from .dimensions import dims  # noqa: F401
@@ -53,6 +54,9 @@ class VerificationConfig:
         if self.kmax > MAX_WEIGHTS:
             raise TooManyWeights(
                 f"kmax {self.kmax} asks for more than {MAX_WEIGHTS} weights")
+        if self.kmax < 5 + 3 * PERIOD:
+            raise WindowTooSmall(
+                f"kmax {self.kmax} below slope window bound {5 + 3 * PERIOD}")
 
 
 @dataclass(frozen=True)
@@ -140,7 +144,8 @@ def check_decomposition_identity(pair: QuotientPair, kind: str, weights,
     ks = [k for k in sorted(set(weights)) if k != 1]
     terms = [(rat.degree, series_by_rep[rat.label].entries)
              for rat in pair.rationals]
-    for k, rhs in zip(ks, pair.tables[pair.sig_gamma1].read(kind, ks)):
+    # cyclics[0] is the trivial subgroup, whose Gamma_C is Gamma1
+    for k, rhs in zip(ks, pair.cyclic_dims[0].read(kind, ks)):
         lhs = sum(degree * entries[k] for degree, entries in terms)
         if lhs != rhs:
             raise IdentityViolation(
@@ -162,7 +167,7 @@ def monitor_lower_bound(pair: QuotientPair, series: MultiplicitySeries,
     agg = series.aggregate_degree
     # every k - n0 below is in the parity class and lies in [4, kmax]
     js = _parity_ks(series.parity_class, 4, kmax)
-    dim_gamma = dict(zip(js, pair.tables[pair.sig_gamma].read("M", js)))
+    dim_gamma = dict(zip(js, pair.gamma_dims.read("M", js)))
     for n0 in range(0, offset_bound + 1, 2):
         ks = [k for k in _parity_ks(series.parity_class, n0 + 4, kmax)
               if k in series.entries]
@@ -201,9 +206,6 @@ def run_verify(config: VerificationConfig) -> dict:
                               level_cap=config.level_cap)
     G = pair.G
     P = pair.period()
-    if config.kmax < 5 + 3 * P:
-        raise WindowTooSmall(
-            f"kmax {config.kmax} below slope window bound {5 + 3 * P}")
 
     # preflight: sum of squared degrees over each parity class = mu_proj
     preflight = {}

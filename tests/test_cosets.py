@@ -498,7 +498,8 @@ class TestPreimageSignature:
         for C in subgroups:
             assert repr(fibre_sig(pair, C)) == \
                 repr(subgroup_signature(preimage_subgroup(pair, C))), sorted(C)
-        assert pair.sig_gamma1 == subgroup_signature(pair.gamma1)
+        # cyclics[0] is the trivial subgroup, whose Gamma_C is Gamma1
+        assert pair.cyclic_dims[0].sig == subgroup_signature(pair.gamma1)
         # fibre_sig reads the fibres at C = G too; sig_gamma is Gamma's
         # own coset table
         assert fibre_sig(pair, frozenset(range(G.order))) == pair.sig_gamma

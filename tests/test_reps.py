@@ -1176,7 +1176,7 @@ class TestMultiplicities:
             for k, v in s.entries.items():
                 total[k] = total.get(k, 0) + rat.degree * v
         for k, v in total.items():
-            assert v == dims(diamond5.sig_gamma1, k).dim_M
+            assert v == dims(diamond5.cyclic_dims[0].sig, k).dim_M
 
     def test_solution_independence(self, diamond7):
         n_cols = len(diamond7.cyclics)
@@ -1268,9 +1268,11 @@ class TestSignatureCache:
 
 
 class TestSignatureHash:
-    """A signature's hash and equality leave out its branch points, so a
-    signature read from a coset table finds the table of an equal one
-    computed from the fibres or written by hand."""
+    """A signature's hash and equality leave out its branch points, so
+    build gives one table to the groups of equal signatures, whether read
+    from a coset table, computed from the fibres or written by hand.  The
+    series, the identity and the monitor hash no signature: the pair holds
+    its tables by position."""
 
     @pytest.fixture(scope="class")
     def gamma12(self):
@@ -1293,8 +1295,42 @@ class TestSignatureHash:
         assert read == fibre == by_hand
         assert hash(read) == hash(fibre) == hash(by_hand)
         # each finds the table keyed by the other
-        assert gamma12.tables[by_hand] is gamma12.tables[read]
+        assert {read: gamma12.gamma_dims}[by_hand] is gamma12.gamma_dims
         assert {by_hand: DimTable(by_hand)}[read].sig is by_hand
+
+    def test_series_hash_no_signature(self, gamma12, monkeypatch):
+        from modmult.cosets import Signature
+        from modmult.verify import (check_decomposition_identity,
+                                    monitor_lower_bound)
+        # G = (Z/2)^3 with 8 cyclic classes and 3 signatures, and G = S3
+        s3 = QuotientPair.build(SubgroupSpec("full", 1),
+                                SubgroupSpec("gamma", 2))
+        calls = []
+
+        def counted(name, function):
+            def wrapped(*args):
+                calls.append(name)
+                return function(*args)
+            return wrapped
+
+        for name in ("__hash__", "__eq__"):
+            monkeypatch.setattr(Signature, name,
+                                counted(name, getattr(Signature, name)))
+        weights = [k for k in range(0, 61) if k != 1]
+        for pair in (gamma12, s3):
+            backwards = list(range(len(pair.cyclics)))[::-1]
+            for kind in ("M", "S"):
+                for rat in pair.rationals:
+                    series = multiplicity_series(pair, rat, kind, weights)
+                    multiplicity_series(pair, rat, kind, weights, split=True)
+                    multiplicity_series(pair, rat, kind, weights,
+                                        column_order=backwards)
+                    monitor_lower_bound(pair, series, 24, 60)
+                check_decomposition_identity(pair, kind, weights)
+        assert calls == []
+        # the counters are live: build compares signatures
+        QuotientPair.build(SubgroupSpec("full", 1), SubgroupSpec("gamma", 2))
+        assert "__hash__" in calls
 
 
 def series_from_dims(pair, rat, kind, weights):
@@ -1327,22 +1363,24 @@ class TestDimensionTable:
             pair = QuotientPair.build(SubgroupSpec(k0, n0),
                                       SubgroupSpec(k1, n1))
             G = pair.G
-            for _, C in pair.cyclics:
-                assert pair.sigs[C] == fibre_sig(pair, C), (k0, n0, k1, n1)
-                # the lookup finds the table keyed by an equal signature
-                assert pair.sigs[C] in pair.tables
-                assert pair.tables[pair.sigs[C]].sig == pair.sigs[C]
-            # Gamma1 (C = {1}) and Gamma (C = G) are read by their signatures
+            for (_, C), table in zip(pair.cyclics, pair.cyclic_dims,
+                                     strict=True):
+                assert table.sig == fibre_sig(pair, C), (k0, n0, k1, n1)
+            # Gamma1 (C = {1}) and Gamma (C = G) have tables too
             gamma1 = fibre_sig(pair, frozenset({G.identity}))
             gamma = fibre_sig(pair, frozenset(range(G.order)))
-            assert (pair.sig_gamma1, pair.sig_gamma) == (gamma1, gamma)
-            sigs = {pair.sigs[C] for _, C in pair.cyclics} | {gamma1, gamma}
-            assert set(pair.tables) == sigs
+            assert pair.cyclic_dims[0].sig == gamma1
+            assert pair.gamma_dims.sig == gamma == pair.sig_gamma
+            # equal signatures share one table object, distinct ones don't
+            tables = [*pair.cyclic_dims, pair.gamma_dims]
+            for a in tables:
+                for b in tables:
+                    assert (a is b) == (a.sig == b.sig), (k0, n0, k1, n1)
             # k = 26 is the edge a table starting at k = 2 gets wrong
             ks = [k for k in range(-4, 4 + 3 * pair.period()) if k != 1]
             ks += [3000, 3001, 12345]
-            for sig in sigs:
-                table = pair.tables[sig]
+            for table in dict.fromkeys(tables):
+                sig = table.sig
                 for kind in ("M", "S"):
                     want = [dims(sig, k).kind(kind) for k in ks]
                     # the second read comes from the table, backwards
@@ -1413,7 +1451,9 @@ class TestDimensionTable:
         quasi_period = list(range(3, 3 + 2 * dimensions.PERIOD))
         assert Counter(calls) == Counter(
             (sig, k) for sig in groups for k in quasi_period)
-        assert set(pair.tables) == groups
+        tables = dict.fromkeys([*pair.cyclic_dims, pair.gamma_dims])
+        assert [table.sig for table in tables] == list(dict.fromkeys(
+            [*sigs, pair.sig_gamma]))
 
         reads = []
         original_read = dimensions.DimTable.read

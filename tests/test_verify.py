@@ -291,10 +291,27 @@ class TestRunVerify:
             assert rr["lower_bound"]["offset"] is not None
 
     def test_window_too_small(self):
-        config = VerificationConfig(SubgroupSpec("gamma0", 5),
-                                    SubgroupSpec("gamma1", 5), kmax=10)
-        with pytest.raises(WindowTooSmall):
-            run_verify(config)
+        # refused by the config itself, so before run_verify
+        with pytest.raises(WindowTooSmall, match="^kmax 10 below slope "
+                                                 "window bound 41$"):
+            VerificationConfig(SubgroupSpec("gamma0", 5),
+                               SubgroupSpec("gamma1", 5), kmax=10)
+
+    def test_window_too_small_before_any_group(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a pair was built")
+
+        monkeypatch.setattr(QuotientPair, "build", refused)
+        for kmax in (-1, 0, 10, 40):
+            with pytest.raises(WindowTooSmall):
+                run_verify(VerificationConfig(SubgroupSpec("gamma0", 97),
+                                              SubgroupSpec("gamma1", 97),
+                                              kmax=kmax, level_cap=97))
+        # 41 = 5 + 3 * PERIOD is the smallest window, and reaches build
+        with pytest.raises(AssertionError, match="a pair was built"):
+            run_verify(VerificationConfig(SubgroupSpec("gamma0", 5),
+                                          SubgroupSpec("gamma1", 5),
+                                          kmax=41))
 
     def test_deterministic(self):
         config = VerificationConfig(SubgroupSpec("full", 1),
@@ -698,6 +715,34 @@ class TestWeightBound:
         assert captured.err.endswith("error: argument --weights: weight range "
                                      "'2..100000000000' holds more than "
                                      "100000 weights\n")
+
+
+class TestVerificationScript:
+    """scripts/run_verification.py exits 1 when a pair fails, so a typed
+    error is one stderr line with status 2, as the modmult command gives."""
+
+    @pytest.fixture
+    def script_main(self):
+        import importlib.util
+        from pathlib import Path
+        path = (Path(__file__).resolve().parents[1] / "scripts"
+                / "run_verification.py")
+        spec = importlib.util.spec_from_file_location("run_verification", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.main
+
+    @pytest.mark.parametrize("kmax,line", [
+        ("10", "WindowTooSmall: kmax 10 below slope window bound 41"),
+        ("200000", "TooManyWeights: kmax 200000 asks for more than 100000 "
+                   "weights")], ids=["small", "huge"])
+    def test_typed_error_in_one_line(self, script_main, kmax, line, capsys,
+                                     tmp_path):
+        assert script_main(["--kmax", kmax, "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"run_verification: {line}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestParseSpecs:
