@@ -28,25 +28,29 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default="reports")
     args = ap.parse_args(argv)
 
-    outdir = pathlib.Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    all_pass = True
-    for label, g, g1 in PAIRS:
-        t0 = time.monotonic()
-        try:
-            report = run_verify(VerificationConfig(g, g1, kmax=args.kmax))
-        except ModmultError as exc:
-            print(f"run_verification: {type(exc).__name__}: {exc}",
-                  file=sys.stderr)
-            return 2
-        dt = time.monotonic() - t0
-        name = label.replace("/", "__").replace(":", "_") + ".json"
-        path = outdir / name
-        path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        status = "PASS" if report["pass"] else "FAIL"
-        print(f"{label:24s} {status}  period={report['period']:3d} "
-              f"c={report['pair']['c']:>5s}  {dt:.2f}s  -> {path}")
-        all_pass = all_pass and report["pass"]
+    try:
+        # every config is checked before the directory is made, so a
+        # refused run leaves nothing behind
+        configs = [VerificationConfig(g, g1, kmax=args.kmax)
+                   for _, g, g1 in PAIRS]
+        outdir = pathlib.Path(args.out)
+        outdir.mkdir(parents=True, exist_ok=True)
+        all_pass = True
+        for (label, _, _), config in zip(PAIRS, configs):
+            t0 = time.monotonic()
+            report = run_verify(config)
+            dt = time.monotonic() - t0
+            name = label.replace("/", "__").replace(":", "_") + ".json"
+            path = outdir / name
+            path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+            status = "PASS" if report["pass"] else "FAIL"
+            print(f"{label:24s} {status}  period={report['period']:3d} "
+                  f"c={report['pair']['c']:>5s}  {dt:.2f}s  -> {path}")
+            all_pass = all_pass and report["pass"]
+    except ModmultError as exc:
+        print(f"run_verification: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 2
     return 0 if all_pass else 1
 
 

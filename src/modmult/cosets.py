@@ -152,7 +152,7 @@ def coset_action(K: FiniteSubgroup) -> PermutationAction:
     return PermutationAction(sigma_S=sigma_S, sigma_T=sigma_T, reps=reps)
 
 
-def _cycles(perm: tuple[int, ...]):
+def _cycles(perm):
     seen = [False] * len(perm)
     out = []
     for i in range(len(perm)):
@@ -238,13 +238,13 @@ def fibre_signature(G: QuotientGroup, branch: BranchPoints,
     from Gamma's branch points with their generators' images in G.
 
     Riemann-Hurwitz for X(Gamma_C) -> X(Gamma): with C' = C<iota>, the
-    points over a branch point with generator image h are the orbits of
-    right multiplication by h on the cosets C'x.  Over an elliptic point
-    the fixed cosets are elliptic points of Gamma_C; over a cusp of width w
-    an orbit of length l from C'x is a cusp of width w l, regular iff
-    -I is in Gamma_C, or eps^l = 1 and x h^l x^-1 lies in C.  Cusps with
-    the same (w, eps, h) have the same fibres: each distinct one is walked
-    once and counted with its multiplicity.
+    points over a branch point with generator image h are the cycles of
+    h's permutation C'x -> C'xh of the cosets.  Over an elliptic point
+    the 1-cycles are elliptic points of Gamma_C; over a cusp of width w
+    an l-cycle from C'x is a cusp of width w l, regular iff -I is in
+    Gamma_C, or eps^l = 1 and x h^l x^-1 lies in C.  Cusps with the same
+    (w, eps, h) have the same fibres: each distinct one is read once and
+    counted with its multiplicity.
     """
     iota = G.iota
     minus_i = iota is not None and iota in C
@@ -257,21 +257,16 @@ def fibre_signature(G: QuotientGroup, branch: BranchPoints,
                 coset_of[G.mul[c][x]] = len(reps)
             reps.append(x)
 
+    def cycles(h):
+        return _cycles([coset_of[G.mul[x][h]] for x in reps])
+
     def fixed(hs):
-        return sum(1 for h in hs for x in reps
-                   if coset_of[G.mul[x][h]] == coset_of[x])
+        return sum(len(cyc) == 1 for h in hs for cyc in cycles(h))
 
     cusps = []
     for (width, eps, h), count in Counter(branch.cusps).items():
-        seen = [False] * len(reps)
-        for i, x in enumerate(reps):
-            if seen[i]:
-                continue
-            length, y = 0, x
-            while not seen[coset_of[y]]:
-                seen[coset_of[y]] = True
-                length += 1
-                y = G.mul[y][h]
+        for cyc in cycles(h):
+            x, length = reps[cyc[0]], len(cyc)
             regular = minus_i or ((eps == 1 or length % 2 == 0) and G.mul[
                 G.mul[x][G.power(h, length)]][G.inv[x]] in C)
             cusps += [CuspDatum(width=width * length, regular=regular)] * count

@@ -234,29 +234,20 @@ def abelian_character_table(G: QuotientGroup) -> CharacterTable:
 
 
 def builtin_s3_table(G: QuotientGroup) -> CharacterTable:
-    """The classical S3 table, matched to G's classes by element order."""
+    """S3's table from permutation characters, in G's class order:
+    sign = 1_C3^G - 1 and std = 1_C2^G - 1 for subgroups C3 and C2 of
+    orders 3 and 2."""
     if G.order != 6 or G.is_abelian:
         raise ClassMismatch("built-in S3 table needs a nonabelian group of order 6")
-    by_order = {}
-    for ci, cls in enumerate(G.classes):
-        by_order[G.element_order(cls[0])] = ci
-    if sorted(by_order) != [1, 2, 3]:
-        raise ClassMismatch("classes do not look like S3")
-    data = {
-        "triv": (1, {1: 1, 2: 1, 3: 1}),
-        "sign": (1, {1: 1, 2: -1, 3: 1}),
-        "std": (2, {1: 2, 2: 0, 3: -1}),
-    }
-    names, degrees, values = [], [], []
-    for name, (deg, vals) in data.items():
-        row = [None] * len(G.classes)
-        for order, v in vals.items():
-            row[by_order[order]] = CycloValue.from_rational(v)
-        names.append(name)
-        degrees.append(deg)
-        values.append(tuple(row))
-    table = CharacterTable(group=G, names=tuple(names), degrees=tuple(degrees),
-                           values=tuple(values), provenance="BuiltinS3")
+    # each subgroup of order 2 or 3 is cyclic, and any C2 gives 1_C2^G
+    cyclic = {len(p): frozenset(p) for p in G.powers}
+    rows = [(1,) * len(G.classes)] + [
+        tuple(v - 1 for v in permutation_character(G, cyclic[n]))
+        for n in (3, 2)]
+    table = CharacterTable(
+        group=G, names=("triv", "sign", "std"), degrees=(1, 1, 2),
+        values=tuple(tuple(map(CycloValue.from_rational, row)) for row in rows),
+        provenance="BuiltinS3")
     table.validate()
     return table
 

@@ -9,6 +9,7 @@ from functools import cached_property
 from math import gcd, lcm
 
 from . import ModmultError
+from .exact import _prime_factors
 
 Mat = tuple[int, int, int, int]
 
@@ -64,19 +65,10 @@ def reduce_mat(x, n: int) -> Mat:
 
 
 def sl2_group_order(n: int) -> int:
-    if n == 1:
-        return 1
+    """|SL2(Z/n)| = n^3 prod_{p | n} (1 - 1/p^2)."""
     order = n ** 3
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            order = order // (p * p) * (p * p - 1)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        order = order // (m * m) * (m * m - 1)
+    for p in _prime_factors(n):
+        order = order // (p * p) * (p * p - 1)
     return order
 
 

@@ -15,7 +15,7 @@ from modmult.reps import (CharacterTable, CharacterTableRequired,
                           ClassMismatch, NotAbelian, OrthogonalityFailure,
                           QuotientPair, SchemaError,
                           abelian_character_table, artin_decompose,
-                          character_table_for,
+                          builtin_s3_table, character_table_for,
                           load_character_table, multiplicity_series,
                           parity_of, permutation_character, rational_characters)
 from modmult.sl2 import (FiniteSubgroup, QuotientGroup, SubgroupSpec,
@@ -159,6 +159,13 @@ class TestS3Table:
             i = table.names.index(name)
             for order, v in expect.items():
                 assert table.values[i][by_order[order]] == v
+
+    def test_abelian_group_of_order_6_refused(self, diamond7):
+        # Gamma0(7)/Gamma1(7) is Z/6, which has no S3 table
+        assert diamond7.G.order == 6 and diamond7.G.is_abelian
+        with pytest.raises(ClassMismatch, match="^built-in S3 table needs a "
+                                                "nonabelian group of order 6$"):
+            builtin_s3_table(diamond7.G)
 
     def test_nonabelian_without_table(self):
         # SL2(Z/3) / trivial is nonabelian of order 24: no built-in table

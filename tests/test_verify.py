@@ -313,6 +313,38 @@ class TestRunVerify:
                                           SubgroupSpec("gamma1", 5),
                                           kmax=41))
 
+    @pytest.mark.parametrize("k,add_M,add_S,findings", [
+        # a step of one period that grows with k: the slope moves
+        (16, 1, 1, ["series anomaly: M/triv", "series anomaly: S/triv",
+                    "slope mismatch: M/triv", "slope mismatch: S/triv"]),
+        # k = 2 lies below the slope window, but the deviation bound reads it
+        (2, 5, 0, ["series anomaly: M/triv"])], ids=["k16", "M2"])
+    def test_wrong_dims_fail(self, k, add_M, add_S, findings, monkeypatch,
+                             capsys):
+        # a constant added to dim M_k and dim S_k of every group is the
+        # trivial representation added to each space: the identity still
+        # holds, and only triv's series moves
+        import modmult.dimensions
+        original = modmult.dimensions.dims
+
+        def wrong(sig, weight):
+            d = original(sig, weight)
+            if weight != k:
+                return d
+            return modmult.dimensions.DimResult(d.dim_M + add_M,
+                                                d.dim_S + add_S)
+
+        monkeypatch.setattr(modmult.dimensions, "dims", wrong)
+        report = run_verify(VerificationConfig(SubgroupSpec("gamma0", 5),
+                                               SubgroupSpec("gamma1", 5),
+                                               kmax=60))
+        assert report["pass"] is False
+        assert report["findings"] == findings
+        code, out, err = run_cli(["verify", "--pair", "gamma0:5/gamma1:5",
+                                  "--kmax", "60"], capsys)
+        assert (code, err) == (1, "")
+        assert json.loads(out) == report
+
     def test_deterministic(self):
         config = VerificationConfig(SubgroupSpec("full", 1),
                                     SubgroupSpec("gamma", 2), kmax=60)
@@ -329,6 +361,7 @@ class TestRunVerify:
 def s3_table_doc(broken=None):
     """The SL2Z/Gamma(2) character table (triv, sign, std) as a --table
     document, or broken: a wrong degree, class size or duplicated row, a
+    class missing, two reps of one class of G, a row of two values, a
     class rep of three integers, a coefficient 1/0, a value of order 0 or
     10**6, coefficients given as a list, values given as a number, two
     rows of one name or six distinct rows of degree 1 in sixth roots of
@@ -352,6 +385,14 @@ def s3_table_doc(broken=None):
         doc["classes"][1]["size"] += 1
     elif broken == "duplicate":
         chars[1]["values"] = chars[0]["values"]
+    elif broken == "class-count":
+        doc["classes"].pop()
+    elif broken == "same-class":
+        # the file lists G's classes in order: a second element of G's
+        # class 1 stands for class 2
+        doc["classes"][2]["rep"] = list(G.elements[G.classes[1][-1]])
+    elif broken == "short-values":
+        chars[0]["values"].pop()
     elif broken == "short-rep":
         doc["classes"][0]["rep"] = doc["classes"][0]["rep"][:3]
     elif broken == "zero-denominator":
@@ -393,6 +434,12 @@ CLI_ERRORS = [
     (["verify", "--pair", "SL2Z/gamma:2", "--table", "size"], "ClassMismatch"),
     (["verify", "--pair", "SL2Z/gamma:2", "--table", "duplicate"],
      "OrthogonalityFailure"),
+    (["verify", "--pair", "SL2Z/gamma:2", "--table", "class-count"],
+     "ClassMismatch"),
+    (["verify", "--pair", "SL2Z/gamma:2", "--table", "same-class"],
+     "ClassMismatch"),
+    (["verify", "--pair", "SL2Z/gamma:2", "--table", "short-values"],
+     "SchemaError"),
     (["mult", "--pair", "SL2Z/gamma:2", "--weights", "2..4", "--table",
       "short-rep"], "SchemaError"),
     (["mult", "--pair", "SL2Z/gamma:2", "--weights", "2..4", "--table",
@@ -473,6 +520,21 @@ class TestCli:
         rows = [ln.split(",") for ln in out.strip().splitlines()]
         assert rows[0] == ["k", "dim_S"]
         assert ["12", "1"] in rows
+
+    def test_dims_json_matches_csv(self, capsys):
+        argv = ["dims", "--group", "gamma0:11", "--weights", "2..20",
+                "--kind", "S"]
+        code, out = self.run(argv + ["--format", "json"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["group"], doc["kind"]) == ("gamma0:11", "S")
+        code, out = self.run(argv, capsys)
+        assert code == 0
+        rows = {row["k"]: int(row["dim_S"])
+                for row in csv.DictReader(io.StringIO(out))}
+        assert doc["dims"] == rows
+        assert list(rows) == [str(k) for k in range(2, 21)]
+        assert rows["2"] == 1  # the elliptic curve X0(11)
 
     def test_mult_csv(self, capsys):
         code, out = self.run(["mult", "--pair", "gamma0:5/gamma1:5",
@@ -614,6 +676,21 @@ class TestCli:
                                  "--kmax", "60", "--table", str(path)], capsys)
         assert code == 0 and json.loads(out)["pass"] is True
 
+    def test_table_class_rep_outside_gamma(self, capsys, tmp_path):
+        # S is in SL2(Z/5) but not in Gamma0(5)
+        from test_reps import table_to_doc
+        pair = QuotientPair.build(SubgroupSpec("gamma0", 5),
+                                  SubgroupSpec("gamma1", 5))
+        doc = table_to_doc(pair.table)
+        doc["classes"][1]["rep"] = [0, -1, 1, 0]
+        path = tmp_path / "outside.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["verify", "--pair", "gamma0:5/gamma1:5",
+                                  "--table", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("modmult: NotASubgroup: matrix (0, -1, 1, 0) is not "
+                       "in the ambient group\n")
+
     @pytest.mark.parametrize("pair", ["gamma:12/gamma:24",
                                       "gamma0:13/gamma1:13"])
     def test_table_of_non_characters_rejected(self, pair, capsys, tmp_path):
@@ -743,6 +820,11 @@ class TestVerificationScript:
         assert captured.out == ""
         assert captured.err == f"run_verification: {line}\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_refused_run_makes_no_directory(self, script_main, tmp_path):
+        out = tmp_path / "new"
+        assert script_main(["--kmax", "10", "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestParseSpecs:
