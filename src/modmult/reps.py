@@ -363,8 +363,8 @@ def rational_characters(table: CharacterTable) -> tuple[RationalCharacter, ...]:
     sum c_m(j) (Hardy and Wright, Thm 272).  Two rows share an orbit iff
     their trace vectors agree: the sums of two orbits are distinct rational
     irreducible characters, nonzero and orthogonal (Serre, Linear
-    Representations, 12-13).  That needs a validated table, as
-    character_table_for and load_character_table return.
+    Representations, 12-13).  A table not validated may sum to class
+    functions that are not characters, so the sums are checked.
     """
     if table.exponents is not None:
         m, den = table.group.exponent, 1
@@ -388,6 +388,13 @@ def rational_characters(table: CharacterTable) -> tuple[RationalCharacter, ...]:
     labels = [rat.label for rat in out]
     if clash := [label for label in labels if labels.count(label) > 1]:
         raise SchemaError(f"two Galois orbits are labelled {clash[0]!r}")
+    G, rows = table.group, [[v.numerator for v in r.values] for r in out]
+    if (any(v.denominator != 1 for r in out for v in r.values)
+            or sum(r.orbit_size * r.degree ** 2 for r in out) != G.order
+            or any(sum(len(K) * a * b for K, a, b in zip(G.classes, x, y))
+                   != G.order * out[i].orbit_size * (x is y)
+                   for i, x in enumerate(rows) for y in rows[i:])):
+        raise OrthogonalityFailure("orbit sums are not rational characters")
     return tuple(out)
 
 
@@ -494,6 +501,9 @@ class QuotientPair:
     # reads a signature alone, so the groups that share one share its table
     cyclic_dims: tuple = field(repr=False)
     gamma_dims: DimTable = field(repr=False)
+    # totals by kind, weights and per-table sums as (num, den): quick to hash
+    _totals: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     @classmethod
     def build(cls, gamma_spec: SubgroupSpec, gamma1_spec: SubgroupSpec,
@@ -549,9 +559,8 @@ def multiplicity_series(pair: QuotientPair, rat: RationalCharacter, kind: str,
     With split=True the per-character values (orbit total / orbit size) are
     included; a divisibility failure raises IndivisibleOrbitTotal.
 
-    The cyclic C whose Gamma_C share a signature share a DimTable, so their
-    coefficients are added first, per table, and each nonzero sum reads the
-    dimensions once.
+    The C whose Gamma_C share a signature share a DimTable, and their q_C
+    are summed first; equal nonzero sums give equal totals, kept by the pair.
     """
     if kind not in ("M", "S"):
         raise ValueError(f"kind must be 'M' or 'S', got {kind!r}")
@@ -563,16 +572,22 @@ def multiplicity_series(pair: QuotientPair, rat: RationalCharacter, kind: str,
     by_table: dict = {}  # each DimTable, hashed by identity -> summed q_C
     for q, table in zip(coeffs, pair.cyclic_dims):
         by_table[table] = by_table.get(table, 0) + q
-    terms = [(q, table.read(kind, ks)) for table, q in by_table.items() if q]
-    entries = {}
-    for i, k in enumerate(ks):
-        total = Fraction(0)
-        for q, dim in terms:
-            total += q * dim[i]
-        if total.denominator != 1 or total < 0:
-            raise ArithmeticError(
-                f"multiplicity of {rat.label} at k={k} is {total}")
-        entries[k] = int(total)
+    key = (kind, tuple(ks), tuple((t, q.numerator, q.denominator)
+                                  for t, q in by_table.items() if q))
+    if (totals := pair._totals.get(key)) is None:
+        terms = [(q, t.read(kind, ks)) for t, q in by_table.items() if q]
+        entries = {}
+        for i, k in enumerate(ks):
+            total = Fraction(0)
+            for q, dim in terms:
+                total += q * dim[i]
+            if total.denominator != 1 or total < 0:
+                raise ArithmeticError(
+                    f"multiplicity of {rat.label} at k={k} is {total}")
+            entries[k] = int(total)
+        pair._totals[key] = tuple(entries.values())
+    else:
+        entries = dict(zip(ks, totals))
     per_member = None
     if split:
         per_member = {}

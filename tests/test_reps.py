@@ -550,6 +550,44 @@ class TestRationalCharacters:
         assert len(diamond8.rationals) == 4
         assert all(r.orbit_size == 1 for r in diamond8.rationals)
 
+    def test_unchecked_table_of_non_characters_raises(self, diamond5):
+        # G = Z/4: triv and the order-4 row chi2 without its conjugate chi3
+        # sum to chi2's real part (1, -1, 0, 0), of norm 2, not |G| = 4
+        table = diamond5.table
+        rows = [table.names.index(name) for name in ("triv", "chi2")]
+        broken = CharacterTable(table.group,
+                                tuple(table.names[i] for i in rows),
+                                tuple(table.degrees[i] for i in rows),
+                                tuple(table.values[i] for i in rows), "test")
+        with pytest.raises(OrthogonalityFailure,
+                           match="^orbit sums are not rational characters$"):
+            rational_characters(broken)
+
+    @pytest.mark.parametrize("rows", [
+        # the trivial row alone: of norm |G|, but its degree squared is 1
+        [0],
+        # the trivial row twice in place of chi3: integral, with square
+        # degrees summing to 6, but the orbit (triv, triv) has norm 4 |G|
+        [0, 0, 1, 2, 4, 5],
+        # chi3 = +-1 with each -1 made -1/3: its numerators are chi3's
+        [0, 1, 2, "thirds", 4, 5]],
+        ids=["degrees", "orthogonality", "integers"])
+    def test_each_check_refuses(self, diamond7, rows):
+        # G = Z/6, every row of degree 1
+        table = diamond7.table
+        assert table.names == ("triv", "chi1", "chi2", "chi3", "chi4", "chi5")
+        assert table.exponents[3] == (0, 3, 0, 0, 3, 3)
+        thirds = tuple(CycloValue.from_rational(Fraction(-1, 3) if x else 1)
+                       for x in table.exponents[3])
+        broken = CharacterTable(
+            table.group, tuple(f"row{n}" for n in range(len(rows))),
+            (1,) * len(rows),
+            tuple(thirds if i == "thirds" else table.values[i] for i in rows),
+            "test")
+        with pytest.raises(OrthogonalityFailure,
+                           match="^orbit sums are not rational characters$"):
+            rational_characters(broken)
+
 
 @pytest.fixture(scope="module", params=TABLE_PAIRS,
                 ids=lambda p: f"{p[0].label()}/{p[1].label()}")
@@ -1351,6 +1389,15 @@ def series_from_dims(pair, rat, kind, weights):
             for k in weights}
 
 
+def sum_vector(pair, rat):
+    """rat's Artin coefficients summed per signature of the Gamma_C, the
+    zero sums dropped: characters with equal vectors have equal series."""
+    sums = {}
+    for q, table in zip(pair.artin[rat], pair.cyclic_dims, strict=True):
+        sums[table.sig] = sums.get(table.sig, 0) + q
+    return tuple((sig, q) for sig, q in sums.items() if q)
+
+
 NEAR_ZERO = [k for k in range(-4, 12) if k != 1]
 
 
@@ -1438,6 +1485,43 @@ class TestDimensionTable:
         assert len(shared) == 13
         assert ("gamma", 12, "gamma", 24) in shared
 
+    def test_shared_vectors_give_each_characters_own_series(self):
+        weights = [k for k in range(0, 61) if k != 1] + [3000]
+        repeating, counts = [], Counter()
+        for k0, n0, k1, n1 in PAIRS:
+            specs = (SubgroupSpec(k0, n0), SubgroupSpec(k1, n1))
+            pair = QuotientPair.build(*specs)
+            vectors = [sum_vector(pair, rat) for rat in pair.rationals]
+            counts.update(characters=len(vectors), vectors=len(set(vectors)))
+            if len(set(vectors)) == len(vectors):
+                continue
+            repeating.append((k0, n0, k1, n1))
+            for kind in ("M", "S"):
+                shared = [multiplicity_series(pair, rat, kind, weights)
+                          for rat in pair.rationals]
+                for rat, series in zip(pair.rationals, shared):
+                    # the character's series computed first, on a pair
+                    # whose kept totals are still empty
+                    fresh = QuotientPair.build(*specs)
+                    own = multiplicity_series(
+                        fresh, fresh.rational_by_name(rat.label), kind,
+                        weights)
+                    assert series == own, (k0, n0, k1, n1, kind, rat.label)
+                # each series has a dict of its own, so an edit to one
+                # changes no other series and no later one
+                for a in range(len(shared)):
+                    for b in range(a):
+                        assert shared[a].entries is not shared[b].entries
+                want = dict(shared[-1].entries)
+                for series in shared:
+                    series.entries.clear()
+                again = multiplicity_series(pair, pair.rationals[-1], kind,
+                                            weights)
+                assert again.entries == want
+        assert counts == {"characters": 277, "vectors": 240}
+        assert len(repeating) == 13
+        assert ("gamma", 12, "gamma", 24) in repeating
+
     def test_one_table_and_one_read_per_signature(self, monkeypatch):
         import modmult.dimensions as dimensions
         calls = []
@@ -1470,16 +1554,23 @@ class TestDimensionTable:
             return original_read(self, kind, weights)
 
         monkeypatch.setattr(dimensions.DimTable, "read", spied)
+        seen, readers = set(), Counter()
         for rat in pair.rationals:
-            sums = {}
-            for q, sig in zip(pair.artin[rat], sigs):
-                sums[sig] = sums.get(sig, 0) + q
-            want = Counter(sig for sig, q in sums.items() if q)
+            vector = sum_vector(pair, rat)
             for kind in ("M", "S"):
                 reads.clear()
                 multiplicity_series(pair, rat, kind, range(2, 40))
+                # the first character of a vector reads each of its
+                # nonzero tables once; a later one reads none
+                first = (kind, vector) not in seen
+                seen.add((kind, vector))
+                want = Counter(sig for sig, _ in vector) if first else {}
                 assert Counter(reads) == want
                 assert len(reads) <= 3
+                readers[kind] += first
+        # the SL2(Z) normaliser pairs up the 8 characters: 4 vectors, so
+        # each kind reads for 4 of them
+        assert readers == {"M": 4, "S": 4}
 
     def test_negative_weights_through_the_cli(self, capsys):
         from modmult.cli import main
