@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import re
 import sys
@@ -268,9 +269,15 @@ def _join_negative_weights(argv: list[str]) -> list[str]:
     return out
 
 
+# built on the first call, not at import, and reused by every later call
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_join_negative_weights(argv))
+    args = _parser().parse_args(_join_negative_weights(argv))
     # every typed error of modmult is reported in one line, with status 2
     try:
         return args.func(args)

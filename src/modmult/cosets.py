@@ -92,25 +92,26 @@ class Signature:
         self.genus  # refuses branch data with no genus
 
 
-def _coset_table(size: int, acting, key: slice, n: int, m: int,
-                 gens: tuple[Mat, ...]):
+def _coset_table(size: int, acting, key: slice, n: int, m: int):
     """The size right cosets in SL2(Z/m) of a group +-K that contains every
     matrix = I mod n (n | m), explored from the identity by right
-    multiplication by gens, which must generate SL2(Z/m) and be reduced mod m.
+    multiplication by S, then T.  x S = (b, -a, d, -c) and
+    x T = (a, a + b, c, c + d) for x = (a, b, c, d) are written out mod m.
 
     A matrix is keyed by the entries key picks from it mod n.  A new coset
     met at x writes the keys of h x for h in acting, elements of +-K mod n
     that must reach every key of the coset.  Returns a representative mod m
-    of each coset and for each generator its permutation of the cosets.
+    of each coset and the permutations of the cosets by S and by T.
     """
     reps = [identity_mat(m)]
     lookup = {h[key]: 0 for h in acting}
-    perms = [[0] * size for _ in gens]
+    sigma_S, sigma_T = [0] * size, [0] * size
     queue = [0]
     while queue:
         i = queue.pop()
-        for g, perm in zip(gens, perms):
-            img = mat_mul(reps[i], g, m)
+        a, b, c, d = reps[i]
+        for img, perm in (((b, -a % m, d, -c % m), sigma_S),
+                          ((a, (a + b) % m, c, (c + d) % m), sigma_T)):
             k = (img[0] % n, img[1] % n, img[2] % n, img[3] % n)[key]
             j = lookup.get(k)
             if j is None:
@@ -120,7 +121,7 @@ def _coset_table(size: int, acting, key: slice, n: int, m: int,
                     lookup[mat_mul(h, img, n)[key]] = j
                 queue.append(j)
             perm[i] = j
-    return tuple(reps), [tuple(perm) for perm in perms]
+    return tuple(reps), (tuple(sigma_S), tuple(sigma_T))
 
 
 def _lookup(K: FiniteSubgroup):
@@ -147,8 +148,7 @@ def coset_action(K: FiniteSubgroup) -> PermutationAction:
     """Permutations of S and T on projective cosets of K."""
     n = K.level
     size = sl2_group_order(n) // K.order // (1 if K.contains_minus_I else 2)
-    gens = (reduce_mat(S_MAT, n), reduce_mat(T_MAT, n))
-    reps, (sigma_S, sigma_T) = _coset_table(size, *_lookup(K), n, gens)
+    reps, (sigma_S, sigma_T) = _coset_table(size, *_lookup(K), n)
     return PermutationAction(sigma_S=sigma_S, sigma_T=sigma_T, reps=reps)
 
 

@@ -501,9 +501,14 @@ class QuotientPair:
     # reads a signature alone, so the groups that share one share its table
     cyclic_dims: tuple = field(repr=False)
     gamma_dims: DimTable = field(repr=False)
-    # totals by kind, weights and per-table sums as (num, den): quick to hash
+    # (kind, per-table sums as (num, den)) -> (weights, totals): the
+    # totals of the latest weights read, so a pair keeps one list per key
     _totals: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
+    # parity class -> (kmax, {j: dim M_j(Gamma)} at its weights j in
+    # [4, kmax]), the latest kmax the lower-bound monitor read it at
+    _gamma_m: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     @classmethod
     def build(cls, gamma_spec: SubgroupSpec, gamma1_spec: SubgroupSpec,
@@ -560,11 +565,12 @@ def multiplicity_series(pair: QuotientPair, rat: RationalCharacter, kind: str,
     included; a divisibility failure raises IndivisibleOrbitTotal.
 
     The C whose Gamma_C share a signature share a DimTable, and their q_C
-    are summed first; equal nonzero sums give equal totals, kept by the pair.
+    are summed first; equal nonzero sums give equal totals, which the pair
+    keeps for the latest weights each sum was read at.
     """
     if kind not in ("M", "S"):
         raise ValueError(f"kind must be 'M' or 'S', got {kind!r}")
-    ks = sorted(set(weights))
+    ks = tuple(sorted(set(weights)))
     if 1 in ks:
         raise WeightOneUnsupported("weight 1 is not supported")
     coeffs = pair.artin[rat] if column_order is None else artin_decompose(
@@ -572,9 +578,10 @@ def multiplicity_series(pair: QuotientPair, rat: RationalCharacter, kind: str,
     by_table: dict = {}  # each DimTable, hashed by identity -> summed q_C
     for q, table in zip(coeffs, pair.cyclic_dims):
         by_table[table] = by_table.get(table, 0) + q
-    key = (kind, tuple(ks), tuple((t, q.numerator, q.denominator)
-                                  for t, q in by_table.items() if q))
-    if (totals := pair._totals.get(key)) is None:
+    key = (kind, tuple((t, q.numerator, q.denominator)
+                       for t, q in by_table.items() if q))
+    kept = pair._totals.get(key)
+    if kept is None or kept[0] != ks:
         terms = [(q, t.read(kind, ks)) for t, q in by_table.items() if q]
         entries = {}
         for i, k in enumerate(ks):
@@ -585,9 +592,9 @@ def multiplicity_series(pair: QuotientPair, rat: RationalCharacter, kind: str,
                 raise ArithmeticError(
                     f"multiplicity of {rat.label} at k={k} is {total}")
             entries[k] = int(total)
-        pair._totals[key] = tuple(entries.values())
+        pair._totals[key] = (ks, tuple(entries.values()))
     else:
-        entries = dict(zip(ks, totals))
+        entries = dict(zip(ks, kept[1]))
     per_member = None
     if split:
         per_member = {}

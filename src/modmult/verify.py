@@ -4,7 +4,7 @@ lower-bound monitor, and the structured PASS/FAIL report.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import ModmultError, __version__
@@ -165,9 +165,14 @@ def monitor_lower_bound(pair: QuotientPair, series: MultiplicitySeries,
     multiplicity_k >= aggregate_degree * dim M_{k-n0}(Gamma) for every
     in-parity weight k in [n0+4, kmax]; the weight set must be non-empty."""
     agg = series.aggregate_degree
-    # every k - n0 below is in the parity class and lies in [4, kmax]
-    js = _parity_ks(series.parity_class, 4, kmax)
-    dim_gamma = dict(zip(js, pair.gamma_dims.read("M", js)))
+    # every k - n0 below is in the parity class and lies in [4, kmax]; the
+    # series of one parity class share one read of Gamma's dimensions
+    kept = pair._gamma_m.get(series.parity_class)
+    if kept is None or kept[0] != kmax:
+        js = _parity_ks(series.parity_class, 4, kmax)
+        kept = pair._gamma_m[series.parity_class] = (
+            kmax, dict(zip(js, pair.gamma_dims.read("M", js))))
+    dim_gamma = kept[1]
     for n0 in range(0, offset_bound + 1, 2):
         ks = [k for k in _parity_ks(series.parity_class, n0 + 4, kmax)
               if k in series.entries]
@@ -221,27 +226,38 @@ def run_verify(config: VerificationConfig) -> dict:
     for kind in ("M", "S"):
         # one kind's series at a time: the identity below needs no other
         series_by_rep = {}
+        # the checks read a series' aggregate degree, parity class and
+        # totals alone: characters with equal series are checked once
+        checked = {}
         for rat in pair.rationals:
             series = multiplicity_series(pair, rat, kind, weights)
             series_by_rep[rat.label] = series
-            slope = detect_slope(series, P, pair.c)
-            bound = monitor_lower_bound(pair, series, config.offset_bound,
-                                        config.kmax)
-            # parity vanishing off the parity class
-            parity_ok = all(
-                v == 0 for k, v in series.entries.items()
-                if (series.parity_class == "even" and k % 2)
-                or (series.parity_class == "odd" and k % 2 == 0 and k > 0))
+            key = (series.aggregate_degree, series.parity_class,
+                   tuple(series.entries.values()))
+            if (done := checked.get(key)) is None:
+                # parity vanishing off the parity class
+                parity_ok = all(
+                    v == 0 for k, v in series.entries.items()
+                    if (series.parity_class == "even" and k % 2)
+                    or (series.parity_class == "odd" and k % 2 == 0
+                        and k > 0))
+                done = checked[key] = (
+                    detect_slope(series, P, pair.c),
+                    monitor_lower_bound(pair, series, config.offset_bound,
+                                        config.kmax).offset,
+                    parity_ok)
+            slope, offset, parity_ok = done
+            slope = replace(slope, rep_label=rat.label)
             if not slope.exact_match:
                 findings.append(f"slope mismatch: {kind}/{rat.label}")
-            if bound.offset is None:
+            if offset is None:
                 findings.append(f"no lower-bound offset: {kind}/{rat.label}")
             if not (parity_ok and slope.deviation_bounded):
                 findings.append(f"series anomaly: {kind}/{rat.label}")
             rep_reports.append({
                 "slope": _slope_report_dict(slope),
                 "lower_bound": {"rep": rat.label, "kind": kind,
-                                "offset": bound.offset},
+                                "offset": offset},
                 "parity_vanishing": parity_ok,
                 "deviation_bounded": slope.deviation_bounded,
                 "liminf_holds": slope.liminf_holds,

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -334,6 +335,13 @@ class TestCuspOrder:
                 lowest_coset_order(act, K), f"{kind}:{n}"
 
 
+# (kind, level n, a multiple m of n to realize the group at as well)
+OWN_LEVEL = [("gamma0", 5, 10), ("gamma0", 4, 24), ("gamma1", 4, 12),
+             ("gamma1", 7, 14), ("gamma", 3, 6), ("gamma", 12, 24),
+             ("gamma", 5, 30), ("full", 1, 6), ("custom", 4, 8),
+             ("custom", 6, 12)]
+
+
 class TestOwnLevel:
     """A group realized above its level has the coset action of its
     realization at its level: the lookup runs mod its spec's level n, on
@@ -341,11 +349,7 @@ class TestOwnLevel:
     on the whole matrix otherwise (Gamma(N), and custom:n here, which is
     Gamma(n))."""
 
-    @pytest.mark.parametrize("kind,n,m", [
-        ("gamma0", 5, 10), ("gamma0", 4, 24), ("gamma1", 4, 12),
-        ("gamma1", 7, 14), ("gamma", 3, 6), ("gamma", 12, 24),
-        ("gamma", 5, 30), ("full", 1, 6), ("custom", 4, 8),
-        ("custom", 6, 12)])
+    @pytest.mark.parametrize("kind,n,m", OWN_LEVEL)
     def test_same_action_at_a_multiple_of_the_level(self, kind, n, m,
                                                     monkeypatch):
         import modmult.cosets as cosets
@@ -431,8 +435,8 @@ class TestKeyedTable:
         tables = []
         original = cosets._coset_table
 
-        def recorded(size, acting, key, n, m, gens):
-            reps, perms = original(size, acting, key, n, m, gens)
+        def recorded(size, acting, key, n, m):
+            reps, perms = original(size, acting, key, n, m)
             tables.append(len({mat_mul(h, r, n)[key]
                                for r in reps for h in acting}))
             return reps, perms
@@ -480,6 +484,51 @@ PAIRS = ([("gamma0", n, "gamma1", n) for n in (8, 12, 20, 24, 28)]
          + [("gamma", n, "gamma", 2 * n) for n in range(1, 16) if n != 12]
          + [("gamma1", n, "gamma", n) for n in range(1, 16) if n != 4]
          + [("gamma0", 3, "gamma", 3), ("gamma0", 4, "gamma", 4)])
+
+
+def reference_walk(K):
+    """coset_action's walk with one mat_mul by S or T, reduced mod the
+    level, per step: a representative's images are found as products."""
+    import modmult.cosets as cosets
+    acting, key, n = cosets._lookup(K)
+    m = K.level
+    size = sl2_group_order(m) // K.order // (1 if K.contains_minus_I else 2)
+    gens = (reduce_mat(S_GEN, m), reduce_mat(T_GEN, m))
+    reps = [(1 % m, 0, 0, 1 % m)]
+    lookup = {h[key]: 0 for h in acting}
+    perms = [[0] * size for _ in gens]
+    queue = [0]
+    while queue:
+        i = queue.pop()
+        for g, perm in zip(gens, perms):
+            img = mat_mul(reps[i], g, m)
+            j = lookup.get(tuple(v % n for v in img)[key])
+            if j is None:
+                j = len(reps)
+                reps.append(img)
+                for h in acting:
+                    lookup[mat_mul(h, img, n)[key]] = j
+                queue.append(j)
+            perm[i] = j
+    return PermutationAction(sigma_S=tuple(perms[0]),
+                             sigma_T=tuple(perms[1]), reps=tuple(reps))
+
+
+class TestWalk:
+    """S and T applied to a representative in place give the reps and
+    permutations of the walk by matrix products."""
+
+    @pytest.mark.parametrize("k0,n0,k1,n1", PAIRS)
+    def test_gamma_and_gamma1_of_every_pair(self, k0, n0, k1, n1):
+        level = lcm(n0, n1)
+        for kind, n in ((k0, n0), (k1, n1)):
+            K = group(kind, n, at_level=level)
+            assert coset_action(K) == reference_walk(K), (kind, n, level)
+
+    @pytest.mark.parametrize("kind,n,m", OWN_LEVEL)
+    def test_own_level_groups(self, kind, n, m):
+        for K in (group(kind, n), group(kind, n, at_level=m)):
+            assert coset_action(K) == reference_walk(K)
 
 
 class TestPreimageSignature:

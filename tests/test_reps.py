@@ -1522,6 +1522,32 @@ class TestDimensionTable:
         assert len(repeating) == 13
         assert ("gamma", 12, "gamma", 24) in repeating
 
+    def test_kept_totals_stay_bounded_over_many_weight_lists(self):
+        # a pair keeps the totals of the latest weights of each kind and
+        # vector, not those of every weight list it was ever asked for
+        import gc
+        import tracemalloc
+        specs = (SubgroupSpec("gamma0", 5), SubgroupSpec("gamma1", 5))
+        pair, fresh = QuotientPair.build(*specs), QuotientPair.build(*specs)
+        # triv, whose series reads one table: the cheapest of the three
+        rat = pair.rationals[0]
+        own = multiplicity_series(fresh, fresh.rational_by_name(rat.label),
+                                  "M", range(2, 1002))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for n in range(3, 1003):
+                series = multiplicity_series(pair, rat, "M", range(2, n))
+                # the same weights of the series of a freshly built pair
+                assert series == replace(
+                    own, entries={k: own.entries[k] for k in range(2, n)})
+            del series
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 1_000_000
+
     def test_one_table_and_one_read_per_signature(self, monkeypatch):
         import modmult.dimensions as dimensions
         calls = []

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -358,6 +359,106 @@ class TestRunVerify:
                                SubgroupSpec("gamma1", 5), offset_bound=3)
 
 
+def own_entry(pair, series, kmax, offset_bound=24):
+    """The reps entry of one series, from detect_slope and
+    monitor_lower_bound run on that series alone."""
+    from modmult.verify import _slope_report_dict
+    slope = detect_slope(series, pair.period(), pair.c)
+    bound = monitor_lower_bound(pair, series, offset_bound, kmax)
+    skip = {"even": 1, "odd": 0}.get(series.parity_class)
+    parity_ok = all(v == 0 for k, v in series.entries.items()
+                    if k % 2 == skip and k > 0)
+    return {"slope": _slope_report_dict(slope),
+            "lower_bound": {"rep": series.rep_label, "kind": series.kind,
+                            "offset": bound.offset},
+            "parity_vanishing": parity_ok,
+            "deviation_bounded": slope.deviation_bounded,
+            "liminf_holds": slope.liminf_holds}
+
+
+class TestChecksPerDistinctSeries:
+    """run_verify runs the slope, lower-bound and parity checks once per
+    distinct (kind, aggregate degree, parity class, totals), and gives
+    every character its own labelled entry."""
+
+    def spy(self, monkeypatch):
+        """Record each check's (name, kind, pair), and each DimTable read
+        made inside monitor_lower_bound."""
+        import modmult.dimensions as dimensions
+        import modmult.verify as verify
+        calls, reads, inside = [], [], []
+
+        def slope(series, *args):
+            calls.append(("detect_slope", series.kind, None))
+            return original_slope(series, *args)
+
+        def bound(pair, series, *args):
+            calls.append(("monitor_lower_bound", series.kind, pair))
+            inside.append(True)
+            try:
+                return original_bound(pair, series, *args)
+            finally:
+                inside.pop()
+
+        def read(table, kind, weights):
+            if inside:
+                reads.append(table)
+            return original_read(table, kind, weights)
+
+        original_slope = verify.detect_slope
+        original_bound = verify.monitor_lower_bound
+        original_read = dimensions.DimTable.read
+        monkeypatch.setattr(verify, "detect_slope", slope)
+        monkeypatch.setattr(verify, "monitor_lower_bound", bound)
+        monkeypatch.setattr(dimensions.DimTable, "read", read)
+        return calls, reads
+
+    def entries_from_own_series(self, specs, kmax):
+        pair = QuotientPair.build(*specs)
+        weights = [k for k in range(kmax + 1) if k != 1]
+        distinct = Counter()
+        entries = []
+        for kind in ("M", "S"):
+            for rat in pair.rationals:
+                series = multiplicity_series(pair, rat, kind, weights)
+                distinct[kind, series.aggregate_degree, series.parity_class,
+                         tuple(series.entries.values())] += 1
+                entries.append(own_entry(pair, series, kmax))
+        return entries, Counter(kind for kind, *_ in distinct)
+
+    @pytest.mark.parametrize("kmax", [100, 3000])
+    def test_shared_series_checked_once(self, kmax, monkeypatch):
+        specs = (SubgroupSpec("gamma", 12), SubgroupSpec("gamma", 24))
+        calls, _ = self.spy(monkeypatch)
+        report = run_verify(VerificationConfig(*specs, kmax=kmax))
+        monkeypatch.undo()
+        # the 8 characters have 4 distinct series per kind
+        entries, distinct = self.entries_from_own_series(specs, kmax)
+        assert len(entries) == 2 * 8
+        assert distinct == {"M": 4, "S": 4}
+        assert Counter((name, kind) for name, kind, _ in calls) == {
+            (name, kind): 4 for kind in ("M", "S")
+            for name in ("detect_slope", "monitor_lower_bound")}
+        assert report["reps"] == entries
+        assert report["pass"]
+
+    def test_distinct_series_checked_each(self, monkeypatch):
+        specs = (SubgroupSpec("gamma0", 25), SubgroupSpec("gamma1", 25))
+        calls, reads = self.spy(monkeypatch)
+        report = run_verify(VerificationConfig(*specs, kmax=100))
+        monkeypatch.undo()
+        # 6 characters, 6 distinct series per kind: 4 even, 2 odd
+        entries, distinct = self.entries_from_own_series(specs, 100)
+        assert distinct == {"M": 6, "S": 6}
+        assert Counter((name, kind) for name, kind, _ in calls) == {
+            (name, kind): 6 for kind in ("M", "S")
+            for name in ("detect_slope", "monitor_lower_bound")}
+        assert report["reps"] == entries
+        # Gamma's dimensions are read once for each parity class
+        pair = calls[-1][2]
+        assert reads == [pair.gamma_dims] * 2
+
+
 def s3_table_doc(broken=None):
     """The SL2Z/Gamma(2) character table (triv, sign, std) as a --table
     document, or broken: a wrong degree, class size or duplicated row, a
@@ -541,6 +642,46 @@ class TestCli:
                               "--weights", "4..4"], capsys)
         rows = set(out.strip().splitlines()[1:])
         assert any(r.startswith("triv,4,3") for r in rows)
+
+    def test_one_parser_per_process(self, capsys, monkeypatch):
+        # main builds its parser on its first call and reuses it, after an
+        # argparse error and after a typed error too; each command prints
+        # what it prints with a freshly built parser
+        from modmult import cli
+        original, built = cli.build_parser, []
+
+        def counted():
+            built.append(original())
+            return built[-1]
+
+        def fresh(argv):
+            args = original().parse_args(argv)
+            code = args.func(args)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counted)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["dims", "--group", "gamma0:5", "--weights", "x..4"])
+        assert exc.value.code == 2
+        assert "is not an integer" in capsys.readouterr().err
+        code, out, err = run_cli(["verify", "--pair", "gamma0:5/gamma1:5",
+                                  "--offset-bound", "3"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("modmult: InvalidOffsetBound: ")
+        for argv in [
+                ["signature", "--group", "gamma1:4"],
+                ["dims", "--group", "gamma0:11", "--weights", "2..30",
+                 "--kind", "S", "--format", "json"],
+                ["mult", "--pair", "SL2Z/gamma:2", "--weights", "2..20"],
+                ["verify", "--pair", "gamma:2/gamma:4", "--kmax", "60"],
+                ["signature", "--group", "SL2Z", "--format", "json"],
+                ["mult", "--pair", "gamma0:5/gamma1:5", "--weights", "2..9",
+                 "--kind", "S", "--split", "--format", "json"]]:
+            assert run_cli(argv, capsys) == fresh(argv), argv
+        assert len(built) == 1
+        cli._parser.cache_clear()
 
     @pytest.mark.parametrize("weights,ks", [("-4..0", range(-4, 1)),
                                             ("-3", [-3])])
