@@ -18,8 +18,8 @@ from .exact import (CycloValue, InconsistentSystem, cyclotomic_poly,
 from .reps import (CharacterTable, MultiplicitySeries, QuotientPair,
                    RationalCharacter, abelian_character_table,
                    artin_decompose, load_character_table,
-                   multiplicity_series, parity_of, permutation_character,
-                   rational_characters)
+                   multiplicity_series, pair_series, parity_of,
+                   permutation_character, rational_characters)
 from .sl2 import (FiniteSubgroup, QuotientGroup, SubgroupSpec,
                   cyclic_subgroups_up_to_conjugacy, quotient, realize)
 

@@ -11,7 +11,7 @@ import sys
 from . import ModmultError
 from .cosets import subgroup_signature
 from .dimensions import dims
-from .reps import QuotientPair, multiplicity_series
+from .reps import QuotientPair, pair_series
 from .sl2 import DEFAULT_LEVEL_CAP, SubgroupSpec, realize
 from .verify import (MAX_WEIGHTS, VerificationConfig, run_verify,
                      signature_record)
@@ -159,16 +159,11 @@ def cmd_mult(args) -> int:
     pair = QuotientPair.build(g, g1, table_source=args.table,
                               level_cap=args.level_cap)
     out = []
-    for rat in pair.rationals:
-        series = multiplicity_series(pair, rat, args.kind, args.weights,
-                                     split=args.split)
-        if args.split and series.per_member is not None:
-            for name in rat.names:
-                for k in args.weights:
-                    out.append((name, k, series.per_member[k]))
-        else:
-            for k in args.weights:
-                out.append((series.rep_label, k, series.entries[k]))
+    for rat, series in zip(pair.rationals, pair_series(
+            pair, args.kind, args.weights, split=args.split)):
+        values = series.per_member if args.split else series.entries
+        for name in rat.names if args.split else [series.rep_label]:
+            out += [(name, k, values[k]) for k in args.weights]
     if args.format == "json":
         doc = {}
         for rep, k, v in out:

@@ -127,12 +127,8 @@ class CycloValue:
             raise ValueError("order must be positive")
         self.order = order
         d: dict[int, Fraction] = {}
-        if coeffs:
-            for j, c in coeffs.items():
-                c = Fraction(c)
-                if c:
-                    jj = j % order
-                    d[jj] = d.get(jj, Fraction(0)) + c
+        for j, c in (coeffs or {}).items():
+            d[j % order] = d.get(j % order, 0) + Fraction(c)
         self.coeffs = {j: c for j, c in d.items() if c}
 
     @classmethod

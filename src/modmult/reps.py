@@ -221,14 +221,12 @@ def abelian_character_table(G: QuotientGroup) -> CharacterTable:
     class_reps = [cls[0] for cls in G.classes]
     rows = sorted(tuple(chi[r] for r in class_reps) for chi in chars)
     zeta = [CycloValue(e, {exp: 1}) for exp in range(e)]
-    names = []
-    values = []
-    for i, row in enumerate(rows):
-        names.append("triv" if not any(row) else f"chi{i}")
-        values.append(tuple(zeta[exp] for exp in row))
-    table = CharacterTable(group=G, names=tuple(names),
-                           degrees=(1,) * G.order, values=tuple(values),
-                           provenance="BuiltinAbelian")
+    table = CharacterTable(
+        group=G, names=tuple("triv" if not any(row) else f"chi{i}"
+                             for i, row in enumerate(rows)),
+        degrees=(1,) * G.order,
+        values=tuple(tuple(zeta[exp] for exp in row) for row in rows),
+        provenance="BuiltinAbelian")
     table.validate()
     return table
 
@@ -482,7 +480,8 @@ class MultiplicitySeries:
 @dataclass(frozen=True)
 class QuotientPair:
     """The pair (Gamma, Gamma1) with everything the engine derives from it,
-    all built by build and only read after."""
+    built by build and only read after, but for _gamma_m: the monitor
+    writes its read of Gamma's dimensions there."""
 
     gamma_spec: SubgroupSpec
     gamma1_spec: SubgroupSpec
@@ -501,10 +500,9 @@ class QuotientPair:
     # reads a signature alone, so the groups that share one share its table
     cyclic_dims: tuple = field(repr=False)
     gamma_dims: DimTable = field(repr=False)
-    # (kind, per-table sums as (num, den)) -> (weights, totals): the
-    # totals of the latest weights read, so a pair keeps one list per key
-    _totals: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
+    # each rational character -> its Artin coefficients summed per table
+    # (_table_sums): characters with equal sums have equal series
+    table_sums: dict = field(repr=False)
     # parity class -> (kmax, {j: dim M_j(Gamma)} at its weights j in
     # [4, kmax]), the latest kmax the lower-bound monitor read it at
     _gamma_m: dict = field(default_factory=dict, init=False, repr=False,
@@ -535,14 +533,15 @@ class QuotientPair:
         *cyclic_dims, gamma_dims = (
             tables.get(sig) or tables.setdefault(sig, DimTable(sig))
             for sig in [*sigs, sig_gamma])
+        artin = {rat: artin_decompose(rat.values, G, cyclics) for rat in rats}
         return cls(
             gamma_spec=gamma_spec, gamma1_spec=gamma1_spec, level=level,
             gamma=gamma, gamma1=gamma1, G=G, table=table, rationals=rats,
             cyclics=cyclics, sig_gamma=sig_gamma,
             c=area_constant_c(sig_gamma),
-            artin={rat: artin_decompose(rat.values, G, cyclics)
-                   for rat in rats},
-            cyclic_dims=tuple(cyclic_dims), gamma_dims=gamma_dims,
+            artin=artin, cyclic_dims=tuple(cyclic_dims), gamma_dims=gamma_dims,
+            table_sums={rat: _table_sums(q, cyclic_dims)
+                        for rat, q in artin.items()},
         )
 
     def rational_by_name(self, name: str) -> RationalCharacter:
@@ -556,6 +555,16 @@ class QuotientPair:
         return PERIOD
 
 
+def _table_sums(coeffs, cyclic_dims) -> tuple:
+    """The q_C summed per DimTable, hashed by identity, as (table,
+    numerator, denominator) with the zero sums dropped."""
+    by_table: dict = {}
+    for q, table in zip(coeffs, cyclic_dims):
+        by_table[table] = by_table.get(table, 0) + q
+    return tuple((t, q.numerator, q.denominator)
+                 for t, q in by_table.items() if q)
+
+
 def multiplicity_series(pair: QuotientPair, rat: RationalCharacter, kind: str,
                         weights, split: bool = False,
                         column_order=None) -> MultiplicitySeries:
@@ -564,37 +573,32 @@ def multiplicity_series(pair: QuotientPair, rat: RationalCharacter, kind: str,
     With split=True the per-character values (orbit total / orbit size) are
     included; a divisibility failure raises IndivisibleOrbitTotal.
 
-    The C whose Gamma_C share a signature share a DimTable, and their q_C
-    are summed first; equal nonzero sums give equal totals, which the pair
-    keeps for the latest weights each sum was read at.
+    The dimensions are read once per table of rat's nonzero per-table
+    sums (pair.table_sums), and nothing is kept between calls.
     """
     if kind not in ("M", "S"):
         raise ValueError(f"kind must be 'M' or 'S', got {kind!r}")
     ks = tuple(sorted(set(weights)))
     if 1 in ks:
         raise WeightOneUnsupported("weight 1 is not supported")
-    coeffs = pair.artin[rat] if column_order is None else artin_decompose(
-        rat.values, pair.G, pair.cyclics, column_order=column_order)
-    by_table: dict = {}  # each DimTable, hashed by identity -> summed q_C
-    for q, table in zip(coeffs, pair.cyclic_dims):
-        by_table[table] = by_table.get(table, 0) + q
-    key = (kind, tuple((t, q.numerator, q.denominator)
-                       for t, q in by_table.items() if q))
-    kept = pair._totals.get(key)
-    if kept is None or kept[0] != ks:
-        terms = [(q, t.read(kind, ks)) for t, q in by_table.items() if q]
-        entries = {}
-        for i, k in enumerate(ks):
-            total = Fraction(0)
-            for q, dim in terms:
-                total += q * dim[i]
-            if total.denominator != 1 or total < 0:
-                raise ArithmeticError(
-                    f"multiplicity of {rat.label} at k={k} is {total}")
-            entries[k] = int(total)
-        pair._totals[key] = (ks, tuple(entries.values()))
-    else:
-        entries = dict(zip(ks, kept[1]))
+    sums = pair.table_sums[rat] if column_order is None else _table_sums(
+        artin_decompose(rat.values, pair.G, pair.cyclics,
+                        column_order=column_order), pair.cyclic_dims)
+    terms = [(Fraction(n, d), t.read(kind, ks)) for t, n, d in sums]
+    entries = {}
+    for i, k in enumerate(ks):
+        total = Fraction(0)
+        for q, dim in terms:
+            total += q * dim[i]
+        if total.denominator != 1 or total < 0:
+            raise ArithmeticError(
+                f"multiplicity of {rat.label} at k={k} is {total}")
+        entries[k] = int(total)
+    return _series(pair, rat, kind, entries, split)
+
+
+def _series(pair, rat, kind, entries, split) -> MultiplicitySeries:
+    """rat's series from its orbit totals, split among its members if asked."""
     per_member = None
     if split:
         per_member = {}
@@ -609,3 +613,19 @@ def multiplicity_series(pair: QuotientPair, rat: RationalCharacter, kind: str,
         per_member=per_member, parity_class=parity_of(rat, pair.G),
         degree=rat.degree, orbit_size=rat.orbit_size,
     )
+
+
+def pair_series(pair: QuotientPair, kind: str, weights,
+                split: bool = False) -> list[MultiplicitySeries]:
+    """Every rational character's series, aligned with pair.rationals:
+    multiplicity_series runs once per distinct per-table sums, and each
+    later character with those sums gets its own copy of the entries."""
+    entries: dict = {}  # per-table sums -> the first character's entries
+    out = []
+    for rat in pair.rationals:
+        sums = pair.table_sums[rat]
+        out.append(multiplicity_series(pair, rat, kind, weights, split)
+                   if sums not in entries
+                   else _series(pair, rat, kind, dict(entries[sums]), split))
+        entries.setdefault(sums, out[-1].entries)
+    return out

@@ -128,13 +128,6 @@ def _congruence_elements(m: int, n: int, a0: int | None, b0: int | None,
     return tuple(out)
 
 
-def _check_level(n: int, level_cap: int) -> None:
-    if n < 1:
-        raise ValueError("level must be positive")
-    if n > level_cap:
-        raise LevelTooLarge(f"level {n} exceeds cap {level_cap}")
-
-
 @dataclass(frozen=True)
 class SubgroupSpec:
     """Specification of a finite-index subgroup of SL2(Z) by congruence data.
@@ -178,7 +171,10 @@ def realize(spec: SubgroupSpec, at_level: int | None = None,
     m = at_level if at_level is not None else spec.level
     if m % spec.level:
         raise ValueError("realization level must be a multiple of the spec level")
-    _check_level(m, level_cap)
+    if m < 1:
+        raise ValueError("level must be positive")
+    if m > level_cap:
+        raise LevelTooLarge(f"level {m} exceeds cap {level_cap}")
     n = spec.level
     if spec.kind in CONGRUENCE_RESIDUES:
         return FiniteSubgroup(m, _congruence_elements(
@@ -327,10 +323,7 @@ def quotient(gamma: FiniteSubgroup, gamma1: FiniteSubgroup,
     for i in range(size):
         if seen[i]:
             continue
-        cls = set()
-        for g in range(size):
-            x = mul[mul[g][i]][inv[g]]
-            cls.add(x)
+        cls = {mul[mul[g][i]][inv[g]] for g in range(size)}
         for x in cls:
             seen[x] = True
         raw_classes.append(tuple(sorted(cls)))

@@ -8,12 +8,12 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import ModmultError, __version__
+from .cosets import area_constant_c
 from .dimensions import PERIOD
 # not called here (the pair's table calls dims); perfbench/tests checks
 # that the tracer wraps modmult.verify.dims, so the name stays
 from .dimensions import dims  # noqa: F401
-from .reps import (MultiplicitySeries, QuotientPair, multiplicity_series,
-                   parity_of)
+from .reps import MultiplicitySeries, QuotientPair, pair_series, parity_of
 from .sl2 import DEFAULT_LEVEL_CAP, SubgroupSpec
 
 
@@ -136,10 +136,8 @@ def check_decomposition_identity(pair: QuotientPair, kind: str, weights,
     """Exact check that sum over irreducibles of degree * multiplicity equals
     dim of the weight-k space of Gamma1; raises IdentityViolation on failure."""
     if series_by_rep is None:
-        series_by_rep = {
-            rat.label: multiplicity_series(pair, rat, kind, weights)
-            for rat in pair.rationals
-        }
+        series_by_rep = {rat.label: series for rat, series in zip(
+            pair.rationals, pair_series(pair, kind, weights))}
     out = {}
     ks = [k for k in sorted(set(weights)) if k != 1]
     terms = [(rat.degree, series_by_rep[rat.label].entries)
@@ -226,14 +224,13 @@ def run_verify(config: VerificationConfig) -> dict:
     for kind in ("M", "S"):
         # one kind's series at a time: the identity below needs no other
         series_by_rep = {}
-        # the checks read a series' aggregate degree, parity class and
-        # totals alone: characters with equal series are checked once
+        # equal per-table sums give equal series, aggregate degrees and
+        # parity classes, all that the checks read: they run once per sums
         checked = {}
-        for rat in pair.rationals:
-            series = multiplicity_series(pair, rat, kind, weights)
+        for rat, series in zip(pair.rationals,
+                               pair_series(pair, kind, weights)):
             series_by_rep[rat.label] = series
-            key = (series.aggregate_degree, series.parity_class,
-                   tuple(series.entries.values()))
+            key = pair.table_sums[rat]
             if (done := checked.get(key)) is None:
                 # parity vanishing off the parity class
                 parity_ok = all(
@@ -292,7 +289,6 @@ def run_verify(config: VerificationConfig) -> dict:
 
 
 def signature_record(sig) -> dict:
-    from .cosets import area_constant_c
     return {
         "genus": sig.genus,
         "nu2": sig.nu2,

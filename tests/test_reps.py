@@ -17,7 +17,8 @@ from modmult.reps import (CharacterTable, CharacterTableRequired,
                           abelian_character_table, artin_decompose,
                           builtin_s3_table, character_table_for,
                           load_character_table, multiplicity_series,
-                          parity_of, permutation_character, rational_characters)
+                          pair_series, parity_of, permutation_character,
+                          rational_characters)
 from modmult.sl2 import (FiniteSubgroup, QuotientGroup, SubgroupSpec,
                          cyclic_subgroups_up_to_conjugacy, mat_mul, quotient,
                          realize)
@@ -1398,6 +1399,10 @@ def sum_vector(pair, rat):
     return tuple((sig, q) for sig, q in sums.items() if q)
 
 
+def sorted_labels(rats):
+    return sorted(rat.label for rat in rats)
+
+
 NEAR_ZERO = [k for k in range(-4, 12) if k != 1]
 
 
@@ -1406,9 +1411,10 @@ class TestDimensionTable:
     and far ones included.  dims reads a group's signature alone, so the
     pair keeps one table per distinct signature of Gamma1, the Gamma_C and
     Gamma: it runs dims on one quasi-period per signature, [3, 3 + 2P),
-    whatever the weights read, and leaves k < 3 to dims.  A series adds
-    the coefficients of the C whose Gamma_C share a signature and reads
-    the dimensions once per nonzero sum."""
+    whatever the weights read, and leaves k < 3 to dims.  build adds the
+    coefficients of the C whose Gamma_C share a signature, a series reads
+    the dimensions once per nonzero sum, and pair_series computes one
+    series per distinct sums."""
 
     def test_table_matches_dims_on_every_pair(self):
         from modmult.dimensions import dims
@@ -1497,11 +1503,10 @@ class TestDimensionTable:
                 continue
             repeating.append((k0, n0, k1, n1))
             for kind in ("M", "S"):
-                shared = [multiplicity_series(pair, rat, kind, weights)
-                          for rat in pair.rationals]
-                for rat, series in zip(pair.rationals, shared):
-                    # the character's series computed first, on a pair
-                    # whose kept totals are still empty
+                shared = pair_series(pair, kind, weights)
+                for rat, series in zip(pair.rationals, shared,
+                                       strict=True):
+                    # the character's own series, on a freshly built pair
                     fresh = QuotientPair.build(*specs)
                     own = multiplicity_series(
                         fresh, fresh.rational_by_name(rat.label), kind,
@@ -1523,8 +1528,8 @@ class TestDimensionTable:
         assert ("gamma", 12, "gamma", 24) in repeating
 
     def test_kept_totals_stay_bounded_over_many_weight_lists(self):
-        # a pair keeps the totals of the latest weights of each kind and
-        # vector, not those of every weight list it was ever asked for
+        # a pair keeps no totals between calls, so a pair asked for many
+        # weight lists holds none of them
         import gc
         import tracemalloc
         specs = (SubgroupSpec("gamma0", 5), SubgroupSpec("gamma1", 5))
@@ -1580,23 +1585,120 @@ class TestDimensionTable:
             return original_read(self, kind, weights)
 
         monkeypatch.setattr(dimensions.DimTable, "read", spied)
-        seen, readers = set(), Counter()
         for rat in pair.rationals:
             vector = sum_vector(pair, rat)
             for kind in ("M", "S"):
                 reads.clear()
-                multiplicity_series(pair, rat, kind, range(2, 40))
-                # the first character of a vector reads each of its
-                # nonzero tables once; a later one reads none
-                first = (kind, vector) not in seen
-                seen.add((kind, vector))
-                want = Counter(sig for sig, _ in vector) if first else {}
-                assert Counter(reads) == want
-                assert len(reads) <= 3
-                readers[kind] += first
-        # the SL2(Z) normaliser pairs up the 8 characters: 4 vectors, so
-        # each kind reads for 4 of them
-        assert readers == {"M": 4, "S": 4}
+                first = multiplicity_series(pair, rat, kind, range(2, 40))
+                # each call reads each table of a nonzero sum once: the
+                # second call, keeping nothing from the first, reads again
+                again = multiplicity_series(pair, rat, kind, range(2, 40))
+                want = Counter(sig for sig, _ in vector)
+                assert Counter(reads) == want + want
+                assert len(want) <= 3
+                assert again == first
+
+    def test_table_sums_split_characters_as_signatures(self):
+        # build's sums, keyed by table object, are sum_vector's, keyed by
+        # signature; characters with equal sums share their aggregate
+        # degree and parity class, which the checks read besides entries
+        counts = Counter()
+        for k0, n0, k1, n1 in PAIRS:
+            pair = QuotientPair.build(SubgroupSpec(k0, n0),
+                                      SubgroupSpec(k1, n1))
+            by_sums, by_vector = {}, {}
+            for rat in pair.rationals:
+                sums = pair.table_sums[rat]
+                assert all(type(n) is type(d) is int and n and d > 0
+                           for _, n, d in sums)
+                assert tuple((t.sig, Fraction(n, d)) for t, n, d in sums) \
+                    == sum_vector(pair, rat), (k0, n0, k1, n1)
+                by_sums.setdefault(sums, set()).add(rat)
+                by_vector.setdefault(sum_vector(pair, rat), set()).add(rat)
+            assert sorted(map(sorted_labels, by_sums.values())) \
+                == sorted(map(sorted_labels, by_vector.values()))
+            for rats in by_sums.values():
+                assert len({(rat.aggregate_degree, parity_of(rat, pair.G))
+                            for rat in rats}) == 1, (k0, n0, k1, n1)
+            counts.update(characters=len(pair.rationals),
+                          classes=len(by_sums))
+        assert counts == {"characters": 277, "classes": 240}
+
+    def spy_series(self, monkeypatch):
+        """Record the label of each multiplicity_series call and the
+        signature of each DimTable read."""
+        import modmult.dimensions as dimensions
+        import modmult.reps as reps
+        calls, reads = [], []
+        original_series, original_read = (reps.multiplicity_series,
+                                          dimensions.DimTable.read)
+
+        def series(pair, rat, *args, **kwargs):
+            calls.append(rat.label)
+            return original_series(pair, rat, *args, **kwargs)
+
+        def read(table, kind, weights):
+            reads.append(table.sig)
+            return original_read(table, kind, weights)
+
+        monkeypatch.setattr(reps, "multiplicity_series", series)
+        monkeypatch.setattr(dimensions.DimTable, "read", read)
+        return calls, reads
+
+    def first_of_each_sums(self, pair):
+        """The first character of each distinct sums, and the signatures
+        its series reads."""
+        firsts = {}
+        for rat in pair.rationals:
+            firsts.setdefault(pair.table_sums[rat], rat)
+        return ([rat.label for rat in firsts.values()],
+                Counter(sig for rat in firsts.values()
+                        for sig, _ in sum_vector(pair, rat)))
+
+    def test_pair_series_reads_once_per_sums(self, monkeypatch):
+        specs = (SubgroupSpec("gamma", 12), SubgroupSpec("gamma", 24))
+        pair = QuotientPair.build(*specs)
+        labels, want = self.first_of_each_sums(pair)
+        weights = [k for k in range(-4, 61) if k != 1] + [3000]
+        calls, reads = self.spy_series(monkeypatch)
+        for kind in ("M", "S"):
+            calls.clear()
+            reads.clear()
+            shared = pair_series(pair, kind, weights)
+            # the SL2(Z) normaliser pairs up the 8 characters: 4 sums, so
+            # each kind reads for 4 of them
+            assert (len(shared), calls) == (8, labels)
+            assert len(labels) == 4
+            assert Counter(reads) == want
+            for rat, series in zip(pair.rationals, shared, strict=True):
+                assert series == multiplicity_series(pair, rat, kind,
+                                                     weights)
+
+    @pytest.mark.parametrize("split", [False, True], ids=["totals", "split"])
+    def test_mult_reads_once_per_sums(self, split, monkeypatch, capsys):
+        import csv
+        import io
+
+        from modmult.cli import main
+        specs = (SubgroupSpec("gamma", 12), SubgroupSpec("gamma", 24))
+        pair = QuotientPair.build(*specs)
+        labels, want = self.first_of_each_sums(pair)
+        weights = range(2, 3001)
+        expected = io.StringIO()
+        rows = csv.writer(expected)
+        rows.writerow(["rep", "k", "multiplicity"])
+        for rat in pair.rationals:
+            series = multiplicity_series(pair, rat, "S", weights, split=split)
+            for name in rat.names if split else [rat.label]:
+                values = series.per_member if split else series.entries
+                rows.writerows((name, k, values[k]) for k in weights)
+        calls, reads = self.spy_series(monkeypatch)
+        argv = ["mult", "--pair", "gamma:12/gamma:24", "--kind", "S",
+                "--weights", "2..3000"]
+        assert main(argv + ["--split"] * split) == 0
+        assert calls == labels and len(labels) == 4
+        assert Counter(reads) == want
+        assert capsys.readouterr().out == expected.getvalue()
 
     def test_negative_weights_through_the_cli(self, capsys):
         from modmult.cli import main

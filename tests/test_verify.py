@@ -378,8 +378,10 @@ def own_entry(pair, series, kmax, offset_bound=24):
 
 class TestChecksPerDistinctSeries:
     """run_verify runs the slope, lower-bound and parity checks once per
-    distinct (kind, aggregate degree, parity class, totals), and gives
-    every character its own labelled entry."""
+    kind and distinct per-table sums of the Artin coefficients
+    (pair.table_sums), and gives every character its own labelled entry.
+    Equal sums give equal series, aggregate degrees and parity classes;
+    the tests count the distinct series among the characters' own."""
 
     def spy(self, monkeypatch):
         """Record each check's (name, kind, pair), and each DimTable read
@@ -874,7 +876,7 @@ class TestWeightBound:
         def refused(*args, **kwargs):
             raise AssertionError("the command ran past its arguments")
 
-        for name in ("dims", "multiplicity_series", "run_verify"):
+        for name in ("dims", "pair_series", "run_verify"):
             monkeypatch.setattr(modmult.cli, name, refused)
 
     def test_config_refuses_kmax_past_bound(self):
