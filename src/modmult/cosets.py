@@ -126,7 +126,7 @@ def _coset_table(size: int, acting, key: slice, n: int, m: int):
 
 def _lookup(K: FiniteSubgroup):
     """(acting, key, n) for _coset_table on the cosets of +-K, n the level
-    at which K contains every matrix = I (K.level for a hand-built group).
+    at which K contains every matrix = I, K.own_level.
 
     If T lies in +-K mod n, so does every upper unipotent matrix, and two
     matrices with the same bottom row differ by one on the left: a coset is
@@ -135,7 +135,7 @@ def _lookup(K: FiniteSubgroup):
     Algorithms for Modular Elliptic Curves, ch. 2).  Otherwise, as for
     Gamma(N), it is keyed by its whole matrices mod n, acting all of +-K.
     """
-    n = K.own_level or K.level
+    n = K.own_level
     acting = {(a % n, b % n, c % n, d % n) for a, b, c, d in K.elements}
     if not K.contains_minus_I:
         acting |= {tuple(-v % n for v in h) for h in acting}

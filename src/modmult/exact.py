@@ -208,16 +208,17 @@ def integer_rows(rows):
     Returns (m, int_rows, den): m is the lcm of the value orders, den the
     least common denominator of every coefficient, and the value in row r,
     column c is sum a * zeta_m^j / den over the (j, a) pairs of
-    int_rows[r][c].
+    int_rows[r][c].  Rows may share value objects, as a built-in table's
+    rows share its roots of unity: each distinct object is lifted once.
     """
-    m = lcm(*(v.order for row in rows for v in row))
-    den = lcm(*(c.denominator for row in rows for v in row
-                for c in v.coeffs.values()))
-    int_rows = [tuple(
-        tuple((j * (m // v.order), c.numerator * (den // c.denominator))
-              for j, c in v.coeffs.items())
-        for v in row) for row in rows]
-    return m, int_rows, den
+    distinct = {id(v): v for row in rows for v in row}
+    m = lcm(*{v.order for v in distinct.values()})
+    den = lcm(*{c.denominator for v in distinct.values()
+                for c in v.coeffs.values()})
+    lifted = {i: tuple((j * (m // v.order), c.numerator * (den // c.denominator))
+                       for j, c in v.coeffs.items())
+              for i, v in distinct.items()}
+    return m, [tuple([lifted[id(v)] for v in row]) for row in rows], den
 
 
 # ---------------------------------------------------------------------------

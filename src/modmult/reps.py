@@ -49,29 +49,17 @@ class CharacterTableRequired(ModmultError, ValueError):
 class CharacterTable:
     """Exact character data of G, values indexed by G's conjugacy classes.
 
-    A table whose degrees are all 1 and whose values are all zeta_o^j, with
-    coefficient 1 and o | e, e = exp G, has exponent rows, worked out from
-    the values.  validate accepts rows that are |G| distinct homomorphisms
-    G -> Z/e without the Z[zeta_m] checks, and rational_characters reads
-    each exponent x as the trace c_e(x); every other table is read in
-    Z[zeta_m], from int_rows."""
+    Every check and every orbit sum reads the values through int_rows, one
+    lift to Z[zeta_m] over one denominator.  A table whose degrees are all
+    1, whose denominator is 1 and whose lifted values are each a single term
+    zeta_m^x has exponent rows x: validate accepts rows that are |G|
+    distinct homomorphisms G -> Z/m without the Z[zeta_m] checks."""
 
     group: QuotientGroup
     names: tuple[str, ...]
     degrees: tuple[int, ...]
     values: tuple[tuple[CycloValue, ...], ...]
     provenance: str
-
-    @cached_property
-    def exponents(self) -> tuple[tuple[int, ...], ...] | None:
-        """Each row as exponents of zeta_e per class, or None."""
-        e = self.group.exponent
-        if set(self.degrees) != {1} or any(
-                e % v.order or list(v.coeffs.values()) != [1]
-                for row in self.values for v in row):
-            return None
-        return tuple(tuple(j * (e // v.order) for v in row for j in v.coeffs)
-                     for row in self.values)
 
     @cached_property
     def int_rows(self):
@@ -96,7 +84,7 @@ class CharacterTable:
             at_id = row[G.class_of[G.identity]].rational_part()
             if at_id != deg:
                 raise SchemaError("degree must equal the value at the identity")
-        # homomorphisms r have 2 r(-I) = r(1) = 0 mod e: the -I check below
+        # homomorphisms r have 2 r(-I) = r(1) = 0 mod m: the -I check below
         # cannot fail on exponent rows
         if self._check_exponent_rows():
             return
@@ -180,18 +168,23 @@ class CharacterTable:
 
     def _check_exponent_rows(self) -> bool:
         """Whether the table has exponent rows that are |G| distinct
-        homomorphisms G -> Z/e, and so all of G's characters, orthogonal and
+        homomorphisms G -> Z/m, and so all of G's characters, orthogonal and
         irreducible.  A row r is one if r(x s) = r(x) + r(s) for every x and
         every generator s of G: each element is a word in the generators.
         validate checks every other table in Z[zeta_m], and so refuses
         exponent rows that are not G's table as it refuses any table."""
-        G, rows = self.group, self.exponents
-        if rows is None or not len(set(rows)) == len(rows) == G.order:
+        G = self.group
+        m, lifted, den = self.int_rows
+        if den != 1 or set(self.degrees) != {1} or any(
+                len(v) != 1 or v[0][1] != 1 for row in lifted for v in row):
+            return False
+        rows = [tuple(v[0][0] for v in row) for row in lifted]
+        if not len(set(rows)) == len(rows) == G.order:
             return False
         cls = G.class_of
         steps = [(cls[x], cls[G.mul[x][s]], cls[s])
                  for x in range(G.order) for s in G.generators]
-        return not any((row[x] + row[s] - row[y]) % G.exponent
+        return not any((row[x] + row[s] - row[y]) % m
                        for row in rows for x, y, s in steps)
 
 
@@ -364,15 +357,11 @@ def rational_characters(table: CharacterTable) -> tuple[RationalCharacter, ...]:
     Representations, 12-13).  A table not validated may sum to class
     functions that are not characters, so the sums are checked.
     """
-    if table.exponents is not None:
-        m, den = table.group.exponent, 1
-        c = [_ramanujan_sum(m, j) for j in range(m)]
-        traces = [tuple(c[x] for x in row) for row in table.exponents]
-    else:
-        m, rows, den = table.int_rows
-        c = [_ramanujan_sum(m, j) for j in range(m)]
-        traces = [tuple(sum(a * c[j] for j, a in value) for value in row)
-                  for row in rows]
+    m, rows, den = table.int_rows
+    c = [_ramanujan_sum(m, j) for j in range(m)]
+    trace_of = {value: sum(a * c[j] for j, a in value)
+                for value in {value for row in rows for value in row}}
+    traces = [tuple([trace_of[value] for value in row]) for row in rows]
     orbits: dict[tuple[int, ...], list[int]] = {}
     for i, trace in enumerate(traces):
         orbits.setdefault(trace, []).append(i)
@@ -412,20 +401,23 @@ def permutation_character(G: QuotientGroup, C: frozenset) -> tuple[int, ...]:
                  for cls in G.classes)
 
 
-def artin_decompose(target_values, G: QuotientGroup, cyclics,
-                    column_order=None) -> tuple[Fraction, ...]:
-    """Exact coefficients expressing a rational class function as a
-    combination of permutation characters of cyclic subgroups.
+def artin_decompose(targets, G: QuotientGroup, cyclics,
+                    column_order=None) -> list[tuple[Fraction, ...]]:
+    """Exact coefficients expressing each rational class function of
+    targets as a combination of permutation characters of cyclic subgroups,
+    one tuple per target.
 
     A rational class function is fixed by its values at one generator of
     each cyclic subgroup (Serre, Linear Representations, 13.1), and at
     those classes the marks matrix is upper triangular with a positive
-    diagonal, so the system is square and nonsingular.  ``column_order``,
-    a permutation of the cyclic subgroups, orders the matrix's columns
-    and so the elimination's pivots; the coefficients do not depend on it.
-    The solution is then checked at every class, in integers over the
-    coefficients' common denominator D; a function that is not constant
-    on the Galois class orbits raises InconsistentSystem.
+    diagonal, so the system is square and nonsingular.  The permutation
+    characters and the matrix are formed once per call; each target is
+    solved on its own, as solve_linear_exact takes one right-hand side.
+    ``column_order``, a permutation of the cyclic subgroups, orders the
+    matrix's columns and so the elimination's pivots; the coefficients do
+    not depend on it.  Each solution is then checked at every class, in
+    integers over the coefficients' common denominator D; a function that
+    is not constant on the Galois class orbits raises InconsistentSystem.
     """
     perms = [permutation_character(G, sub) for _, sub in cyclics]
     order = list(range(len(perms)) if column_order is None else column_order)
@@ -433,16 +425,19 @@ def artin_decompose(target_values, G: QuotientGroup, cyclics,
         raise ValueError("column_order must be a permutation of the columns")
     rows = [G.class_of[gen] for gen, _ in cyclics]
     A = [[perms[j][cl] for j in order] for cl in rows]
-    y = solve_linear_exact(A, [target_values[cl] for cl in rows])
-    x = [q for _, q in sorted(zip(order, y))]
-    D = lcm(*(q.denominator for q in x))
-    scaled = [q.numerator * (D // q.denominator) for q in x]
-    for cl, want in enumerate(target_values):
-        got = sum(a * perm[cl] for a, perm in zip(scaled, perms))
-        if got * want.denominator != D * want.numerator:
-            raise InconsistentSystem(
-                f"no Artin decomposition: mismatch at class {cl}")
-    return tuple(x)
+    out = []
+    for target in targets:
+        y = solve_linear_exact(A, [target[cl] for cl in rows])
+        x = [q for _, q in sorted(zip(order, y))]
+        D = lcm(*(q.denominator for q in x))
+        scaled = [q.numerator * (D // q.denominator) for q in x]
+        for cl, want in enumerate(target):
+            got = sum(a * perm[cl] for a, perm in zip(scaled, perms))
+            if got * want.denominator != D * want.numerator:
+                raise InconsistentSystem(
+                    f"no Artin decomposition: mismatch at class {cl}")
+        out.append(tuple(x))
+    return out
 
 
 def parity_of(rat: RationalCharacter, G: QuotientGroup) -> str:
@@ -533,7 +528,8 @@ class QuotientPair:
         *cyclic_dims, gamma_dims = (
             tables.get(sig) or tables.setdefault(sig, DimTable(sig))
             for sig in [*sigs, sig_gamma])
-        artin = {rat: artin_decompose(rat.values, G, cyclics) for rat in rats}
+        artin = dict(zip(rats, artin_decompose(
+            [rat.values for rat in rats], G, cyclics)))
         return cls(
             gamma_spec=gamma_spec, gamma1_spec=gamma1_spec, level=level,
             gamma=gamma, gamma1=gamma1, G=G, table=table, rationals=rats,
@@ -582,8 +578,8 @@ def multiplicity_series(pair: QuotientPair, rat: RationalCharacter, kind: str,
     if 1 in ks:
         raise WeightOneUnsupported("weight 1 is not supported")
     sums = pair.table_sums[rat] if column_order is None else _table_sums(
-        artin_decompose(rat.values, pair.G, pair.cyclics,
-                        column_order=column_order), pair.cyclic_dims)
+        *artin_decompose([rat.values], pair.G, pair.cyclics,
+                         column_order=column_order), pair.cyclic_dims)
     terms = [(Fraction(n, d), t.read(kind, ks)) for t, n, d in sums]
     entries = {}
     for i, k in enumerate(ks):

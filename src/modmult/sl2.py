@@ -76,14 +76,15 @@ def sl2_group_order(n: int) -> int:
 class FiniteSubgroup:
     """A subgroup of SL2(Z/N) given by its full (sorted) element list.
 
-    own_level is, for every group realize returns, its spec's level n: the
-    group contains every matrix = I mod n, and cosets.coset_action keys its
-    cosets mod n.  Equality and hashing ignore it; a hand-built group has None.
+    own_level is a level n at which the group is defined: it contains every
+    matrix = I mod n, and cosets.coset_action keys its cosets mod n.  For
+    every group realize returns it is the spec's level.  Equality and
+    hashing ignore it.
     """
 
     level: int
     elements: tuple[Mat, ...]
-    own_level: int | None = field(default=None, compare=False)
+    own_level: int = field(compare=False)
 
     @cached_property
     def element_set(self) -> frozenset:
@@ -233,9 +234,6 @@ class QuotientGroup:
     def power(self, i: int, m: int) -> int:
         p = self.powers[i]
         return p[m % len(p)]
-
-    def element_order(self, i: int) -> int:
-        return len(self.powers[i])
 
     @cached_property
     def exponent(self) -> int:

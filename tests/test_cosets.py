@@ -29,7 +29,7 @@ def preimage_subgroup(pair, C):
     n = pair.level
     elems = {mat_mul(h, pair.G.elements[c], n)
              for c in C for h in pair.gamma1.elements}
-    return FiniteSubgroup(n, tuple(sorted(elems)))
+    return FiniteSubgroup(n, tuple(sorted(elems)), own_level=n)
 
 
 def fibre_sig(pair, C):

@@ -113,7 +113,7 @@ class TestAbelianTable:
                                        level_cap=97)))
         for G in groups:
             table = abelian_character_table(G)
-            assert (table.exponents, table.names, G.generators) == \
+            assert (exponent_rows(table), table.names, G.generators) == \
                 reference_abelian_table(G)
         assert len(groups) == 56
 
@@ -153,7 +153,7 @@ class TestS3Table:
         assert table.provenance == "BuiltinS3"
         assert sorted(table.degrees) == [1, 1, 2]
         G = table.group
-        by_order = {G.element_order(c[0]): ci for ci, c in enumerate(G.classes)}
+        by_order = {len(G.powers[c[0]]): ci for ci, c in enumerate(G.classes)}
         for name, expect in [("triv", {1: 1, 2: 1, 3: 1}),
                              ("sign", {1: 1, 2: -1, 3: 1}),
                              ("std", {1: 2, 2: 0, 3: -1})]:
@@ -462,11 +462,11 @@ class TestValidate:
     def test_irrational_inner_product(self, table13):
         G = table13.group
         c = next(ci for ci, cls in enumerate(G.classes)
-                 if G.element_order(cls[0]) == 3)
+                 if len(G.powers[cls[0]]) == 3)
         rows = [list(row) for row in table13.values]
         rows[1][c] = rows[1][c] * CycloValue(12, {1: 1})
         broken = edited(table13, rows=rows)
-        assert broken.exponents is not None
+        assert exponent_rows(broken) is not None
         with pytest.raises(OrthogonalityFailure) as err:
             broken.validate()
         assert str(err.value) == f"<triv,{table13.names[1]}> = None/12"
@@ -498,14 +498,14 @@ class TestValidate:
         G = table13.group
         iota = G.class_of[G.iota]
         c = next(ci for ci, cls in enumerate(G.classes)
-                 if G.element_order(cls[0]) == 3)
+                 if len(G.powers[cls[0]]) == 3)
         rows = [list(row) for row in table13.values]
         for row in rows:
             row[iota], row[c] = row[c], row[iota]
         name = next(n for n, row in zip(table13.names, rows)
                     if row[iota] != 1 and row[iota] != -1)
         broken = edited(table13, rows=rows)
-        assert broken.exponents is not None
+        assert exponent_rows(broken) is not None
         with pytest.raises(SchemaError) as err:
             broken.validate()
         assert str(err.value) == f"value of {name} at the -I coset is not a +-1 scalar"
@@ -526,7 +526,7 @@ class TestValidate:
             got = outcome(CharacterTable.validate, broken)
             assert got == outcome(reference_validate, broken)
             seen.add(None if got is None else got[0])
-            routes.add(broken.exponents is not None)
+            routes.add(exponent_rows(broken) is not None)
         assert OrthogonalityFailure in seen and SchemaError in seen
         assert routes == ({False, True} if table.group.is_abelian
                           else {False})
@@ -540,7 +540,7 @@ class TestRationalCharacters:
         G = diamond5.G
         # value 2 at the identity, -2 at the order-2 element, 0 elsewhere
         for ci, cls in enumerate(G.classes):
-            order = G.element_order(cls[0])
+            order = len(G.powers[cls[0]])
             expect = {1: 2, 2: -2}.get(order, 0)
             assert orbit.values[ci] == expect
 
@@ -577,9 +577,9 @@ class TestRationalCharacters:
         # G = Z/6, every row of degree 1
         table = diamond7.table
         assert table.names == ("triv", "chi1", "chi2", "chi3", "chi4", "chi5")
-        assert table.exponents[3] == (0, 3, 0, 0, 3, 3)
+        assert exponent_rows(table)[3] == (0, 3, 0, 0, 3, 3)
         thirds = tuple(CycloValue.from_rational(Fraction(-1, 3) if x else 1)
-                       for x in table.exponents[3])
+                       for x in exponent_rows(table)[3])
         broken = CharacterTable(
             table.group, tuple(f"row{n}" for n in range(len(rows))),
             (1,) * len(rows),
@@ -718,13 +718,13 @@ class TestGaloisOrbitsFromPowerMaps:
         assert got == [(r.names, r.values) for r in rational_characters(table)]
 
     def test_exponent_keys_match_loaded_table(self, table_of_pair):
-        # an abelian table is keyed by its exponent rows, built in or read
-        # from a document; the S3 table by its Z[zeta_m] coordinates
+        # an abelian table has exponent rows, built in or read from a
+        # document, and the S3 table has none; both sum to the same orbits
         table = table_of_pair
         G = table.group
-        assert (table.exponents is not None) == G.is_abelian
+        assert (exponent_rows(table) is not None) == G.is_abelian
         loaded = load_character_table(table_to_doc(table), G)
-        assert loaded.exponents == table.exponents
+        assert exponent_rows(loaded) == exponent_rows(table)
         assert rational_characters(loaded) == rational_characters(table)
 
     def test_square_marks_matrix_is_triangular(self, table_of_pair):
@@ -753,6 +753,17 @@ def as_sums(table):
                                        for row in table.values))
 
 
+def exponent_rows(table):
+    """The table's exponent rows, each value zeta_m^x read from int_rows as
+    x, or None if a degree is not 1, the denominator is not 1 or a value is
+    not a single root of unity."""
+    m, rows, den = table.int_rows
+    if den != 1 or set(table.degrees) != {1} or any(
+            len(v) != 1 or v[0][1] != 1 for row in rows for v in row):
+        return None
+    return tuple(tuple(v[0][0] for v in row) for row in rows)
+
+
 def with_exponent_rows(table, rows):
     """table with values zeta_e to the given rows, e = exp G."""
     e = table.group.exponent
@@ -768,9 +779,9 @@ def table97():
 
 
 class TestExponentRows:
-    """A table with exponent rows is checked and summed from them; the
-    CycloValue oracles reference_validate and reference_rational_characters
-    are the check."""
+    """A table with exponent rows is checked from them and summed from its
+    int_rows, as every table is; the CycloValue oracles reference_validate
+    and reference_rational_characters are the check."""
 
     @pytest.mark.parametrize("k0,n0,k1,n1", PAIRS,
                              ids=[f"{a}:{b}/{c}:{d}" for a, b, c, d in PAIRS])
@@ -781,11 +792,11 @@ class TestExponentRows:
         G = pair_quotient(SubgroupSpec(k0, n0), SubgroupSpec(k1, n1))
         if not G.is_abelian:
             if G.order == 6:
-                assert character_table_for(G).exponents is None
+                assert exponent_rows(character_table_for(G)) is None
             return
         table = character_table_for(G)
         assert table.provenance == "BuiltinAbelian"
-        assert len(table.exponents) == G.order
+        assert len(exponent_rows(table)) == G.order
         if G.order <= 8:
             assert outcome(reference_validate, table) is None
         assert [(r.names, r.values) for r in rational_characters(table)] == \
@@ -795,14 +806,14 @@ class TestExponentRows:
         # zeta_3e lies outside the field |G| * exp G that validate allows
         if G.order >= 3:
             sums = as_sums(table)
-            assert sums.exponents is None
+            assert exponent_rows(sums) is None
             sums.validate()
             assert rational_characters(sums) == rational_characters(table)
 
     def test_same_rational_characters_at_level_97(self, table97):
         # the CycloValue oracle would take minutes: the power-map search is
         # the check, on the roots of unity and on the values written as sums
-        assert table97.exponents is not None and table97.group.order == 96
+        assert exponent_rows(table97) is not None and table97.group.order == 96
         for table in (table97, as_sums(table97)):
             got = [(r.names, r.values) for r in rational_characters(table)]
             assert got == power_map_orbits(table)
@@ -816,8 +827,29 @@ class TestExponentRows:
                                 calls.append(name))
         loaded = load_character_table(table_to_doc(table97), table97.group)
         assert calls == []
-        assert loaded.exponents == table97.exponents
+        assert exponent_rows(loaded) == exponent_rows(table97)
         assert rational_characters(loaded) == rational_characters(table97)
+
+    def test_rows_in_a_larger_field_run_no_cyclotomic_check(
+            self, table13, monkeypatch):
+        # Z/12's table with each zeta_12^x written as zeta_24^(2x): its
+        # exponent rows are homomorphisms G -> Z/24, read from int_rows
+        doc = table_to_doc(table13)
+        for ch, row in zip(doc["characters"], table13.values):
+            ch["values"] = [{"order": 24,
+                             "coeffs": {str(2 * x): "1" for x in v.coeffs}}
+                            for v in row]
+        calls = []
+        for name in ("_check_gram_matrix", "_check_class_algebra"):
+            monkeypatch.setattr(CharacterTable, name,
+                                lambda self, *rows, name=name:
+                                calls.append(name))
+        wide = load_character_table(doc, table13.group)
+        assert calls == []
+        assert wide.int_rows[0] == 24
+        assert exponent_rows(wide) == tuple(
+            tuple(2 * x for x in row) for row in exponent_rows(table13))
+        assert rational_characters(wide) == rational_characters(table13)
 
     @pytest.mark.parametrize("fault", ["not a homomorphism", "duplicated row",
                                        "-I exponent not 0 or e/2"])
@@ -825,7 +857,7 @@ class TestExponentRows:
         G = table13.group
         e = G.exponent
         iota = G.class_of[G.iota]
-        rows = [list(row) for row in table13.exponents]
+        rows = [list(row) for row in exponent_rows(table13)]
         if fault == "not a homomorphism":
             c = next(ci for ci in range(len(G.classes))
                      if ci not in (G.class_of[G.identity], iota))
@@ -836,7 +868,7 @@ class TestExponentRows:
             assert rows[5][iota] in (0, e // 2)
             rows[5][iota] = e // 4
         broken = with_exponent_rows(table13, rows)
-        assert broken.exponents == tuple(map(tuple, rows))
+        assert exponent_rows(broken) == tuple(map(tuple, rows))
         got = outcome(CharacterTable.validate, broken)
         assert got is not None
         assert got == outcome(reference_validate, broken)
@@ -848,7 +880,7 @@ class TestExponentRows:
         G = pair_quotient(SubgroupSpec("gamma", 12), SubgroupSpec("gamma", 24))
         table = character_table_for(G)
         s, a, _ = G.generators
-        rows = [list(row) for row in table.exponents]
+        rows = [list(row) for row in exponent_rows(table)]
         ca, cas = G.class_of[a], G.class_of[G.mul[a][s]]
         for row in rows:
             row[ca], row[cas] = row[cas], row[ca]
@@ -873,11 +905,11 @@ class TestExponentRows:
             table = character_table_for(G)
             e, iota = G.exponent, G.class_of[G.iota]
             for r in range(e):
-                rows = [list(row) for row in table.exponents]
+                rows = [list(row) for row in exponent_rows(table)]
                 for row in rows:
                     row[iota] = (row[iota] + r) % e
                 moved = with_exponent_rows(table, rows)
-                assert moved.exponents is not None
+                assert exponent_rows(moved) is not None
                 got = outcome(CharacterTable.validate, moved)
                 if G.order <= 8:
                     assert got == outcome(reference_validate, moved)
@@ -889,8 +921,8 @@ class TestExponentRows:
 
 
 class TestIntegerRows:
-    """A table on the Z[zeta_m] route is lifted to integer rows once, for
-    validate and rational_characters both."""
+    """Every table is lifted to integer rows once, for validate and
+    rational_characters both, on either route."""
 
     @pytest.fixture
     def lifts(self, monkeypatch):
@@ -905,13 +937,21 @@ class TestIntegerRows:
     def test_s3_pair_lifts_its_table_once(self, lifts):
         pair = QuotientPair.build(SubgroupSpec("full", 1),
                                   SubgroupSpec("gamma", 2))
-        assert pair.table.exponents is None
+        assert exponent_rows(pair.table) is None
         assert lifts == [3]
+
+    def test_abelian_pair_lifts_its_table_once(self, lifts):
+        pair = QuotientPair.build(SubgroupSpec("gamma0", 13),
+                                  SubgroupSpec("gamma1", 13))
+        assert lifts == [12]
+        # the exponent rows are read from that lift, with no other
+        assert exponent_rows(pair.table) is not None
+        assert lifts == [12]
 
     def test_table_file_lifted_once(self, table13, lifts):
         loaded = load_character_table(table_to_doc(as_sums(table13)),
                                       table13.group)
-        assert loaded.exponents is None
+        assert exponent_rows(loaded) is None
         assert rational_characters(loaded) == rational_characters(table13)
         assert lifts == [12]
 
@@ -927,7 +967,7 @@ def swapped_columns_doc(gamma, gamma1, orders, sums=False):
     picked = []
     for order in orders:
         picked.append(next(ci for ci, cls in enumerate(G.classes)
-                           if G.element_order(cls[0]) == order
+                           if len(G.powers[cls[0]]) == order
                            and cls[0] != G.iota and ci not in picked))
     a, b = picked
     for ch in doc["characters"]:
@@ -973,7 +1013,7 @@ class TestClassAlgebra:
         for sums in (False, True) if G.order >= 3 else (False,):
             doc = table_to_doc(as_sums(table) if sums else table)
             loaded = load_character_table(doc, G)
-            assert (loaded.exponents is None) == sums
+            assert (exponent_rows(loaded) is None) == sums
             assert loaded.names == table.names
             assert rational_characters(loaded) == rational_characters(table)
 
@@ -1040,7 +1080,7 @@ class TestPermutationCharacter:
                   if len(s) == 2)
         vals = permutation_character(G, c2)
         for ci, cls in enumerate(G.classes):
-            order = G.element_order(cls[0])
+            order = len(G.powers[cls[0]])
             assert vals[ci] == (2 if order in (1, 2) else 0)
 
     def test_s3_c2(self, s3pair):
@@ -1048,7 +1088,7 @@ class TestPermutationCharacter:
         c2 = next(s for _, s in cyclic_subgroups_up_to_conjugacy(G)
                   if len(s) == 2)
         vals = permutation_character(G, c2)
-        by_order = {G.element_order(c[0]): ci for ci, c in enumerate(G.classes)}
+        by_order = {len(G.powers[c[0]]): ci for ci, c in enumerate(G.classes)}
         assert vals[by_order[1]] == 3
         assert vals[by_order[2]] == 1
         assert vals[by_order[3]] == 0
@@ -1065,25 +1105,26 @@ class TestArtin:
         cy = cyclic_subgroups_up_to_conjugacy(G)
         assert [len(s) for _, s in cy] == [1, 2, 4]
         orbit = next(r for r in diamond5.rationals if r.orbit_size == 2)
-        coeffs = artin_decompose(orbit.values, G, cy)
-        assert coeffs == (1, -1, 0)
+        assert artin_decompose([orbit.values], G, cy) == [(1, -1, 0)]
 
     def test_s3(self, s3pair):
         G = s3pair.G
         cy = cyclic_subgroups_up_to_conjugacy(G)
         assert [len(s) for _, s in cy] == [1, 2, 3]
         by_name = {r.label: r for r in s3pair.rationals}
-        assert artin_decompose(by_name["triv"].values, G, cy) == \
-            (Fraction(-1, 2), 1, Fraction(1, 2))
-        assert artin_decompose(by_name["std"].values, G, cy) == \
-            (Fraction(1, 2), 0, Fraction(-1, 2))
+        targets = [by_name[name].values for name in ("triv", "std")]
+        assert artin_decompose(targets, G, cy) == [
+            (Fraction(-1, 2), 1, Fraction(1, 2)),
+            (Fraction(1, 2), 0, Fraction(-1, 2))]
 
     def test_resubstitution(self, diamond7):
         G = diamond7.G
         cy = diamond7.cyclics
         perms = [permutation_character(G, s) for _, s in cy]
-        for rat in diamond7.rationals:
-            coeffs = artin_decompose(rat.values, G, cy)
+        rats = diamond7.rationals
+        solved = artin_decompose([rat.values for rat in rats], G, cy)
+        assert len(solved) == len(rats)
+        for rat, coeffs in zip(rats, solved):
             for ci in range(len(G.classes)):
                 total = sum(q * perms[j][ci] for j, q in enumerate(coeffs))
                 assert total == rat.values[ci]
@@ -1097,18 +1138,18 @@ class TestArtin:
                                       SubgroupSpec(k1, n1))
             if len(pair.cyclics) > 5:
                 continue
+            targets = [rat.values for rat in pair.rationals]
             for order in permutations(range(len(pair.cyclics))):
-                for rat in pair.rationals:
-                    assert artin_decompose(rat.values, pair.G, pair.cyclics,
-                                           column_order=order) \
-                        == pair.artin[rat]
+                assert artin_decompose(targets, pair.G, pair.cyclics,
+                                       column_order=order) \
+                    == [pair.artin[rat] for rat in pair.rationals]
 
     def test_column_order_must_permute_the_columns(self, diamond5):
         G = diamond5.G
         values = diamond5.rationals[0].values
         for order in ([0, 1], [0, 0, 1], [0, 1, 3]):
             with pytest.raises(ValueError, match="permutation of the columns"):
-                artin_decompose(values, G, diamond5.cyclics,
+                artin_decompose([values], G, diamond5.cyclics,
                                 column_order=order)
 
     def test_not_constant_on_galois_class_orbits(self, diamond5):
@@ -1116,10 +1157,10 @@ class TestArtin:
         # that tells them apart is not a rational character
         G = diamond5.G
         order4 = [ci for ci, cls in enumerate(G.classes)
-                  if G.element_order(cls[0]) == 4]
+                  if len(G.powers[cls[0]]) == 4]
         values = [Fraction(ci == order4[0]) for ci in range(len(G.classes))]
         with pytest.raises(InconsistentSystem):
-            artin_decompose(values, G, diamond5.cyclics)
+            artin_decompose([values], G, diamond5.cyclics)
 
     @pytest.mark.parametrize("pair", TABLE_PAIRS,
                              ids=lambda p: f"{p[0].label()}/{p[1].label()}")
@@ -1139,11 +1180,11 @@ class TestArtin:
                    if sum(q * perm[cl] for q, perm in zip(x, perms)) != want]
             if bad:
                 with pytest.raises(InconsistentSystem) as err:
-                    artin_decompose(values, G, cy)
+                    artin_decompose([values], G, cy)
                 assert str(err.value) == \
                     f"no Artin decomposition: mismatch at class {bad[0]}"
             else:
-                assert artin_decompose(values, G, cy) == tuple(x)
+                assert artin_decompose([values], G, cy) == [tuple(x)]
             outcomes.add(bool(bad))
         # Z/12 has classes that are Galois conjugate and classes that are not
         if G.order == 12:
@@ -1310,7 +1351,8 @@ class TestSignatureCache:
                 elems = {mat_mul(h, pair.G.elements[c], pair.level)
                          for c in sub for h in pair.gamma1.elements}
                 assert fibre_sig(pair, sub) == subgroup_signature(
-                    FiniteSubgroup(pair.level, tuple(sorted(elems))))
+                    FiniteSubgroup(pair.level, tuple(sorted(elems)),
+                                   own_level=pair.level))
 
 
 class TestSignatureHash:
@@ -1383,7 +1425,7 @@ def series_from_dims(pair, rat, kind, weights):
     """Reference multiplicities, summed straight from dims at every weight
     with the Artin coefficients solved afresh."""
     from modmult.dimensions import dims
-    coeffs = artin_decompose(rat.values, pair.G, pair.cyclics)
+    coeffs, = artin_decompose([rat.values], pair.G, pair.cyclics)
     sigs = [fibre_sig(pair, sub) for _, sub in pair.cyclics]
     return {k: int(sum(q * dims(sig, k).kind(kind)
                        for q, sig in zip(coeffs, sigs)))
@@ -1756,8 +1798,9 @@ class TestDimensionTable:
 
 
 class TestArtinSolves:
-    """build solves each character's Artin coefficients once, M and S
-    share them, and a given column order solves afresh with that order."""
+    """build forms the marks matrix once and solves each character's Artin
+    coefficients once, M and S share them, and a given column order solves
+    afresh with that order."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -1792,6 +1835,24 @@ class TestArtinSolves:
         assert len(report["reps"]) == 2 * 3  # M and S
         assert solves == natural
 
+    def test_build_forms_the_marks_matrix_once(self, solves, monkeypatch):
+        # Z/28: 6 cyclic subgroups and 6 rational characters, each
+        # permutation character formed once and one solve per character
+        import modmult.reps as reps
+        perms = []
+        original = reps.permutation_character
+
+        def counted(G, C):
+            perms.append(C)
+            return original(G, C)
+
+        monkeypatch.setattr(reps, "permutation_character", counted)
+        pair = QuotientPair.build(SubgroupSpec("gamma0", 29),
+                                  SubgroupSpec("gamma1", 29))
+        assert len(pair.cyclics) == len(pair.rationals) == 6
+        assert perms == [sub for _, sub in pair.cyclics]
+        assert solves == [list(range(6))] * 6
+
     def test_column_order_solves_afresh(self, solves):
         pair = QuotientPair.build(SubgroupSpec("gamma0", 7),
                                   SubgroupSpec("gamma1", 7))
@@ -1806,8 +1867,8 @@ class TestArtinSolves:
             assert solves == [reverse] * 4
             assert series[0].entries == series[2].entries
             assert series[1].entries == series[3].entries
-            assert pair.artin[rat] == artin_decompose(
-                rat.values, pair.G, pair.cyclics, column_order=reverse)
+            assert [pair.artin[rat]] == artin_decompose(
+                [rat.values], pair.G, pair.cyclics, column_order=reverse)
 
 
 def sym_power_multiplicities(m):

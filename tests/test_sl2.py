@@ -290,7 +290,7 @@ class TestQuotient:
         g1 = realize(SubgroupSpec("gamma1", 5))
         G = quotient(g, g1)
         assert G.order == 4
-        assert any(G.element_order(i) == 4 for i in range(4))  # cyclic
+        assert any(len(G.powers[i]) == 4 for i in range(4))  # cyclic
         assert G.iota is not None and G.iota != G.identity
         assert not G.iota_trivial
         assert G.elements[G.iota][3] % 5 == 4  # d-entry of the -I coset
@@ -401,7 +401,6 @@ class TestPowers:
                 assert G.powers[i] == tuple(products), (label, i)
                 order = len(products)
                 orders.append(order)
-                assert G.element_order(i) == order
                 for m in range(-2 * order, 2 * order + 1):
                     # i^m for m < 0 is a product of -m copies of i^-1
                     base, want = (i if m >= 0 else G.inv[i]), G.identity
