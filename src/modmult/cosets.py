@@ -5,7 +5,6 @@ regular/irregular cusp classification and the area constant c.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -20,8 +19,7 @@ class NonIntegralGenus(ModmultError):
     no subgroup of SL2(Z) has these branch data."""
 
 
-@dataclass(frozen=True)
-class PermutationAction:
+class PermutationAction(NamedTuple):
     """Right-multiplication action of S and T on projective cosets of K in
     SL2(Z/N), with a representative of each coset."""
 
@@ -38,7 +36,6 @@ class CuspDatum(NamedTuple):
     regular: bool
 
 
-@dataclass(frozen=True)
 class Signature:
     """Branch data of a finite-index subgroup of SL2(Z): its numbers of
     elliptic points of order 2 and 3, its cusps and whether it holds -I.
@@ -46,13 +43,30 @@ class Signature:
     is the sum of the cusp widths, mu_sl is mu_proj with -I and 2 mu_proj
     without, and the genus is 1 + mu_proj/12 - nu2/4 - nu3/3 - t/2.
     A signature read from a coset table keeps the branch points it counts;
-    they are neither compared nor hashed."""
+    its equality, hash and repr read the other four fields alone."""
 
-    nu2: int
-    nu3: int
-    cusps: tuple[CuspDatum, ...]
-    minus_I: bool
-    branch: BranchPoints | None = field(default=None, compare=False, repr=False)
+    def __init__(self, nu2: int, nu3: int, cusps: tuple[CuspDatum, ...],
+                 minus_I: bool, branch: BranchPoints | None = None):
+        if not cusps:
+            raise ValueError("every finite-index subgroup of SL2(Z) has a cusp")
+        if minus_I and any(not c.regular for c in cusps):
+            raise ValueError("irregular cusps require -I absent")
+        self.nu2, self.nu3, self.cusps, self.minus_I = nu2, nu3, cusps, minus_I
+        self.branch = branch
+        self.genus  # refuses branch data with no genus
+
+    def __eq__(self, other):
+        if other.__class__ is not Signature:
+            return NotImplemented
+        return ((self.nu2, self.nu3, self.cusps, self.minus_I)
+                == (other.nu2, other.nu3, other.cusps, other.minus_I))
+
+    def __hash__(self):
+        return hash((self.nu2, self.nu3, self.cusps, self.minus_I))
+
+    def __repr__(self):
+        return (f"Signature(nu2={self.nu2!r}, nu3={self.nu3!r}, "
+                f"cusps={self.cusps!r}, minus_I={self.minus_I!r})")
 
     @property
     def t(self) -> int:
@@ -83,13 +97,6 @@ class Signature:
     @cached_property
     def eps_irr(self) -> int:
         return sum(1 for c in self.cusps if not c.regular)
-
-    def __post_init__(self):
-        if not self.cusps:
-            raise ValueError("every finite-index subgroup of SL2(Z) has a cusp")
-        if self.minus_I and any(not c.regular for c in self.cusps):
-            raise ValueError("irregular cusps require -I absent")
-        self.genus  # refuses branch data with no genus
 
 
 def _coset_table(size: int, acting, key: slice, n: int, m: int):
@@ -168,8 +175,7 @@ def _cycles(perm):
     return out
 
 
-@dataclass(frozen=True)
-class BranchPoints:
+class BranchPoints(NamedTuple):
     """The elliptic points and cusps of a group, each with the generator of
     its stabiliser, as a matrix or as its image in a quotient."""
 

@@ -4,7 +4,7 @@ over one quasi-period.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import ModmultError
 from .cosets import Signature
@@ -18,8 +18,7 @@ class OddOrderViolation(ModmultError, ValueError):
     """Odd weight without -I requires no elliptic point of order 2."""
 
 
-@dataclass(frozen=True)
-class DimResult:
+class DimResult(NamedTuple):
     dim_M: int
     dim_S: int
 

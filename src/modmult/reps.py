@@ -4,10 +4,10 @@ dimensions over cyclic subgroups plus Artin-induction linear algebra.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from . import ModmultError
 from .cosets import (Signature, area_constant_c, fibre_signature,
@@ -45,7 +45,6 @@ class CharacterTableRequired(ModmultError, ValueError):
     """Nonabelian quotient without a built-in or user-supplied table."""
 
 
-@dataclass(frozen=True)
 class CharacterTable:
     """Exact character data of G, values indexed by G's conjugacy classes.
 
@@ -55,11 +54,11 @@ class CharacterTable:
     zeta_m^x has exponent rows x: validate accepts rows that are |G|
     distinct homomorphisms G -> Z/m without the Z[zeta_m] checks."""
 
-    group: QuotientGroup
-    names: tuple[str, ...]
-    degrees: tuple[int, ...]
-    values: tuple[tuple[CycloValue, ...], ...]
-    provenance: str
+    def __init__(self, group: QuotientGroup, names: tuple[str, ...],
+                 degrees: tuple[int, ...],
+                 values: tuple[tuple[CycloValue, ...], ...], provenance: str):
+        self.group, self.names, self.degrees = group, names, degrees
+        self.values, self.provenance = values, provenance
 
     @cached_property
     def int_rows(self):
@@ -321,8 +320,7 @@ def _table_required(order: int) -> CharacterTableRequired:
         f"nonabelian quotient of order {order}: supply a character table")
 
 
-@dataclass(frozen=True)
-class RationalCharacter:
+class RationalCharacter(NamedTuple):
     """A Galois orbit of characters; the orbit-summed values are rational."""
 
     names: tuple[str, ...]
@@ -455,8 +453,7 @@ def parity_of(rat: RationalCharacter, G: QuotientGroup) -> str:
     raise ValueError("orbit members do not share a parity")
 
 
-@dataclass(frozen=True)
-class MultiplicitySeries:
+class MultiplicitySeries(NamedTuple):
     """k -> multiplicity of a character (or Galois-orbit total) in M_k or S_k."""
 
     rep_label: str
@@ -472,36 +469,33 @@ class MultiplicitySeries:
         return self.degree * self.orbit_size
 
 
-@dataclass(frozen=True)
 class QuotientPair:
     """The pair (Gamma, Gamma1) with everything the engine derives from it,
     built by build and only read after, but for _gamma_m: the monitor
     writes its read of Gamma's dimensions there."""
 
-    gamma_spec: SubgroupSpec
-    gamma1_spec: SubgroupSpec
-    level: int
-    gamma: FiniteSubgroup
-    gamma1: FiniteSubgroup
-    G: QuotientGroup
-    table: CharacterTable
-    rationals: tuple[RationalCharacter, ...]
-    cyclics: list
-    sig_gamma: Signature
-    c: Fraction
-    # each rational character -> its Artin coefficients over cyclics
-    artin: dict = field(repr=False)
-    # the DimTable of each Gamma_C, aligned with cyclics, and Gamma's: dims
-    # reads a signature alone, so the groups that share one share its table
-    cyclic_dims: tuple = field(repr=False)
-    gamma_dims: DimTable = field(repr=False)
-    # each rational character -> its Artin coefficients summed per table
-    # (_table_sums): characters with equal sums have equal series
-    table_sums: dict = field(repr=False)
-    # parity class -> (kmax, {j: dim M_j(Gamma)} at its weights j in
-    # [4, kmax]), the latest kmax the lower-bound monitor read it at
-    _gamma_m: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
+    def __init__(self, gamma_spec: SubgroupSpec, gamma1_spec: SubgroupSpec,
+                 level: int, gamma: FiniteSubgroup, gamma1: FiniteSubgroup,
+                 G: QuotientGroup, table: CharacterTable,
+                 rationals: tuple[RationalCharacter, ...], cyclics: list,
+                 sig_gamma: Signature, c: Fraction, artin: dict,
+                 cyclic_dims: tuple, gamma_dims: DimTable, table_sums: dict):
+        self.gamma_spec, self.gamma1_spec = gamma_spec, gamma1_spec
+        self.level, self.gamma, self.gamma1 = level, gamma, gamma1
+        self.G, self.table, self.rationals = G, table, rationals
+        self.cyclics, self.sig_gamma, self.c = cyclics, sig_gamma, c
+        # each rational character -> its Artin coefficients over cyclics
+        self.artin = artin
+        # the DimTable of each Gamma_C, aligned with cyclics, and Gamma's:
+        # dims reads a signature alone, so the groups that share one share
+        # its table
+        self.cyclic_dims, self.gamma_dims = cyclic_dims, gamma_dims
+        # each rational character -> its Artin coefficients summed per
+        # table (_table_sums): characters with equal sums have equal series
+        self.table_sums = table_sums
+        # parity class -> (kmax, {j: dim M_j(Gamma)} at its weights j in
+        # [4, kmax]), the latest kmax the lower-bound monitor read it at
+        self._gamma_m = {}
 
     @classmethod
     def build(cls, gamma_spec: SubgroupSpec, gamma1_spec: SubgroupSpec,

@@ -4,7 +4,6 @@ cyclic subgroups and power maps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm
 
@@ -72,19 +71,17 @@ def sl2_group_order(n: int) -> int:
     return order
 
 
-@dataclass(frozen=True)
 class FiniteSubgroup:
     """A subgroup of SL2(Z/N) given by its full (sorted) element list.
 
     own_level is a level n at which the group is defined: it contains every
     matrix = I mod n, and cosets.coset_action keys its cosets mod n.  For
-    every group realize returns it is the spec's level.  Equality and
-    hashing ignore it.
+    every group realize returns it is the spec's level.  A group is equal
+    only to itself.
     """
 
-    level: int
-    elements: tuple[Mat, ...]
-    own_level: int = field(compare=False)
+    def __init__(self, level: int, elements: tuple[Mat, ...], own_level: int):
+        self.level, self.elements, self.own_level = level, elements, own_level
 
     @cached_property
     def element_set(self) -> frozenset:
@@ -129,23 +126,30 @@ def _congruence_elements(m: int, n: int, a0: int | None, b0: int | None,
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class SubgroupSpec:
     """Specification of a finite-index subgroup of SL2(Z) by congruence data.
 
     kind is one of "full" (all of SL2(Z)), "gamma0", "gamma1", "gamma"
     (principal), or "custom" (generated closure of explicit matrices).
+    Two specs are equal when their kind, level and generators are.
     """
 
-    kind: str
-    level: int = 1
-    generators: tuple[Mat, ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in ("full", "gamma0", "gamma1", "gamma", "custom"):
-            raise ValueError(f"unknown subgroup kind {self.kind!r}")
-        if self.level < 1:
+    def __init__(self, kind: str, level: int = 1,
+                 generators: tuple[Mat, ...] = ()):
+        if kind not in ("full", "gamma0", "gamma1", "gamma", "custom"):
+            raise ValueError(f"unknown subgroup kind {kind!r}")
+        if level < 1:
             raise ValueError("level must be positive")
+        self.kind, self.level, self.generators = kind, level, generators
+
+    def __eq__(self, other):
+        if other.__class__ is not SubgroupSpec:
+            return NotImplemented
+        return ((self.kind, self.level, self.generators)
+                == (other.kind, other.level, other.generators))
+
+    def __hash__(self):
+        return hash((self.kind, self.level, self.generators))
 
     def label(self) -> str:
         if self.kind == "full":
@@ -199,23 +203,22 @@ def realize(spec: SubgroupSpec, at_level: int | None = None,
         own_level=n)
 
 
-@dataclass(frozen=True)
 class QuotientGroup:
     """The finite quotient G = Gamma/Gamma1 on canonical coset representatives."""
 
-    level: int
-    elements: tuple[Mat, ...]
-    mul: tuple[tuple[int, ...], ...]
-    inv: tuple[int, ...]
-    identity: int
-    classes: tuple[tuple[int, ...], ...]
-    class_of: tuple[int, ...]
-    iota: int | None
-    iota_trivial: bool
-    # powers[i] = (1, i, i^2, ..., i^(ord i - 1))
-    powers: tuple[tuple[int, ...], ...]
-    # every element of Gamma -> the index of its coset
-    coset_of: dict = field(repr=False, compare=False)
+    def __init__(self, level: int, elements: tuple[Mat, ...],
+                 mul: tuple[tuple[int, ...], ...], inv: tuple[int, ...],
+                 identity: int, classes: tuple[tuple[int, ...], ...],
+                 class_of: tuple[int, ...], iota: int | None,
+                 iota_trivial: bool, powers: tuple[tuple[int, ...], ...],
+                 coset_of: dict):
+        self.level, self.elements, self.mul, self.inv = level, elements, mul, inv
+        self.identity, self.classes, self.class_of = identity, classes, class_of
+        self.iota, self.iota_trivial = iota, iota_trivial
+        # powers[i] = (1, i, i^2, ..., i^(ord i - 1))
+        self.powers = powers
+        # every element of Gamma -> the index of its coset
+        self.coset_of = coset_of
 
     @property
     def order(self) -> int:

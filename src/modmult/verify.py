@@ -4,8 +4,8 @@ lower-bound monitor, and the structured PASS/FAIL report.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import ModmultError, __version__
 from .cosets import area_constant_c
@@ -38,29 +38,26 @@ class IdentityViolation(ModmultError):
     """The exact decomposition identity sum(deg * mult) = dim failed."""
 
 
-@dataclass(frozen=True)
 class VerificationConfig:
-    gamma_spec: SubgroupSpec
-    gamma1_spec: SubgroupSpec
-    kmax: int = 100
-    offset_bound: int = 24          # even offsets only
-    table_source: object = None
-    level_cap: int = DEFAULT_LEVEL_CAP
-
-    def __post_init__(self):
-        if self.offset_bound < 0 or self.offset_bound % 2:
+    def __init__(self, gamma_spec: SubgroupSpec, gamma1_spec: SubgroupSpec,
+                 kmax: int = 100, offset_bound: int = 24,  # even offsets only
+                 table_source: object = None,
+                 level_cap: int = DEFAULT_LEVEL_CAP):
+        if offset_bound < 0 or offset_bound % 2:
             raise InvalidOffsetBound(
-                f"offset bound must be even and >= 0, got {self.offset_bound}")
-        if self.kmax > MAX_WEIGHTS:
+                f"offset bound must be even and >= 0, got {offset_bound}")
+        if kmax > MAX_WEIGHTS:
             raise TooManyWeights(
-                f"kmax {self.kmax} asks for more than {MAX_WEIGHTS} weights")
-        if self.kmax < 5 + 3 * PERIOD:
+                f"kmax {kmax} asks for more than {MAX_WEIGHTS} weights")
+        if kmax < 5 + 3 * PERIOD:
             raise WindowTooSmall(
-                f"kmax {self.kmax} below slope window bound {5 + 3 * PERIOD}")
+                f"kmax {kmax} below slope window bound {5 + 3 * PERIOD}")
+        self.gamma_spec, self.gamma1_spec = gamma_spec, gamma1_spec
+        self.kmax, self.offset_bound = kmax, offset_bound
+        self.table_source, self.level_cap = table_source, level_cap
 
 
-@dataclass(frozen=True)
-class SlopeReport:
+class SlopeReport(NamedTuple):
     rep_label: str
     kind: str
     parity_class: str
@@ -74,8 +71,7 @@ class SlopeReport:
     liminf_holds: bool
 
 
-@dataclass(frozen=True)
-class LowerBoundReport:
+class LowerBoundReport(NamedTuple):
     rep_label: str
     kind: str
     offset: int | None              # minimal even offset, None when not found
@@ -244,7 +240,7 @@ def run_verify(config: VerificationConfig) -> dict:
                                         config.kmax).offset,
                     parity_ok)
             slope, offset, parity_ok = done
-            slope = replace(slope, rep_label=rat.label)
+            slope = slope._replace(rep_label=rat.label)
             if not slope.exact_match:
                 findings.append(f"slope mismatch: {kind}/{rat.label}")
             if offset is None:

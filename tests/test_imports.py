@@ -1,9 +1,14 @@
-"""Every name a module of modmult imports is read in it.
+"""Every name a module of modmult imports is read in it, and importing
+modmult.cli loads no module that only code generation needs.
 
-modmult/__init__.py is left out: its imports are the public API.  An
-import kept for another reason carries ``# noqa: F401`` on its line.
+modmult/__init__.py is left out of the first check: its imports are the
+public API.  An import kept for another reason carries ``# noqa: F401`` on
+its line.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +50,20 @@ def test_unused_names_are_found():
               "class A:\n"
               "    pair: QuotientPair\n")
     assert unused_imports(source) == ["field", "os", "parity_of"]
+
+
+def test_cli_import_loads_no_code_generators():
+    """Importing modmult.cli loads none of the modules that building
+    dataclasses needs.  The child takes the difference of sys.modules
+    itself, so what site and pytest load does not count."""
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "import modmult.cli\n"
+              "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    added = set(out.split())
+    assert "modmult.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect", "ast", "dis"})

@@ -2,7 +2,6 @@ import json
 import random
 import re
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -749,8 +748,9 @@ def as_sums(table):
             coeffs[3 * j + o] = coeffs.get(3 * j + o, 0) - c
             coeffs[3 * j + 2 * o] = coeffs.get(3 * j + 2 * o, 0) - c
         return CycloValue(3 * o, coeffs)
-    return replace(table, values=tuple(tuple(map(as_sum, row))
-                                       for row in table.values))
+    return CharacterTable(table.group, table.names, table.degrees,
+                          tuple(tuple(map(as_sum, row))
+                                for row in table.values), table.provenance)
 
 
 def exponent_rows(table):
@@ -767,8 +767,9 @@ def exponent_rows(table):
 def with_exponent_rows(table, rows):
     """table with values zeta_e to the given rows, e = exp G."""
     e = table.group.exponent
-    return replace(table, values=tuple(
-        tuple(CycloValue(e, {x: 1}) for x in row) for row in rows))
+    return CharacterTable(table.group, table.names, table.degrees, tuple(
+        tuple(CycloValue(e, {x: 1}) for x in row) for row in rows),
+        table.provenance)
 
 
 @pytest.fixture(scope="module")
@@ -1586,8 +1587,8 @@ class TestDimensionTable:
             for n in range(3, 1003):
                 series = multiplicity_series(pair, rat, "M", range(2, n))
                 # the same weights of the series of a freshly built pair
-                assert series == replace(
-                    own, entries={k: own.entries[k] for k in range(2, n)})
+                assert series == own._replace(
+                    entries={k: own.entries[k] for k in range(2, n)})
             del series
             gc.collect()
             kept = tracemalloc.get_traced_memory()[0] - before

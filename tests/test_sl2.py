@@ -214,6 +214,9 @@ class TestRealizeFromConditions:
         for m in (0, -5):
             with pytest.raises(ValueError, match="^level must be positive$"):
                 realize(SubgroupSpec(kind, 5), at_level=m)
+        with pytest.raises(ValueError,
+                           match="^unknown subgroup kind 'bogus'$"):
+            SubgroupSpec("bogus", 5)
         with pytest.raises(ValueError, match="must be a multiple"):
             realize(SubgroupSpec(kind, 5), at_level=12)
         assert realize(SubgroupSpec(kind, 31), level_cap=31).level == 31

@@ -3,7 +3,6 @@ import io
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -117,8 +116,8 @@ class TestMaxDeviation:
                     for k in rng.sample(sorted(entries), 3):
                         entries[k] = rng.choice(
                             (0, entries[k] + rng.randint(-40, 40)))
-                    moved = replace(series, entries=entries,
-                                    degree=rng.choice((1, 2, 3)))
+                    moved = series._replace(entries=entries,
+                                            degree=rng.choice((1, 2, 3)))
                     assert detect_slope(moved, pair.period(), pair.c)\
                         .max_deviation == fraction_max_deviation(
                             moved, pair.c, report.window)
@@ -265,13 +264,13 @@ class TestDeviationChecks:
         cases = {int(hi): (True, True), int(hi) + 1: (False, True),
                  int(lo): (True, True), int(lo) - 1: (False, False)}
         for value, expect in cases.items():
-            off = replace(series, entries={**series.entries, k: value})
+            off = series._replace(entries={**series.entries, k: value})
             assert deviation_checks(off, P, c) == expect, value
             assert fraction_deviation_checks(off, c, window, 100) == expect
         # past the band at k + 2 and on its lower edge at k: the liminf scan
         # runs and holds
-        off = replace(series, entries={**series.entries, k: int(lo),
-                                       k + 2: int(hi + 2 * target) + 1})
+        off = series._replace(entries={**series.entries, k: int(lo),
+                                      k + 2: int(hi + 2 * target) + 1})
         assert deviation_checks(off, P, c) == (False, True)
         assert fraction_deviation_checks(off, c, window, 100) == (False, True)
 
