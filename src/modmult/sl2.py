@@ -296,6 +296,20 @@ def right_cosets(gamma: FiniteSubgroup, gamma1: FiniteSubgroup):
     return reps, coset_of
 
 
+def cosets_by_d(gamma0: FiniteSubgroup):
+    """right_cosets(gamma0, gamma1) for Gamma0(N) and Gamma1(N) realized at
+    level N, with no matrix product: Gamma1(N)*g is every element of
+    Gamma0(N) with g's d entry, so in the sorted element list the first
+    element with a given d is its coset's least."""
+    reps: list[Mat] = []
+    index: dict[int, int] = {}
+    for g in gamma0.elements:
+        if g[3] not in index:
+            index[g[3]] = len(reps)
+            reps.append(g)
+    return reps, {g: index[g[3]] for g in gamma0.elements}
+
+
 def cosets_commute(cosets, n: int) -> bool:
     """Whether Gamma/Gamma1 is abelian, from cosets = right_cosets(Gamma,
     Gamma1) at level n: x*y and y*x lie in one coset for every two coset

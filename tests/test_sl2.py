@@ -6,7 +6,8 @@ import pytest
 from modmult.cosets import (coset_action, signature_from_action,
                             subgroup_signature)
 from modmult.sl2 import (T_MAT, LevelTooLarge, NotASubgroup, NotNormal,
-                         SubgroupSpec, cyclic_subgroups_up_to_conjugacy,
+                         SubgroupSpec, cosets_by_d,
+                         cyclic_subgroups_up_to_conjugacy,
                          identity_mat, mat_inv, mat_mul, quotient, realize,
                          reduce_mat, right_cosets, sl2_group_order)
 from test_cosets import PAIRS, custom_specs, full_sl2
@@ -389,6 +390,17 @@ class TestRightCosets:
             assert [min(members[i]) for i in range(len(reps))] == reps, label
             assert all(coset_of[mat_mul(h, g, n)] == coset_of[g]
                        for g in gamma.elements for h in gamma1.elements), label
+
+
+class TestCosetsByD:
+    """cosets_by_d gives right_cosets' reps and coset_of for every
+    Gamma0(N)/Gamma1(N) at level N, above the default cap too."""
+
+    @pytest.mark.parametrize("n", [*range(1, 61), 97, 199])
+    def test_equals_right_cosets(self, n):
+        gamma, gamma1 = (realize(SubgroupSpec(kind, n), level_cap=n)
+                         for kind in ("gamma0", "gamma1"))
+        assert cosets_by_d(gamma) == right_cosets(gamma, gamma1)
 
 
 class TestPowers:
