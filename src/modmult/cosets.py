@@ -1,17 +1,20 @@
 """Fuchsian signatures of preimages in SL2(Z) of subgroups K of SL2(Z/N),
-computed from the permutation action of S and T on cosets, including
-regular/irregular cusp classification and the area constant c.
+computed from the permutation action of S and T on cosets, or for Gamma(n)
+and +-Gamma(n) from the classes +-(a, c) mod n, including regular/irregular
+cusp classification and the area constant c.
 """
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import NamedTuple
 
 from . import ModmultError
 from .sl2 import (FiniteSubgroup, Mat, QuotientGroup, S_MAT, T_MAT,
-                  identity_mat, mat_inv, mat_mul, reduce_mat, sl2_group_order)
+                  identity_mat, mat_inv, mat_mul, minus_identity, reduce_mat,
+                  sl2_group_order)
 
 
 class NonIntegralGenus(ModmultError):
@@ -42,7 +45,7 @@ class Signature:
     The rest follows (Shimura, Prop. 1.40): mu_proj, the index in PSL2(Z),
     is the sum of the cusp widths, mu_sl is mu_proj with -I and 2 mu_proj
     without, and the genus is 1 + mu_proj/12 - nu2/4 - nu3/3 - t/2.
-    A signature read from a coset table keeps the branch points it counts;
+    A signature from subgroup_signature keeps the group's branch points;
     its equality, hash and repr read the other four fields alone."""
 
     def __init__(self, nu2: int, nu3: int, cusps: tuple[CuspDatum, ...],
@@ -139,8 +142,10 @@ def _lookup(K: FiniteSubgroup):
     matrices with the same bottom row differ by one on the left: a coset is
     keyed by its bottom row mod n, with acting one element of +-K for each
     bottom row, phi(N) for Gamma0(N) and 2 for Gamma1(N) (Cremona,
-    Algorithms for Modular Elliptic Curves, ch. 2).  Otherwise, as for
-    Gamma(N), it is keyed by its whole matrices mod n, acting all of +-K.
+    Algorithms for Modular Elliptic Curves, ch. 2).  Otherwise it is keyed
+    by its whole matrices mod n, acting all of +-K: custom groups without T,
+    and Gamma(n) and +-Gamma(n), whose signatures subgroup_signature reads
+    from +-(a, c) mod n with no coset table.
     """
     n = K.own_level
     acting = {(a % n, b % n, c % n, d % n) for a, b, c, d in K.elements}
@@ -280,7 +285,42 @@ def fibre_signature(G: QuotientGroup, branch: BranchPoints,
                       minus_i)
 
 
+def _principal_branch_points(K: FiniteSubgroup) -> BranchPoints:
+    """The branch points of K = Gamma(n) or +-Gamma(n), n = K.own_level >= 2,
+    realized at level M (Diamond-Shurman, 3.8-3.9): no elliptic points, and
+    one cusp a/c of width n for each +-(a, c) mod n with gcd(a, c, n) = 1.
+    Lifted to coprime integers (c or n for c, a + n i for a), its
+    stabiliser is generated by I + n [[-ac, a^2], [-c^2, ac]] mod M, which
+    is = I mod n, so lies in K: eps = 1.
+    """
+    n, m = K.own_level, K.level
+    cusps = []
+    for c in range(n):
+        for a in range(n):
+            if gcd(a, c, n) != 1 or (a, c) > (-a % n, -c % n):
+                continue
+            c1, a1 = c or n, a
+            while gcd(a1, c1) != 1:
+                a1 += n
+            y = ((1 - n * a1 * c1) % m, n * a1 * a1 % m, -n * c1 * c1 % m,
+                 (1 + n * a1 * c1) % m)
+            cusps.append((n, 1, y))
+    return BranchPoints(elliptic2=(), elliptic3=(), cusps=tuple(cusps))
+
+
 def subgroup_signature(K: FiniteSubgroup) -> Signature:
+    """Signature of the preimage in SL2(Z) of K, with its branch points.
+
+    With n = K.own_level >= 2 and every element of K = +-I mod n, K is
+    Gamma(n) or +-Gamma(n), and its branch points are read from +-(a, c)
+    mod n, O(n^2) pairs; any other K walks its coset table, O(index).
+    """
+    n = K.own_level
+    plus_minus_i = {identity_mat(n), minus_identity(n)}
+    if n > 1 and all(reduce_mat(h, n) in plus_minus_i for h in K.elements):
+        branch = _principal_branch_points(K)
+        return _signature(0, 0, [CuspDatum(width=n, regular=True)]
+                          * len(branch.cusps), K.contains_minus_I, branch)
     return signature_from_action(coset_action(K), K)
 
 

@@ -595,3 +595,72 @@ class TestGaussBonnet:
             assert area_constant_c(sig) == gauss_bonnet(sig), sorted(C)
             assert sig.mu_proj == \
                 projective_index(preimage_subgroup(pair, C)), sorted(C)
+
+
+class WalkTaken(Exception):
+    pass
+
+
+def refuse_walk(K):
+    raise WalkTaken(K.level)
+
+
+def principal_groups():
+    """Gamma(N) for N = 2..30 at every level k N <= 60, and the custom
+    Gamma(N) (no generators) and +-Gamma(N) (generator -I) for N = 2..15."""
+    out = [(f"gamma:{n}@{m}", SubgroupSpec("gamma", n), m)
+           for n in range(2, 31) for m in range(n, 61, n)]
+    for n in range(2, 16):
+        out.append((f"custom:{n}", SubgroupSpec("custom", n), n))
+        out.append((f"custom:{n}:-I", SubgroupSpec("custom", n, (MINUS_I,)),
+                    n))
+    return out
+
+
+PRINCIPAL = principal_groups()
+# the pairs of PAIRS whose Gamma is Gamma(N), N >= 2
+PRINCIPAL_PAIRS = [p for p in PAIRS if p[0] == "gamma" and p[1] > 1]
+
+
+class TestPrincipalCusps:
+    """Gamma(n) and +-Gamma(n) take their branch points from +-(a, c) mod n,
+    with no coset table, and agree with the walk, the reference."""
+
+    @pytest.mark.parametrize("label,spec,m", PRINCIPAL,
+                             ids=[label for label, _, _ in PRINCIPAL])
+    def test_signature_equals_the_walk(self, label, spec, m, monkeypatch):
+        import modmult.cosets as cosets
+        K = realize(spec, at_level=m, level_cap=60)
+        with monkeypatch.context() as patch:
+            patch.setattr(cosets, "coset_action", refuse_walk)
+            sig = subgroup_signature(K)
+        assert repr(sig) == repr(signature_from_action(coset_action(K), K))
+
+    @pytest.mark.parametrize("k0,n0,k1,n1", PRINCIPAL_PAIRS,
+                             ids=[f"{a}:{b}/{c}:{d}"
+                                  for a, b, c, d in PRINCIPAL_PAIRS])
+    def test_fibres_equal_the_walk(self, k0, n0, k1, n1):
+        pair = QuotientPair.build(SubgroupSpec(k0, n0), SubgroupSpec(k1, n1))
+        G = pair.G
+        route = pair.sig_gamma.branch.under(G.coset_index)
+        walk = branch_points(coset_action(pair.gamma), pair.gamma).under(
+            G.coset_index)
+        subgroups = [sub for _, sub in pair.cyclics]
+        subgroups.append(frozenset(range(G.order)))
+        for C in subgroups:
+            assert repr(fibre_signature(G, route, C)) == \
+                repr(fibre_signature(G, walk, C)), sorted(C)
+
+    @pytest.mark.parametrize("pair,walks", [
+        ("gamma:12/gamma:24", False), ("gamma:2/gamma:4", False),
+        ("gamma0:8/gamma1:8", True), ("gamma1:4/gamma:4", True),
+        ("SL2Z/gamma:2", True)])
+    def test_build_without_a_coset_table(self, pair, walks, monkeypatch):
+        import modmult.cosets as cosets
+        from modmult.cli import parse_pair
+        monkeypatch.setattr(cosets, "coset_action", refuse_walk)
+        if walks:
+            with pytest.raises(WalkTaken):
+                QuotientPair.build(*parse_pair(pair))
+        else:
+            QuotientPair.build(*parse_pair(pair))

@@ -16,13 +16,19 @@ chi(-1) are constant on a Galois orbit O, and sum_{chi in O} chi(x) is O's
 rational value at the class of x, so O's total is read from N, each
 class's d entry and RationalCharacter.values alone: no cosets, fibres,
 Artin coefficients or dims.
+
+Gamma(N)'s signature has a closed form too (Diamond-Shurman, 3.8-3.9;
+Shimura, 1.6): for N >= 3 no elliptic points, no -I, and mu/N regular cusps
+of width N, mu = N^3 prod_{p | N} (1 - p^-2)/2 its index in PSL2(Z), so
+genus 1 + mu (N - 6)/(12 N); Gamma(2) holds -I and has 3 cusps of width 2.
 """
 from fractions import Fraction
 
 import pytest
 
+from modmult.cosets import subgroup_signature
 from modmult.reps import QuotientPair, multiplicity_series
-from modmult.sl2 import DEFAULT_LEVEL_CAP, SubgroupSpec
+from modmult.sl2 import DEFAULT_LEVEL_CAP, SubgroupSpec, realize
 
 
 def factor(n):
@@ -108,3 +114,21 @@ def test_levels_to_30(N):
 @pytest.mark.parametrize("N", [97, 199])
 def test_levels_above_the_cap(N):
     assert check_level(N, range(2, 61), level_cap=N)
+
+
+@pytest.mark.parametrize("N", [*range(3, 61), 97, 199])
+def test_principal_signature(N):
+    mu = N ** 3
+    for p in factor(N):
+        mu = mu // (p * p) * (p * p - 1)
+    mu //= 2
+    sig = subgroup_signature(realize(SubgroupSpec("gamma", N), level_cap=N))
+    assert (sig.nu2, sig.nu3, sig.minus_I) == (0, 0, False)
+    assert sig.cusps == ((N, True),) * (mu // N)
+    assert sig.genus == 1 + Fraction(mu * (N - 6), 12 * N)
+
+
+def test_principal_signature_at_2():
+    sig = subgroup_signature(realize(SubgroupSpec("gamma", 2)))
+    assert (sig.nu2, sig.nu3, sig.minus_I) == (0, 0, True)
+    assert sig.cusps == ((2, True),) * 3 and sig.genus == 0

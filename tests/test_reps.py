@@ -1352,37 +1352,38 @@ class TestSignatureCache:
             return wrapped
 
         # G = C4 with classes 1, C2, C4; G = (Z/2)^3 with eight
-        for specs, lookup in [
+        for specs, lookups in [
                 ((SubgroupSpec("gamma0", 5), SubgroupSpec("gamma1", 5)),
-                 (slice(2, 4), 5)),
+                 [(slice(2, 4), 5)]),
                 ((SubgroupSpec("gamma", 12), SubgroupSpec("gamma", 24)),
-                 (slice(0, 4), 12))]:
+                 [])]:
             monkeypatch.setattr(cosets, "_coset_table", counted)
-            branched = counter(passes, cosets.branch_points)
+            for name in ("branch_points", "_principal_branch_points"):
+                monkeypatch.setattr(cosets, name,
+                                    counter(passes, getattr(cosets, name)))
             signed = counter(signatures, cosets.subgroup_signature)
             for module in (cosets, reps):
-                monkeypatch.setattr(module, "branch_points", branched,
-                                    raising=False)
                 monkeypatch.setattr(module, "subgroup_signature", signed)
             tables.clear()
             passes.clear()
             signatures.clear()
             pair = QuotientPair.build(*specs)
             pair.period()
-            # one coset table, Gamma's, and one pass over its branch
+            # at most one coset table, Gamma's, and one set of branch
             # points, whatever the number of cyclic classes: Gamma's
             # signature keeps them, and Gamma1 and each Gamma_C are fibres
-            # over them.  Gamma0(5) is keyed by bottom rows mod 5, Gamma(12)
-            # by whole matrices mod 12
-            assert tables == [lookup]
+            # over them.  Gamma0(5) is keyed by bottom rows mod 5; Gamma(12)
+            # has no coset table, its cusps are read from +-(a, c) mod 12
+            assert tables == lookups
             assert len(passes) == 1 and signatures == [(pair.gamma,)]
             monkeypatch.undo()
-            assert pair.sig_gamma.branch == cosets.branch_points(
-                cosets.coset_action(pair.gamma), pair.gamma)
-            for _, sub in pair.cyclics:
+            if lookups:
+                assert pair.sig_gamma.branch == cosets.branch_points(
+                    cosets.coset_action(pair.gamma), pair.gamma)
+            for (_, sub), table in zip(pair.cyclics, pair.cyclic_dims):
                 elems = {mat_mul(h, pair.G.elements[c], pair.level)
                          for c in sub for h in pair.gamma1.elements}
-                assert fibre_sig(pair, sub) == subgroup_signature(
+                assert table.sig == fibre_sig(pair, sub) == subgroup_signature(
                     FiniteSubgroup(pair.level, tuple(sorted(elems)),
                                    own_level=pair.level))
 
