@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 from . import ModmultError
 from .sl2 import (FiniteSubgroup, Mat, QuotientGroup, S_MAT, T_MAT,
-                  identity_mat, mat_inv, mat_mul, minus_identity, reduce_mat,
-                  sl2_group_order)
+                  coset_keys, identity_mat, mat_inv, mat_mul, minus_identity,
+                  reduce_mat, sl2_group_order)
 
 
 class NonIntegralGenus(ModmultError):
@@ -134,33 +134,18 @@ def _coset_table(size: int, acting, key: slice, n: int, m: int):
     return tuple(reps), (tuple(sigma_S), tuple(sigma_T))
 
 
-def _lookup(K: FiniteSubgroup):
-    """(acting, key, n) for _coset_table on the cosets of +-K, n the level
-    at which K contains every matrix = I, K.own_level.
-
-    If T lies in +-K mod n, so does every upper unipotent matrix, and two
-    matrices with the same bottom row differ by one on the left: a coset is
-    keyed by its bottom row mod n, with acting one element of +-K for each
-    bottom row, phi(N) for Gamma0(N) and 2 for Gamma1(N) (Cremona,
-    Algorithms for Modular Elliptic Curves, ch. 2).  Otherwise it is keyed
-    by its whole matrices mod n, acting all of +-K: custom groups without T,
-    and Gamma(n) and +-Gamma(n), whose signatures subgroup_signature reads
-    from +-(a, c) mod n with no coset table.
-    """
-    n = K.own_level
+def coset_action(K: FiniteSubgroup) -> PermutationAction:
+    """Permutations of S and T on projective cosets of K, keyed mod n =
+    K.own_level by coset_keys on +-K mod n.  Raises ValueError unless the
+    walk closes on exactly the index, as when K lacks a matrix = I mod n."""
+    n, m = K.own_level, K.level
+    size = sl2_group_order(m) // K.order // (1 if K.contains_minus_I else 2)
     acting = {(a % n, b % n, c % n, d % n) for a, b, c, d in K.elements}
     if not K.contains_minus_I:
         acting |= {tuple(-v % n for v in h) for h in acting}
-    if reduce_mat(T_MAT, n) in acting:
-        return list({h[2:]: h for h in acting}.values()), slice(2, 4), n
-    return acting, slice(0, 4), n
-
-
-def coset_action(K: FiniteSubgroup) -> PermutationAction:
-    """Permutations of S and T on projective cosets of K."""
-    n = K.level
-    size = sl2_group_order(n) // K.order // (1 if K.contains_minus_I else 2)
-    reps, (sigma_S, sigma_T) = _coset_table(size, *_lookup(K), n)
+    reps, (sigma_S, sigma_T) = _coset_table(size, *coset_keys(acting, n), n, m)
+    if len(reps) != size:
+        raise ValueError(f"K lacks a matrix = I mod its own_level {n}")
     return PermutationAction(sigma_S=sigma_S, sigma_T=sigma_T, reps=reps)
 
 

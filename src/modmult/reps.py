@@ -16,7 +16,7 @@ from .dimensions import PERIOD, DimTable, WeightOneUnsupported
 from .exact import (CycloValue, InconsistentSystem, euler_phi, integer_rows,
                     mobius, reduce_cyclotomic, solve_linear_exact)
 from .sl2 import (DEFAULT_LEVEL_CAP, FiniteSubgroup, QuotientGroup,
-                  SubgroupSpec, cosets_by_d, cosets_commute,
+                  SubgroupSpec, cosets_commute,
                   cyclic_subgroups_up_to_conjugacy, quotient, realize,
                   right_cosets)
 
@@ -503,18 +503,12 @@ class QuotientPair:
         level = lcm(gamma_spec.level, gamma1_spec.level)
         gamma = realize(gamma_spec, at_level=level, level_cap=level_cap)
         gamma1 = realize(gamma1_spec, at_level=level, level_cap=level_cap)
-        # Gamma0(N)/Gamma1(N) is (Z/N)^x through d, so abelian; without a
-        # table any other G has one only if abelian or of order 6: a
-        # nonabelian G fails here, before its |G|^2 multiplication table
-        if (gamma_spec, gamma1_spec) == (SubgroupSpec("gamma0", level),
-                                         SubgroupSpec("gamma1", level)):
-            cosets = cosets_by_d(gamma)
-        else:
-            cosets = right_cosets(gamma, gamma1)
-            order = gamma.order // gamma1.order
-            if (table_source is None and order != 6
-                    and not cosets_commute(cosets, level)):
-                raise _table_required(order)
+        # a nonabelian G of order != 6 with no table fails before its |G|^2 mul
+        cosets = right_cosets(gamma, gamma1)
+        order = gamma.order // gamma1.order
+        if (table_source is None and order != 6
+                and not cosets_commute(cosets, level)):
+            raise _table_required(order)
         G = quotient(gamma, gamma1, cosets)
         table = character_table_for(G, table_source)
         rats = rational_characters(table)

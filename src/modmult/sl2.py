@@ -75,7 +75,7 @@ class FiniteSubgroup:
     """A subgroup of SL2(Z/N) given by its full (sorted) element list.
 
     own_level is a level n at which the group is defined: it contains every
-    matrix = I mod n, and cosets.coset_action keys its cosets mod n.  For
+    matrix = I mod n, and coset_keys keys its cosets mod n.  For
     every group realize returns it is the spec's level.  A group is equal
     only to itself.
     """
@@ -245,15 +245,7 @@ class QuotientGroup:
     @cached_property
     def generators(self) -> tuple[int, ...]:
         """Each element outside the subgroup the earlier ones generate."""
-        gens, sub = [], {self.identity}
-        for g in range(self.order):
-            if g not in sub:
-                gens.append(g)
-                new = sub
-                while new:
-                    new = {self.mul[x][s] for x in new for s in gens} - sub
-                    sub |= new
-        return tuple(gens)
+        return tuple(generators(self.elements, self.coset_of, self.level))
 
     @property
     def is_abelian(self) -> bool:
@@ -268,55 +260,83 @@ class QuotientGroup:
             raise NotASubgroup(f"matrix {mat} is not in the ambient group") from None
 
 
+def coset_keys(acting, n: int):
+    """(acting, key) that number the right cosets H*x of a group H holding
+    every matrix = I mod n, from acting = H mod n: H*x is keyed by the
+    entries key picks from h*x mod n for h in the returned acting.  If T
+    is in H mod n, so is every upper unipotent matrix, and two matrices
+    with one bottom row differ by one on the left: the key is the bottom
+    row, with one acting element per bottom row, phi(N) for +-Gamma0(N)
+    and 2 for +-Gamma1(N) (Cremona, Algorithms for Modular Elliptic
+    Curves, ch. 2).  Otherwise it is the whole matrix."""
+    if reduce_mat(T_MAT, n) in acting:
+        return list({h[2:]: h for h in acting}.values()), slice(2, 4)
+    return acting, slice(0, 4)
+
+
 def right_cosets(gamma: FiniteSubgroup, gamma1: FiniteSubgroup):
     """The right cosets gamma1*g of gamma1 in gamma as (reps, coset_of):
     reps the least element of each coset, in increasing order, and
     coset_of each element of gamma -> the index of its coset.
 
-    Raises NotASubgroup unless gamma1 lies in gamma, and NotNormal unless
-    every right coset gamma1*g equals g*gamma1: the two have one size, so
-    each g*h must lie in the coset just numbered; one g per coset suffices.
-    """
+    Each g is keyed mod n = gamma1.own_level by coset_keys; a new key opens
+    a coset.  Raises NotASubgroup unless gamma1 lies in gamma, NotNormal
+    unless x*s lies in each new coset gamma1*x for the acting elements s
+    and, with bottom-row keys, T, which generate gamma1 mod n, and
+    ValueError unless the cosets number |gamma|/|gamma1|."""
     if gamma.level != gamma1.level:
         raise NotASubgroup("subgroups live at different levels")
-    n = gamma.level
     if not gamma1.element_set <= gamma.element_set:
         raise NotASubgroup("gamma1 is not contained in gamma")
-    reps: list[Mat] = []
-    coset_of: dict[Mat, int] = {}
+    m, n = gamma.level, gamma1.own_level
+    acting, key = coset_keys({(a % n, b % n, c % n, d % n)
+                              for a, b, c, d in gamma1.elements}, n)
+    checks = acting + [reduce_mat(T_MAT, n)] if key == slice(2, 4) else acting
+    reps, coset_of, index = [], {}, {}
     for g in gamma.elements:
-        if g in coset_of:
-            continue
-        i = len(reps)
-        reps.append(g)
-        for h in gamma1.elements:
-            coset_of[mat_mul(h, g, n)] = i
-        if any(coset_of.get(mat_mul(g, h, n)) != i for h in gamma1.elements):
-            raise NotNormal("gamma1 is not normal in gamma")
+        x = g if n == m else (g[0] % n, g[1] % n, g[2] % n, g[3] % n)
+        i = index.get(x[key])
+        if i is None:
+            i = len(reps)
+            reps.append(g)
+            for h in acting:
+                index[mat_mul(h, x, n)[key]] = i
+            if any(index.get(mat_mul(x, s, n)[key]) != i for s in checks):
+                raise NotNormal("gamma1 is not normal in gamma")
+        coset_of[g] = i
+    if len(reps) != gamma.order // gamma1.order:
+        raise ValueError(f"gamma1 lacks a matrix = I mod its own_level {n}")
     return reps, coset_of
 
 
-def cosets_by_d(gamma0: FiniteSubgroup):
-    """right_cosets(gamma0, gamma1) for Gamma0(N) and Gamma1(N) realized at
-    level N, with no matrix product: Gamma1(N)*g is every element of
-    Gamma0(N) with g's d entry, so in the sorted element list the first
-    element with a given d is its coset's least."""
-    reps: list[Mat] = []
-    index: dict[int, int] = {}
-    for g in gamma0.elements:
-        if g[3] not in index:
-            index[g[3]] = len(reps)
-            reps.append(g)
-    return reps, {g: index[g[3]] for g in gamma0.elements}
+def generators(reps, coset_of, n: int):
+    """The greedy generators of Gamma/Gamma1, from right_cosets' (reps,
+    coset_of) at level n: each the first coset outside the subgroup the
+    earlier ones generate, yielded before that subgroup is closed."""
+    sub, gens = {coset_of[identity_mat(n)]}, []
+    for i, x in enumerate(reps):
+        if i not in sub:
+            yield i
+            gens.append(x)
+            new = {coset_of[mat_mul(reps[y], x, n)] for y in sub} - sub
+            while new:
+                sub |= new
+                new = {coset_of[mat_mul(reps[y], s, n)]
+                       for y in new for s in gens} - sub
 
 
 def cosets_commute(cosets, n: int) -> bool:
     """Whether Gamma/Gamma1 is abelian, from cosets = right_cosets(Gamma,
-    Gamma1) at level n: x*y and y*x lie in one coset for every two coset
-    representatives.  Stops at the first two that do not."""
+    Gamma1) at level n: whether each generator commutes with the earlier
+    ones modulo Gamma1.  Stops at the first that does not."""
     reps, coset_of = cosets
-    return all(coset_of[mat_mul(x, y, n)] == coset_of[mat_mul(y, x, n)]
-               for i, x in enumerate(reps) for y in reps[i + 1:])
+    gens: list[Mat] = []
+    for x in (reps[i] for i in generators(reps, coset_of, n)):
+        if any(coset_of[mat_mul(x, y, n)] != coset_of[mat_mul(y, x, n)]
+               for y in gens):
+            return False
+        gens.append(x)
+    return True
 
 
 def quotient(gamma: FiniteSubgroup, gamma1: FiniteSubgroup,

@@ -11,8 +11,8 @@ from modmult.cosets import (CuspDatum, NonIntegralGenus, PermutationAction,
 from modmult.dimensions import PERIOD, dims
 from modmult.reps import QuotientPair
 from modmult.sl2 import (DEFAULT_LEVEL_CAP, T_MAT, FiniteSubgroup,
-                         SubgroupSpec, mat_inv, mat_mul, minus_identity,
-                         realize, reduce_mat, sl2_group_order)
+                         SubgroupSpec, coset_keys, mat_inv, mat_mul,
+                         minus_identity, realize, reduce_mat, sl2_group_order)
 
 
 def group(kind, n, at_level=None):
@@ -374,13 +374,28 @@ class TestOwnLevel:
             (act_low.sigma_S, act_low.sigma_T)
         assert repr(subgroup_signature(high)) == repr(subgroup_signature(low))
 
+    def test_wrong_own_level_refused(self):
+        # Gamma1(4) claimed to hold every matrix = I mod 2: its bottom rows
+        # mod 2 would close the walk on 3 of its 6 projective cosets
+        K = FiniteSubgroup(4, group("gamma1", 4).elements, own_level=2)
+        with pytest.raises(ValueError, match="own_level 2$"):
+            coset_action(K)
+        with pytest.raises(ValueError, match="own_level 2$"):
+            subgroup_signature(K)
 
-def generic(K):
-    """The lookup that reads nothing of K but its elements: whole matrices
+
+def whole_matrix_keys(acting, n):
+    """coset_keys without its bottom-row rule: whole matrices mod n, with
+    acting all of +-K mod n."""
+    return acting, slice(0, 4)
+
+
+def generic_action(K, patch):
+    """coset_action keyed by nothing of K but its elements: whole matrices
     mod K.level, with acting all of +-K."""
-    n = K.level
-    return (set(K.elements) | {tuple(-v % n for v in h) for h in K.elements},
-            slice(0, 4), n)
+    import modmult.cosets as cosets
+    patch.setattr(cosets, "coset_keys", whole_matrix_keys)
+    return coset_action(FiniteSubgroup(K.level, K.elements, own_level=K.level))
 
 
 T_GEN, S_GEN, MINUS_I = (1, 1, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1)
@@ -415,7 +430,6 @@ class TestKeyedTable:
     @pytest.mark.parametrize("kind",
                              ["gamma0", "gamma1", "gamma", "full", "custom"])
     def test_keyed_equals_generic(self, kind, monkeypatch):
-        import modmult.cosets as cosets
         # SL2Z is realized at every level m <= 30
         for spec in family_specs(kind):
             n = spec.level
@@ -423,8 +437,7 @@ class TestKeyedTable:
                 K = realize(spec, at_level=m, level_cap=60)
                 keyed = coset_action(K)
                 with monkeypatch.context() as patch:
-                    patch.setattr(cosets, "_lookup", generic)
-                    assert keyed == coset_action(K), f"{spec} at {m}"
+                    assert keyed == generic_action(K, patch), f"{spec} at {m}"
 
     @pytest.mark.parametrize("kind,bound", [
         # mu_proj * phi(97) and 2 * mu_proj for Gamma1(97)
@@ -466,7 +479,7 @@ class TestKeyedTable:
         reports = []
         for whole in (False, True):
             if whole:
-                monkeypatch.setattr(cosets, "_lookup", generic)
+                monkeypatch.setattr(cosets, "coset_keys", whole_matrix_keys)
             assert main(argv) == 0
             reports.append(capsys.readouterr().out)
         # keyed by bottom rows, then by whole matrices mod n
@@ -489,9 +502,10 @@ PAIRS = ([("gamma0", n, "gamma1", n) for n in (8, 12, 20, 24, 28)]
 def reference_walk(K):
     """coset_action's walk with one mat_mul by S or T, reduced mod the
     level, per step: a representative's images are found as products."""
-    import modmult.cosets as cosets
-    acting, key, n = cosets._lookup(K)
-    m = K.level
+    n, m = K.own_level, K.level
+    acting = {tuple(v % n for v in h) for h in K.elements}
+    acting |= {tuple(-v % n for v in h) for h in acting}
+    acting, key = coset_keys(acting, n)
     size = sl2_group_order(m) // K.order // (1 if K.contains_minus_I else 2)
     gens = (reduce_mat(S_GEN, m), reduce_mat(T_GEN, m))
     reps = [(1 % m, 0, 0, 1 % m)]

@@ -8,9 +8,8 @@ from math import gcd, lcm
 import pytest
 
 from modmult.cosets import subgroup_signature
-from modmult.exact import (CycloValue, InconsistentSystem, euler_phi,
-                           integer_rows, reduce_cyclotomic,
-                           solve_linear_exact)
+from modmult.exact import (CycloValue, InconsistentSystem, integer_rows,
+                           reduce_cyclotomic, solve_linear_exact)
 from modmult.reps import (CharacterTable, CharacterTableRequired,
                           ClassMismatch, NotAbelian, OrthogonalityFailure,
                           QuotientPair, SchemaError,
@@ -187,43 +186,15 @@ class TestS3Table:
 
         monkeypatch.setattr(sl2, "mat_mul", counted)
         # G = SL2(Z/16): the cosets of Gamma(16) = {I} cost 2|Gamma| products
-        # and the commutation test stops at its first pair, far short of the
-        # |G|^2 = 9,437,184 products of G's multiplication table
+        # and the commutation test stops at the first generator that fails
+        # to commute with an earlier one, before the subgroup they generate
+        # is closed, far short of the |G|^2 = 9,437,184 products of G's
+        # multiplication table
         with pytest.raises(CharacterTableRequired, match=(
                 "^nonabelian quotient of order 3072: "
                 "supply a character table$")):
             QuotientPair.build(SubgroupSpec("full"), SubgroupSpec("gamma", 16))
         assert len(products) <= 3 * 3072
-
-
-class TestCosetRoute:
-    """build reads a Gamma0(N)/Gamma1(N) pair's cosets from d; every other
-    pair takes right_cosets and, without a table, cosets_commute."""
-
-    @pytest.fixture
-    def generic_route_raises(self, monkeypatch):
-        import modmult.reps as reps
-
-        class GenericRoute(Exception):
-            pass
-
-        def refuse(*args):
-            raise GenericRoute
-
-        monkeypatch.setattr(reps, "right_cosets", refuse)
-        monkeypatch.setattr(reps, "cosets_commute", refuse)
-        return GenericRoute
-
-    @pytest.mark.parametrize("n", [25, 8])
-    def test_diamond_pairs_skip_the_generic_route(self, generic_route_raises, n):
-        pair = QuotientPair.build(SubgroupSpec("gamma0", n),
-                                  SubgroupSpec("gamma1", n))
-        assert pair.G.order == euler_phi(n) and pair.G.is_abelian
-
-    def test_other_pairs_keep_the_generic_route(self, generic_route_raises):
-        with pytest.raises(generic_route_raises):
-            QuotientPair.build(SubgroupSpec("gamma", 12),
-                               SubgroupSpec("gamma", 24))
 
 
 def table_to_doc(table):

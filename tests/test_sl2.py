@@ -5,8 +5,8 @@ import pytest
 
 from modmult.cosets import (coset_action, signature_from_action,
                             subgroup_signature)
-from modmult.sl2 import (T_MAT, LevelTooLarge, NotASubgroup, NotNormal,
-                         SubgroupSpec, cosets_by_d,
+from modmult.sl2 import (T_MAT, FiniteSubgroup, LevelTooLarge, NotASubgroup,
+                         NotNormal, SubgroupSpec, cosets_commute,
                          cyclic_subgroups_up_to_conjugacy,
                          identity_mat, mat_inv, mat_mul, quotient, realize,
                          reduce_mat, right_cosets, sl2_group_order)
@@ -376,6 +376,24 @@ def quotients():
             for label, gamma, gamma1 in realized_pairs()]
 
 
+def reference_cosets(gamma, gamma1):
+    """right_cosets by products with every element of gamma1 mod the
+    level: a new coset at g writes h*g for each h, and gamma1 is normal
+    iff each g*h lies in that coset."""
+    n = gamma.level
+    reps, coset_of = [], {}
+    for g in gamma.elements:
+        if g in coset_of:
+            continue
+        i = len(reps)
+        reps.append(g)
+        for h in gamma1.elements:
+            coset_of[mat_mul(h, g, n)] = i
+        if any(coset_of.get(mat_mul(g, h, n)) != i for h in gamma1.elements):
+            raise NotNormal("gamma1 is not normal in gamma")
+    return reps, coset_of
+
+
 class TestRightCosets:
     def test_least_reps_and_coset_index(self):
         # the 68 pairs of TestCyclicSubgroups.test_same_as_conjugation
@@ -391,16 +409,54 @@ class TestRightCosets:
             assert all(coset_of[mat_mul(h, g, n)] == coset_of[g]
                        for g in gamma.elements for h in gamma1.elements), label
 
+    @pytest.mark.parametrize("spec,bound", [
+        # G = Z/29 by whole matrices, and Z/28 by bottom rows; a product
+        # with each element of gamma1 and with each pair of cosets costs
+        # 2|Gamma| + |G|(|G| - 1) = 870 and 2,380
+        (SubgroupSpec("gamma1", 29), 4 * 29),
+        (SubgroupSpec("gamma0", 29), 5 * 28)],
+        ids=["gamma1:29/gamma:29", "gamma0:29/custom-T:29"])
+    def test_products_are_o_of_G(self, spec, bound, monkeypatch):
+        import modmult.sl2 as sl2
+        gamma1 = realize(SubgroupSpec("gamma", 29) if spec.kind == "gamma1"
+                         else SubgroupSpec("custom", 29, (T_MAT,)))
+        gamma = realize(spec)
+        products = []
+        original = sl2.mat_mul
+
+        def counted(*args):
+            products.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(sl2, "mat_mul", counted)
+        assert cosets_commute(right_cosets(gamma, gamma1), 29)
+        assert len(products) <= bound
+
+    def test_wrong_own_level_refused(self):
+        # Gamma1(4) claimed to hold every matrix = I mod 2: its bottom rows
+        # mod 2 would merge Gamma0(4)'s two cosets into one
+        gamma1 = FiniteSubgroup(4, realize(SubgroupSpec("gamma1", 4)).elements,
+                                own_level=2)
+        with pytest.raises(ValueError, match="own_level 2$"):
+            right_cosets(realize(SubgroupSpec("gamma0", 4)), gamma1)
+
 
 class TestCosetsByD:
-    """cosets_by_d gives right_cosets' reps and coset_of for every
-    Gamma0(N)/Gamma1(N) at level N, above the default cap too."""
+    """right_cosets gives the product reference's reps and coset_of for
+    every Gamma0(N)/Gamma1(N) at level N, above the default cap too, whose
+    cosets d tells apart and which are keyed by bottom rows, and for every
+    pair of realized_pairs()."""
 
     @pytest.mark.parametrize("n", [*range(1, 61), 97, 199])
     def test_equals_right_cosets(self, n):
         gamma, gamma1 = (realize(SubgroupSpec(kind, n), level_cap=n)
                          for kind in ("gamma0", "gamma1"))
-        assert cosets_by_d(gamma) == right_cosets(gamma, gamma1)
+        assert right_cosets(gamma, gamma1) == reference_cosets(gamma, gamma1)
+
+    def test_realized_pairs(self):
+        for label, gamma, gamma1 in realized_pairs():
+            assert right_cosets(gamma, gamma1) == \
+                reference_cosets(gamma, gamma1), label
 
 
 class TestPowers:
@@ -443,6 +499,19 @@ class TestGenerators:
                 outside = set(range(G.order)) - generated_subgroup(G, gens[:k])
                 assert g == min(outside), (label, k)
             assert generated_subgroup(G, gens) == set(range(G.order)), label
+
+    def test_equals_closure_over_the_table(self):
+        # the greedy rule closed over G's multiplication table
+        for label, G in quotients():
+            gens, sub = [], {G.identity}
+            for g in range(G.order):
+                if g not in sub:
+                    gens.append(g)
+                    new = sub
+                    while new:
+                        new = {G.mul[x][s] for x in new for s in gens} - sub
+                        sub |= new
+            assert G.generators == tuple(gens), label
 
 
 def cyclic_subgroup_of(G, i):
