@@ -136,16 +136,13 @@ def _coset_table(size: int, acting, key: slice, n: int, m: int):
 
 def coset_action(K: FiniteSubgroup) -> PermutationAction:
     """Permutations of S and T on projective cosets of K, keyed mod n =
-    K.own_level by coset_keys on +-K mod n.  Raises ValueError unless the
-    walk closes on exactly the index, as when K lacks a matrix = I mod n."""
+    K.own_level by coset_keys on +-K mod n."""
     n, m = K.own_level, K.level
     size = sl2_group_order(m) // K.order // (1 if K.contains_minus_I else 2)
-    acting = {(a % n, b % n, c % n, d % n) for a, b, c, d in K.elements}
+    acting = K.residue_set
     if not K.contains_minus_I:
         acting |= {tuple(-v % n for v in h) for h in acting}
     reps, (sigma_S, sigma_T) = _coset_table(size, *coset_keys(acting, n), n, m)
-    if len(reps) != size:
-        raise ValueError(f"K lacks a matrix = I mod its own_level {n}")
     return PermutationAction(sigma_S=sigma_S, sigma_T=sigma_T, reps=reps)
 
 
@@ -187,11 +184,11 @@ def branch_points(act: PermutationAction, K: FiniteSubgroup) -> BranchPoints:
     stabiliser generator eps r x r^-1 with x = S, ST or T^w, and eps = 1 iff
     r x r^-1 itself lies in K.
     """
-    n = K.level
+    n, own = K.level, K.own_level
 
     def stabiliser(r, x):
         y = mat_mul(mat_mul(r, x, n), mat_inv(r, n), n)
-        if y in K.element_set:
+        if (y[0] % own, y[1] % own, y[2] % own, y[3] % own) in K.residue_set:
             return 1, y
         return -1, tuple(-v % n for v in y)
 
@@ -296,13 +293,12 @@ def _principal_branch_points(K: FiniteSubgroup) -> BranchPoints:
 def subgroup_signature(K: FiniteSubgroup) -> Signature:
     """Signature of the preimage in SL2(Z) of K, with its branch points.
 
-    With n = K.own_level >= 2 and every element of K = +-I mod n, K is
+    With n = K.own_level >= 2 and every residue of K = +-I mod n, K is
     Gamma(n) or +-Gamma(n), and its branch points are read from +-(a, c)
     mod n, O(n^2) pairs; any other K walks its coset table, O(index).
     """
     n = K.own_level
-    plus_minus_i = {identity_mat(n), minus_identity(n)}
-    if n > 1 and all(reduce_mat(h, n) in plus_minus_i for h in K.elements):
+    if n > 1 and K.residue_set <= {identity_mat(n), minus_identity(n)}:
         branch = _principal_branch_points(K)
         return _signature(0, 0, [CuspDatum(width=n, regular=True)]
                           * len(branch.cusps), K.contains_minus_I, branch)

@@ -72,28 +72,34 @@ def sl2_group_order(n: int) -> int:
 
 
 class FiniteSubgroup:
-    """A subgroup of SL2(Z/N) given by its full (sorted) element list.
-
-    own_level is a level n at which the group is defined: it contains every
-    matrix = I mod n, and coset_keys keys its cosets mod n.  For
-    every group realize returns it is the spec's level.  A group is equal
-    only to itself.
+    """A subgroup of SL2(Z/M), M = level, held as residues, the sorted
+    list of its matrices mod n = own_level (n | M): it is every matrix mod
+    M whose residue mod n is listed, so it holds every matrix = I mod n,
+    and coset_keys keys its cosets mod n.  For every group realize returns
+    n is the spec's level.  A group is equal only to itself.
     """
 
-    def __init__(self, level: int, elements: tuple[Mat, ...], own_level: int):
-        self.level, self.elements, self.own_level = level, elements, own_level
+    def __init__(self, level: int, residues: tuple[Mat, ...], own_level: int):
+        if (own_level < 1 or level % own_level
+                or set().union(*residues) - set(range(own_level))):
+            raise ValueError(f"need residues in [0, n), n | level {level}: "
+                             f"own_level {own_level}")
+        self.level, self.residues, self.own_level = level, residues, own_level
+        self.residue_set = frozenset(residues)
+        self.contains_minus_I = minus_identity(own_level) in self.residue_set
 
     @cached_property
-    def element_set(self) -> frozenset:
-        return frozenset(self.elements)
-
-    @cached_property
-    def contains_minus_I(self) -> bool:
-        return minus_identity(self.level) in self.element_set
+    def elements(self) -> tuple[Mat, ...]:
+        """The sorted elements mod the level: each residue's classes."""
+        m, n = self.level, self.own_level
+        return self.residues if m == n else tuple(sorted(
+            x for a, b, c, d in self.residues
+            for x in _congruence_elements(m, n, a, b, c) if x[3] % n == d))
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return (len(self.residues) * sl2_group_order(self.level)
+                // sl2_group_order(self.own_level))
 
 
 def _congruence_elements(m: int, n: int, a0: int | None, b0: int | None,
@@ -171,8 +177,8 @@ CONGRUENCE_RESIDUES = {
 
 def realize(spec: SubgroupSpec, at_level: int | None = None,
             level_cap: int = DEFAULT_LEVEL_CAP) -> FiniteSubgroup:
-    """The mod-M image of the subgroup, M a multiple of the spec level N:
-    the union of its residue classes mod N."""
+    """The mod-M image of the subgroup, M a multiple of the spec level N,
+    held as its residues mod N."""
     m = at_level if at_level is not None else spec.level
     if m % spec.level:
         raise ValueError("realization level must be a multiple of the spec level")
@@ -183,8 +189,8 @@ def realize(spec: SubgroupSpec, at_level: int | None = None,
     n = spec.level
     if spec.kind in CONGRUENCE_RESIDUES:
         return FiniteSubgroup(m, _congruence_elements(
-            m, n, *CONGRUENCE_RESIDUES[spec.kind]), own_level=n)
-    # custom: the classes of the generated closure mod N, d filtered last
+            n, n, *CONGRUENCE_RESIDUES[spec.kind]), own_level=n)
+    # custom: the generated closure mod N
     gens = [reduce_mat(g, n) for g in spec.generators]
     closure = {identity_mat(n)}
     frontier = list(closure)
@@ -195,12 +201,7 @@ def realize(spec: SubgroupSpec, at_level: int | None = None,
             if y not in closure:
                 closure.add(y)
                 frontier.append(y)
-    if m == n:
-        return FiniteSubgroup(m, tuple(sorted(closure)), own_level=n)
-    return FiniteSubgroup(m, tuple(sorted(
-        x for a, b, c, d in closure
-        for x in _congruence_elements(m, n, a, b, c) if x[3] % n == d)),
-        own_level=n)
+    return FiniteSubgroup(m, tuple(sorted(closure)), own_level=n)
 
 
 class QuotientGroup:
@@ -211,13 +212,13 @@ class QuotientGroup:
                  identity: int, classes: tuple[tuple[int, ...], ...],
                  class_of: tuple[int, ...], iota: int | None,
                  iota_trivial: bool, powers: tuple[tuple[int, ...], ...],
-                 coset_of: dict):
+                 coset_of):
         self.level, self.elements, self.mul, self.inv = level, elements, mul, inv
         self.identity, self.classes, self.class_of = identity, classes, class_of
         self.iota, self.iota_trivial = iota, iota_trivial
         # powers[i] = (1, i, i^2, ..., i^(ord i - 1))
         self.powers = powers
-        # every element of Gamma -> the index of its coset
+        # an element of Gamma -> the index of its coset (right_cosets)
         self.coset_of = coset_of
 
     @property
@@ -255,7 +256,7 @@ class QuotientGroup:
     def coset_index(self, mat) -> int:
         m = reduce_mat(mat, self.level)
         try:
-            return self.coset_of[m]
+            return self.coset_of(m)
         except KeyError:
             raise NotASubgroup(f"matrix {mat} is not in the ambient group") from None
 
@@ -277,51 +278,52 @@ def coset_keys(acting, n: int):
 def right_cosets(gamma: FiniteSubgroup, gamma1: FiniteSubgroup):
     """The right cosets gamma1*g of gamma1 in gamma as (reps, coset_of):
     reps the least element of each coset, in increasing order, and
-    coset_of each element of gamma -> the index of its coset.
+    coset_of each element of gamma -> the index of its coset, a KeyError
+    outside gamma.
 
     Each g is keyed mod n = gamma1.own_level by coset_keys; a new key opens
-    a coset.  Raises NotASubgroup unless gamma1 lies in gamma, NotNormal
-    unless x*s lies in each new coset gamma1*x for the acting elements s
-    and, with bottom-row keys, T, which generate gamma1 mod n, and
-    ValueError unless the cosets number |gamma|/|gamma1|."""
+    a coset, and a matrix with a key of gamma lies in gamma1*gamma = gamma.
+    Raises NotASubgroup unless gamma1 lies in gamma, and NotNormal unless
+    x*s lies in each new coset gamma1*x for the acting elements s and, with
+    bottom-row keys, T, which generate gamma1 mod n."""
     if gamma.level != gamma1.level:
         raise NotASubgroup("subgroups live at different levels")
-    if not gamma1.element_set <= gamma.element_set:
+    n = gamma.own_level
+    if not gamma.residue_set.issuperset(
+            (a % n, b % n, c % n, d % n) for a, b, c, d in gamma1.elements):
         raise NotASubgroup("gamma1 is not contained in gamma")
     m, n = gamma.level, gamma1.own_level
-    acting, key = coset_keys({(a % n, b % n, c % n, d % n)
-                              for a, b, c, d in gamma1.elements}, n)
+    acting, key = coset_keys(gamma1.residue_set, n)
     checks = acting + [reduce_mat(T_MAT, n)] if key == slice(2, 4) else acting
-    reps, coset_of, index = [], {}, {}
+    reps, index = [], {}
     for g in gamma.elements:
         x = g if n == m else (g[0] % n, g[1] % n, g[2] % n, g[3] % n)
-        i = index.get(x[key])
-        if i is None:
+        if x[key] not in index:
             i = len(reps)
             reps.append(g)
             for h in acting:
                 index[mat_mul(h, x, n)[key]] = i
             if any(index.get(mat_mul(x, s, n)[key]) != i for s in checks):
                 raise NotNormal("gamma1 is not normal in gamma")
-        coset_of[g] = i
-    if len(reps) != gamma.order // gamma1.order:
-        raise ValueError(f"gamma1 lacks a matrix = I mod its own_level {n}")
-    return reps, coset_of
+    if n == m:
+        return reps, lambda g: index[g[key]]
+    return reps, lambda g: index[
+        (g[0] % n, g[1] % n, g[2] % n, g[3] % n)[key]]
 
 
 def generators(reps, coset_of, n: int):
     """The greedy generators of Gamma/Gamma1, from right_cosets' (reps,
     coset_of) at level n: each the first coset outside the subgroup the
     earlier ones generate, yielded before that subgroup is closed."""
-    sub, gens = {coset_of[identity_mat(n)]}, []
+    sub, gens = {coset_of(identity_mat(n))}, []
     for i, x in enumerate(reps):
         if i not in sub:
             yield i
             gens.append(x)
-            new = {coset_of[mat_mul(reps[y], x, n)] for y in sub} - sub
+            new = {coset_of(mat_mul(reps[y], x, n)) for y in sub} - sub
             while new:
                 sub |= new
-                new = {coset_of[mat_mul(reps[y], s, n)]
+                new = {coset_of(mat_mul(reps[y], s, n))
                        for y in new for s in gens} - sub
 
 
@@ -332,7 +334,7 @@ def cosets_commute(cosets, n: int) -> bool:
     reps, coset_of = cosets
     gens: list[Mat] = []
     for x in (reps[i] for i in generators(reps, coset_of, n)):
-        if any(coset_of[mat_mul(x, y, n)] != coset_of[mat_mul(y, x, n)]
+        if any(coset_of(mat_mul(x, y, n)) != coset_of(mat_mul(y, x, n))
                for y in gens):
             return False
         gens.append(x)
@@ -348,9 +350,9 @@ def quotient(gamma: FiniteSubgroup, gamma1: FiniteSubgroup,
     n = gamma.level
     size = len(reps)
 
-    mul = tuple(tuple(coset_of[mat_mul(x, y, n)] for y in reps) for x in reps)
-    identity = coset_of[identity_mat(n)]
-    inv = tuple(coset_of[mat_inv(x, n)] for x in reps)
+    mul = tuple(tuple(coset_of(mat_mul(x, y, n)) for y in reps) for x in reps)
+    identity = coset_of(identity_mat(n))
+    inv = tuple(coset_of(mat_inv(x, n)) for x in reps)
 
     # conjugacy classes
     seen = [False] * size
@@ -382,7 +384,7 @@ def quotient(gamma: FiniteSubgroup, gamma1: FiniteSubgroup,
     return QuotientGroup(
         level=n, elements=tuple(reps), mul=mul, inv=inv, identity=identity,
         classes=classes, class_of=tuple(class_of),
-        iota=(coset_of[minus_identity(n)] if gamma.contains_minus_I
+        iota=(coset_of(minus_identity(n)) if gamma.contains_minus_I
               else None),
         iota_trivial=gamma1.contains_minus_I, powers=tuple(powers),
         coset_of=coset_of,

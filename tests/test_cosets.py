@@ -289,7 +289,7 @@ def relabelled(act, seed):
 
 def lowest_coset_order(act, K):
     """Cusps with the T-cycles ordered by width, then by lowest coset."""
-    n, seen, cycles = K.level, set(), []
+    n, seen, cycles, members = K.level, set(), [], frozenset(K.elements)
     for i in range(len(act.reps)):
         if i not in seen:
             cycles.append(cycle_of(act.sigma_T, i))
@@ -299,7 +299,7 @@ def lowest_coset_order(act, K):
         r = act.reps[cyc[0]]
         conj = mat_mul(mat_mul(r, (1, len(cyc), 0, 1), n), mat_inv(r, n), n)
         out.append(CuspDatum(len(cyc),
-                             K.contains_minus_I or conj in K.element_set))
+                             K.contains_minus_I or conj in members))
     return tuple(out)
 
 
@@ -376,12 +376,22 @@ class TestOwnLevel:
 
     def test_wrong_own_level_refused(self):
         # Gamma1(4) claimed to hold every matrix = I mod 2: its bottom rows
-        # mod 2 would close the walk on 3 of its 6 projective cosets
-        K = FiniteSubgroup(4, group("gamma1", 4).elements, own_level=2)
+        # mod 2 would close the walk on 3 of its 6 projective cosets, so
+        # the group is refused where it is built
         with pytest.raises(ValueError, match="own_level 2$"):
-            coset_action(K)
-        with pytest.raises(ValueError, match="own_level 2$"):
-            subgroup_signature(K)
+            FiniteSubgroup(4, group("gamma1", 4).elements, own_level=2)
+
+    def test_bad_own_level_refused_at_construction(self):
+        # an own_level that is not a positive divisor of the level, a
+        # negative residue and a residue not below own_level: each raises,
+        # naming own_level
+        elements = group("gamma1", 4).elements
+        for own in (8, 3, 0):
+            with pytest.raises(ValueError, match=f"own_level {own}$"):
+                FiniteSubgroup(4, elements, own_level=own)
+        for bad in ((1, 0, 0, -1), (1, 4, 0, 1)):
+            with pytest.raises(ValueError, match="own_level 4$"):
+                FiniteSubgroup(4, elements[:1] + (bad,), own_level=4)
 
 
 def whole_matrix_keys(acting, n):

@@ -43,7 +43,7 @@ class TestEnumerate:
     @pytest.mark.parametrize("n", [2, 5, 8])
     def test_group_closure(self, n):
         K = full_sl2(n)
-        es = K.element_set
+        es = frozenset(K.elements)
         for x in list(es)[:20]:
             assert mat_inv(x, n) in es
             for y in list(es)[:20]:
@@ -170,8 +170,8 @@ class TestCustomFromResidues:
         spec = SubgroupSpec("custom", 4, ((2, 1, 1, 1),))
         K = realize(spec)
         assert K.order == 3
-        assert (2, 1, 1, 1) in K.element_set
-        assert (2, 1, 1, 3) not in K.element_set
+        assert (2, 1, 1, 1) in frozenset(K.elements)
+        assert (2, 1, 1, 3) not in frozenset(K.elements)
         for m in (4, 8):
             assert realize(spec, at_level=m).elements == closure_filter(spec, m)
 
@@ -225,8 +225,8 @@ class TestRealizeFromConditions:
 
 def conjugation_normal(gamma, gamma1):
     """The reference rule: g h g^-1 lies in gamma1 for all g, h."""
-    n = gamma.level
-    return all(mat_mul(mat_mul(g, h, n), mat_inv(g, n), n) in gamma1.element_set
+    n, members = gamma.level, frozenset(gamma1.elements)
+    return all(mat_mul(mat_mul(g, h, n), mat_inv(g, n), n) in members
                for g in gamma.elements for h in gamma1.elements)
 
 
@@ -394,14 +394,20 @@ def reference_cosets(gamma, gamma1):
     return reps, coset_of
 
 
+def coset_dict(gamma, gamma1):
+    """right_cosets as reference_cosets returns it: coset_of read at every
+    element of gamma."""
+    reps, coset_of = right_cosets(gamma, gamma1)
+    return reps, {g: coset_of(g) for g in gamma.elements}
+
+
 class TestRightCosets:
     def test_least_reps_and_coset_index(self):
         # the 68 pairs of TestCyclicSubgroups.test_same_as_conjugation
         for label, gamma, gamma1 in realized_pairs():
             n = gamma.level
-            reps, coset_of = right_cosets(gamma, gamma1)
+            reps, coset_of = coset_dict(gamma, gamma1)
             assert all(x < y for x, y in zip(reps, reps[1:])), label
-            assert coset_of.keys() == gamma.element_set, label
             members = defaultdict(list)
             for x, i in coset_of.items():
                 members[i].append(x)
@@ -434,11 +440,27 @@ class TestRightCosets:
 
     def test_wrong_own_level_refused(self):
         # Gamma1(4) claimed to hold every matrix = I mod 2: its bottom rows
-        # mod 2 would merge Gamma0(4)'s two cosets into one
-        gamma1 = FiniteSubgroup(4, realize(SubgroupSpec("gamma1", 4)).elements,
-                                own_level=2)
+        # mod 2 would merge Gamma0(4)'s two cosets into one, so the group
+        # is refused where it is built, as its entries are not reduced mod 2
         with pytest.raises(ValueError, match="own_level 2$"):
-            right_cosets(realize(SubgroupSpec("gamma0", 4)), gamma1)
+            FiniteSubgroup(4, realize(SubgroupSpec("gamma1", 4)).elements,
+                           own_level=2)
+
+    def test_key_lookup_is_membership(self):
+        # a key shared with an element of gamma differs from it by an
+        # element of gamma1, so coset_of raises KeyError exactly outside
+        # gamma, with whole-matrix and with bottom-row keys
+        for label, gamma, gamma1 in realized_pairs():
+            if gamma.level > 12:
+                continue
+            _, coset_of = right_cosets(gamma, gamma1)
+            members = frozenset(gamma.elements)
+            for x in full_sl2(gamma.level).elements:
+                if x in members:
+                    coset_of(x)
+                else:
+                    with pytest.raises(KeyError):
+                        coset_of(x)
 
 
 class TestCosetsByD:
@@ -451,11 +473,11 @@ class TestCosetsByD:
     def test_equals_right_cosets(self, n):
         gamma, gamma1 = (realize(SubgroupSpec(kind, n), level_cap=n)
                          for kind in ("gamma0", "gamma1"))
-        assert right_cosets(gamma, gamma1) == reference_cosets(gamma, gamma1)
+        assert coset_dict(gamma, gamma1) == reference_cosets(gamma, gamma1)
 
     def test_realized_pairs(self):
         for label, gamma, gamma1 in realized_pairs():
-            assert right_cosets(gamma, gamma1) == \
+            assert coset_dict(gamma, gamma1) == \
                 reference_cosets(gamma, gamma1), label
 
 

@@ -819,19 +819,24 @@ class TestCli:
         assert code == 0 and json.loads(out)["pass"] is True
 
     def test_table_class_rep_outside_gamma(self, capsys, tmp_path):
-        # S is in SL2(Z/5) but not in Gamma0(5)
         from test_reps import table_to_doc
-        pair = QuotientPair.build(SubgroupSpec("gamma0", 5),
-                                  SubgroupSpec("gamma1", 5))
-        doc = table_to_doc(pair.table)
-        doc["classes"][1]["rep"] = [0, -1, 1, 0]
-        path = tmp_path / "outside.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = run_cli(["verify", "--pair", "gamma0:5/gamma1:5",
-                                  "--table", str(path)], capsys)
-        assert (code, out) == (2, "")
-        assert err == ("modmult: NotASubgroup: matrix (0, -1, 1, 0) is not "
-                       "in the ambient group\n")
+        for pair, rep in (
+                # S is in SL2(Z/5) but not in Gamma0(5): bottom-row keys
+                ("gamma0:5/gamma1:5", (0, -1, 1, 0)),
+                # diag(2, 3) is in SL2(Z/5) but not in Gamma1(5): whole
+                # matrices are the keys
+                ("gamma1:5/gamma:5", (2, 0, 0, 3))):
+            built = QuotientPair.build(*(SubgroupSpec(g.split(":")[0], 5)
+                                         for g in pair.split("/")))
+            doc = table_to_doc(built.table)
+            doc["classes"][1]["rep"] = list(rep)
+            path = tmp_path / "outside.json"
+            path.write_text(json.dumps(doc))
+            code, out, err = run_cli(["verify", "--pair", pair,
+                                      "--table", str(path)], capsys)
+            assert (code, out) == (2, ""), pair
+            assert err == (f"modmult: NotASubgroup: matrix {rep} is not "
+                           "in the ambient group\n")
 
     @pytest.mark.parametrize("pair", ["gamma:12/gamma:24",
                                       "gamma0:13/gamma1:13"])
