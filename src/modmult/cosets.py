@@ -226,44 +226,47 @@ def _signature(nu2: int, nu3: int, cusps: list[CuspDatum], minus_i: bool,
 
 
 def fibre_signature(G: QuotientGroup, branch: BranchPoints,
-                    C: frozenset) -> Signature:
-    """Signature of Gamma_C, the preimage in Gamma of the subgroup C of G,
-    from Gamma's branch points with their generators' images in G.
+                    perm: tuple[int, ...]) -> Signature:
+    """Signature of Gamma_C, the preimage in Gamma of a subgroup C of G,
+    from Gamma's branch points with their generators' images in G and
+    perm, C's permutation character, per class of G.
 
     Riemann-Hurwitz for X(Gamma_C) -> X(Gamma): with C' = C<iota>, the
     points over a branch point with generator image h are the cycles of
-    h's permutation C'x -> C'xh of the cosets.  Over an elliptic point
-    the 1-cycles are elliptic points of Gamma_C; over a cusp of width w
-    an l-cycle from C'x is a cusp of width w l, regular iff -I is in
-    Gamma_C, or eps^l = 1 and x h^l x^-1 lies in C.  Cusps with the same
-    (w, eps, h) have the same fibres: each distinct one is read once and
-    counted with its multiplicity.
+    h's permutation C'x -> C'xh.  g fixes pi'(g) cosets C'x: pi' = perm,
+    but (perm(g) + perm(iota g))/2 for iota outside C (iota is in C iff
+    perm(iota) = perm(1)).  So h has n_l l-cycles, pi'(h^d) = sum over
+    m | d of m n_m, solved in increasing l (Moebius inversion) until they
+    cover the pi'(1) cosets.  Over an elliptic point the 1-cycles are
+    elliptic points of Gamma_C; over a cusp (w, eps, h) an l-cycle from
+    C'x is a cusp of width w l, regular iff -I is in Gamma_C, or
+    eps^l = 1 and x h^l x^-1 is in C.  For iota outside C, eps = 1 and
+    g_l of them are: an m-cycle, m | d, gives 2m cosets Cx fixed by h^d
+    if regular or d/m even, so perm(h^d) = 2 sum over m | d of m (n_m if
+    d/m is even, else g_m).  Each distinct (w, eps, h) is read once.
     """
-    iota = G.iota
-    minus_i = iota is not None and iota in C
-    cbar = C if iota is None else C | {G.mul[c][iota] for c in C}
-    coset_of = [-1] * G.order
-    reps = []
-    for x in range(G.order):
-        if coset_of[x] < 0:
-            for c in cbar:
-                coset_of[G.mul[c][x]] = len(reps)
-            reps.append(x)
-
-    def cycles(h):
-        return _cycles([coset_of[G.mul[x][h]] for x in reps])
-
-    def fixed(hs):
-        return sum(len(cyc) == 1 for h in hs for cyc in cycles(h))
-
+    cl, iota = G.class_of, G.iota
+    minus_i = iota is not None and perm[cl[iota]] == perm[0]
+    split = iota is not None and not minus_i
+    fixed = [(v + perm[cl[G.mul[iota][cls[0]]]]) // 2 for v, cls in zip(
+        perm, G.classes)] if split else perm
     cusps = []
     for (width, eps, h), count in Counter(branch.cusps).items():
-        for cyc in cycles(h):
-            x, length = reps[cyc[0]], len(cyc)
-            regular = minus_i or ((eps == 1 or length % 2 == 0) and G.mul[
-                G.mul[x][G.power(h, length)]][G.inv[x]] in C)
-            cusps += [CuspDatum(width=width * length, regular=regular)] * count
-    return _signature(fixed(branch.elliptic2), fixed(branch.elliptic3), cusps,
+        cycles, o, left = {}, len(G.powers[h]), fixed[0]
+        for l in (l for l in range(1, o + 1) if o % l == 0 and left):
+            k, short = cl[G.power(h, l)], [(m, *cycles[m]) for m in cycles
+                                           if l % m == 0]
+            n = g = (fixed[k] - sum(m * nm for m, nm, _ in short)) // l
+            if split:
+                g = (perm[k] // 2 - sum(m * (gm if l // m % 2 else nm)
+                                        for m, nm, gm in short)) // l
+            cycles[l], left = (n, g), left - l * n
+            regular = g if minus_i or eps == 1 or l % 2 == 0 else 0
+            cusps += ([CuspDatum(width=width * l, regular=True)] * regular
+                      + [CuspDatum(width=width * l, regular=False)]
+                      * (n - regular)) * count
+    return _signature(sum(fixed[cl[h]] for h in branch.elliptic2),
+                      sum(fixed[cl[h]] for h in branch.elliptic3), cusps,
                       minus_i)
 
 

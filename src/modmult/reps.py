@@ -17,8 +17,8 @@ from .exact import (CycloValue, InconsistentSystem, euler_phi, integer_rows,
                     mobius, reduce_cyclotomic, solve_linear_exact)
 from .sl2 import (DEFAULT_LEVEL_CAP, FiniteSubgroup, QuotientGroup,
                   SubgroupSpec, cosets_commute,
-                  cyclic_subgroups_up_to_conjugacy, quotient, realize,
-                  right_cosets)
+                  cyclic_subgroups_up_to_conjugacy, permutation_character,
+                  quotient, realize, right_cosets)
 
 
 class NotAbelian(ModmultError, ValueError):
@@ -230,9 +230,9 @@ def builtin_s3_table(G: QuotientGroup) -> CharacterTable:
     if G.order != 6 or G.is_abelian:
         raise ClassMismatch("built-in S3 table needs a nonabelian group of order 6")
     # each subgroup of order 2 or 3 is cyclic, and any C2 gives 1_C2^G
-    cyclic = {len(p): frozenset(p) for p in G.powers}
+    gen = {len(p): i for i, p in enumerate(G.powers)}
     rows = [(1,) * len(G.classes)] + [
-        tuple(v - 1 for v in permutation_character(G, cyclic[n]))
+        tuple(v - 1 for v in permutation_character(G, gen[n]))
         for n in (3, 2)]
     table = CharacterTable(
         group=G, names=("triv", "sign", "std"), degrees=(1, 1, 2),
@@ -391,14 +391,6 @@ def _ramanujan_sum(q: int, n: int) -> int:
     return mobius(t) * euler_phi(q) // euler_phi(t)
 
 
-def permutation_character(G: QuotientGroup, C: frozenset) -> tuple[int, ...]:
-    """Values per conjugacy class of the character induced from the trivial
-    character of the subgroup C: |G| |K n C| / (|K| |C|) at a class K
-    (Serre, Linear Representations, 7.2)."""
-    return tuple(G.order * len(C.intersection(cls)) // (len(cls) * len(C))
-                 for cls in G.classes)
-
-
 def artin_decompose(targets, G: QuotientGroup, cyclics,
                     column_order=None) -> list[tuple[Fraction, ...]]:
     """Exact coefficients expressing each rational class function of
@@ -408,16 +400,17 @@ def artin_decompose(targets, G: QuotientGroup, cyclics,
     A rational class function is fixed by its values at one generator of
     each cyclic subgroup (Serre, Linear Representations, 13.1), and at
     those classes the marks matrix is upper triangular with a positive
-    diagonal, so the system is square and nonsingular.  The permutation
-    characters and the matrix are formed once per call; each target is
-    solved on its own, as solve_linear_exact takes one right-hand side.
+    diagonal, so the system is square and nonsingular.  cyclics holds each
+    subgroup's generator and permutation character, and the matrix is
+    formed once per call; each target is solved on its own, as
+    solve_linear_exact takes one right-hand side.
     ``column_order``, a permutation of the cyclic subgroups, orders the
     matrix's columns and so the elimination's pivots; the coefficients do
     not depend on it.  Each solution is then checked at every class, in
     integers over the coefficients' common denominator D; a function that
     is not constant on the Galois class orbits raises InconsistentSystem.
     """
-    perms = [permutation_character(G, sub) for _, sub in cyclics]
+    perms = [perm for _, perm in cyclics]
     order = list(range(len(perms)) if column_order is None else column_order)
     if sorted(order) != list(range(len(perms))):
         raise ValueError("column_order must be a permutation of the columns")
@@ -515,7 +508,7 @@ class QuotientPair:
         cyclics = cyclic_subgroups_up_to_conjugacy(G)
         sig_gamma = subgroup_signature(gamma)
         branch = sig_gamma.branch.under(G.coset_index)
-        sigs = [fibre_signature(G, branch, sub) for _, sub in cyclics]
+        sigs = [fibre_signature(G, branch, perm) for _, perm in cyclics]
         # the only signature comparisons: equal signatures share a table
         tables: dict = {}
         *cyclic_dims, gamma_dims = (

@@ -31,6 +31,10 @@ class NotNormal(ModmultError, ValueError):
     pass
 
 
+class WrongIndex(ModmultError, ValueError):
+    pass
+
+
 def mat_mul(x: Mat, y: Mat, n: int) -> Mat:
     a, b, c, d = x
     e, f, g, h = y
@@ -76,7 +80,9 @@ class FiniteSubgroup:
     list of its matrices mod n = own_level (n | M): it is every matrix mod
     M whose residue mod n is listed, so it holds every matrix = I mod n,
     and coset_keys keys its cosets mod n.  For every group realize returns
-    n is the spec's level.  A group is equal only to itself.
+    n is the spec's level.  Residues that do not list I are refused; their
+    closure under products is not checked.  A group is equal only to
+    itself.
     """
 
     def __init__(self, level: int, residues: tuple[Mat, ...], own_level: int):
@@ -86,6 +92,8 @@ class FiniteSubgroup:
                              f"own_level {own_level}")
         self.level, self.residues, self.own_level = level, residues, own_level
         self.residue_set = frozenset(residues)
+        if identity_mat(own_level) not in self.residue_set:
+            raise ValueError(f"residues mod {own_level} do not list I")
         self.contains_minus_I = minus_identity(own_level) in self.residue_set
 
     @cached_property
@@ -283,9 +291,11 @@ def right_cosets(gamma: FiniteSubgroup, gamma1: FiniteSubgroup):
 
     Each g is keyed mod n = gamma1.own_level by coset_keys; a new key opens
     a coset, and a matrix with a key of gamma lies in gamma1*gamma = gamma.
-    Raises NotASubgroup unless gamma1 lies in gamma, and NotNormal unless
-    x*s lies in each new coset gamma1*x for the acting elements s and, with
-    bottom-row keys, T, which generate gamma1 mod n."""
+    Raises NotASubgroup unless gamma1 lies in gamma, NotNormal unless x*s
+    lies in each new coset gamma1*x for the acting elements s and, with
+    bottom-row keys, T, which generate gamma1 mod n, and WrongIndex unless
+    the cosets number |gamma|/|gamma1|, orders counted from the residues,
+    whatever the key rule."""
     if gamma.level != gamma1.level:
         raise NotASubgroup("subgroups live at different levels")
     n = gamma.own_level
@@ -305,6 +315,9 @@ def right_cosets(gamma: FiniteSubgroup, gamma1: FiniteSubgroup):
                 index[mat_mul(h, x, n)[key]] = i
             if any(index.get(mat_mul(x, s, n)[key]) != i for s in checks):
                 raise NotNormal("gamma1 is not normal in gamma")
+    if len(reps) * gamma1.order != gamma.order:
+        raise WrongIndex(f"the cosets of gamma1 in gamma number {len(reps)}"
+                         f", not its index {gamma.order // gamma1.order}")
     if n == m:
         return reps, lambda g: index[g[key]]
     return reps, lambda g: index[
@@ -391,25 +404,28 @@ def quotient(gamma: FiniteSubgroup, gamma1: FiniteSubgroup,
     )
 
 
+def permutation_character(G: QuotientGroup, c: int) -> tuple[int, ...]:
+    """Values per conjugacy class of the character induced from the trivial
+    character of C = <c>: |G| |K n C| / (|K| |C|) at a class K (Serre,
+    Linear Representations, 7.2), |K n C| counted on c's power row."""
+    meet = [0] * len(G.classes)
+    for x in G.powers[c]:
+        meet[G.class_of[x]] += 1
+    return tuple(G.order * m // (len(cls) * len(G.powers[c]))
+                 for m, cls in zip(meet, G.classes))
+
+
 def cyclic_subgroups_up_to_conjugacy(G: QuotientGroup):
     """All cyclic subgroups of G, one per conjugacy class of subgroups.
 
-    Returns a deterministically ordered list of (generator index, frozenset
-    of element indices), the trivial subgroup first, each the least of its
-    class by size, then by sorted elements.  Two cyclic subgroups are
-    conjugate iff their generators lie in the same conjugacy classes of G.
+    Returns a deterministically ordered list of (generator index,
+    permutation character), the trivial subgroup first, each subgroup the
+    least of its class by size, then by sorted elements, and its least
+    generator.  <c> and <d> are conjugate iff the same classes meet them:
+    c is then conjugate into <d> and d into <c>, so the two have one size.
     """
-    gens: dict[frozenset, list[int]] = {}
-    for i, p in enumerate(G.powers):
-        gens.setdefault(frozenset(p), []).append(i)
-
-    def key(sub):
-        return len(sub), tuple(sorted(sub))
-
-    least: dict[frozenset, frozenset] = {}
-    for sub, members in gens.items():
-        classes = frozenset(G.class_of[i] for i in members)
-        if classes not in least or key(sub) < key(least[classes]):
-            least[classes] = sub
-    return sorted(((gens[sub][0], sub) for sub in least.values()),
-                  key=lambda pair: key(pair[1]))
+    least: dict[frozenset, int] = {}
+    for i in sorted(range(G.order),
+                    key=lambda i: (len(G.powers[i]), sorted(G.powers[i]))):
+        least.setdefault(frozenset(G.class_of[x] for x in G.powers[i]), i)
+    return [(c, permutation_character(G, c)) for c in least.values()]

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import lcm
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,7 +13,8 @@ from modmult.dimensions import PERIOD, dims
 from modmult.reps import QuotientPair
 from modmult.sl2 import (DEFAULT_LEVEL_CAP, T_MAT, FiniteSubgroup,
                          SubgroupSpec, coset_keys, mat_inv, mat_mul,
-                         minus_identity, realize, reduce_mat, sl2_group_order)
+                         minus_identity, quotient, realize, reduce_mat,
+                         sl2_group_order)
 
 
 def group(kind, n, at_level=None):
@@ -32,10 +34,36 @@ def preimage_subgroup(pair, C):
     return FiniteSubgroup(n, tuple(sorted(elems)), own_level=n)
 
 
+def induced(G, C):
+    """1_C induced to G, per class, for any subgroup C given by its
+    elements: |G| |K n C| / (|K| |C|) at a class K."""
+    return tuple(G.order * len(C.intersection(cls)) // (len(cls) * len(C))
+                 for cls in G.classes)
+
+
+def cyclic_sets(G, cyclics):
+    """The elements of each cyclic subgroup listed as (generator, pi)."""
+    return [frozenset(G.powers[c]) for c, _ in cyclics]
+
+
+def generated(G, gens):
+    """The subgroup of G that the elements gens generate."""
+    sub, frontier = {G.identity}, [G.identity]
+    while frontier:
+        x = frontier.pop()
+        for y in (G.mul[x][g] for g in gens):
+            if y not in sub:
+                sub.add(y)
+                frontier.append(y)
+    return frozenset(sub)
+
+
 def fibre_sig(pair, C):
-    """Gamma_C's signature, read from the fibres of Gamma's branch points."""
+    """Gamma_C's signature, read from the fibres of Gamma's branch points,
+    for the subgroup C of G given by its elements."""
     branch = branch_points(coset_action(pair.gamma), pair.gamma)
-    return fibre_signature(pair.G, branch.under(pair.G.coset_index), C)
+    return fibre_signature(pair.G, branch.under(pair.G.coset_index),
+                           induced(pair.G, C))
 
 
 def compose(p, q):
@@ -246,9 +274,10 @@ def preimage_groups():
                            ("gamma0", 12, "gamma1", 12),
                            ("gamma1", 4, "gamma", 4)]:
         pair = QuotientPair.build(SubgroupSpec(k0, n0), SubgroupSpec(k1, n1))
-        for gen, sub in pair.cyclics:
+        for gen, _ in pair.cyclics:
+            C = frozenset(pair.G.powers[gen])
             out.append((f"{k0}:{n0}/{k1}:{n1}/C{gen}",
-                        preimage_subgroup(pair, sub)))
+                        preimage_subgroup(pair, C)))
     return out
 
 
@@ -392,6 +421,14 @@ class TestOwnLevel:
         for bad in ((1, 0, 0, -1), (1, 4, 0, 1)):
             with pytest.raises(ValueError, match="own_level 4$"):
                 FiniteSubgroup(4, elements[:1] + (bad,), own_level=4)
+
+    @pytest.mark.parametrize("residues", [(), ((1, 1, 0, 1),)],
+                             ids=["empty", "T-alone"])
+    def test_residues_without_identity_refused(self, residues):
+        # no residue, which would read as Gamma(4), and T alone, whose walk
+        # would end in an IndexError: neither lists I, so neither is a group
+        with pytest.raises(ValueError, match="^residues mod 4 do not list I$"):
+            FiniteSubgroup(4, residues, own_level=4)
 
 
 def whole_matrix_keys(acting, n):
@@ -555,9 +592,17 @@ class TestWalk:
             assert coset_action(K) == reference_walk(K)
 
 
+# nonabelian quotients, which QuotientPair builds only with a --table:
+# SL2(Z/3), SL2(Z/4), and three Gamma0(N)/Gamma(M) of orders 16 to 162
+NONABELIAN = [("full", 1, "gamma", 3), ("full", 1, "gamma", 4),
+              ("gamma0", 2, "gamma", 4), ("gamma0", 5, "gamma", 5),
+              ("gamma0", 4, "gamma", 8), ("gamma0", 3, "gamma", 9)]
+
+
 class TestPreimageSignature:
-    """Every Gamma_C read from Gamma's branch points equals its signature
-    from a coset table of its own."""
+    """Every Gamma_C read from Gamma's branch points and C's permutation
+    character equals its signature from a coset table of its own, C cyclic
+    or not."""
 
     @pytest.mark.parametrize("k0,n0,k1,n1", PAIRS,
                              ids=[f"{a}:{b}/{c}:{d}" for a, b, c, d in PAIRS])
@@ -565,9 +610,13 @@ class TestPreimageSignature:
         pair = QuotientPair.build(SubgroupSpec(k0, n0), SubgroupSpec(k1, n1))
         G = pair.G
         subgroups = {frozenset(G.mul[G.mul[g][x]][G.inv[g]] for x in sub)
-                     for _, sub in pair.cyclics for g in range(G.order)}
+                     for sub in cyclic_sets(G, pair.cyclics)
+                     for g in range(G.order)}
         # Gamma and Gamma1 themselves
         subgroups |= {frozenset(range(G.order)), frozenset({G.identity})}
+        # and every subgroup two elements generate (|G| <= 48 here)
+        subgroups |= {generated(G, (a, b)) for a in range(G.order)
+                      for b in range(a, G.order)}
         for C in subgroups:
             assert repr(fibre_sig(pair, C)) == \
                 repr(subgroup_signature(preimage_subgroup(pair, C))), sorted(C)
@@ -577,10 +626,30 @@ class TestPreimageSignature:
         # own coset table
         assert fibre_sig(pair, frozenset(range(G.order))) == pair.sig_gamma
 
+    @pytest.mark.parametrize("k0,n0,k1,n1", NONABELIAN,
+                             ids=[f"{a}:{b}/{c}:{d}"
+                                  for a, b, c, d in NONABELIAN])
+    def test_nonabelian_quotients(self, k0, n0, k1, n1):
+        # the fibres need no character table: here h's cycles on the
+        # cosets have lengths of more than one size, so the shorter cycles
+        # are subtracted from the fixed points of h^d
+        m = lcm(n0, n1)
+        gamma = realize(SubgroupSpec(k0, n0), at_level=m)
+        gamma1 = realize(SubgroupSpec(k1, n1), at_level=m)
+        G = quotient(gamma, gamma1)
+        assert not G.is_abelian
+        branch = subgroup_signature(gamma).branch.under(G.coset_index)
+        pair = SimpleNamespace(level=m, G=G, gamma1=gamma1)
+        for C in {generated(G, (a, b)) for a in range(G.order)
+                  for b in range(a, G.order)}:
+            assert repr(fibre_signature(G, branch, induced(G, C))) == \
+                repr(subgroup_signature(preimage_subgroup(pair, C))), sorted(C)
+
     def test_irregular_cusps_are_covered(self):
         pair = QuotientPair.build(SubgroupSpec("gamma0", 12),
                                   SubgroupSpec("gamma1", 12))
-        sigs = [fibre_sig(pair, sub) for _, sub in pair.cyclics]
+        sigs = [fibre_sig(pair, sub)
+                for sub in cyclic_sets(pair.G, pair.cyclics)]
         assert any(sig.eps_irr for sig in sigs)
         assert any(not sig.minus_I and not sig.eps_irr for sig in sigs)
 
@@ -613,7 +682,8 @@ class TestGaussBonnet:
     def test_gamma_and_every_gamma_c(self, k0, n0, k1, n1):
         pair = QuotientPair.build(SubgroupSpec(k0, n0), SubgroupSpec(k1, n1))
         G = pair.G
-        sigs = [(sub, fibre_sig(pair, sub)) for _, sub in pair.cyclics]
+        sigs = [(sub, fibre_sig(pair, sub))
+                for sub in cyclic_sets(G, pair.cyclics)]
         sigs.append((frozenset(range(G.order)), pair.sig_gamma))
         for C, sig in sigs:
             assert area_constant_c(sig) == gauss_bonnet(sig), sorted(C)
@@ -669,11 +739,11 @@ class TestPrincipalCusps:
         route = pair.sig_gamma.branch.under(G.coset_index)
         walk = branch_points(coset_action(pair.gamma), pair.gamma).under(
             G.coset_index)
-        subgroups = [sub for _, sub in pair.cyclics]
+        subgroups = cyclic_sets(G, pair.cyclics)
         subgroups.append(frozenset(range(G.order)))
         for C in subgroups:
-            assert repr(fibre_signature(G, route, C)) == \
-                repr(fibre_signature(G, walk, C)), sorted(C)
+            assert repr(fibre_signature(G, route, induced(G, C))) == \
+                repr(fibre_signature(G, walk, induced(G, C))), sorted(C)
 
     @pytest.mark.parametrize("pair,walks", [
         ("gamma:12/gamma:24", False), ("gamma:2/gamma:4", False),

@@ -21,7 +21,7 @@ from modmult.reps import (CharacterTable, CharacterTableRequired,
 from modmult.sl2 import (FiniteSubgroup, QuotientGroup, SubgroupSpec,
                          cyclic_subgroups_up_to_conjugacy, mat_mul, quotient,
                          realize)
-from test_cosets import PAIRS, fibre_sig, full_sl2
+from test_cosets import PAIRS, cyclic_sets, fibre_sig, full_sl2
 
 
 @pytest.fixture(scope="module")
@@ -731,7 +731,7 @@ class TestGaloisOrbitsFromPowerMaps:
     def test_square_marks_matrix_is_triangular(self, table_of_pair):
         G = table_of_pair.group
         cyclics = cyclic_subgroups_up_to_conjugacy(G)
-        perms = [permutation_character(G, sub) for _, sub in cyclics]
+        perms = [perm for _, perm in cyclics]
         rows = [G.class_of[gen] for gen, _ in cyclics]
         assert len(rows) == len(rational_characters(table_of_pair))
         for i, cl in enumerate(rows):
@@ -1071,16 +1071,17 @@ class TestPermutationCharacter:
         from test_sl2 import quotients
         count = 0
         for label, G in quotients():
-            for _, C in cyclic_subgroups_up_to_conjugacy(G):
-                assert permutation_character(G, C) == \
-                    coset_count_character(G, C), (label, sorted(C))
+            for c, perm in cyclic_subgroups_up_to_conjugacy(G):
+                assert perm == permutation_character(G, c) == \
+                    coset_count_character(G, frozenset(G.powers[c])), \
+                    (label, c)
                 count += 1
         assert count > 200
 
     def test_c4(self, diamond5):
         G = diamond5.G
-        c2 = next(s for _, s in cyclic_subgroups_up_to_conjugacy(G)
-                  if len(s) == 2)
+        c2 = next(c for c, _ in cyclic_subgroups_up_to_conjugacy(G)
+                  if len(G.powers[c]) == 2)
         vals = permutation_character(G, c2)
         for ci, cls in enumerate(G.classes):
             order = len(G.powers[cls[0]])
@@ -1088,32 +1089,35 @@ class TestPermutationCharacter:
 
     def test_s3_c2(self, s3pair):
         G = s3pair.G
-        c2 = next(s for _, s in cyclic_subgroups_up_to_conjugacy(G)
-                  if len(s) == 2)
+        c2 = next(c for c, _ in cyclic_subgroups_up_to_conjugacy(G)
+                  if len(G.powers[c]) == 2)
         vals = permutation_character(G, c2)
         by_order = {len(G.powers[c[0]]): ci for ci, c in enumerate(G.classes)}
         assert vals[by_order[1]] == 3
         assert vals[by_order[2]] == 1
         assert vals[by_order[3]] == 0
 
-    def test_whole_group(self, s3pair):
-        G = s3pair.G
-        vals = permutation_character(G, frozenset(range(G.order)))
-        assert vals == (1,) * len(G.classes)
+    def test_whole_group(self, diamond5):
+        # G = Z/4, generated by each element of order 4
+        G = diamond5.G
+        for c in range(G.order):
+            if len(G.powers[c]) == G.order:
+                vals = permutation_character(G, c)
+                assert vals == (1,) * len(G.classes)
 
 
 class TestArtin:
     def test_c4_orbit(self, diamond5):
         G = diamond5.G
         cy = cyclic_subgroups_up_to_conjugacy(G)
-        assert [len(s) for _, s in cy] == [1, 2, 4]
+        assert [len(G.powers[c]) for c, _ in cy] == [1, 2, 4]
         orbit = next(r for r in diamond5.rationals if r.orbit_size == 2)
         assert artin_decompose([orbit.values], G, cy) == [(1, -1, 0)]
 
     def test_s3(self, s3pair):
         G = s3pair.G
         cy = cyclic_subgroups_up_to_conjugacy(G)
-        assert [len(s) for _, s in cy] == [1, 2, 3]
+        assert [len(G.powers[c]) for c, _ in cy] == [1, 2, 3]
         by_name = {r.label: r for r in s3pair.rationals}
         targets = [by_name[name].values for name in ("triv", "std")]
         assert artin_decompose(targets, G, cy) == [
@@ -1123,7 +1127,7 @@ class TestArtin:
     def test_resubstitution(self, diamond7):
         G = diamond7.G
         cy = diamond7.cyclics
-        perms = [permutation_character(G, s) for _, s in cy]
+        perms = [permutation_character(G, c) for c, _ in cy]
         rats = diamond7.rationals
         solved = artin_decompose([rat.values for rat in rats], G, cy)
         assert len(solved) == len(rats)
@@ -1172,7 +1176,7 @@ class TestArtin:
         # or not, the outcome is the Fraction check's, message included
         G = pair_quotient(*pair)
         cy = cyclic_subgroups_up_to_conjugacy(G)
-        perms = [permutation_character(G, sub) for _, sub in cy]
+        perms = [perm for _, perm in cy]
         rows = [G.class_of[gen] for gen, _ in cy]
         A = [[perm[cl] for perm in perms] for cl in rows]
         outcomes = set()
@@ -1197,13 +1201,13 @@ class TestArtin:
         # conjugates of a listed cyclic subgroup induce the same character
         # and cut out the same fixed-group signature
         G = s3pair.G
-        for _, sub in s3pair.cyclics:
-            base_perm = permutation_character(G, sub)
-            base_sig = fibre_sig(s3pair, sub)
+        for c, base_perm in s3pair.cyclics:
+            base_sig = fibre_sig(s3pair, frozenset(G.powers[c]))
             for g in range(G.order):
-                conj = frozenset(G.mul[G.mul[g][x]][G.inv[g]] for x in sub)
+                conj = G.mul[G.mul[g][c]][G.inv[g]]
                 assert permutation_character(G, conj) == base_perm
-                assert fibre_sig(s3pair, conj) == base_sig
+                assert fibre_sig(s3pair, frozenset(G.powers[conj])) == \
+                    base_sig
 
 
 class TestParity:
@@ -1351,7 +1355,8 @@ class TestSignatureCache:
             if lookups:
                 assert pair.sig_gamma.branch == cosets.branch_points(
                     cosets.coset_action(pair.gamma), pair.gamma)
-            for (_, sub), table in zip(pair.cyclics, pair.cyclic_dims):
+            for sub, table in zip(cyclic_sets(pair.G, pair.cyclics),
+                                  pair.cyclic_dims):
                 elems = {mat_mul(h, pair.G.elements[c], pair.level)
                          for c in sub for h in pair.gamma1.elements}
                 assert table.sig == fibre_sig(pair, sub) == subgroup_signature(
@@ -1430,7 +1435,8 @@ def series_from_dims(pair, rat, kind, weights):
     with the Artin coefficients solved afresh."""
     from modmult.dimensions import dims
     coeffs, = artin_decompose([rat.values], pair.G, pair.cyclics)
-    sigs = [fibre_sig(pair, sub) for _, sub in pair.cyclics]
+    sigs = [fibre_sig(pair, sub)
+            for sub in cyclic_sets(pair.G, pair.cyclics)]
     return {k: int(sum(q * dims(sig, k).kind(kind)
                        for q, sig in zip(coeffs, sigs)))
             for k in weights}
@@ -1469,8 +1475,8 @@ class TestDimensionTable:
             pair = QuotientPair.build(SubgroupSpec(k0, n0),
                                       SubgroupSpec(k1, n1))
             G = pair.G
-            for (_, C), table in zip(pair.cyclics, pair.cyclic_dims,
-                                     strict=True):
+            for C, table in zip(cyclic_sets(G, pair.cyclics),
+                                pair.cyclic_dims, strict=True):
                 assert table.sig == fibre_sig(pair, C), (k0, n0, k1, n1)
             # Gamma1 (C = {1}) and Gamma (C = G) have tables too
             gamma1 = fibre_sig(pair, frozenset({G.identity}))
@@ -1518,7 +1524,8 @@ class TestDimensionTable:
         for k0, n0, k1, n1 in PAIRS:
             specs = (SubgroupSpec(k0, n0), SubgroupSpec(k1, n1))
             pair = QuotientPair.build(*specs)
-            sigs = [fibre_sig(pair, sub) for _, sub in pair.cyclics]
+            sigs = [fibre_sig(pair, sub)
+                    for sub in cyclic_sets(pair.G, pair.cyclics)]
             if len(set(sigs)) == len(sigs):
                 continue
             shared.append((k0, n0, k1, n1))
@@ -1612,7 +1619,8 @@ class TestDimensionTable:
         pair = QuotientPair.build(SubgroupSpec("gamma", 12),
                                   SubgroupSpec("gamma", 24))
         monkeypatch.undo()
-        sigs = [fibre_sig(pair, sub) for _, sub in pair.cyclics]
+        sigs = [fibre_sig(pair, sub)
+                for sub in cyclic_sets(pair.G, pair.cyclics)]
         groups = set(sigs) | {pair.sig_gamma}
         # 8 cyclic classes and Gamma, with 4 signatures between them
         assert (len(sigs), len(set(sigs)), len(groups)) == (8, 3, 4)
@@ -1841,20 +1849,21 @@ class TestArtinSolves:
 
     def test_build_forms_the_marks_matrix_once(self, solves, monkeypatch):
         # Z/28: 6 cyclic subgroups and 6 rational characters, each
-        # permutation character formed once and one solve per character
-        import modmult.reps as reps
+        # permutation character formed once, with its cyclic subgroup, and
+        # one solve per character
+        import modmult.sl2 as sl2
         perms = []
-        original = reps.permutation_character
+        original = sl2.permutation_character
 
-        def counted(G, C):
-            perms.append(C)
-            return original(G, C)
+        def counted(G, c):
+            perms.append(c)
+            return original(G, c)
 
-        monkeypatch.setattr(reps, "permutation_character", counted)
+        monkeypatch.setattr(sl2, "permutation_character", counted)
         pair = QuotientPair.build(SubgroupSpec("gamma0", 29),
                                   SubgroupSpec("gamma1", 29))
         assert len(pair.cyclics) == len(pair.rationals) == 6
-        assert perms == [sub for _, sub in pair.cyclics]
+        assert perms == [gen for gen, _ in pair.cyclics]
         assert solves == [list(range(6))] * 6
 
     def test_column_order_solves_afresh(self, solves):

@@ -6,7 +6,7 @@ import pytest
 from modmult.cosets import (coset_action, signature_from_action,
                             subgroup_signature)
 from modmult.sl2 import (T_MAT, FiniteSubgroup, LevelTooLarge, NotASubgroup,
-                         NotNormal, SubgroupSpec, cosets_commute,
+                         NotNormal, SubgroupSpec, WrongIndex, cosets_commute,
                          cyclic_subgroups_up_to_conjugacy,
                          identity_mat, mat_inv, mat_mul, quotient, realize,
                          reduce_mat, right_cosets, sl2_group_order)
@@ -463,6 +463,25 @@ class TestRightCosets:
                         coset_of(x)
 
 
+    def test_index_checked_whatever_the_key_rule(self, monkeypatch, capsys):
+        # bottom-row keys with T outside the group merge the five cosets of
+        # Gamma(5) in Gamma1(5) into one: without the index check verify
+        # passes with |G| = 1, and no later check sees it
+        import modmult.sl2 as sl2
+        from modmult.cli import main
+        monkeypatch.setattr(sl2, "coset_keys", lambda acting, n: (
+            list({h[2:]: h for h in acting}.values()), slice(2, 4)))
+        with pytest.raises(WrongIndex):
+            right_cosets(realize(SubgroupSpec("gamma1", 5)),
+                         realize(SubgroupSpec("gamma", 5)))
+        assert main(["verify", "--pair", "gamma1:5/gamma:5",
+                     "--kmax", "60"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("modmult: WrongIndex: the cosets of gamma1 "
+                                "in gamma number 1, not its index 5\n")
+
+
 class TestCosetsByD:
     """right_cosets gives the product reference's reps and coset_of for
     every Gamma0(N)/Gamma1(N) at level N, above the default cap too, whose
@@ -568,19 +587,21 @@ class TestCyclicSubgroups:
     def test_same_as_conjugation(self):
         # 68 quotients, SL2(Z/5) of order 120 the largest
         for label, G in quotients():
-            assert cyclic_subgroups_up_to_conjugacy(G) == \
+            assert [(c, frozenset(G.powers[c])) for c, _ in
+                    cyclic_subgroups_up_to_conjugacy(G)] == \
                 fused_by_conjugation(G), label
 
     def test_c4(self):
-        subs = cyclic_subgroups_up_to_conjugacy(diamond(5))
-        assert sorted(len(s) for _, s in subs) == [1, 2, 4]
+        G = diamond(5)
+        subs = cyclic_subgroups_up_to_conjugacy(G)
+        assert sorted(len(G.powers[c]) for c, _ in subs) == [1, 2, 4]
 
     def test_s3(self):
         G = quotient(full_sl2(2), realize(SubgroupSpec("gamma", 2)))
         subs = cyclic_subgroups_up_to_conjugacy(G)
-        assert sorted(len(s) for _, s in subs) == [1, 2, 3]
+        assert sorted(len(G.powers[c]) for c, _ in subs) == [1, 2, 3]
         # every cyclic subgroup is conjugate to exactly one listed subgroup
-        listed = [s for _, s in subs]
+        listed = [frozenset(G.powers[c]) for c, _ in subs]
         for i in range(G.order):
             cyc = cyclic_subgroup_of(G, i)
             orbit = {frozenset(G.mul[G.mul[g][y]][G.inv[g]] for y in cyc)
@@ -588,6 +609,7 @@ class TestCyclicSubgroups:
             assert sum(1 for s in listed if s in orbit) == 1
 
     def test_c2xc2(self):
-        subs = cyclic_subgroups_up_to_conjugacy(diamond(8))
-        assert sorted(len(s) for _, s in subs) == [1, 2, 2, 2]
+        G = diamond(8)
+        subs = cyclic_subgroups_up_to_conjugacy(G)
+        assert sorted(len(G.powers[c]) for c, _ in subs) == [1, 2, 2, 2]
 

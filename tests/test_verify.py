@@ -583,7 +583,7 @@ def test_every_error_class_is_a_modmult_error():
         errors += [obj for obj in vars(module).values()
                    if isinstance(obj, type) and issubclass(obj, Exception)
                    and obj.__module__ == module.__name__]
-    assert len(errors) == 18
+    assert len(errors) == 19
     assert all(issubclass(e, modmult.ModmultError) for e in errors)
     # each keeps its ValueError base, if it had one
     assert sorted(e.__name__ for e in errors if not issubclass(e, ValueError)) \
