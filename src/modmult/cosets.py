@@ -248,14 +248,15 @@ def fibre_signature(G: QuotientGroup, branch: BranchPoints,
     cl, iota = G.class_of, G.iota
     minus_i = iota is not None and perm[cl[iota]] == perm[0]
     split = iota is not None and not minus_i
-    fixed = [(v + perm[cl[G.mul[iota][cls[0]]]]) // 2 for v, cls in zip(
+    fixed = [(v + perm[cl[G.mul(iota, cls[0])]]) // 2 for v, cls in zip(
         perm, G.classes)] if split else perm
     cusps = []
     for (width, eps, h), count in Counter(branch.cusps).items():
-        cycles, o, left = {}, len(G.powers[h]), fixed[0]
+        row = G.power_map[cl[h]]
+        cycles, o, left = {}, len(row), fixed[0]
         for l in (l for l in range(1, o + 1) if o % l == 0 and left):
-            k, short = cl[G.power(h, l)], [(m, *cycles[m]) for m in cycles
-                                           if l % m == 0]
+            k, short = row[l % o], [(m, *cycles[m]) for m in cycles
+                                    if l % m == 0]
             n = g = (fixed[k] - sum(m * nm for m, nm, _ in short)) // l
             if split:
                 g = (perm[k] // 2 - sum(m * (gm if l // m % 2 else nm)

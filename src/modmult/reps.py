@@ -124,20 +124,20 @@ class CharacterTable:
         relations, as used by Dixon, Numer. Math. 10, 1967).  Then omega is
         the central character of an irreducible psi, and chi = psi.  Over
         the table's denominator, in Z[x]/(x^m - 1):
-        |K_i||K_j| chi_i chi_j = chi(1) sum_l a_ijl |K_l| chi_l."""
+        |K_i||K_j| chi_i chi_j = chi(1) sum_l a_ijl |K_l| chi_l, where
+        a_ijl |K_l| = #{(x, y) in K_i x K_j : xy in K_l}
+        = |K_j| #{x in K_i : x z_j in K_l}, z_j in K_j."""
         G = self.group
         cls = G.class_of
         sizes = [len(K) for K in G.classes]
         # (i, j) -> {l: a_ijl |K_l|} for classes i <= j
         terms: dict[tuple[int, int], dict[int, int]] = {}
         for i, K in enumerate(G.classes):
-            for l, Kl in enumerate(G.classes):
-                z = Kl[0]
+            for j in range(i, len(G.classes)):
+                t = terms[i, j] = {}
                 for x in K:
-                    j = cls[G.mul[G.inv[x]][z]]
-                    if j >= i:
-                        t = terms.setdefault((i, j), {})
-                        t[l] = t.get(l, 0) + sizes[l]
+                    l = cls[G.mul(x, G.classes[j][0])]
+                    t[l] = t.get(l, 0) + sizes[j]
         products = sorted(terms.items())
         for name, deg, row in zip(self.names, self.degrees, rows):
             if deg < 1:
@@ -181,7 +181,7 @@ class CharacterTable:
         if not len(set(rows)) == len(rows) == G.order:
             return False
         cls = G.class_of
-        steps = [(cls[x], cls[G.mul[x][s]], cls[s])
+        steps = [(cls[x], cls[G.mul(x, s)], cls[s])
                  for x in range(G.order) for s in G.generators]
         return not any((row[x] + row[s] - row[y]) % m
                        for row in rows for x, y, s in steps)
@@ -195,18 +195,19 @@ def abelian_character_table(G: QuotientGroup) -> CharacterTable:
     e = G.exponent
     chars: list[dict[int, int]] = [{G.identity: 0}]  # element -> exponent of zeta_e
     for g in G.generators:
-        pg = G.powers[g]
+        # classes are singletons: g's powers are its power map's classes
+        pg = [G.classes[k][0] for k in G.power_map[G.class_of[g]]]
         # m = least positive power of g in the current subgroup, the key
         # set of chars[0]: its meet with <g> has ord g / m elements
         m = len(pg) // sum(x in chars[0] for x in pg)
+        steps = [(h, j, G.mul(h, pg[j])) for h in chars[0] for j in range(m)]
         new_chars = []
         for chi in chars:
             t = chi[pg[m % len(pg)]]
             for s in range(e):
                 if (m * s - t) % e == 0:
-                    new_chars.append({G.mul[h][pg[j]]: (th + s * j) % e
-                                      for h, th in chi.items()
-                                      for j in range(m)})
+                    new_chars.append({x: (chi[h] + s * j) % e
+                                      for h, j, x in steps})
         chars = new_chars
 
     assert len(chars) == G.order
@@ -230,7 +231,7 @@ def builtin_s3_table(G: QuotientGroup) -> CharacterTable:
     if G.order != 6 or G.is_abelian:
         raise ClassMismatch("built-in S3 table needs a nonabelian group of order 6")
     # each subgroup of order 2 or 3 is cyclic, and any C2 gives 1_C2^G
-    gen = {len(p): i for i, p in enumerate(G.powers)}
+    gen = {len(row): G.classes[k][0] for k, row in enumerate(G.power_map)}
     rows = [(1,) * len(G.classes)] + [
         tuple(v - 1 for v in permutation_character(G, gen[n]))
         for n in (3, 2)]
@@ -496,7 +497,7 @@ class QuotientPair:
         level = lcm(gamma_spec.level, gamma1_spec.level)
         gamma = realize(gamma_spec, at_level=level, level_cap=level_cap)
         gamma1 = realize(gamma1_spec, at_level=level, level_cap=level_cap)
-        # a nonabelian G of order != 6 with no table fails before its |G|^2 mul
+        # a nonabelian G of order != 6 with no table fails before its classes
         cosets = right_cosets(gamma, gamma1)
         order = gamma.order // gamma1.order
         if (table_source is None and order != 6

@@ -215,17 +215,19 @@ def realize(spec: SubgroupSpec, at_level: int | None = None,
 class QuotientGroup:
     """The finite quotient G = Gamma/Gamma1 on canonical coset representatives."""
 
-    def __init__(self, level: int, elements: tuple[Mat, ...],
-                 mul: tuple[tuple[int, ...], ...], inv: tuple[int, ...],
-                 identity: int, classes: tuple[tuple[int, ...], ...],
-                 class_of: tuple[int, ...], iota: int | None,
-                 iota_trivial: bool, powers: tuple[tuple[int, ...], ...],
-                 coset_of):
-        self.level, self.elements, self.mul, self.inv = level, elements, mul, inv
-        self.identity, self.classes, self.class_of = identity, classes, class_of
+    def __init__(self, level: int, elements: tuple[Mat, ...], identity: int,
+                 classes: tuple[tuple[int, ...], ...],
+                 class_of: tuple[int, ...],
+                 power_map: tuple[tuple[int, ...], ...], iota: int | None,
+                 iota_trivial: bool, generators: tuple[int, ...], coset_of):
+        self.level, self.elements, self.identity = level, elements, identity
+        self.classes, self.class_of = classes, class_of
+        # power_map[K] = the classes of r^0, r, ..., r^(ord r - 1),
+        # r = classes[K][0]
+        self.power_map = power_map
         self.iota, self.iota_trivial = iota, iota_trivial
-        # powers[i] = (1, i, i^2, ..., i^(ord i - 1))
-        self.powers = powers
+        # each element outside the subgroup the earlier ones generate
+        self.generators = generators
         # an element of Gamma -> the index of its coset (right_cosets)
         self.coset_of = coset_of
 
@@ -243,18 +245,14 @@ class QuotientGroup:
             return self.order
         return self.order // 2
 
-    def power(self, i: int, m: int) -> int:
-        p = self.powers[i]
-        return p[m % len(p)]
+    def mul(self, x: int, y: int) -> int:
+        """The index of the product of elements x and y."""
+        return self.coset_of(mat_mul(self.elements[x], self.elements[y],
+                                     self.level))
 
     @cached_property
     def exponent(self) -> int:
-        return lcm(*map(len, self.powers))
-
-    @cached_property
-    def generators(self) -> tuple[int, ...]:
-        """Each element outside the subgroup the earlier ones generate."""
-        return tuple(generators(self.elements, self.coset_of, self.level))
+        return lcm(*map(len, self.power_map))
 
     @property
     def is_abelian(self) -> bool:
@@ -358,48 +356,46 @@ def quotient(gamma: FiniteSubgroup, gamma1: FiniteSubgroup,
              cosets=None) -> QuotientGroup:
     """Build Gamma/Gamma1 with conjugacy classes and the coset of -I located.
 
+    Each class is an orbit under conjugation by the greedy generators, and
+    its least element r takes one row of products, r^0, r, r^2, ...
     cosets, if given, is right_cosets(gamma, gamma1)."""
     reps, coset_of = cosets or right_cosets(gamma, gamma1)
     n = gamma.level
-    size = len(reps)
-
-    mul = tuple(tuple(coset_of(mat_mul(x, y, n)) for y in reps) for x in reps)
     identity = coset_of(identity_mat(n))
-    inv = tuple(coset_of(mat_inv(x, n)) for x in reps)
+    gens = tuple(generators(reps, coset_of, n))
+    conj = [(mat_inv(reps[s], n), reps[s]) for s in gens]
 
-    # conjugacy classes
-    seen = [False] * size
-    raw_classes = []
-    for i in range(size):
+    seen, raw = [False] * len(reps), []
+    for i in range(len(reps)):
         if seen[i]:
             continue
-        cls = {mul[mul[g][i]][inv[g]] for g in range(size)}
-        for x in cls:
-            seen[x] = True
-        raw_classes.append(tuple(sorted(cls)))
-
-    powers = []
-    for i in range(size):
+        seen[i], orbit = True, [i]
+        for y in orbit:
+            for a, b in conj:
+                z = coset_of(mat_mul(mat_mul(a, reps[y], n), b, n))
+                if not seen[z]:
+                    seen[z] = True
+                    orbit.append(z)
         row, x = [identity], i
         while x != identity:
             row.append(x)
-            x = mul[x][i]
-        powers.append(tuple(row))
+            x = coset_of(mat_mul(reps[x], reps[i], n))
+        raw.append((sorted(orbit), row))
 
-    raw_classes.sort(key=lambda cls: (len(cls), len(powers[cls[0]]),
-                                      tuple(reps[i] for i in cls)))
-    classes = tuple(raw_classes)
-    class_of = [0] * size
-    for ci, cls in enumerate(classes):
+    raw.sort(key=lambda c: (len(c[0]), len(c[1]), [reps[i] for i in c[0]]))
+    class_of = [0] * len(reps)
+    for k, (cls, _) in enumerate(raw):
         for i in cls:
-            class_of[i] = ci
+            class_of[i] = k
 
     return QuotientGroup(
-        level=n, elements=tuple(reps), mul=mul, inv=inv, identity=identity,
-        classes=classes, class_of=tuple(class_of),
+        level=n, elements=tuple(reps), identity=identity,
+        classes=tuple(tuple(cls) for cls, _ in raw),
+        class_of=tuple(class_of),
+        power_map=tuple(tuple(class_of[x] for x in row) for _, row in raw),
         iota=(coset_of(minus_identity(n)) if gamma.contains_minus_I
               else None),
-        iota_trivial=gamma1.contains_minus_I, powers=tuple(powers),
+        iota_trivial=gamma1.contains_minus_I, generators=gens,
         coset_of=coset_of,
     )
 
@@ -407,11 +403,13 @@ def quotient(gamma: FiniteSubgroup, gamma1: FiniteSubgroup,
 def permutation_character(G: QuotientGroup, c: int) -> tuple[int, ...]:
     """Values per conjugacy class of the character induced from the trivial
     character of C = <c>: |G| |K n C| / (|K| |C|) at a class K (Serre,
-    Linear Representations, 7.2), |K n C| counted on c's power row."""
+    Linear Representations, 7.2), |K n C| counted on the power map of c's
+    class."""
+    row = G.power_map[G.class_of[c]]
     meet = [0] * len(G.classes)
-    for x in G.powers[c]:
-        meet[G.class_of[x]] += 1
-    return tuple(G.order * m // (len(cls) * len(G.powers[c]))
+    for k in row:
+        meet[k] += 1
+    return tuple(G.order * m // (len(cls) * len(row))
                  for m, cls in zip(meet, G.classes))
 
 
@@ -419,13 +417,12 @@ def cyclic_subgroups_up_to_conjugacy(G: QuotientGroup):
     """All cyclic subgroups of G, one per conjugacy class of subgroups.
 
     Returns a deterministically ordered list of (generator index,
-    permutation character), the trivial subgroup first, each subgroup the
-    least of its class by size, then by sorted elements, and its least
-    generator.  <c> and <d> are conjugate iff the same classes meet them:
-    c is then conjugate into <d> and d into <c>, so the two have one size.
+    permutation character), by order and then by the first class whose
+    least element generates one: the trivial subgroup first.  <c> and <d>
+    are conjugate iff the same classes meet them: c is then conjugate into
+    <d> and d into <c>, so the two have one size.
     """
-    least: dict[frozenset, int] = {}
-    for i in sorted(range(G.order),
-                    key=lambda i: (len(G.powers[i]), sorted(G.powers[i]))):
-        least.setdefault(frozenset(G.class_of[x] for x in G.powers[i]), i)
-    return [(c, permutation_character(G, c)) for c in least.values()]
+    first: dict[frozenset, int] = {}
+    for k in sorted(range(len(G.classes)), key=lambda k: len(G.power_map[k])):
+        first.setdefault(frozenset(G.power_map[k]), G.classes[k][0])
+    return [(c, permutation_character(G, c)) for c in first.values()]

@@ -41,17 +41,32 @@ def induced(G, C):
                  for cls in G.classes)
 
 
+def mul_table(G):
+    """G's multiplication table and inverses, one product per pair."""
+    mul = [[G.mul(x, y) for y in range(G.order)] for x in range(G.order)]
+    return mul, [row.index(G.identity) for row in mul]
+
+
+def power_row(G, i):
+    """(1, i, i^2, ..., i^(ord i - 1)), by repeated products."""
+    row, x = [G.identity], i
+    while x != G.identity:
+        row.append(x)
+        x = G.mul(x, i)
+    return tuple(row)
+
+
 def cyclic_sets(G, cyclics):
     """The elements of each cyclic subgroup listed as (generator, pi)."""
-    return [frozenset(G.powers[c]) for c, _ in cyclics]
+    return [frozenset(power_row(G, c)) for c, _ in cyclics]
 
 
-def generated(G, gens):
-    """The subgroup of G that the elements gens generate."""
+def generated(G, gens, mul):
+    """The subgroup of G that the elements gens generate, mul G's table."""
     sub, frontier = {G.identity}, [G.identity]
     while frontier:
         x = frontier.pop()
-        for y in (G.mul[x][g] for g in gens):
+        for y in (mul[x][g] for g in gens):
             if y not in sub:
                 sub.add(y)
                 frontier.append(y)
@@ -275,7 +290,7 @@ def preimage_groups():
                            ("gamma1", 4, "gamma", 4)]:
         pair = QuotientPair.build(SubgroupSpec(k0, n0), SubgroupSpec(k1, n1))
         for gen, _ in pair.cyclics:
-            C = frozenset(pair.G.powers[gen])
+            C = frozenset(power_row(pair.G, gen))
             out.append((f"{k0}:{n0}/{k1}:{n1}/C{gen}",
                         preimage_subgroup(pair, C)))
     return out
@@ -609,13 +624,14 @@ class TestPreimageSignature:
     def test_matches_own_coset_table(self, k0, n0, k1, n1):
         pair = QuotientPair.build(SubgroupSpec(k0, n0), SubgroupSpec(k1, n1))
         G = pair.G
-        subgroups = {frozenset(G.mul[G.mul[g][x]][G.inv[g]] for x in sub)
+        mul, inv = mul_table(G)
+        subgroups = {frozenset(mul[mul[g][x]][inv[g]] for x in sub)
                      for sub in cyclic_sets(G, pair.cyclics)
                      for g in range(G.order)}
         # Gamma and Gamma1 themselves
         subgroups |= {frozenset(range(G.order)), frozenset({G.identity})}
         # and every subgroup two elements generate (|G| <= 48 here)
-        subgroups |= {generated(G, (a, b)) for a in range(G.order)
+        subgroups |= {generated(G, (a, b), mul) for a in range(G.order)
                       for b in range(a, G.order)}
         for C in subgroups:
             assert repr(fibre_sig(pair, C)) == \
@@ -640,7 +656,8 @@ class TestPreimageSignature:
         assert not G.is_abelian
         branch = subgroup_signature(gamma).branch.under(G.coset_index)
         pair = SimpleNamespace(level=m, G=G, gamma1=gamma1)
-        for C in {generated(G, (a, b)) for a in range(G.order)
+        mul, _ = mul_table(G)
+        for C in {generated(G, (a, b), mul) for a in range(G.order)
                   for b in range(a, G.order)}:
             assert repr(fibre_signature(G, branch, induced(G, C))) == \
                 repr(subgroup_signature(preimage_subgroup(pair, C))), sorted(C)

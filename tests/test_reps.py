@@ -21,7 +21,8 @@ from modmult.reps import (CharacterTable, CharacterTableRequired,
 from modmult.sl2 import (FiniteSubgroup, QuotientGroup, SubgroupSpec,
                          cyclic_subgroups_up_to_conjugacy, mat_mul, quotient,
                          realize)
-from test_cosets import PAIRS, cyclic_sets, fibre_sig, full_sl2
+from test_cosets import (PAIRS, cyclic_sets, fibre_sig, full_sl2, mul_table,
+                         power_row)
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +65,7 @@ def reference_abelian_table(G):
     kept the current subgroup as a set of its own; the generators are those
     G.generators lists."""
     e = G.exponent
+    mul, _ = mul_table(G)
     chars = [{G.identity: 0}]
     subgroup = {G.identity}
     generators = []
@@ -73,7 +75,7 @@ def reference_abelian_table(G):
         generators.append(g)
         m, p = 1, g
         while p not in subgroup:
-            p = G.mul[p][g]
+            p = mul[p][g]
             m += 1
         new_chars = []
         for chi in chars:
@@ -85,7 +87,7 @@ def reference_abelian_table(G):
                 for h, th in chi.items():
                     x = h
                     for j in range(1, m):
-                        x = G.mul[x][g]
+                        x = mul[x][g]
                         ext[x] = (th + s * j) % e
                 new_chars.append(ext)
         chars = new_chars
@@ -93,8 +95,8 @@ def reference_abelian_table(G):
         base = list(subgroup)
         for _ in range(1, m):
             for h in base:
-                subgroup.add(G.mul[h][x])
-            x = G.mul[x][g]
+                subgroup.add(mul[h][x])
+            x = mul[x][g]
     class_reps = [cls[0] for cls in G.classes]
     rows = sorted(tuple(chi[r] for r in class_reps) for chi in chars)
     names = tuple("triv" if not any(row) else f"chi{i}"
@@ -152,7 +154,7 @@ class TestS3Table:
         assert table.provenance == "BuiltinS3"
         assert sorted(table.degrees) == [1, 1, 2]
         G = table.group
-        by_order = {len(G.powers[c[0]]): ci for ci, c in enumerate(G.classes)}
+        by_order = {len(row): ci for ci, row in enumerate(G.power_map)}
         for name, expect in [("triv", {1: 1, 2: 1, 3: 1}),
                              ("sign", {1: 1, 2: -1, 3: 1}),
                              ("std", {1: 2, 2: 0, 3: -1})]:
@@ -353,6 +355,7 @@ def reference_validate(table):
                     f"value of {name} at the -I coset is not a +-1 scalar")
     # each row is a character: |K_i||K_j| chi_i chi_j = chi(1) *
     # sum_l a_ijl |K_l| chi_l, a_ijl = #{x in K_i : x^-1 z_l in K_j}
+    mul, inv = mul_table(G)
     for name, deg, row in zip(table.names, table.degrees, table.values):
         if deg < 1:
             raise OrthogonalityFailure(f"{name} is not a character: degree {deg}")
@@ -360,7 +363,7 @@ def reference_validate(table):
             for j in range(i, len(G.classes)):
                 rhs = CycloValue.from_rational(0)
                 for l, Kl in enumerate(G.classes):
-                    a = sum(G.class_of[G.mul[G.inv[x]][Kl[0]]] == j for x in Ki)
+                    a = sum(G.class_of[mul[inv[x]][Kl[0]]] == j for x in Ki)
                     rhs = rhs + (a * sizes[l]) * row[l]
                 if (sizes[i] * sizes[j]) * (row[i] * row[j]) != deg * rhs:
                     raise OrthogonalityFailure(
@@ -462,8 +465,7 @@ class TestValidate:
 
     def test_irrational_inner_product(self, table13):
         G = table13.group
-        c = next(ci for ci, cls in enumerate(G.classes)
-                 if len(G.powers[cls[0]]) == 3)
+        c = next(ci for ci, row in enumerate(G.power_map) if len(row) == 3)
         rows = [list(row) for row in table13.values]
         rows[1][c] = rows[1][c] * CycloValue(12, {1: 1})
         broken = edited(table13, rows=rows)
@@ -498,8 +500,7 @@ class TestValidate:
         # swapping the -I class with a class of order 3 keeps orthogonality
         G = table13.group
         iota = G.class_of[G.iota]
-        c = next(ci for ci, cls in enumerate(G.classes)
-                 if len(G.powers[cls[0]]) == 3)
+        c = next(ci for ci, row in enumerate(G.power_map) if len(row) == 3)
         rows = [list(row) for row in table13.values]
         for row in rows:
             row[iota], row[c] = row[c], row[iota]
@@ -540,9 +541,8 @@ class TestRationalCharacters:
         orbit = next(r for r in rats if r.orbit_size == 2)
         G = diamond5.G
         # value 2 at the identity, -2 at the order-2 element, 0 elsewhere
-        for ci, cls in enumerate(G.classes):
-            order = len(G.powers[cls[0]])
-            expect = {1: 2, 2: -2}.get(order, 0)
+        for ci, row in enumerate(G.power_map):
+            expect = {1: 2, 2: -2}.get(len(row), 0)
             assert orbit.values[ci] == expect
 
     def test_s3_singletons(self, s3pair):
@@ -642,7 +642,8 @@ def power_map_orbits(table):
             key.append(reduce_cyclotomic(m, vec))
         keys.append(tuple(key))
     index = {key: i for i, key in enumerate(keys)}
-    power_maps = [[G.class_of[G.power(cls[0], a)] for cls in G.classes]
+    rows_of = [power_row(G, cls[0]) for cls in G.classes]
+    power_maps = [[G.class_of[row[a % len(row)]] for row in rows_of]
                   for a in range(1, e + 1) if gcd(a, e) == 1]
     out, seen = [], set()
     for i, key in enumerate(keys):
@@ -690,8 +691,11 @@ class TestGaloisOrbitsFromPowerMaps:
             monkeypatch.setattr(module, "reduce_cyclotomic",
                                 spied("reduce_cyclotomic",
                                       module.reduce_cyclotomic))
-        monkeypatch.setattr(QuotientGroup, "power",
-                            spied("power", QuotientGroup.power))
+        # power_map is an instance field: a property on the class is read
+        # in its place
+        monkeypatch.setattr(QuotientGroup, "power_map", property(
+            lambda G: calls.append("power_map") or vars(G)["power_map"]),
+            raising=False)
         got = rational_characters(sums)
         monkeypatch.undo()
         assert calls == []
@@ -884,11 +888,11 @@ class TestExponentRows:
         table = character_table_for(G)
         s, a, _ = G.generators
         rows = [list(row) for row in exponent_rows(table)]
-        ca, cas = G.class_of[a], G.class_of[G.mul[a][s]]
+        ca, cas = G.class_of[a], G.class_of[G.mul(a, s)]
         for row in rows:
             row[ca], row[cas] = row[cas], row[ca]
         cls = G.class_of
-        assert not any((row[cls[x]] + row[cls[s]] - row[cls[G.mul[x][s]]]) % 2
+        assert not any((row[cls[x]] + row[cls[s]] - row[cls[G.mul(x, s)]]) % 2
                        for row in rows for x in range(G.order))
         broken = with_exponent_rows(table, rows)
         got = outcome(CharacterTable.validate, broken)
@@ -970,7 +974,7 @@ def swapped_columns_doc(gamma, gamma1, orders, sums=False):
     picked = []
     for order in orders:
         picked.append(next(ci for ci, cls in enumerate(G.classes)
-                           if len(G.powers[cls[0]]) == order
+                           if len(G.power_map[ci]) == order
                            and cls[0] != G.iota and ci not in picked))
     a, b = picked
     for ch in doc["characters"]:
@@ -1031,7 +1035,7 @@ class TestClassAlgebra:
         e = G.exponent
         for doc in (table_to_doc(table), table_to_doc(as_sums(table))):
             for u in (u for u in range(2, e) if gcd(u, e) == 1):
-                pmap = [G.class_of[G.power(cls[0], u)] for cls in G.classes]
+                pmap = [row[u % len(row)] for row in G.power_map]
                 moved = json.loads(json.dumps(doc))
                 for ch, row in zip(moved["characters"], doc["characters"]):
                     ch["values"] = [row["values"][c] for c in pmap]
@@ -1059,10 +1063,10 @@ def coset_count_character(G, C):
     cosets, covered = [], set()
     for x in range(G.order):
         if x not in covered:
-            coset = frozenset(G.mul[x][c] for c in C)
+            coset = frozenset(G.mul(x, c) for c in C)
             covered |= coset
             cosets.append((x, coset))
-    return tuple(sum(1 for x, coset in cosets if G.mul[cls[0]][x] in coset)
+    return tuple(sum(1 for x, coset in cosets if G.mul(cls[0], x) in coset)
                  for cls in G.classes)
 
 
@@ -1073,7 +1077,7 @@ class TestPermutationCharacter:
         for label, G in quotients():
             for c, perm in cyclic_subgroups_up_to_conjugacy(G):
                 assert perm == permutation_character(G, c) == \
-                    coset_count_character(G, frozenset(G.powers[c])), \
+                    coset_count_character(G, frozenset(power_row(G, c))), \
                     (label, c)
                 count += 1
         assert count > 200
@@ -1081,18 +1085,19 @@ class TestPermutationCharacter:
     def test_c4(self, diamond5):
         G = diamond5.G
         c2 = next(c for c, _ in cyclic_subgroups_up_to_conjugacy(G)
-                  if len(G.powers[c]) == 2)
+                  if len(power_row(G, c)) == 2)
         vals = permutation_character(G, c2)
         for ci, cls in enumerate(G.classes):
-            order = len(G.powers[cls[0]])
+            order = len(power_row(G, cls[0]))
             assert vals[ci] == (2 if order in (1, 2) else 0)
 
     def test_s3_c2(self, s3pair):
         G = s3pair.G
         c2 = next(c for c, _ in cyclic_subgroups_up_to_conjugacy(G)
-                  if len(G.powers[c]) == 2)
+                  if len(power_row(G, c)) == 2)
         vals = permutation_character(G, c2)
-        by_order = {len(G.powers[c[0]]): ci for ci, c in enumerate(G.classes)}
+        by_order = {len(power_row(G, c[0])): ci
+                    for ci, c in enumerate(G.classes)}
         assert vals[by_order[1]] == 3
         assert vals[by_order[2]] == 1
         assert vals[by_order[3]] == 0
@@ -1101,7 +1106,7 @@ class TestPermutationCharacter:
         # G = Z/4, generated by each element of order 4
         G = diamond5.G
         for c in range(G.order):
-            if len(G.powers[c]) == G.order:
+            if len(power_row(G, c)) == G.order:
                 vals = permutation_character(G, c)
                 assert vals == (1,) * len(G.classes)
 
@@ -1110,14 +1115,14 @@ class TestArtin:
     def test_c4_orbit(self, diamond5):
         G = diamond5.G
         cy = cyclic_subgroups_up_to_conjugacy(G)
-        assert [len(G.powers[c]) for c, _ in cy] == [1, 2, 4]
+        assert [len(power_row(G, c)) for c, _ in cy] == [1, 2, 4]
         orbit = next(r for r in diamond5.rationals if r.orbit_size == 2)
         assert artin_decompose([orbit.values], G, cy) == [(1, -1, 0)]
 
     def test_s3(self, s3pair):
         G = s3pair.G
         cy = cyclic_subgroups_up_to_conjugacy(G)
-        assert [len(G.powers[c]) for c, _ in cy] == [1, 2, 3]
+        assert [len(power_row(G, c)) for c, _ in cy] == [1, 2, 3]
         by_name = {r.label: r for r in s3pair.rationals}
         targets = [by_name[name].values for name in ("triv", "std")]
         assert artin_decompose(targets, G, cy) == [
@@ -1163,8 +1168,7 @@ class TestArtin:
         # the two classes of order 4 are Galois conjugate: a class function
         # that tells them apart is not a rational character
         G = diamond5.G
-        order4 = [ci for ci, cls in enumerate(G.classes)
-                  if len(G.powers[cls[0]]) == 4]
+        order4 = [ci for ci, row in enumerate(G.power_map) if len(row) == 4]
         values = [Fraction(ci == order4[0]) for ci in range(len(G.classes))]
         with pytest.raises(InconsistentSystem):
             artin_decompose([values], G, diamond5.cyclics)
@@ -1201,12 +1205,13 @@ class TestArtin:
         # conjugates of a listed cyclic subgroup induce the same character
         # and cut out the same fixed-group signature
         G = s3pair.G
+        mul, inv = mul_table(G)
         for c, base_perm in s3pair.cyclics:
-            base_sig = fibre_sig(s3pair, frozenset(G.powers[c]))
+            base_sig = fibre_sig(s3pair, frozenset(power_row(G, c)))
             for g in range(G.order):
-                conj = G.mul[G.mul[g][c]][G.inv[g]]
+                conj = mul[mul[g][c]][inv[g]]
                 assert permutation_character(G, conj) == base_perm
-                assert fibre_sig(s3pair, frozenset(G.powers[conj])) == \
+                assert fibre_sig(s3pair, frozenset(power_row(G, conj))) == \
                     base_sig
 
 

@@ -10,7 +10,7 @@ from modmult.sl2 import (T_MAT, FiniteSubgroup, LevelTooLarge, NotASubgroup,
                          cyclic_subgroups_up_to_conjugacy,
                          identity_mat, mat_inv, mat_mul, quotient, realize,
                          reduce_mat, right_cosets, sl2_group_order)
-from test_cosets import PAIRS, custom_specs, full_sl2
+from test_cosets import PAIRS, custom_specs, full_sl2, mul_table, power_row
 
 
 def sl2_bruteforce(n):
@@ -294,7 +294,7 @@ class TestQuotient:
         g1 = realize(SubgroupSpec("gamma1", 5))
         G = quotient(g, g1)
         assert G.order == 4
-        assert any(len(G.powers[i]) == 4 for i in range(4))  # cyclic
+        assert any(len(power_row(G, i)) == 4 for i in range(4))  # cyclic
         assert G.iota is not None and G.iota != G.identity
         assert not G.iota_trivial
         assert G.elements[G.iota][3] % 5 == 4  # d-entry of the -I coset
@@ -341,7 +341,7 @@ class TestQuotient:
         assert sorted(d_of.values()) == sorted(units)
         for i in range(G.order):
             for j in range(G.order):
-                assert d_of[G.mul[i][j]] == d_of[i] * d_of[j] % n
+                assert d_of[G.mul(i, j)] == d_of[i] * d_of[j] % n
 
     @pytest.mark.parametrize("n", [5, 7, 8, 12])
     def test_group_invariants(self, n):
@@ -349,9 +349,9 @@ class TestQuotient:
                      realize(SubgroupSpec("gamma1", n)))
         assert sum(len(c) for c in G.classes) == G.order
         for i in range(G.order):
-            assert G.power(i, G.order) == G.identity
+            assert G.order % len(power_row(G, i)) == 0
         if G.iota is not None:
-            assert G.mul[G.iota][G.iota] == G.identity
+            assert G.mul(G.iota, G.iota) == G.identity
 
 
 def diamond(n):
@@ -502,30 +502,70 @@ class TestCosetsByD:
 
 class TestPowers:
     def test_repeated_products(self):
-        # the 68 quotients of TestCyclicSubgroups.test_same_as_conjugation
+        # the 68 quotients of TestCyclicSubgroups.test_same_as_conjugation:
+        # each element's powers, by repeated products, meet the classes
+        # that its class's power map lists
         for label, G in quotients():
             orders = []
             for i in range(G.order):
-                products, x = [G.identity], i
-                while x != G.identity:
-                    products.append(x)
-                    x = G.mul[x][i]
-                assert G.powers[i] == tuple(products), (label, i)
-                order = len(products)
-                orders.append(order)
-                for m in range(-2 * order, 2 * order + 1):
-                    # i^m for m < 0 is a product of -m copies of i^-1
-                    base, want = (i if m >= 0 else G.inv[i]), G.identity
-                    for _ in range(abs(m)):
-                        want = G.mul[want][base]
-                    assert G.power(i, m) == want, (label, i, m)
+                row = power_row(G, i)
+                assert G.power_map[G.class_of[i]] == \
+                    tuple(G.class_of[x] for x in row), (label, i)
+                orders.append(len(row))
             assert G.exponent == lcm(*orders), label
 
 
-def generated_subgroup(G, gens):
+def conjugacy_classes(G):
+    """G's classes by conjugating each element by every element, in
+    quotient's order: by size, the order of the least element, and the
+    elements' matrices."""
+    mul, inv = mul_table(G)
+    classes = {tuple(sorted({mul[mul[g][x]][inv[g]] for g in range(G.order)}))
+               for x in range(G.order)}
+    return sorted(classes, key=lambda cls: (
+        len(cls), len(power_row(G, cls[0])), [G.elements[x] for x in cls]))
+
+
+class TestClasses:
+    def test_same_as_conjugation_by_every_element(self):
+        for label, G in quotients():
+            assert list(G.classes) == conjugacy_classes(G), label
+            assert all(G.class_of[x] == k for k, cls in enumerate(G.classes)
+                       for x in cls), label
+
+    @pytest.mark.parametrize("gamma,gamma1,level", [
+        (SubgroupSpec("full"), SubgroupSpec("gamma", 5), 5),
+        (SubgroupSpec("gamma0", 97), SubgroupSpec("gamma1", 97), 97)],
+        ids=["SL2Z/gamma:5", "gamma0:97/gamma1:97"])
+    def test_products_per_generator_and_power_row(self, gamma, gamma1, level,
+                                                  monkeypatch):
+        # the greedy generators, the classes as orbits under conjugation by
+        # them and one power row per class: at most 3 |G| |gens| + the sum
+        # of the class representatives' orders, 766 and 5,357 here, where a
+        # multiplication table took |G|^2 = 14,400 and 9,216
+        import modmult.sl2 as sl2
+        gamma, gamma1 = (realize(spec, at_level=level, level_cap=level)
+                         for spec in (gamma, gamma1))
+        cosets = right_cosets(gamma, gamma1)
+        products = []
+        original = sl2.mat_mul
+
+        def counted(*args):
+            products.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(sl2, "mat_mul", counted)
+        G = quotient(gamma, gamma1, cosets)
+        monkeypatch.undo()
+        bound = (3 * G.order * len(G.generators)
+                 + sum(len(power_row(G, cls[0])) for cls in G.classes))
+        assert len(products) <= bound
+
+
+def generated_subgroup(G, gens, mul):
     """The closure of 1 and gens under products of two elements."""
     sub = {G.identity, *gens}
-    while more := {G.mul[x][y] for x in sub for y in sub} - sub:
+    while more := {mul[x][y] for x in sub for y in sub} - sub:
         sub |= more
     return sub
 
@@ -535,81 +575,73 @@ class TestGenerators:
         # the 68 quotients: each generator is the least element that the
         # earlier ones do not generate, and all of them generate G
         for label, G in quotients():
-            gens = G.generators
+            gens, (mul, _) = G.generators, mul_table(G)
             for k, g in enumerate(gens):
-                outside = set(range(G.order)) - generated_subgroup(G, gens[:k])
+                outside = (set(range(G.order))
+                           - generated_subgroup(G, gens[:k], mul))
                 assert g == min(outside), (label, k)
-            assert generated_subgroup(G, gens) == set(range(G.order)), label
+            assert generated_subgroup(G, gens, mul) == set(range(G.order)), \
+                label
 
     def test_equals_closure_over_the_table(self):
         # the greedy rule closed over G's multiplication table
         for label, G in quotients():
-            gens, sub = [], {G.identity}
+            gens, sub, (mul, _) = [], {G.identity}, mul_table(G)
             for g in range(G.order):
                 if g not in sub:
                     gens.append(g)
                     new = sub
                     while new:
-                        new = {G.mul[x][s] for x in new for s in gens} - sub
+                        new = {mul[x][s] for x in new for s in gens} - sub
                         sub |= new
             assert G.generators == tuple(gens), label
 
 
-def cyclic_subgroup_of(G, i):
-    sub, x = set(), i
-    while x not in sub:
-        sub.add(x)
-        x = G.mul[x][i]
-    return frozenset(sub)
-
-
 def fused_by_conjugation(G):
     """cyclic_subgroups_up_to_conjugacy by conjugating each subgroup by
-    every element of G: the least remaining subgroup, by size and then by
-    sorted elements, stands for its conjugates."""
-    gens = {}
-    for i in range(G.order):
-        gens.setdefault(cyclic_subgroup_of(G, i), i)
-
-    def key(sub):
-        return len(sub), tuple(sorted(sub))
-
-    remaining, out = set(gens), []
-    while remaining:
-        sub = min(remaining, key=key)
-        remaining -= {frozenset(G.mul[G.mul[g][x]][G.inv[g]] for x in sub)
-                      for g in range(G.order)}
-        out.append((gens[sub], sub))
-    return sorted(out, key=lambda pair: key(pair[1]))
+    every element of G: by order, the subgroup that the least element of
+    the first class generates stands for its conjugates."""
+    mul, inv = mul_table(G)
+    classes = conjugacy_classes(G)
+    out, remaining = [], {frozenset(power_row(G, i)) for i in range(G.order)}
+    for cls in sorted(classes, key=lambda cls: len(power_row(G, cls[0]))):
+        sub = frozenset(power_row(G, cls[0]))
+        if sub in remaining:
+            remaining -= {frozenset(mul[mul[g][x]][inv[g]] for x in sub)
+                          for g in range(G.order)}
+            out.append((cls[0], sub))
+    assert not remaining
+    return out
 
 
 class TestCyclicSubgroups:
     def test_same_as_conjugation(self):
         # 68 quotients, SL2(Z/5) of order 120 the largest
         for label, G in quotients():
-            assert [(c, frozenset(G.powers[c])) for c, _ in
+            assert [(c, frozenset(power_row(G, c))) for c, _ in
                     cyclic_subgroups_up_to_conjugacy(G)] == \
                 fused_by_conjugation(G), label
 
     def test_c4(self):
         G = diamond(5)
         subs = cyclic_subgroups_up_to_conjugacy(G)
-        assert sorted(len(G.powers[c]) for c, _ in subs) == [1, 2, 4]
+        assert sorted(len(power_row(G, c)) for c, _ in subs) == [1, 2, 4]
 
     def test_s3(self):
         G = quotient(full_sl2(2), realize(SubgroupSpec("gamma", 2)))
         subs = cyclic_subgroups_up_to_conjugacy(G)
-        assert sorted(len(G.powers[c]) for c, _ in subs) == [1, 2, 3]
+        assert sorted(len(power_row(G, c)) for c, _ in subs) == [1, 2, 3]
         # every cyclic subgroup is conjugate to exactly one listed subgroup
-        listed = [frozenset(G.powers[c]) for c, _ in subs]
+        listed = [frozenset(power_row(G, c)) for c, _ in subs]
+        mul, inv = mul_table(G)
         for i in range(G.order):
-            cyc = cyclic_subgroup_of(G, i)
-            orbit = {frozenset(G.mul[G.mul[g][y]][G.inv[g]] for y in cyc)
+            cyc = power_row(G, i)
+            orbit = {frozenset(mul[mul[g][y]][inv[g]] for y in cyc)
                      for g in range(G.order)}
             assert sum(1 for s in listed if s in orbit) == 1
 
     def test_c2xc2(self):
         G = diamond(8)
         subs = cyclic_subgroups_up_to_conjugacy(G)
-        assert sorted(len(G.powers[c]) for c, _ in subs) == [1, 2, 2, 2]
+        assert sorted(len(power_row(G, c)) for c, _ in subs) == [1, 2, 2, 2]
 
