@@ -12,9 +12,9 @@ from math import gcd
 from typing import NamedTuple
 
 from . import ModmultError
-from .sl2 import (FiniteSubgroup, Mat, QuotientGroup, S_MAT, T_MAT,
-                  coset_keys, identity_mat, mat_inv, mat_mul, minus_identity,
-                  reduce_mat, sl2_group_order)
+from .sl2 import (FiniteSubgroup, Mat, NotAGroup, QuotientGroup, S_MAT,
+                  T_MAT, coset_keys, identity_mat, mat_inv, mat_mul,
+                  minus_identity, reduce_mat, sl2_group_order)
 
 
 class NonIntegralGenus(ModmultError):
@@ -112,25 +112,32 @@ def _coset_table(size: int, acting, key: slice, n: int, m: int):
     met at x writes the keys of h x for h in acting, elements of +-K mod n
     that must reach every key of the coset.  Returns a representative mod m
     of each coset and the permutations of the cosets by S and by T.
+    Raises NotAGroup if the walk opens more or fewer than size cosets.
     """
     reps = [identity_mat(m)]
     lookup = {h[key]: 0 for h in acting}
     sigma_S, sigma_T = [0] * size, [0] * size
     queue = [0]
-    while queue:
-        i = queue.pop()
-        a, b, c, d = reps[i]
-        for img, perm in (((b, -a % m, d, -c % m), sigma_S),
-                          ((a, (a + b) % m, c, (c + d) % m), sigma_T)):
-            k = (img[0] % n, img[1] % n, img[2] % n, img[3] % n)[key]
-            j = lookup.get(k)
-            if j is None:
-                j = len(reps)
-                reps.append(img)
-                for h in acting:
-                    lookup[mat_mul(h, img, n)[key]] = j
-                queue.append(j)
-            perm[i] = j
+    try:
+        while queue:
+            i = queue.pop()
+            a, b, c, d = reps[i]
+            for img, perm in (((b, -a % m, d, -c % m), sigma_S),
+                              ((a, (a + b) % m, c, (c + d) % m), sigma_T)):
+                k = (img[0] % n, img[1] % n, img[2] % n, img[3] % n)[key]
+                j = lookup.get(k)
+                if j is None:
+                    j = len(reps)
+                    reps.append(img)
+                    for h in acting:
+                        lookup[mat_mul(h, img, n)[key]] = j
+                    queue.append(j)
+                perm[i] = j
+    except IndexError:  # perm[i] for a coset i past size
+        pass
+    if len(reps) != size:
+        raise NotAGroup(f"the residues are not a group: their coset walk "
+                        f"opened {len(reps)} cosets, not {size}")
     return tuple(reps), (tuple(sigma_S), tuple(sigma_T))
 
 

@@ -16,9 +16,8 @@ from .dimensions import PERIOD, DimTable, WeightOneUnsupported
 from .exact import (CycloValue, InconsistentSystem, euler_phi, integer_rows,
                     mobius, reduce_cyclotomic, solve_linear_exact)
 from .sl2 import (DEFAULT_LEVEL_CAP, FiniteSubgroup, QuotientGroup,
-                  SubgroupSpec, cosets_commute,
-                  cyclic_subgroups_up_to_conjugacy, permutation_character,
-                  quotient, realize, right_cosets)
+                  SubgroupSpec, cyclic_subgroups_up_to_conjugacy,
+                  permutation_character, quotient, realize)
 
 
 class NotAbelian(ModmultError, ValueError):
@@ -313,12 +312,8 @@ def character_table_for(G: QuotientGroup, table_source=None) -> CharacterTable:
         return abelian_character_table(G)
     if G.order == 6:
         return builtin_s3_table(G)
-    raise _table_required(G.order)
-
-
-def _table_required(order: int) -> CharacterTableRequired:
-    return CharacterTableRequired(
-        f"nonabelian quotient of order {order}: supply a character table")
+    raise CharacterTableRequired(
+        f"nonabelian quotient of order {G.order}: supply a character table")
 
 
 class RationalCharacter(NamedTuple):
@@ -497,13 +492,7 @@ class QuotientPair:
         level = lcm(gamma_spec.level, gamma1_spec.level)
         gamma = realize(gamma_spec, at_level=level, level_cap=level_cap)
         gamma1 = realize(gamma1_spec, at_level=level, level_cap=level_cap)
-        # a nonabelian G of order != 6 with no table fails before its classes
-        cosets = right_cosets(gamma, gamma1)
-        order = gamma.order // gamma1.order
-        if (table_source is None and order != 6
-                and not cosets_commute(cosets, level)):
-            raise _table_required(order)
-        G = quotient(gamma, gamma1, cosets)
+        G = quotient(gamma, gamma1)
         table = character_table_for(G, table_source)
         rats = rational_characters(table)
         cyclics = cyclic_subgroups_up_to_conjugacy(G)

@@ -325,7 +325,7 @@ def right_cosets(gamma: FiniteSubgroup, gamma1: FiniteSubgroup):
 def generators(reps, coset_of, n: int):
     """The greedy generators of Gamma/Gamma1, from right_cosets' (reps,
     coset_of) at level n: each the first coset outside the subgroup the
-    earlier ones generate, yielded before that subgroup is closed."""
+    earlier ones generate."""
     sub, gens = {coset_of(identity_mat(n))}, []
     for i, x in enumerate(reps):
         if i not in sub:
@@ -338,28 +338,12 @@ def generators(reps, coset_of, n: int):
                        for y in new for s in gens} - sub
 
 
-def cosets_commute(cosets, n: int) -> bool:
-    """Whether Gamma/Gamma1 is abelian, from cosets = right_cosets(Gamma,
-    Gamma1) at level n: whether each generator commutes with the earlier
-    ones modulo Gamma1.  Stops at the first that does not."""
-    reps, coset_of = cosets
-    gens: list[Mat] = []
-    for x in (reps[i] for i in generators(reps, coset_of, n)):
-        if any(coset_of(mat_mul(x, y, n)) != coset_of(mat_mul(y, x, n))
-               for y in gens):
-            return False
-        gens.append(x)
-    return True
-
-
-def quotient(gamma: FiniteSubgroup, gamma1: FiniteSubgroup,
-             cosets=None) -> QuotientGroup:
+def quotient(gamma: FiniteSubgroup, gamma1: FiniteSubgroup) -> QuotientGroup:
     """Build Gamma/Gamma1 with conjugacy classes and the coset of -I located.
 
     Each class is an orbit under conjugation by the greedy generators, and
-    its least element r takes one row of products, r^0, r, r^2, ...
-    cosets, if given, is right_cosets(gamma, gamma1)."""
-    reps, coset_of = cosets or right_cosets(gamma, gamma1)
+    its least element r takes one row of products, r^0, r, r^2, ..."""
+    reps, coset_of = right_cosets(gamma, gamma1)
     n = gamma.level
     identity = coset_of(identity_mat(n))
     gens = tuple(generators(reps, coset_of, n))

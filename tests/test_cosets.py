@@ -12,7 +12,7 @@ from modmult.cosets import (CuspDatum, NonIntegralGenus, PermutationAction,
 from modmult.dimensions import PERIOD, dims
 from modmult.reps import QuotientPair
 from modmult.sl2 import (DEFAULT_LEVEL_CAP, T_MAT, FiniteSubgroup,
-                         SubgroupSpec, coset_keys, mat_inv, mat_mul,
+                         NotAGroup, SubgroupSpec, coset_keys, mat_inv, mat_mul,
                          minus_identity, quotient, realize, reduce_mat,
                          sl2_group_order)
 
@@ -444,6 +444,22 @@ class TestOwnLevel:
         # would end in an IndexError: neither lists I, so neither is a group
         with pytest.raises(ValueError, match="^residues mod 4 do not list I$"):
             FiniteSubgroup(4, residues, own_level=4)
+
+    @pytest.mark.parametrize("level,residues,opened,size", [
+        (4, ((1, 0, 0, 1), (1, 1, 0, 1)), 6, 12),
+        (3, ((0, 1, 2, 1), (1, 0, 0, 1)), 8, 6)],
+        ids=["I-T-mod-4", "I-ST-mod-3"])
+    def test_walk_of_a_non_group_refused(self, level, residues, opened, size):
+        # I and T mod 4, not closed, closes its walk on 6 of the 12 cosets
+        # its order implies, and I with (0, 1, -1, 1) mod 3 opens a coset
+        # past its 6: one count after the walk refuses both with a typed
+        # error, where each ended in a bare IndexError
+        K = FiniteSubgroup(level, residues, own_level=level)
+        for read in (coset_action, subgroup_signature):
+            with pytest.raises(NotAGroup, match=(
+                    f"^the residues are not a group: their coset walk opened "
+                    f"{opened} cosets, not {size}$")):
+                read(K)
 
 
 def whole_matrix_keys(acting, n):

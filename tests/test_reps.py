@@ -177,8 +177,18 @@ class TestS3Table:
         with pytest.raises(CharacterTableRequired):
             character_table_for(G)
 
-    def test_nonabelian_fails_before_multiplication_table(self, monkeypatch):
+    def test_nonabelian_refused_in_o_of_G_times_generators(self,
+                                                           monkeypatch):
         import modmult.sl2 as sl2
+        gamma, gamma1 = full_sl2(16), realize(SubgroupSpec("gamma", 16))
+        G = quotient(gamma, gamma1)
+        # G = SL2(Z/16): the cosets of Gamma(16) = {I} cost 2|Gamma|
+        # products, and G's classes 3 |G| |gens| + the sum of the class
+        # representatives' orders, 25,188 in all, far short of the
+        # |G|^2 = 9,437,184 products of a multiplication table; only
+        # character_table_for refuses G
+        bound = (2 * gamma.order + 3 * G.order * len(G.generators)
+                 + sum(len(row) for row in G.power_map))
         products = []
         original = sl2.mat_mul
 
@@ -187,16 +197,11 @@ class TestS3Table:
             return original(*args)
 
         monkeypatch.setattr(sl2, "mat_mul", counted)
-        # G = SL2(Z/16): the cosets of Gamma(16) = {I} cost 2|Gamma| products
-        # and the commutation test stops at the first generator that fails
-        # to commute with an earlier one, before the subgroup they generate
-        # is closed, far short of the |G|^2 = 9,437,184 products of G's
-        # multiplication table
         with pytest.raises(CharacterTableRequired, match=(
                 "^nonabelian quotient of order 3072: "
                 "supply a character table$")):
             QuotientPair.build(SubgroupSpec("full"), SubgroupSpec("gamma", 16))
-        assert len(products) <= 3 * 3072
+        assert len(products) <= bound == 25188
 
 
 def table_to_doc(table):
@@ -1367,6 +1372,32 @@ class TestSignatureCache:
                 assert table.sig == fibre_sig(pair, sub) == subgroup_signature(
                     FiniteSubgroup(pair.level, tuple(sorted(elems)),
                                    own_level=pair.level))
+
+
+class TestOneQuotient:
+    @pytest.mark.parametrize("gamma,gamma1", [
+        (SubgroupSpec("gamma0", 25), SubgroupSpec("gamma1", 25)),
+        (SubgroupSpec("gamma", 12), SubgroupSpec("gamma", 24))],
+        ids=["gamma0:25/gamma1:25", "gamma:12/gamma:24"])
+    def test_cosets_and_generators_found_once(self, gamma, gamma1,
+                                              monkeypatch):
+        # G = Z/20 and (Z/2)^3, abelian of order != 6: build numbers G's
+        # cosets and finds its generators once, in quotient, and
+        # G.is_abelian alone lets it through to its table
+        import modmult.sl2 as sl2
+        calls = []
+
+        def counted(name, function):
+            def wrapped(*args):
+                calls.append(name)
+                return function(*args)
+            return wrapped
+
+        for name in ("right_cosets", "generators"):
+            monkeypatch.setattr(sl2, name, counted(name, getattr(sl2, name)))
+        pair = QuotientPair.build(gamma, gamma1)
+        assert sorted(calls) == ["generators", "right_cosets"]
+        assert pair.G.is_abelian and pair.table.provenance == "BuiltinAbelian"
 
 
 class TestSignatureHash:

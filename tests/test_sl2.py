@@ -6,7 +6,7 @@ import pytest
 from modmult.cosets import (coset_action, signature_from_action,
                             subgroup_signature)
 from modmult.sl2 import (T_MAT, FiniteSubgroup, LevelTooLarge, NotASubgroup,
-                         NotNormal, SubgroupSpec, WrongIndex, cosets_commute,
+                         NotNormal, SubgroupSpec, WrongIndex,
                          cyclic_subgroups_up_to_conjugacy,
                          identity_mat, mat_inv, mat_mul, quotient, realize,
                          reduce_mat, right_cosets, sl2_group_order)
@@ -416,11 +416,12 @@ class TestRightCosets:
                        for g in gamma.elements for h in gamma1.elements), label
 
     @pytest.mark.parametrize("spec,bound", [
-        # G = Z/29 by whole matrices, and Z/28 by bottom rows; a product
-        # with each element of gamma1 and with each pair of cosets costs
-        # 2|Gamma| + |G|(|G| - 1) = 870 and 2,380
-        (SubgroupSpec("gamma1", 29), 4 * 29),
-        (SubgroupSpec("gamma0", 29), 5 * 28)],
+        # G = Z/29 by whole matrices, one acting element and one check per
+        # coset, 58 products, and Z/28 by bottom rows, one acting element
+        # and two checks, it and T, per coset, 84, where a product with each
+        # element of gamma1 on either side costs 2|Gamma| = 1,624
+        (SubgroupSpec("gamma1", 29), 2 * 29),
+        (SubgroupSpec("gamma0", 29), 3 * 28)],
         ids=["gamma1:29/gamma:29", "gamma0:29/custom-T:29"])
     def test_products_are_o_of_G(self, spec, bound, monkeypatch):
         import modmult.sl2 as sl2
@@ -435,7 +436,7 @@ class TestRightCosets:
             return original(*args)
 
         monkeypatch.setattr(sl2, "mat_mul", counted)
-        assert cosets_commute(right_cosets(gamma, gamma1), 29)
+        right_cosets(gamma, gamma1)
         assert len(products) <= bound
 
     def test_wrong_own_level_refused(self):
@@ -533,20 +534,32 @@ class TestClasses:
             assert all(G.class_of[x] == k for k, cls in enumerate(G.classes)
                        for x in cls), label
 
+    def test_abelian_iff_every_pair_commutes(self):
+        # is_abelian, |G| classes, is the only abelian test: it agrees with
+        # G's multiplication table on the 68 quotients, of both kinds
+        seen = set()
+        for label, G in quotients():
+            mul, _ = mul_table(G)
+            commute = all(mul[x][y] == mul[y][x]
+                          for x in range(G.order) for y in range(x))
+            assert G.is_abelian == commute, label
+            seen.add(commute)
+        assert seen == {True, False}
+
     @pytest.mark.parametrize("gamma,gamma1,level", [
         (SubgroupSpec("full"), SubgroupSpec("gamma", 5), 5),
         (SubgroupSpec("gamma0", 97), SubgroupSpec("gamma1", 97), 97)],
         ids=["SL2Z/gamma:5", "gamma0:97/gamma1:97"])
     def test_products_per_generator_and_power_row(self, gamma, gamma1, level,
                                                   monkeypatch):
-        # the greedy generators, the classes as orbits under conjugation by
-        # them and one power row per class: at most 3 |G| |gens| + the sum
-        # of the class representatives' orders, 766 and 5,357 here, where a
+        # beyond the products of its right_cosets call, the greedy
+        # generators, the classes as orbits under conjugation by them and
+        # one power row per class: at most 3 |G| |gens| + the sum of the
+        # class representatives' orders, 766 and 5,357 here, where a
         # multiplication table took |G|^2 = 14,400 and 9,216
         import modmult.sl2 as sl2
         gamma, gamma1 = (realize(spec, at_level=level, level_cap=level)
                          for spec in (gamma, gamma1))
-        cosets = right_cosets(gamma, gamma1)
         products = []
         original = sl2.mat_mul
 
@@ -555,11 +568,14 @@ class TestClasses:
             return original(*args)
 
         monkeypatch.setattr(sl2, "mat_mul", counted)
-        G = quotient(gamma, gamma1, cosets)
+        right_cosets(gamma, gamma1)
+        cosets = len(products)
+        products.clear()
+        G = quotient(gamma, gamma1)
         monkeypatch.undo()
         bound = (3 * G.order * len(G.generators)
                  + sum(len(power_row(G, cls[0])) for cls in G.classes))
-        assert len(products) <= bound
+        assert len(products) - cosets <= bound
 
 
 def generated_subgroup(G, gens, mul):
