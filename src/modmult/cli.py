@@ -10,7 +10,7 @@ import sys
 
 from . import ModmultError
 from .cosets import subgroup_signature
-from .dimensions import dims
+from .dimensions import DimTable
 from .reps import QuotientPair, pair_series
 from .sl2 import DEFAULT_LEVEL_CAP, SubgroupSpec, realize
 from .verify import (MAX_WEIGHTS, VerificationConfig, run_verify,
@@ -143,7 +143,7 @@ def cmd_signature(args) -> int:
 def cmd_dims(args) -> int:
     K = realize(args.group, level_cap=args.level_cap)
     sig = subgroup_signature(K)
-    rows = [(k, dims(sig, k).kind(args.kind)) for k in args.weights]
+    rows = list(zip(args.weights, DimTable(sig).read(args.kind, args.weights)))
     if args.format == "json":
         print(_dump_json({"group": args.group.label(), "kind": args.kind,
                           "dims": {str(k): d for k, d in rows}}))

@@ -65,8 +65,6 @@ def poly_trim(coeffs) -> tuple[int, ...]:
 
 
 def poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:

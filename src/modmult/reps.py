@@ -432,8 +432,6 @@ def parity_of(rat: RationalCharacter, G: QuotientGroup) -> str:
     from the Schur scalar at -I."""
     if G.iota is None:
         return "all"
-    if G.iota_trivial:
-        return "even"
     sign = rat.values[G.class_of[G.iota]] / rat.aggregate_degree
     if sign == 1:
         return "even"
@@ -460,8 +458,7 @@ class MultiplicitySeries(NamedTuple):
 
 class QuotientPair:
     """The pair (Gamma, Gamma1) with everything the engine derives from it,
-    built by build and only read after, but for _gamma_m: the monitor
-    writes its read of Gamma's dimensions there."""
+    built by build and only read after."""
 
     def __init__(self, gamma_spec: SubgroupSpec, gamma1_spec: SubgroupSpec,
                  level: int, gamma: FiniteSubgroup, gamma1: FiniteSubgroup,
@@ -482,9 +479,6 @@ class QuotientPair:
         # each rational character -> its Artin coefficients summed per
         # table (_table_sums): characters with equal sums have equal series
         self.table_sums = table_sums
-        # parity class -> (kmax, {j: dim M_j(Gamma)} at its weights j in
-        # [4, kmax]), the latest kmax the lower-bound monitor read it at
-        self._gamma_m = {}
 
     @classmethod
     def build(cls, gamma_spec: SubgroupSpec, gamma1_spec: SubgroupSpec,

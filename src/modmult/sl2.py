@@ -119,9 +119,6 @@ def _congruence_elements(m: int, n: int, a0: int | None, b0: int | None,
     ad = 1 + bc mod M.  The conditions of Gamma1(N) and Gamma(N) on d follow
     from the determinant: c = 0 and a = 1 mod N force d = 1 mod N.
     """
-    if m == 1:
-        return ((0, 0, 0, 0),)
-
     def allowed(r):
         return range(m) if r is None else range(r % n, m, n)
 
@@ -300,12 +297,12 @@ def right_cosets(gamma: FiniteSubgroup, gamma1: FiniteSubgroup):
     if not gamma.residue_set.issuperset(
             (a % n, b % n, c % n, d % n) for a, b, c, d in gamma1.elements):
         raise NotASubgroup("gamma1 is not contained in gamma")
-    m, n = gamma.level, gamma1.own_level
+    n = gamma1.own_level
     acting, key = coset_keys(gamma1.residue_set, n)
     checks = acting + [reduce_mat(T_MAT, n)] if key == slice(2, 4) else acting
     reps, index = [], {}
     for g in gamma.elements:
-        x = g if n == m else (g[0] % n, g[1] % n, g[2] % n, g[3] % n)
+        x = (g[0] % n, g[1] % n, g[2] % n, g[3] % n)
         if x[key] not in index:
             i = len(reps)
             reps.append(g)
@@ -316,8 +313,6 @@ def right_cosets(gamma: FiniteSubgroup, gamma1: FiniteSubgroup):
     if len(reps) * gamma1.order != gamma.order:
         raise WrongIndex(f"the cosets of gamma1 in gamma number {len(reps)}"
                          f", not its index {gamma.order // gamma1.order}")
-    if n == m:
-        return reps, lambda g: index[g[key]]
     return reps, lambda g: index[
         (g[0] % n, g[1] % n, g[2] % n, g[3] % n)[key]]
 

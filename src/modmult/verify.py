@@ -159,20 +159,17 @@ def monitor_lower_bound(pair: QuotientPair, series: MultiplicitySeries,
     multiplicity_k >= aggregate_degree * dim M_{k-n0}(Gamma) for every
     in-parity weight k in [n0+4, kmax]; the weight set must be non-empty."""
     agg = series.aggregate_degree
-    # every k - n0 below is in the parity class and lies in [4, kmax]; the
-    # series of one parity class share one read of Gamma's dimensions
-    kept = pair._gamma_m.get(series.parity_class)
-    if kept is None or kept[0] != kmax:
-        js = _parity_ks(series.parity_class, 4, kmax)
-        kept = pair._gamma_m[series.parity_class] = (
-            kmax, dict(zip(js, pair.gamma_dims.read("M", js))))
-    dim_gamma = kept[1]
+    # Gamma's dimensions at the in-parity weights js in [4, kmax], read
+    # once; js[n0 // step:] are the k >= n0 + 4, zipped with their k - n0
+    step = 1 if series.parity_class == "all" else 2
+    js = _parity_ks(series.parity_class, 4, kmax)
+    dim_gamma = pair.gamma_dims.read("M", js)
+    ms = [series.entries.get(k) for k in js]
     for n0 in range(0, offset_bound + 1, 2):
-        ks = [k for k in _parity_ks(series.parity_class, n0 + 4, kmax)
-              if k in series.entries]
-        if not ks:
+        tail = ms[n0 // step:]
+        if all(m is None for m in tail):
             continue
-        if all(series.entries[k] >= agg * dim_gamma[k - n0] for k in ks):
+        if all(m is None or m >= agg * d for m, d in zip(tail, dim_gamma)):
             return LowerBoundReport(rep_label=series.rep_label,
                                     kind=series.kind, offset=n0)
     return LowerBoundReport(rep_label=series.rep_label, kind=series.kind,

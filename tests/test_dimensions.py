@@ -4,7 +4,7 @@ import pytest
 
 from modmult.cosets import (CuspDatum, Signature, area_constant_c,
                             subgroup_signature)
-from modmult.dimensions import (PERIOD, OddOrderViolation,
+from modmult.dimensions import (PERIOD, DimTable, OddOrderViolation,
                                 WeightOneUnsupported, dims)
 from modmult.sl2 import SubgroupSpec, realize
 
@@ -73,6 +73,13 @@ class TestErrors:
     def test_weight_one(self):
         with pytest.raises(WeightOneUnsupported):
             dims(sig_of("full", 1), 1)
+
+    def test_unknown_kind(self):
+        sig = sig_of("gamma0", 5)
+        with pytest.raises(ValueError, match="^unknown kind 'X'$"):
+            dims(sig, 4).kind("X")
+        with pytest.raises(ValueError, match="^unknown kind 'X'$"):
+            DimTable(sig).read("X", [4])
 
     def test_odd_order_violation(self):
         # genus 1 + 9/12 - 1/4 - 1/2 = 1

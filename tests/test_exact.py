@@ -47,6 +47,12 @@ class TestMobiusPhi:
 
 
 class TestCyclotomic:
+    def test_zero_polynomial_products(self):
+        # the zero polynomial () times anything is (), from the loop alone
+        assert poly_mul((), (1, 2)) == ()
+        assert poly_mul((1, 2), ()) == ()
+        assert poly_mul((), ()) == ()
+
     def test_examples(self):
         assert cyclotomic_poly(1) == (-1, 1)
         assert cyclotomic_poly(4) == (1, 0, 1)
@@ -92,6 +98,9 @@ class TestCycloValue:
     def test_conjugation_and_lift(self):
         z = CycloValue(5, {1: 1})
         assert z.lift(10) == CycloValue(10, {2: 1})
+        with pytest.raises(ValueError, match="^can only lift to a multiple "
+                                             "of the order$"):
+            z.lift(12)
         # zeta5 times its complex conjugate zeta5^4
         assert (z * CycloValue(5, {4: 1})) == 1
 

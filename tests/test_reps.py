@@ -1231,6 +1231,10 @@ class TestParity:
                                          else "odd")
 
     def test_s3_all_even(self, s3pair):
+        # -I lies in Gamma(2), so its coset is the identity, where each
+        # rational character is its aggregate degree
+        G = s3pair.G
+        assert G.iota == G.identity and G.iota_trivial
         assert all(parity_of(r, s3pair.G) == "even" for r in s3pair.rationals)
 
     def test_unconstrained_without_minus_I(self):
@@ -1252,6 +1256,20 @@ class TestMultiplicities:
         s = multiplicity_series(diamond5, orbit, "M", [3], split=True)
         assert s.entries[3] == 4
         assert s.per_member[3] == 2
+
+    def test_unknown_kind_refused(self, diamond5):
+        with pytest.raises(ValueError,
+                           match="^kind must be 'M' or 'S', got 'X'$"):
+            multiplicity_series(diamond5, diamond5.rationals[0], "X", [4])
+
+    def test_rational_by_name(self, diamond5):
+        orbit = next(r for r in diamond5.rationals if r.orbit_size == 2)
+        assert diamond5.rational_by_name("triv").label == "triv"
+        assert diamond5.rational_by_name(orbit.names[1]) is orbit
+        assert diamond5.rational_by_name(orbit.label) is orbit
+        with pytest.raises(KeyError,
+                           match="no character or orbit named 'nope'"):
+            diamond5.rational_by_name("nope")
 
     def test_s3_examples(self, s3pair):
         by = {r.label: r for r in s3pair.rationals}

@@ -7,6 +7,7 @@ from modmult.cosets import (coset_action, signature_from_action,
                             subgroup_signature)
 from modmult.sl2 import (T_MAT, FiniteSubgroup, LevelTooLarge, NotASubgroup,
                          NotNormal, SubgroupSpec, WrongIndex,
+                         _congruence_elements,
                          cyclic_subgroups_up_to_conjugacy,
                          identity_mat, mat_inv, mat_mul, quotient, realize,
                          reduce_mat, right_cosets, sl2_group_order)
@@ -118,6 +119,11 @@ class TestRealize:
                      SubgroupSpec("custom", 2)):
             assert subgroup_signature(realize(spec, at_level=m)) == \
                 subgroup_signature(realize(spec))
+
+    def test_level_one_from_the_general_loop(self):
+        # SL2(Z/1) is the one matrix 0: a = 0 has gcd(0, 1) = 1 and one d
+        assert _congruence_elements(1, 1, None, None, None) == ((0, 0, 0, 0),)
+        assert realize(SubgroupSpec("full", 1)).elements == ((0, 0, 0, 0),)
 
     def test_realize_at_common_level(self):
         K = realize(SubgroupSpec("full", 1), at_level=2)
@@ -438,6 +444,25 @@ class TestRightCosets:
         monkeypatch.setattr(sl2, "mat_mul", counted)
         right_cosets(gamma, gamma1)
         assert len(products) <= bound
+
+    def test_gamma1_below_the_pair_level(self):
+        # Gamma0(2) given mod 4 over Gamma(2), held mod its own level 2:
+        # every element of gamma is keyed by its residue mod 2, in the walk
+        # and in coset_of, and the cosets are the reference's
+        gamma = realize(SubgroupSpec(
+            "custom", 4, (T_MAT, (1, 0, 2, 1), (-1, 0, 0, -1))))
+        gamma1 = realize(SubgroupSpec("gamma", 2), at_level=4)
+        assert (gamma.level, gamma1.own_level) == (4, 2)
+        assert gamma.elements == realize(SubgroupSpec("gamma0", 2),
+                                         at_level=4).elements
+        assert coset_dict(gamma, gamma1) == reference_cosets(gamma, gamma1)
+        assert quotient(gamma, gamma1).order == 2
+
+    def test_groups_at_different_levels_refused(self):
+        with pytest.raises(NotASubgroup, match="^subgroups live at "
+                                               "different levels$"):
+            right_cosets(realize(SubgroupSpec("gamma0", 2), at_level=4),
+                         realize(SubgroupSpec("gamma", 2)))
 
     def test_wrong_own_level_refused(self):
         # Gamma1(4) claimed to hold every matrix = I mod 2: its bottom rows

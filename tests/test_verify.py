@@ -1,3 +1,4 @@
+import copy
 import csv
 import io
 import json
@@ -199,6 +200,32 @@ class TestLowerBoundMonitor:
                         assert v >= agg * dims(pair.sig_gamma,
                                                k - r.offset).dim_M
 
+    @pytest.mark.parametrize("specs", [
+        (SubgroupSpec("gamma0", 25), SubgroupSpec("gamma1", 25)),
+        (SubgroupSpec("full", 1), SubgroupSpec("gamma", 2))],
+        ids=["gamma0:25/gamma1:25", "SL2Z/gamma:2"])
+    def test_pair_only_read_after_build(self, specs):
+        # even and odd characters, and -I in Gamma1: the monitor at kmax 60,
+        # 100 and 60 again adds or changes no attribute of the pair, and
+        # each offset is the one a freshly built pair gives
+        pair = QuotientPair.build(*specs)
+
+        def attributes():
+            return {name: copy.copy(value)
+                    if isinstance(value, (dict, list)) else value
+                    for name, value in vars(pair).items()}
+
+        before = attributes()
+        for kmax in (60, 100, 60):
+            weights = [k for k in range(kmax + 1) if k != 1]
+            for kind in ("M", "S"):
+                for rat in pair.rationals:
+                    series = multiplicity_series(pair, rat, kind, weights)
+                    fresh = QuotientPair.build(*specs)
+                    assert (monitor_lower_bound(pair, series, 24, kmax)
+                            == monitor_lower_bound(fresh, series, 24, kmax))
+        assert attributes() == before
+
 
 def _dim_m_sl2z(k):
     if k < 0 or k % 2:
@@ -289,6 +316,22 @@ class TestRunVerify:
         for rr in report["reps"]:
             assert rr["slope"]["exact_match"]
             assert rr["lower_bound"]["offset"] is not None
+
+    def test_gamma1_below_the_pair_level(self):
+        # Gamma0(2) given mod 4 over Gamma(2), held mod 2: the pair's level
+        # is 4, and right_cosets keys every element of Gamma mod 2; but for
+        # its label and level the report is Gamma0(2)/Gamma(2)'s
+        gens = ((1, 1, 0, 1), (1, 0, 2, 1), (-1, 0, 0, -1))
+        custom = run_verify(VerificationConfig(
+            SubgroupSpec("custom", 4, gens), SubgroupSpec("gamma", 2),
+            kmax=60))
+        plain = run_verify(VerificationConfig(
+            SubgroupSpec("gamma0", 2), SubgroupSpec("gamma", 2), kmax=60))
+        assert (custom["pair"]["gamma"], custom["pair"]["level"]) == (
+            "custom:4", 4)
+        custom["pair"].update(gamma="gamma0:2", level=2)
+        assert custom == plain
+        assert plain["pass"]
 
     def test_window_too_small(self):
         # refused by the config itself, so before run_verify
@@ -455,9 +498,9 @@ class TestChecksPerDistinctSeries:
             (name, kind): 6 for kind in ("M", "S")
             for name in ("detect_slope", "monitor_lower_bound")}
         assert report["reps"] == entries
-        # Gamma's dimensions are read once for each parity class
+        # Gamma's dimensions are read once per monitor_lower_bound call
         pair = calls[-1][2]
-        assert reads == [pair.gamma_dims] * 2
+        assert reads == [pair.gamma_dims] * 12
 
 
 def s3_table_doc(broken=None):
@@ -637,6 +680,33 @@ class TestCli:
         assert doc["dims"] == rows
         assert list(rows) == [str(k) for k in range(2, 21)]
         assert rows["2"] == 1  # the elliptic curve X0(11)
+
+    @pytest.mark.parametrize("group",
+                             ["SL2Z", "gamma0:5", "gamma1:4", "gamma:7"])
+    def test_dims_as_one_dims_call_per_weight(self, group, capsys):
+        # dims reads one DimTable and prints what dims at each weight
+        # gives, at -3..40 but k = 1, which the CLI refuses
+        from modmult.cli import parse_group_spec
+        from modmult.cosets import subgroup_signature
+        from modmult.dimensions import dims
+        from modmult.sl2 import realize
+        sig = subgroup_signature(realize(parse_group_spec(group)))
+        for lo, hi in ((-3, 0), (2, 40)):
+            for kind in ("M", "S"):
+                rows = [(k, dims(sig, k).kind(kind))
+                        for k in range(lo, hi + 1)]
+                text = io.StringIO()
+                writer = csv.writer(text)
+                writer.writerow(["k", f"dim_{kind}"])
+                writer.writerows(rows)
+                doc = json.dumps({"group": group, "kind": kind,
+                                  "dims": {str(k): d for k, d in rows}},
+                                 indent=2, sort_keys=True) + "\n"
+                argv = ["dims", "--group", group, f"--weights={lo}..{hi}",
+                        "--kind", kind]
+                assert run_cli(argv, capsys) == (0, text.getvalue(), "")
+                assert run_cli(argv + ["--format", "json"], capsys) == (
+                    0, doc, "")
 
     def test_mult_csv(self, capsys):
         code, out = self.run(["mult", "--pair", "gamma0:5/gamma1:5",
@@ -880,7 +950,7 @@ class TestWeightBound:
         def refused(*args, **kwargs):
             raise AssertionError("the command ran past its arguments")
 
-        for name in ("dims", "pair_series", "run_verify"):
+        for name in ("DimTable", "pair_series", "run_verify"):
             monkeypatch.setattr(modmult.cli, name, refused)
 
     def test_config_refuses_kmax_past_bound(self):
