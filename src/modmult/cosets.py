@@ -102,54 +102,48 @@ class Signature:
         return sum(1 for c in self.cusps if not c.regular)
 
 
-def _coset_table(size: int, acting, key: slice, n: int, m: int):
-    """The size right cosets in SL2(Z/m) of a group +-K that contains every
-    matrix = I mod n (n | m), explored from the identity by right
-    multiplication by S, then T.  x S = (b, -a, d, -c) and
+def _coset_table(acting, key: slice, n: int, m: int):
+    """The right cosets in SL2(Z/m) of a group +-K that contains every
+    matrix = I mod n (n | m), walked breadth-first from the identity: each
+    coset's images under right multiplication by S, then T, are looked up
+    and appended to sigma_S and sigma_T.  x S = (b, -a, d, -c) and
     x T = (a, a + b, c, c + d) for x = (a, b, c, d) are written out mod m.
 
     A matrix is keyed by the entries key picks from it mod n.  A new coset
     met at x writes the keys of h x for h in acting, elements of +-K mod n
     that must reach every key of the coset.  Returns a representative mod m
     of each coset and the permutations of the cosets by S and by T.
-    Raises NotAGroup if the walk opens more or fewer than size cosets.
     """
     reps = [identity_mat(m)]
     lookup = {h[key]: 0 for h in acting}
-    sigma_S, sigma_T = [0] * size, [0] * size
-    queue = [0]
-    try:
-        while queue:
-            i = queue.pop()
-            a, b, c, d = reps[i]
-            for img, perm in (((b, -a % m, d, -c % m), sigma_S),
-                              ((a, (a + b) % m, c, (c + d) % m), sigma_T)):
-                k = (img[0] % n, img[1] % n, img[2] % n, img[3] % n)[key]
-                j = lookup.get(k)
-                if j is None:
-                    j = len(reps)
-                    reps.append(img)
-                    for h in acting:
-                        lookup[mat_mul(h, img, n)[key]] = j
-                    queue.append(j)
-                perm[i] = j
-    except IndexError:  # perm[i] for a coset i past size
-        pass
-    if len(reps) != size:
-        raise NotAGroup(f"the residues are not a group: their coset walk "
-                        f"opened {len(reps)} cosets, not {size}")
+    sigma_S, sigma_T = [], []
+    for a, b, c, d in reps:
+        for img, perm in (((b, -a % m, d, -c % m), sigma_S),
+                          ((a, (a + b) % m, c, (c + d) % m), sigma_T)):
+            k = (img[0] % n, img[1] % n, img[2] % n, img[3] % n)[key]
+            j = lookup.get(k)
+            if j is None:
+                j = len(reps)
+                reps.append(img)
+                for h in acting:
+                    lookup[mat_mul(h, img, n)[key]] = j
+            perm.append(j)
     return tuple(reps), (tuple(sigma_S), tuple(sigma_T))
 
 
 def coset_action(K: FiniteSubgroup) -> PermutationAction:
     """Permutations of S and T on projective cosets of K, keyed mod n =
-    K.own_level by coset_keys on +-K mod n."""
+    K.own_level by coset_keys on +-K mod n.  There are |SL2(Z/n)| / |+-K
+    mod n| of them: raises NotAGroup if the walk opens more or fewer."""
     n, m = K.own_level, K.level
-    size = sl2_group_order(m) // K.order // (1 if K.contains_minus_I else 2)
     acting = K.residue_set
     if not K.contains_minus_I:
         acting |= {tuple(-v % n for v in h) for h in acting}
-    reps, (sigma_S, sigma_T) = _coset_table(size, *coset_keys(acting, n), n, m)
+    size = sl2_group_order(n) // len(acting)
+    reps, (sigma_S, sigma_T) = _coset_table(*coset_keys(acting, n), n, m)
+    if len(reps) != size:
+        raise NotAGroup(f"the residues are not a group: their coset walk "
+                        f"opened {len(reps)} cosets, not {size}")
     return PermutationAction(sigma_S=sigma_S, sigma_T=sigma_T, reps=reps)
 
 
@@ -243,14 +237,14 @@ def fibre_signature(G: QuotientGroup, branch: BranchPoints,
     h's permutation C'x -> C'xh.  g fixes pi'(g) cosets C'x: pi' = perm,
     but (perm(g) + perm(iota g))/2 for iota outside C (iota is in C iff
     perm(iota) = perm(1)).  So h has n_l l-cycles, pi'(h^d) = sum over
-    m | d of m n_m, solved in increasing l (Moebius inversion) until they
-    cover the pi'(1) cosets.  Over an elliptic point the 1-cycles are
-    elliptic points of Gamma_C; over a cusp (w, eps, h) an l-cycle from
-    C'x is a cusp of width w l, regular iff -I is in Gamma_C, or
-    eps^l = 1 and x h^l x^-1 is in C.  For iota outside C, eps = 1 and
-    g_l of them are: an m-cycle, m | d, gives 2m cosets Cx fixed by h^d
-    if regular or d/m even, so perm(h^d) = 2 sum over m | d of m (n_m if
-    d/m is even, else g_m).  Each distinct (w, eps, h) is read once.
+    m | d of m n_m, solved in increasing l | ord h (Moebius inversion).
+    Over an elliptic point the 1-cycles are elliptic points of Gamma_C;
+    over a cusp (w, eps, h) an l-cycle from C'x is a cusp of width w l,
+    regular iff -I is in Gamma_C, or eps^l = 1 and x h^l x^-1 is in C.
+    For iota outside C, eps = 1 and g_l of them are: an m-cycle, m | d,
+    gives 2m cosets Cx fixed by h^d if regular or d/m even, so perm(h^d) =
+    2 sum over m | d of m (n_m if d/m is even, else g_m).  Each distinct
+    (w, eps, h) is read once.
     """
     cl, iota = G.class_of, G.iota
     minus_i = iota is not None and perm[cl[iota]] == perm[0]
@@ -260,15 +254,15 @@ def fibre_signature(G: QuotientGroup, branch: BranchPoints,
     cusps = []
     for (width, eps, h), count in Counter(branch.cusps).items():
         row = G.power_map[cl[h]]
-        cycles, o, left = {}, len(row), fixed[0]
-        for l in (l for l in range(1, o + 1) if o % l == 0 and left):
+        cycles, o = {}, len(row)
+        for l in (l for l in range(1, o + 1) if o % l == 0):
             k, short = row[l % o], [(m, *cycles[m]) for m in cycles
                                     if l % m == 0]
             n = g = (fixed[k] - sum(m * nm for m, nm, _ in short)) // l
             if split:
                 g = (perm[k] // 2 - sum(m * (gm if l // m % 2 else nm)
                                         for m, nm, gm in short)) // l
-            cycles[l], left = (n, g), left - l * n
+            cycles[l] = n, g
             regular = g if minus_i or eps == 1 or l % 2 == 0 else 0
             cusps += ([CuspDatum(width=width * l, regular=True)] * regular
                       + [CuspDatum(width=width * l, regular=False)]

@@ -156,9 +156,6 @@ class CycloValue:
     __radd__ = __add__
 
     def __mul__(self, other):
-        if not isinstance(other, CycloValue):
-            q = Fraction(other)
-            return CycloValue(self.order, {j: c * q for j, c in self.coeffs.items()})
         a, b = self._pair(other)
         out: dict[int, Fraction] = {}
         for i, x in a.coeffs.items():

@@ -144,20 +144,14 @@ class CharacterTable:
                     f"{name} is not a character: degree {deg}")
             scale = deg * den
             for (i, j), t in products:
-                acc: dict[int, int] = {}
+                vec = [0] * m
                 w = sizes[i] * sizes[j]
                 for a, x in row[i]:
                     for b, y in row[j]:
-                        k = (a + b) % m
-                        acc[k] = acc.get(k, 0) + w * x * y
+                        vec[(a + b) % m] += w * x * y
                 for l, c in t.items():
                     for a, x in row[l]:
-                        acc[a] = acc.get(a, 0) - scale * c * x
-                if not any(acc.values()):
-                    continue
-                vec = [0] * m
-                for k, v in acc.items():
-                    vec[k] = v
+                        vec[a] -= scale * c * x
                 if any(reduce_cyclotomic(m, vec)):
                     zi, zj = (G.elements[G.classes[k][0]] for k in (i, j))
                     raise OrthogonalityFailure(
@@ -461,17 +455,15 @@ class QuotientPair:
     built by build and only read after."""
 
     def __init__(self, gamma_spec: SubgroupSpec, gamma1_spec: SubgroupSpec,
-                 level: int, gamma: FiniteSubgroup, gamma1: FiniteSubgroup,
+                 gamma: FiniteSubgroup, gamma1: FiniteSubgroup,
                  G: QuotientGroup, table: CharacterTable,
                  rationals: tuple[RationalCharacter, ...], cyclics: list,
-                 sig_gamma: Signature, c: Fraction, artin: dict,
+                 sig_gamma: Signature, c: Fraction,
                  cyclic_dims: tuple, gamma_dims: DimTable, table_sums: dict):
         self.gamma_spec, self.gamma1_spec = gamma_spec, gamma1_spec
-        self.level, self.gamma, self.gamma1 = level, gamma, gamma1
+        self.gamma, self.gamma1 = gamma, gamma1
         self.G, self.table, self.rationals = G, table, rationals
         self.cyclics, self.sig_gamma, self.c = cyclics, sig_gamma, c
-        # each rational character -> its Artin coefficients over cyclics
-        self.artin = artin
         # the DimTable of each Gamma_C, aligned with cyclics, and Gamma's:
         # dims reads a signature alone, so the groups that share one share
         # its table
@@ -498,16 +490,15 @@ class QuotientPair:
         *cyclic_dims, gamma_dims = (
             tables.get(sig) or tables.setdefault(sig, DimTable(sig))
             for sig in [*sigs, sig_gamma])
-        artin = dict(zip(rats, artin_decompose(
-            [rat.values for rat in rats], G, cyclics)))
+        artin = artin_decompose([rat.values for rat in rats], G, cyclics)
         return cls(
-            gamma_spec=gamma_spec, gamma1_spec=gamma1_spec, level=level,
+            gamma_spec=gamma_spec, gamma1_spec=gamma1_spec,
             gamma=gamma, gamma1=gamma1, G=G, table=table, rationals=rats,
             cyclics=cyclics, sig_gamma=sig_gamma,
             c=area_constant_c(sig_gamma),
-            artin=artin, cyclic_dims=tuple(cyclic_dims), gamma_dims=gamma_dims,
+            cyclic_dims=tuple(cyclic_dims), gamma_dims=gamma_dims,
             table_sums={rat: _table_sums(q, cyclic_dims)
-                        for rat, q in artin.items()},
+                        for rat, q in zip(rats, artin)},
         )
 
     def rational_by_name(self, name: str) -> RationalCharacter:

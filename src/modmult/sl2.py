@@ -126,7 +126,7 @@ def _congruence_elements(m: int, n: int, a0: int | None, b0: int | None,
     for a in allowed(a0):
         g = gcd(a, m)
         step = m // g
-        inv = pow(a // g, -1, step) if step > 1 else 0
+        inv = pow(a // g, -1, step)
         for b in allowed(b0):
             for c in allowed(c0):
                 t = (1 + b * c) % m
@@ -216,13 +216,12 @@ class QuotientGroup:
                  classes: tuple[tuple[int, ...], ...],
                  class_of: tuple[int, ...],
                  power_map: tuple[tuple[int, ...], ...], iota: int | None,
-                 iota_trivial: bool, generators: tuple[int, ...], coset_of):
+                 generators: tuple[int, ...], coset_of):
         self.level, self.elements, self.identity = level, elements, identity
-        self.classes, self.class_of = classes, class_of
+        self.classes, self.class_of, self.iota = classes, class_of, iota
         # power_map[K] = the classes of r^0, r, ..., r^(ord r - 1),
         # r = classes[K][0]
         self.power_map = power_map
-        self.iota, self.iota_trivial = iota, iota_trivial
         # each element outside the subgroup the earlier ones generate
         self.generators = generators
         # an element of Gamma -> the index of its coset (right_cosets)
@@ -233,8 +232,9 @@ class QuotientGroup:
         return len(self.elements)
 
     @property
-    def mu_sl(self) -> int:
-        return self.order
+    def iota_trivial(self) -> bool:
+        """Whether -I lies in Gamma1: iff its coset is the identity's."""
+        return self.iota == self.identity
 
     @property
     def mu_proj(self) -> int:
@@ -374,8 +374,7 @@ def quotient(gamma: FiniteSubgroup, gamma1: FiniteSubgroup) -> QuotientGroup:
         power_map=tuple(tuple(class_of[x] for x in row) for _, row in raw),
         iota=(coset_of(minus_identity(n)) if gamma.contains_minus_I
               else None),
-        iota_trivial=gamma1.contains_minus_I, generators=gens,
-        coset_of=coset_of,
+        generators=gens, coset_of=coset_of,
     )
 
 

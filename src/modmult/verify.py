@@ -262,8 +262,8 @@ def run_verify(config: VerificationConfig) -> dict:
         "pair": {
             "gamma": config.gamma_spec.label(),
             "gamma1": config.gamma1_spec.label(),
-            "level": pair.level,
-            "mu_sl": G.mu_sl,
+            "level": G.level,
+            "mu_sl": G.order,
             "mu_proj": G.mu_proj,
             "minus_I_in_gamma": G.iota is not None,
             "minus_I_in_gamma1": G.iota_trivial,

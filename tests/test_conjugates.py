@@ -32,7 +32,7 @@ def conjugate(spec, g):
 
 def class_map(pair, image, g):
     """Each class of pair.G -> the class of image.G holding g x g^-1."""
-    G, H, m = pair.G, image.G, pair.level
+    G, H, m = pair.G, image.G, pair.G.level
     g, g_inv = reduce_mat(g, m), mat_inv(reduce_mat(g, m), m)
     return [H.class_of[H.coset_index(mat_mul(mat_mul(g, G.elements[cls[0]],
                                                      m), g_inv, m))]

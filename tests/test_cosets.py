@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from fractions import Fraction
 from math import lcm
 from types import SimpleNamespace
@@ -28,7 +29,7 @@ def full_sl2(n, level_cap=DEFAULT_LEVEL_CAP):
 
 def preimage_subgroup(pair, C):
     """The mod-N subgroup Gamma_C: the union of Gamma1-cosets over C."""
-    n = pair.level
+    n = pair.G.level
     elems = {mat_mul(h, pair.G.elements[c], n)
              for c in C for h in pair.gamma1.elements}
     return FiniteSubgroup(n, tuple(sorted(elems)), own_level=n)
@@ -196,6 +197,15 @@ class TestConstruction:
         assert Signature(nu2=0, nu3=0, cusps=cusps, minus_I=False).genus == 0
         with pytest.raises(ValueError, match="irregular"):
             Signature(nu2=0, nu3=0, cusps=cusps, minus_I=True)
+
+    def test_foreign_object_is_unequal(self):
+        # SL2Z's signature equals no object but a signature, not even the
+        # tuple of the fields it compares
+        cusps = (CuspDatum(1, True),)
+        sig = Signature(nu2=1, nu3=1, cusps=cusps, minus_I=True)
+        assert sig == Signature(nu2=1, nu3=1, cusps=cusps, minus_I=True)
+        for other in ((1, 1, cusps, True), None, "SL2Z"):
+            assert not sig == other and sig != other
 
 
 class TestFamilyInvariants:
@@ -400,9 +410,9 @@ class TestOwnLevel:
         lookups = []
         original = cosets._coset_table
 
-        def recorded(size, acting, key, own, *args):
+        def recorded(acting, key, own, *args):
             lookups.append((frozenset(acting), key, own))
-            return original(size, acting, key, own, *args)
+            return original(acting, key, own, *args)
 
         monkeypatch.setattr(cosets, "_coset_table", recorded)
         low, high = group(kind, n), group(kind, n, at_level=m)
@@ -447,13 +457,16 @@ class TestOwnLevel:
 
     @pytest.mark.parametrize("level,residues,opened,size", [
         (4, ((1, 0, 0, 1), (1, 1, 0, 1)), 6, 12),
-        (3, ((0, 1, 2, 1), (1, 0, 0, 1)), 8, 6)],
-        ids=["I-T-mod-4", "I-ST-mod-3"])
+        (3, ((0, 1, 2, 1), (1, 0, 0, 1)), 8, 6),
+        (4, ((1, 0, 0, 1), (2, 0, 0, 2)), 24, 16)],
+        ids=["I-T-mod-4", "I-ST-mod-3", "I-2I-mod-4"])
     def test_walk_of_a_non_group_refused(self, level, residues, opened, size):
-        # I and T mod 4, not closed, closes its walk on 6 of the 12 cosets
-        # its order implies, and I with (0, 1, -1, 1) mod 3 opens a coset
-        # past its 6: one count after the walk refuses both with a typed
-        # error, where each ended in a bare IndexError
+        # the cosets number |SL2(Z/n)| / |+-K mod n|.  I and T mod 4, not
+        # closed, closes its walk on 6 of the 12 its 4 residues of +-K
+        # imply, and I with (0, 1, -1, 1) mod 3 opens 8 of 6; I with 2I mod
+        # 4, whose determinant is 0, gives +-K = {I, 2I, -I} and 16 cosets,
+        # and its walk runs to the end of its keys, 24 cosets: one count
+        # after the walk refuses each with a typed error
         K = FiniteSubgroup(level, residues, own_level=level)
         for read in (coset_action, subgroup_signature):
             with pytest.raises(NotAGroup, match=(
@@ -526,8 +539,8 @@ class TestKeyedTable:
         tables = []
         original = cosets._coset_table
 
-        def recorded(size, acting, key, n, m):
-            reps, perms = original(size, acting, key, n, m)
+        def recorded(acting, key, n, m):
+            reps, perms = original(acting, key, n, m)
             tables.append(len({mat_mul(h, r, n)[key]
                                for r in reps for h in acting}))
             return reps, perms
@@ -549,9 +562,9 @@ class TestKeyedTable:
         keys = []
         original = cosets._coset_table
 
-        def recorded(size, acting, key, *args):
+        def recorded(acting, key, *args):
             keys.append(key)
-            return original(size, acting, key, *args)
+            return original(acting, key, *args)
 
         monkeypatch.setattr(cosets, "_coset_table", recorded)
         reports = []
@@ -578,20 +591,21 @@ PAIRS = ([("gamma0", n, "gamma1", n) for n in (8, 12, 20, 24, 28)]
 
 
 def reference_walk(K):
-    """coset_action's walk with one mat_mul by S or T, reduced mod the
-    level, per step: a representative's images are found as products."""
+    """coset_action's breadth-first walk with one mat_mul by S or T,
+    reduced mod the level, per step: a representative's images are found
+    as products, and the cosets are taken from a queue in the order they
+    open."""
     n, m = K.own_level, K.level
     acting = {tuple(v % n for v in h) for h in K.elements}
     acting |= {tuple(-v % n for v in h) for h in acting}
     acting, key = coset_keys(acting, n)
-    size = sl2_group_order(m) // K.order // (1 if K.contains_minus_I else 2)
     gens = (reduce_mat(S_GEN, m), reduce_mat(T_GEN, m))
     reps = [(1 % m, 0, 0, 1 % m)]
     lookup = {h[key]: 0 for h in acting}
-    perms = [[0] * size for _ in gens]
-    queue = [0]
+    perms = [{} for _ in gens]
+    queue = deque([0])
     while queue:
-        i = queue.pop()
+        i = queue.popleft()
         for g, perm in zip(gens, perms):
             img = mat_mul(reps[i], g, m)
             j = lookup.get(tuple(v % n for v in img)[key])
@@ -602,8 +616,12 @@ def reference_walk(K):
                     lookup[mat_mul(h, img, n)[key]] = j
                 queue.append(j)
             perm[i] = j
-    return PermutationAction(sigma_S=tuple(perms[0]),
-                             sigma_T=tuple(perms[1]), reps=tuple(reps))
+    # every coset was taken from the queue once, so each perm is total
+    assert all(sorted(perm) == list(range(len(reps))) for perm in perms)
+    return PermutationAction(
+        sigma_S=tuple(perms[0][i] for i in range(len(reps))),
+        sigma_T=tuple(perms[1][i] for i in range(len(reps))),
+        reps=tuple(reps))
 
 
 class TestWalk:
@@ -671,7 +689,7 @@ class TestPreimageSignature:
         G = quotient(gamma, gamma1)
         assert not G.is_abelian
         branch = subgroup_signature(gamma).branch.under(G.coset_index)
-        pair = SimpleNamespace(level=m, G=G, gamma1=gamma1)
+        pair = SimpleNamespace(G=G, gamma1=gamma1)
         mul, _ = mul_table(G)
         for C in {generated(G, (a, b), mul) for a in range(G.order)
                   for b in range(a, G.order)}:

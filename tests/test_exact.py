@@ -45,6 +45,12 @@ class TestMobiusPhi:
     def test_phi_bruteforce(self, n):
         assert euler_phi(n) == sum(1 for a in range(1, n + 1) if gcd(a, n) == 1)
 
+    @pytest.mark.parametrize("n", [0, -1, -12])
+    def test_nonpositive_refused(self, n):
+        for f in (mobius, euler_phi, cyclotomic_poly):
+            with pytest.raises(ValueError, match="^n must be positive$"):
+                f(n)
+
 
 class TestCyclotomic:
     def test_zero_polynomial_products(self):
@@ -103,6 +109,29 @@ class TestCycloValue:
             z.lift(12)
         # zeta5 times its complex conjugate zeta5^4
         assert (z * CycloValue(5, {4: 1})) == 1
+
+    def test_rational_factor_on_either_side(self):
+        # a rational is lifted to Q(zeta_n) as the value it is, and the
+        # product stays in Q(zeta_n)
+        z = CycloValue(6, {1: 2, 5: Fraction(-1, 3)})
+        for q in (3, Fraction(-1, 2), 0):
+            for product in (z * q, q * z):
+                assert product.order == 6
+                assert product.coeffs == {j: c * q for j, c in z.coeffs.items()
+                                          if c * q}
+
+    def test_foreign_object_is_unequal(self):
+        z = CycloValue(3, {1: 1})
+        for other in ("z3", None, (1,), 1.5j):
+            assert not z == other and z != other
+        assert CycloValue(1, {0: 2}) == 2 and CycloValue(4) == Fraction(0)
+
+    def test_repr(self):
+        # no coefficient, or coefficients that cancel once read mod n
+        assert repr(CycloValue(5)) == "CycloValue(0)"
+        assert repr(CycloValue(4, {1: 1, 5: -1})) == "CycloValue(0)"
+        assert repr(CycloValue(3, {2: Fraction(-1, 2), 0: 1})) == \
+            "CycloValue(1*z3^0 + -1/2*z3^2)"
 
     @settings(max_examples=40, deadline=None)
     @given(cyclo_values(max_order=60))

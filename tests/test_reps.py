@@ -1159,7 +1159,7 @@ class TestArtin:
             for order in permutations(range(len(pair.cyclics))):
                 assert artin_decompose(targets, pair.G, pair.cyclics,
                                        column_order=order) \
-                    == [pair.artin[rat] for rat in pair.rationals]
+                    == artin_decompose(targets, pair.G, pair.cyclics)
 
     def test_column_order_must_permute_the_columns(self, diamond5):
         G = diamond5.G
@@ -1236,6 +1236,19 @@ class TestParity:
         G = s3pair.G
         assert G.iota == G.identity and G.iota_trivial
         assert all(parity_of(r, s3pair.G) == "even" for r in s3pair.rationals)
+
+    def test_mixed_orbit_refused(self, diamond5):
+        # a value at -I that is neither +agg nor -agg would put members of
+        # one orbit in both parities
+        G = diamond5.G
+        rat = next(r for r in diamond5.rationals if r.orbit_size == 2)
+        iota = G.class_of[G.iota]
+        for v in (0, 1, -1, 3):
+            values = list(rat.values)
+            values[iota] = Fraction(v)
+            with pytest.raises(ValueError, match="^orbit members do not "
+                                                 "share a parity$"):
+                parity_of(rat._replace(values=tuple(values)), G)
 
     def test_unconstrained_without_minus_I(self):
         pair = QuotientPair.build(SubgroupSpec("gamma1", 5),
@@ -1344,9 +1357,9 @@ class TestSignatureCache:
         tables, passes, signatures = [], [], []
         original = cosets._coset_table
 
-        def counted(size, acting, key, n, *args):
+        def counted(acting, key, n, *args):
             tables.append((key, n))
-            return original(size, acting, key, n, *args)
+            return original(acting, key, n, *args)
 
         def counter(calls, function):
             def wrapped(*args, **kwargs):
@@ -1385,11 +1398,11 @@ class TestSignatureCache:
                     cosets.coset_action(pair.gamma), pair.gamma)
             for sub, table in zip(cyclic_sets(pair.G, pair.cyclics),
                                   pair.cyclic_dims):
-                elems = {mat_mul(h, pair.G.elements[c], pair.level)
+                elems = {mat_mul(h, pair.G.elements[c], pair.G.level)
                          for c in sub for h in pair.gamma1.elements}
                 assert table.sig == fibre_sig(pair, sub) == subgroup_signature(
-                    FiniteSubgroup(pair.level, tuple(sorted(elems)),
-                                   own_level=pair.level))
+                    FiniteSubgroup(pair.G.level, tuple(sorted(elems)),
+                                   own_level=pair.G.level))
 
 
 class TestOneQuotient:
@@ -1500,7 +1513,8 @@ def sum_vector(pair, rat):
     """rat's Artin coefficients summed per signature of the Gamma_C, the
     zero sums dropped: characters with equal vectors have equal series."""
     sums = {}
-    for q, table in zip(pair.artin[rat], pair.cyclic_dims, strict=True):
+    coeffs, = artin_decompose([rat.values], pair.G, pair.cyclics)
+    for q, table in zip(coeffs, pair.cyclic_dims, strict=True):
         sums[table.sig] = sums.get(table.sig, 0) + q
     return tuple((sig, q) for sig, q in sums.items() if q)
 
@@ -1934,8 +1948,9 @@ class TestArtinSolves:
             assert solves == [reverse] * 4
             assert series[0].entries == series[2].entries
             assert series[1].entries == series[3].entries
-            assert [pair.artin[rat]] == artin_decompose(
-                [rat.values], pair.G, pair.cyclics, column_order=reverse)
+            assert artin_decompose([rat.values], pair.G, pair.cyclics) \
+                == artin_decompose([rat.values], pair.G, pair.cyclics,
+                                   column_order=reverse)
 
 
 def sym_power_multiplicities(m):

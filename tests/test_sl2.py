@@ -52,6 +52,13 @@ class TestEnumerate:
 
 
 class TestRealize:
+    def test_spec_equals_only_a_spec(self):
+        spec = SubgroupSpec("gamma0", 5)
+        assert spec == SubgroupSpec("gamma0", 5)
+        assert hash(spec) == hash(SubgroupSpec("gamma0", 5))
+        for other in (("gamma0", 5, ()), "gamma0:5", None):
+            assert not spec == other and spec != other
+
     def test_gamma0_index(self):
         full = full_sl2(5)
         K = realize(SubgroupSpec("gamma0", 5))
@@ -304,7 +311,7 @@ class TestQuotient:
         assert G.iota is not None and G.iota != G.identity
         assert not G.iota_trivial
         assert G.elements[G.iota][3] % 5 == 4  # d-entry of the -I coset
-        assert G.mu_sl == 4 and G.mu_proj == 2
+        assert G.mu_proj == 2
 
     def test_s3(self):
         g = full_sl2(2)

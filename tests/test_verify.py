@@ -2,14 +2,19 @@ import copy
 import csv
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from math import lcm
+from pathlib import Path
 
 import pytest
 
 from modmult.reps import MultiplicitySeries, QuotientPair, multiplicity_series
-from modmult.sl2 import SubgroupSpec
+from modmult.sl2 import SubgroupSpec, realize
 from modmult.verify import (VerificationConfig, WindowTooSmall, _parity_ks,
                             check_decomposition_identity, detect_slope,
                             monitor_lower_bound, run_verify)
@@ -179,6 +184,17 @@ class TestLowerBoundMonitor:
         r = monitor_lower_bound(s3pair, s, offset_bound=6, kmax=100)
         assert r.offset is None
 
+    def test_offset_with_no_weight_is_skipped(self, diamond5):
+        # entries only up to weight 10: offset 0 fails at weight 4, where
+        # the multiplicity 0 is below dim M_4(Gamma0(5)) = 3, and 2 to 6
+        # fail at weight 10; from 8 on no in-parity weight k >= n0 + 4 has
+        # an entry, so no offset holds, where an empty test would hold
+        s = series_for(diamond5, "triv", kmax=100)
+        s = s._replace(entries={k: 0 for k in s.entries if k <= 10})
+        assert diamond5.gamma_dims.read("M", (4,)) == [3]
+        r = monitor_lower_bound(diamond5, s, offset_bound=24, kmax=100)
+        assert r.offset is None
+
     def test_offset_respects_definition(self, s3pair, diamond5):
         for pair in (s3pair, diamond5):
             for rat in pair.rationals:
@@ -316,6 +332,23 @@ class TestRunVerify:
         for rr in report["reps"]:
             assert rr["slope"]["exact_match"]
             assert rr["lower_bound"]["offset"] is not None
+
+    @pytest.mark.parametrize("k0,n0,k1,n1", PAIRS,
+                             ids=[f"{a}:{b}/{c}:{d}" for a, b, c, d in PAIRS])
+    def test_level_index_and_minus_I(self, k0, n0, k1, n1):
+        # the report's level is the lcm of the spec levels and mu_sl is
+        # |Gamma| / |Gamma1| there; -I lies in Gamma1 iff its coset in G is
+        # the identity's
+        specs = SubgroupSpec(k0, n0), SubgroupSpec(k1, n1)
+        level = lcm(n0, n1)
+        gamma, gamma1 = (realize(spec, at_level=level) for spec in specs)
+        G = QuotientPair.build(*specs).G
+        assert G.iota_trivial == gamma1.contains_minus_I
+        # kmax 41, the least the slope window takes
+        record = run_verify(VerificationConfig(*specs, kmax=41))["pair"]
+        assert (record["level"], record["mu_sl"]) == (
+            level, gamma.order // gamma1.order)
+        assert record["minus_I_in_gamma1"] == gamma1.contains_minus_I
 
     def test_gamma1_below_the_pair_level(self):
         # Gamma0(2) given mod 4 over Gamma(2), held mod 2: the pair's level
@@ -645,6 +678,22 @@ def run_cli(argv, capsys):
 class TestCli:
     def run(self, argv, capsys):
         return run_cli(argv, capsys)[:2]
+
+    def test_module_entry_point(self, capsys):
+        # python -m modmult.cli prints main's report and exits with its
+        # status, 0 here and 2 on a typed error
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        for argv, status in (
+                (["verify", "--pair", "SL2Z/gamma:2", "--kmax", "41"], 0),
+                (["verify", "--pair", "SL2Z/gamma:2", "--kmax", "40"], 2)):
+            child = subprocess.run([sys.executable, "-m", "modmult.cli",
+                                    *argv], env=env, capture_output=True,
+                                   text=True)
+            assert (child.returncode, child.stdout, child.stderr) == \
+                run_cli(argv, capsys)
+            assert child.returncode == status
 
     def test_signature_text(self, capsys):
         code, out = self.run(["signature", "--group", "gamma1:4"], capsys)
